@@ -321,8 +321,3 @@ def ktilde_slope_l1(slope_a: float, t: float) -> float:
         return arct + rational
 
     return _scaled_l1(scaled) / (4.0 * np.pi)
-
-
-def slope_factor(slope_a: float) -> float:
-    """sigma = 1 / (1 + A^2), the flattening factor of the frozen slope."""
-    return 1.0 / (1.0 + slope_a * slope_a)

@@ -11,10 +11,13 @@ slacks, with the velocity bound M chosen from the sampled speeds.
 Quadrature layout (shared with :mod:`mixzone.evolution` so the averaged
 velocity identity holds at quadrature accuracy): PV trapezoid over
 grid-aligned horizontal offsets with the singular cells integrated on
-geometric Gauss-Legendre panels, transverse averages by composite
-Gauss-Legendre for the regular offsets and in closed form inside the
-singular cells.  The modified velocity and the full velocity share their
-moment integrals, which makes the tangential identity
+geometric Gauss-Legendre panels.  The transverse average of the Poisson
+kernel is exact at every offset, regular or singular: one ``arctan2``
+per offset and lam.  Integrals in lam (the strip average, the zero-mean
+residual and gamma) use composite Gauss-Legendre, and one site's
+offsets, strip nodes and gamma nodes share a single batched evaluation.
+The modified velocity and the full velocity share their moment
+integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
 For a run of the regularized flow the strip half-width handed to these
@@ -24,8 +27,6 @@ actually computed, so all consistency identities refer to one kernel.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,23 +54,13 @@ __all__ = [
     "choose_M",
     "zero_mean_residual",
     "subsolution_report",
-    "worker_count",
     "SLACK_VIOLATION_BAND",
 ]
 
 EDGE_CLAMP = 1e-6
 SLACK_VIOLATION_BAND = 1e-5
 _GL8 = leggauss(8)
-_LAMBDA_PRIME_PANELS = 12
 _LAMBDA_PANELS = 16
-
-
-def worker_count() -> int:
-    """Worker cap from the MIX_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MIX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -123,74 +114,63 @@ class _SiteVelocity:
     """Velocity quadratures at one grid site, cached over offsets.
 
     Evaluates u1, u2 and the modified vertical velocity u_c2 at arbitrary
-    transverse offsets lam, plus the strip average and the partial
-    integrals gamma needs.
+    transverse offsets lam, and from one batch of them the relaxed
+    state, gamma and the zero-mean residual.
     """
 
     def __init__(self, f: GridFunction1D, width: float, s_index: int,
-                 trunc_radius: float | None = None, prime_panels: int = _LAMBDA_PRIME_PANELS):
+                 trunc_radius: float | None = None):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
-        self.f = f
         self.width = width
         self.j = int(s_index) % f.n
         n, h, length = f.n, f.h, f.length
         if trunc_radius is None:
             trunc_radius = length / 2.0 - h
-        self.trunc_radius = trunc_radius
         vals = f.values
         g = spectral_derivative(vals, length)
         self.slope = float(g[self.j])
         offs, near = _offset_structure(n, h, trunc_radius)
-        self.offsets = offs
-        self.wts = _trapezoid_weights(offs) * h
+        wts = _trapezoid_weights(offs) * h
         idx = (self.j - offs) % n
         self.dx = offs * h
         self.df = vals[self.j] - vals[idx]
-        self.g_far = g[idx]
-        self.dg = self.slope - self.g_far
-        # transverse-average nodes for the regular offsets
-        self.lp_nodes, self.lp_wts = _composite_gl(-width, width, prime_panels)
+        # rows: weights of the far sums for u1, u2 and u_c2 (Delta g = slope - g)
+        self.far_wts = np.stack([wts, wts * g[idx], wts * (self.slope - g[idx])])
         # singular-cell nodes (both signs) and site Taylor data
         ypos, wpos = _near_nodes(near * h)
         self.y_near = np.concatenate([-ypos[::-1], ypos])
-        self.w_near = np.concatenate([wpos[::-1], wpos])
+        w_near = np.concatenate([wpos[::-1], wpos])
+        # row k: y^k times the near-cell weight, so near_wts @ inner gives J_k
+        self.near_wts = (self.y_near[:, None] ** np.arange(6)[None, :] * w_near[:, None]).T
         self.g_derivs = [
             float(spectral_derivative(g, length, k)[self.j]) for k in range(6)
         ]
 
     # -- elementary pieces -------------------------------------------------
 
-    def _inner_far(self, lams: np.ndarray) -> np.ndarray:
-        """GL transverse average of the Poisson kernel, (n_offsets, n_lam)."""
-        out = np.empty((self.offsets.size, lams.size))
-        for q, lam in enumerate(lams):
-            den = self.dx[:, None] ** 2 + (self.df[:, None] + lam - self.lp_nodes[None, :]) ** 2
-            out[:, q] = (self.dx[:, None] / den * self.lp_wts[None, :]).sum(axis=1)
-        return out / (2.0 * self.width)
+    def _inner(self, dx: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Exact transverse average of the Poisson kernel ``dx/(dx^2 + (d - lam')^2)``.
 
-    def _inner_near(self, lams: np.ndarray) -> np.ndarray:
-        """Closed-form transverse average inside the singular cell."""
+        ``(arctan((d + w)/dx) - arctan((d - w)/dx)) / (2w)`` folded into one
+        ``arctan2``, valid for either sign of dx without a branch fix-up.
+        """
         w = self.width
-        y = self.y_near[:, None]
-        d = self.slope * y + lams[None, :]
-        return (np.arctan((d + w) / y) - np.arctan((d - w) / y)) / (2.0 * w)
+        return np.arctan2(2.0 * w * dx, dx * dx + (d - w) * (d + w)) / (2.0 * w)
 
     def _near_moments(self, lams: np.ndarray) -> np.ndarray:
         """J_k(lam) = int over the near cell of y^k inner(y, lam), k = 0..5."""
-        inner = self._inner_near(lams)
-        powers = self.y_near[:, None] ** np.arange(6)[None, :]
-        return np.einsum("yk,yq,y->kq", powers, inner, self.w_near)
+        y = self.y_near[:, None]
+        return self.near_wts @ self._inner(y, self.slope * y + lams[None, :])
 
     # -- assembled velocities ----------------------------------------------
 
     def velocities(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u1, u2, u_c2) at the requested transverse offsets."""
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        inner = self._inner_far(lams)
-        far1 = (self.wts[:, None] * inner).sum(axis=0)
-        far2 = (self.wts[:, None] * self.g_far[:, None] * inner).sum(axis=0)
-        farc = (self.wts[:, None] * self.dg[:, None] * inner).sum(axis=0)
+        far1, far2, farc = self.far_wts @ self._inner(
+            self.dx[:, None], self.df[:, None] + lams[None, :]
+        )
         jk = self._near_moments(lams)
         g0, g1, g2, g3, g4, g5 = self.g_derivs
         # g(x - y) Taylor'd through y^5; Delta g uses the same coefficients
@@ -207,39 +187,55 @@ class _SiteVelocity:
         uc2 = -(farc + nearc) / np.pi
         return u1, u2, uc2
 
-    def strip_average(self, panels: int = _LAMBDA_PANELS) -> float:
+    def strip_average(self) -> float:
         """Transverse average of u_c2: the averaged velocity at this site."""
-        nodes, wts = _composite_gl(-self.width, self.width, panels)
-        _, _, uc2 = self.velocities(nodes)
-        return float((uc2 * wts).sum() / (2.0 * self.width))
+        # the zero-mean residual against dtz = 0 is the strip integral of u_c2
+        return self.samples(0.0, 1.0, 0.0)[1] / (2.0 * self.width)
 
-    def zero_mean_residual(self, dtz: float, panels: int = _LAMBDA_PANELS) -> float:
-        """``int (u_c - dtz).dz_perp dlam`` over the strip (should vanish)."""
-        nodes, wts = _composite_gl(-self.width, self.width, panels)
-        _, _, uc2 = self.velocities(nodes)
-        return float(((uc2 - dtz) * wts).sum())
+    def samples(self, lams, c: float, dtz: float) -> tuple[list[SubsolutionSample], float]:
+        """Relaxed state at each offset in ``lams`` and the zero-mean residual.
 
-    def gamma(self, lam: float, c: float, dtz: float) -> float:
-        """Normal defect gamma at offset lam, half-strip integral form.
-
-        For lam <= 0 integrates the imbalance up from the lower edge; for
-        lam > 0 down from the upper edge (the full-strip integral
-        vanishes), which keeps the ``1/(1 - rho^2)`` factor harmless.
+        One velocity call covers the offsets, the full-strip nodes of
+        ``int (u_c - dtz).dz_perp dlam`` and the half-strip nodes of every
+        gamma.  gamma at lam <= 0 integrates the imbalance up from the
+        lower edge, at lam > 0 down from the upper edge (the full-strip
+        integral vanishes), which keeps the ``1/(1 - rho^2)`` factor
+        harmless; it is taken a relative EDGE_CLAMP inside the strip, so
+        ``|lam| = width`` gives rho = +-1 and ``m = rho u``.
         """
         w = self.width
-        if abs(lam) >= w:
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        if np.any(np.abs(lams) > w):
+            raise ValueError("|lam| must not exceed the strip half-width")
+        lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
+        full_nodes, full_wts = _composite_gl(-w, w, _LAMBDA_PANELS)
+        nodes, half_wts = [lams, full_nodes], []
+        for lam in lam_g:
+            a, b = (-w, lam) if lam <= 0.0 else (lam, w)
+            panels = max(2, int(np.ceil(_LAMBDA_PANELS * (b - a) / (2.0 * w))))
+            x, wt = _composite_gl(a, b, panels)
+            nodes.append(x)
+            half_wts.append(wt if lam <= 0.0 else -wt)
+        u1, u2, uc2 = self.velocities(np.concatenate(nodes))
+        n, tail = lams.size, lams.size + full_nodes.size
+        resid = float(((uc2[n:tail] - dtz) * full_wts).sum())
+        starts = np.cumsum([0] + [wt.size for wt in half_wts[:-1]])
+        integrals = np.add.reduceat((uc2[tail:] - dtz) * np.concatenate(half_wts), starts)
+        rho_g = lam_g / w
+        gamma = -(1.0 - c) / 2.0 + integrals / ((1.0 - rho_g * rho_g) * w)
+        out = []
+        for q in range(n):
+            rho = lams[q] / w
+            u = np.array([u1[q], u2[q]])
+            m = rho * u - (gamma[q] + 0.5) * (1.0 - rho * rho) * np.array([0.0, 1.0])
+            out.append(SubsolutionSample(float(rho), u, m, float(gamma[q])))
+        return out, resid
+
+    def gamma(self, lam: float, c: float, dtz: float) -> float:
+        """Normal defect gamma at offset lam in the open strip."""
+        if abs(lam) >= self.width:
             raise ValueError("gamma is defined in the open strip |lam| < width")
-        lam = float(np.clip(lam, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w))
-        rho = lam / w
-        if lam <= 0.0:
-            a, b, sign = -w, lam, 1.0
-        else:
-            a, b, sign = lam, w, -1.0
-        panels = max(2, int(np.ceil(_LAMBDA_PANELS * (b - a) / (2.0 * w))))
-        nodes, wts = _composite_gl(a, b, panels)
-        _, _, uc2 = self.velocities(nodes)
-        integral = sign * float(((uc2 - dtz) * wts).sum())
-        return -(1.0 - c) / 2.0 + integral / ((1.0 - rho * rho) * w)
+        return self.samples(lam, c, dtz)[0][0].gamma
 
 
 def _site_index(f: GridFunction1D, s: float) -> int:
@@ -255,7 +251,6 @@ def velocity_field(
     eps: float,
     point: MixCoords,
     trunc_radius: float | None = None,
-    prime_panels: int = _LAMBDA_PRIME_PANELS,
 ) -> np.ndarray:
     """Strip-averaged velocity u at ``x(s, lam)``.
 
@@ -264,7 +259,7 @@ def velocity_field(
     """
     if abs(point.lam) > eps:
         raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius, prime_panels)
+    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius)
     u1, u2, _ = site.velocities(point.lam)
     return np.array([u1[0], u2[0]])
 
@@ -274,7 +269,6 @@ def velocity_modified(
     eps: float,
     point: MixCoords,
     trunc_radius: float | None = None,
-    prime_panels: int = _LAMBDA_PRIME_PANELS,
 ) -> np.ndarray:
     """Modified velocity u_c (velocity minus a tangential correction).
 
@@ -283,7 +277,7 @@ def velocity_modified(
     """
     if abs(point.lam) > eps:
         raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius, prime_panels)
+    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius)
     _, _, uc2 = site.velocities(point.lam)
     return np.array([0.0, uc2[0]])
 
@@ -315,8 +309,7 @@ def gamma_sharp(
     j = _site_index(f, point.s)
     if dtz is None:
         dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    site = _SiteVelocity(f, eps, j, trunc_radius)
-    return site.gamma(point.lam, c, dtz)
+    return _SiteVelocity(f, eps, j, trunc_radius).gamma(point.lam, c, dtz)
 
 
 def build_fields(
@@ -336,19 +329,10 @@ def build_fields(
     sites: dict[int, _SiteVelocity] = {}
     samples = []
     for point in lattice:
-        if abs(point.lam) > eps:
-            raise ValueError("|lam| must not exceed the strip half-width")
         j = _site_index(f, point.s)
         if j not in sites:
             sites[j] = _SiteVelocity(f, eps, j, trunc_radius)
-        site = sites[j]
-        u1, u2, _ = site.velocities(point.lam)
-        u = np.array([u1[0], u2[0]])
-        rho = point.lam / eps
-        lam_g = float(np.clip(point.lam, -(1 - EDGE_CLAMP) * eps, (1 - EDGE_CLAMP) * eps))
-        gamma = site.gamma(lam_g, c, float(dtz_all[j]))
-        m = rho * u - (gamma + 0.5) * (1.0 - rho * rho) * np.array([0.0, 1.0])
-        samples.append(SubsolutionSample(rho=float(rho), u=u, m=m, gamma=gamma))
+        samples.extend(sites[j].samples(point.lam, c, float(dtz_all[j]))[0])
     return samples
 
 
@@ -390,8 +374,7 @@ def zero_mean_residual(
     j = _site_index(f, s)
     if dtz is None:
         dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    site = _SiteVelocity(f, eps, j, trunc_radius)
-    return site.zero_mean_residual(dtz)
+    return _SiteVelocity(f, eps, j, trunc_radius).samples(0.0, 1.0, dtz)[1]
 
 
 def _lambda_fractions(n_lambda: int) -> np.ndarray:
@@ -407,9 +390,10 @@ def subsolution_report(
 ) -> list[dict]:
     """Per-snapshot record of max|gamma|, hull slacks, M and the identity.
 
-    Sites default to every eighth grid node.  Each row flags whether the
-    subsolution conditions hold; the first failing time (|gamma| >= 1/2 or
-    a slack below the violation band) is marked on the row.
+    Sites default to every ``n // 32``-th grid node.  Each row flags
+    whether the subsolution conditions hold; the first failing time
+    (|gamma| >= 1/2 or a slack below the violation band) is marked on the
+    row.
     """
     rows = []
     for state in trajectory.snapshots:
@@ -421,40 +405,14 @@ def subsolution_report(
             idxs = list(range(0, f.n, max(1, f.n // 32)))
         else:
             idxs = list(s_indices)
-        dtz_all = -kernel_quadrature(
-            f.values,
-            spectral_derivative(f.values, f.length),
-            f.length,
-            width,
-            trunc_radius,
-        )
-        fractions = _lambda_fractions(n_lambda)
-        x = f.x
-
-        def one_site(j: int):
+        dtz_all = _default_dtz(f, width, trunc_radius)
+        lams = _lambda_fractions(n_lambda) * width
+        samples, resids = [], []
+        for j in idxs:
             site = _SiteVelocity(f, width, j, trunc_radius)
-            dtz = float(dtz_all[j])
-            out = []
-            resid = site.zero_mean_residual(dtz)
-            for fr in fractions:
-                lam = fr * width
-                u1, u2, _ = site.velocities(lam)
-                u = np.array([u1[0], u2[0]])
-                gamma = site.gamma(lam, state.c, dtz)
-                rho = lam / width
-                m = rho * u - (gamma + 0.5) * (1.0 - rho * rho) * np.array([0.0, 1.0])
-                out.append((SubsolutionSample(rho, u, m, gamma), resid))
-            return out
-
-        workers = worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_site = list(pool.map(one_site, idxs))
-        else:
-            per_site = [one_site(j) for j in idxs]
-
-        samples = [s for chunk in per_site for (s, _) in chunk]
-        resids = [abs(r) for chunk in per_site for (_, r) in chunk]
+            chunk, resid = site.samples(lams, state.c, float(dtz_all[j]))
+            samples.extend(chunk)
+            resids.append(abs(resid))
         m_bound = choose_M(np.array([s.u for s in samples]))
         slacks = [hull_check(s, m_bound).min_slack for s in samples]
         max_gamma = max(abs(s.gamma) for s in samples)
@@ -468,7 +426,7 @@ def subsolution_report(
                 "m_bound": float(m_bound),
                 "zero_mean_residual": float(max(resids)),
                 "ok": bool(ok),
-                "s_sites": [float(x[j]) for j in idxs],
+                "s_sites": [float(f.x[j]) for j in idxs],
             }
         )
     return rows

@@ -47,12 +47,20 @@ def test_velocity_requires_grid_aligned_site(bump):
         subsolution.velocity_field(bump, EPS, MixCoords(0.077, 0.0))
 
 
-def test_velocity_refinement_stability(bump):
-    # doubling the transverse Gauss-Legendre panels moves the value < 1e-6
-    pt = MixCoords(bump.x[131], 0.3 * EPS)
-    u_base = subsolution.velocity_field(bump, EPS, pt, prime_panels=12)
-    u_fine = subsolution.velocity_field(bump, EPS, pt, prime_panels=24)
-    assert np.max(np.abs(u_base - u_fine)) <= 1e-6
+@pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.5])
+def test_transverse_average_matches_gauss_legendre(bump, w):
+    # closed form vs a 96-node Gauss-Legendre average over lam' in [-w, w],
+    # on the far offsets and the singular-cell nodes the rule resolves
+    site = subsolution._SiteVelocity(bump, w, 131, trunc_radius=10.0)
+    y = site.y_near[np.abs(site.y_near) >= w]
+    dx = np.concatenate([site.dx, y])
+    xg, wg = np.polynomial.legendre.leggauss(96)
+    for frac in (-0.9, 0.0, 0.4):
+        d = np.concatenate([site.df, site.slope * y]) + frac * w
+        exact = site._inner(dx, d)
+        z = d[:, None] - w * xg[None, :]
+        oracle = (dx[:, None] / (dx[:, None] ** 2 + z**2) * wg[None, :]).sum(axis=1) / 2.0
+        assert np.max(np.abs(exact - oracle) / np.abs(oracle)) <= 1e-13
 
 
 def test_tangential_identity(bump):
@@ -220,19 +228,30 @@ def test_report_reproducible(bump):
     assert r1 == r2
 
 
-def test_report_threaded_matches_serial(bump, monkeypatch):
+def test_report_matches_scalar_api(bump):
     traj = evolution.integrate(
         bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025, output_every=1
     )
-    serial = subsolution.subsolution_report(traj, s_indices=[118, 128, 138], n_lambda=5)
-    monkeypatch.setenv("MIX_THREADS", "3")
-    assert subsolution.worker_count() == 3
-    threaded = subsolution.subsolution_report(traj, s_indices=[118, 128, 138], n_lambda=5)
-    assert serial == threaded
-
-
-def test_worker_count_defaults(monkeypatch):
-    monkeypatch.delenv("MIX_THREADS", raising=False)
-    assert subsolution.worker_count() == 1
-    monkeypatch.setenv("MIX_THREADS", "not-a-number")
-    assert subsolution.worker_count() == 1
+    sites, r = (118, 128, 138), evolution.DEFAULT_TRUNC_RADIUS
+    rows = subsolution.subsolution_report(traj, s_indices=sites, n_lambda=5, trunc_radius=r)
+    assert len(rows) == len(traj.snapshots) == 2
+    for row, state in zip(rows, traj.snapshots):
+        f, w, c = state.f, state.width, state.c
+        dtz = evolution_rhs(f, w, trunc_radius=r)
+        samples, resids = [], []
+        for j in sites:
+            x = float(f.x[j])
+            resids.append(abs(subsolution.zero_mean_residual(f, w, x, float(dtz[j]), r)))
+            for lam in subsolution._lambda_fractions(5) * w:
+                pt = MixCoords(x, lam)
+                u = subsolution.velocity_field(f, w, pt, r)
+                gamma = subsolution.gamma_sharp(f, w, c, pt, float(dtz[j]), r)
+                rho = lam / w
+                m = rho * u - (gamma + 0.5) * (1 - rho**2) * np.array([0.0, 1.0])
+                samples.append(SubsolutionSample(rho, u, m, gamma))
+        m_bound = subsolution.choose_M(np.array([s.u for s in samples]))
+        assert row["m_bound"] == pytest.approx(m_bound, rel=1e-12)
+        assert row["max_gamma"] == pytest.approx(max(abs(s.gamma) for s in samples), abs=1e-12)
+        min_slack = min(subsolution.hull_check(s, m_bound).min_slack for s in samples)
+        assert row["min_slack"] == pytest.approx(min_slack, abs=1e-12)
+        assert row["zero_mean_residual"] == pytest.approx(max(resids), abs=1e-12)
