@@ -14,7 +14,9 @@ the slope difference (frozen-slope kernel), and the trapezoid ends carry
 Gregory corrections.  Without that cell the
 quadrature is first order once the kernel width drops below the mesh;
 with it the scheme is second order in h and the right-hand side stays
-smooth in t, preserving the RK4 order.
+smooth in t, preserving the RK4 order.  Sites are evaluated in row
+blocks small enough to stay in L2, so the O(N M) work never builds an
+N x M array.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
 the stage times.
@@ -23,8 +25,10 @@ the stage times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
 from .grid import GridFunction1D, spectral_derivative
@@ -50,6 +54,9 @@ __all__ = [
 DEFAULT_TRUNC_RADIUS = 10.0
 _GL16 = leggauss(16)
 _NEAR_LEVELS = 8
+# (site, offset) entries per row block of the PV quadrature: each float64
+# temporary of a block is at most 128 KiB, so a block stays in L2
+_BLOCK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,15 @@ def _near_nodes(cell: float):
     return np.concatenate(ys), np.concatenate(ws)
 
 
+@lru_cache(maxsize=16)
+def _near_moment_table(cell: float) -> tuple[np.ndarray, np.ndarray]:
+    """Near-cell nodes y on (0, cell] and the odd-moment table ``2 (y, y^3, y^5) w``."""
+    y, wy = _near_nodes(cell)
+    table = 2.0 * y[:, None] ** np.array([1, 3, 5]) * wy[:, None]
+    y.flags.writeable = table.flags.writeable = False
+    return y, table
+
+
 def nearfield_correction(
     slope: np.ndarray,
     g1: np.ndarray,
@@ -177,14 +193,12 @@ def nearfield_correction(
 
     Uses the odd Taylor expansion ``Delta g = g' y + g''' y^3/6 + g^(5)
     y^5/120`` with the kernel frozen at the local slope; even terms drop
-    by parity.  Shared verbatim by the subsolution velocities so the
-    averaged-velocity identity stays exact.
+    by parity, and the three weighted moments are one product with a
+    cached moment table.  :func:`kernel_quadrature` calls it once per row
+    block.
     """
-    y, wy = _near_nodes(near * h)
-    kern = kernel_values(y[None, :], slope[:, None] * y[None, :], width)
-    i1 = 2.0 * (kern * y * wy).sum(axis=1)
-    i3 = 2.0 * (kern * y**3 * wy).sum(axis=1)
-    i5 = 2.0 * (kern * y**5 * wy).sum(axis=1)
+    y, table = _near_moment_table(near * h)
+    i1, i3, i5 = (kernel_values(y, slope[:, None] * y, width) @ table).T
     return g1 * i1 + g3 / 6.0 * i3 + g5 / 120.0 * i5
 
 
@@ -223,6 +237,11 @@ def _trapezoid_weights(offsets: np.ndarray) -> np.ndarray:
     return np.concatenate([w[::-1], w])
 
 
+def _periodic_windows(values: np.ndarray, m: int) -> np.ndarray:
+    """Read-only view ``w[i, k] = values[(i + k - m) % n]`` for k = 0..2m, m <= n."""
+    return sliding_window_view(np.concatenate([values[-m:], values, values[:m]]), 2 * m + 1)
+
+
 def kernel_quadrature(
     f_values: np.ndarray,
     g_values: np.ndarray,
@@ -230,24 +249,38 @@ def kernel_quadrature(
     width: float,
     trunc_radius: float,
 ) -> np.ndarray:
-    """``int (g(x) - g(y)) K_w(x, y) dy`` at every site (PV trapezoid + near cell)."""
+    """``int (g(x) - g(y)) K_w(x, y) dy`` at every site (PV trapezoid + near cell).
+
+    Sites are streamed in row blocks of about ``_BLOCK_ENTRIES`` (site,
+    offset) entries.  A block's gathers, kernel values, weighted sum and
+    near cell are formed together, so no N x M temporary is ever made.
+    """
     n = f_values.size
     h = length / n
     offsets, near = _offset_structure(n, h, trunc_radius)
-    idx = (np.arange(n)[:, None] - offsets[None, :]) % n
-    df = f_values[:, None] - f_values[idx]
-    dg = g_values[:, None] - g_values[idx]
-    kern = kernel_values(offsets[None, :] * h, df, width)
-    if not np.all(np.isfinite(kern)):
-        bad = np.argwhere(~np.isfinite(kern))[0]
-        raise FloatingPointError(f"non-finite kernel value at site {int(bad[0])}")
-    wts = _trapezoid_weights(offsets)
-    out = (dg * kern * wts[None, :]).sum(axis=1) * h
+    dx = offsets * h
+    wts = _trapezoid_weights(offsets) * h
     slope = spectral_derivative(f_values, length)
     g1 = spectral_derivative(g_values, length)
     g3 = spectral_derivative(g_values, length, 3)
     g5 = spectral_derivative(g_values, length, 5)
-    return out + nearfield_correction(slope, g1, g3, g5, h, width, near)
+    # window column of each offset: f_win[i, cols] = f_values[(i - offsets) % n]
+    cols = offsets[-1] - offsets
+    f_win = _periodic_windows(f_values, offsets[-1])
+    g_win = _periodic_windows(g_values, offsets[-1])
+    out = np.empty(n)
+    rows = max(1, _BLOCK_ENTRIES // offsets.size)
+    for start in range(0, n, rows):
+        blk = slice(start, min(start + rows, n))
+        kern = kernel_values(dx, f_values[blk, None] - f_win[blk][:, cols], width)
+        if not np.all(np.isfinite(kern)):
+            bad = start + int(np.argwhere(~np.isfinite(kern))[0, 0])
+            raise FloatingPointError(f"non-finite kernel value at site {bad}")
+        dg = g_values[blk, None] - g_win[blk][:, cols]
+        out[blk] = (dg * kern) @ wts + nearfield_correction(
+            slope[blk], g1[blk], g3[blk], g5[blk], h, width, near
+        )
+    return out
 
 
 def mean_velocity_rhs(

@@ -6,13 +6,26 @@ half-width ``eps``, of the Poisson-type kernel
     dx / (dx^2 + (delta_f + (lam - lam'))^2),
 
 normalized by ``1 / (4 pi eps^2)``.  Both averaging integrals can be done
-exactly, which collapses the kernel to a second central difference of the
-antiderivative ``u * arctan(u/dx) - (dx/2) log(dx^2 + u^2)`` evaluated at
-``delta_f`` and ``delta_f +- 2 eps``.  This module provides that closed
-form, a Gauss-Legendre tensor oracle for it, the frozen-slope kernel
-``K_A``, the transport coefficient ``a(x)`` (a principal value of the
-kernel over the separation), and the differentiated kernels ``ktilde`` /
-``ktilde_c`` together with their L1 statistics.
+exactly: the kernel is the second central difference, at ``delta_f``
+and ``delta_f +- 2 eps``, of the antiderivative ``-Re(z log z)`` with
+``z = dx + i u``.  The difference is folded algebraically before any
+transcendental is evaluated, so that with ``u = delta_f`` and
+``r^2 = dx^2 + u^2`` the bracket is
+
+    u arctan2(-8 eps^2 dx u, r^4 + 4 eps^2 (dx^2 - u^2))
+      + 2 eps arctan2(4 eps dx, r^2 - 4 eps^2)
+      - (dx/2) log1p((8 eps^2 (dx^2 - u^2) + 16 eps^4) / r^4).
+
+No term is a difference of nearly equal O(|dx| log |dx|) values, so the
+kernel is accurate to roundoff at every width (about 1e-15 relative
+against a 50-digit evaluation, ``eps = 1e-10`` included), and the
+principal ``arctan2`` branches are right for either sign of ``dx``.
+
+This module provides that closed form, a Gauss-Legendre tensor oracle
+for it, the frozen-slope kernel ``K_A``, the transport coefficient
+``a(x)`` (a principal value of the kernel over the separation), and the
+differentiated kernels ``ktilde`` / ``ktilde_c`` together with their L1
+statistics.
 
 Conventions adopted here (asserted by the test suite):
 
@@ -92,27 +105,37 @@ class KernelPoint:
             raise ValueError("delta_f must be finite")
 
 
-def _antiderivative(u, dx):
-    """u * arctan(u/dx) - (dx/2) * log(dx^2 + u^2); valid for dx != 0."""
-    return u * np.arctan(u / dx) - 0.5 * dx * np.log(dx * dx + u * u)
-
-
 def _maybe_scalar(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
 def kernel_values(dx, delta_f, eps: float):
-    """Vectorized closed-form kernel; dx == 0 entries return 0."""
+    """Vectorized closed-form kernel; dx == 0 entries return 0.
+
+    Two ``arctan2`` and one ``log1p`` per entry (see the module docstring).
+    The imaginary part of the folded product is exactly ``-8 eps^2 dx u``,
+    so the first ``arctan2`` carries no cancellation either.
+    """
     dx = np.asarray(dx, dtype=float)
-    delta_f = np.asarray(delta_f, dtype=float)
-    safe = np.where(dx == 0.0, 1.0, dx)
-    bracket = (
-        _antiderivative(delta_f + 2.0 * eps, safe)
-        - 2.0 * _antiderivative(delta_f, safe)
-        + _antiderivative(delta_f - 2.0 * eps, safe)
-    )
-    out = bracket / (4.0 * np.pi * eps * eps)
-    return _maybe_scalar(np.where(dx == 0.0, 0.0, out))
+    u = np.asarray(delta_f, dtype=float)
+    zero = dx == 0.0
+    if np.any(zero):
+        safe = kernel_values(np.where(zero, 1.0, dx), u, eps)
+        return _maybe_scalar(np.where(zero, 0.0, safe))
+    w2 = eps * eps
+    dx2 = dx * dx
+    u2 = u * u
+    r2 = dx2 + u2
+    r4 = r2 * r2
+    diff = dx2 - u2
+    bracket = u * np.arctan2(-8.0 * w2 * dx * u, r4 + 4.0 * w2 * diff)
+    bracket += 2.0 * eps * np.arctan2(4.0 * eps * dx, r2 - 4.0 * w2)
+    diff *= 8.0 * w2
+    diff += 16.0 * w2 * w2
+    diff /= r4
+    bracket -= 0.5 * dx * np.log1p(diff)
+    bracket *= 1.0 / (4.0 * np.pi * w2)
+    return _maybe_scalar(bracket)
 
 
 def kernel_closed_form(p: KernelPoint, eps: float) -> float:
@@ -186,20 +209,19 @@ def coefficient_a(
     m_max = min(int(np.floor(trunc_radius / h)), n // 2 - 1)
     if m_max < 2:
         raise ValueError("trunc_radius too small for this grid")
-    offsets = np.concatenate([np.arange(-m_max, 0), np.arange(1, m_max + 1)])
     vals = f.values
-    df = vals[index] - vals[(index - offsets) % n]
-    kern = kernel_values(offsets * h, df, eps)
-    weights = np.ones(offsets.size)
-    weights[0] = weights[-1] = 0.5
-    full = -float(np.sum(kern * weights) * h)
 
-    half = offsets[np.abs(offsets) <= m_max // 2]
-    dfh = vals[index] - vals[(index - half) % n]
-    kh = kernel_values(half * h, dfh, eps)
-    wh = np.ones(half.size)
-    wh[0] = wh[-1] = 0.5
-    halved = -float(np.sum(kh * wh) * h)
+    def truncated(m: int) -> float:
+        # +-offset pairs are summed first: the kernel is odd, so zero data
+        # give exactly 0 whatever the summation order
+        o = np.arange(1, m + 1)
+        pairs = kernel_values(o * h, vals[index] - vals[(index - o) % n], eps)
+        pairs += kernel_values(-o * h, vals[index] - vals[(index + o) % n], eps)
+        pairs[-1] *= 0.5
+        return -float(np.sum(pairs) * h)
+
+    full = truncated(m_max)
+    halved = truncated(m_max // 2)
     return CoefficientValue(value=full, truncation_estimate=abs(full - halved))
 
 

@@ -110,42 +110,61 @@ def _composite_gl(a: float, b: float, panels: int):
     return nodes, weights
 
 
+class _Snapshot:
+    """Site-independent quadrature data of one snapshot.
+
+    The slope ``g = f'`` and its derivatives of orders 0-5 (whole-grid
+    FFTs), the trapezoid offsets and weights and the singular-cell nodes
+    are computed once and shared by every site evaluated on the snapshot.
+    """
+
+    def __init__(self, f: GridFunction1D, width: float,
+                 trunc_radius: float | None = None):
+        if not width > 0:
+            raise ValueError("strip half-width must be positive")
+        self.f = f
+        self.width = width
+        n, h, length = f.n, f.h, f.length
+        if trunc_radius is None:
+            trunc_radius = length / 2.0 - h
+        self.g = spectral_derivative(f.values, length)
+        self.g_derivs = np.stack(
+            [spectral_derivative(self.g, length, k) for k in range(6)]
+        )
+        self.offsets, near = _offset_structure(n, h, trunc_radius)
+        self.dx = self.offsets * h
+        self.wts = _trapezoid_weights(self.offsets) * h
+        # singular-cell nodes (both signs)
+        ypos, wpos = _near_nodes(near * h)
+        self.y_near = np.concatenate([-ypos[::-1], ypos])
+        w_near = np.concatenate([wpos[::-1], wpos])
+        # row k: y^k times the near-cell weight, so near_wts @ inner gives J_k
+        self.near_wts = (self.y_near[:, None] ** np.arange(6)[None, :] * w_near[:, None]).T
+
+
 class _SiteVelocity:
-    """Velocity quadratures at one grid site, cached over offsets.
+    """Velocity quadratures at one grid site of a snapshot.
 
     Evaluates u1, u2 and the modified vertical velocity u_c2 at arbitrary
     transverse offsets lam, and from one batch of them the relaxed
     state, gamma and the zero-mean residual.
     """
 
-    def __init__(self, f: GridFunction1D, width: float, s_index: int,
-                 trunc_radius: float | None = None):
-        if not width > 0:
-            raise ValueError("strip half-width must be positive")
-        self.width = width
-        self.j = int(s_index) % f.n
-        n, h, length = f.n, f.h, f.length
-        if trunc_radius is None:
-            trunc_radius = length / 2.0 - h
-        vals = f.values
-        g = spectral_derivative(vals, length)
+    def __init__(self, snap: _Snapshot, s_index: int):
+        n = snap.f.n
+        self.width = snap.width
+        self.j = int(s_index) % n
+        vals, g, wts = snap.f.values, snap.g, snap.wts
         self.slope = float(g[self.j])
-        offs, near = _offset_structure(n, h, trunc_radius)
-        wts = _trapezoid_weights(offs) * h
-        idx = (self.j - offs) % n
-        self.dx = offs * h
+        idx = (self.j - snap.offsets) % n
+        self.dx = snap.dx
         self.df = vals[self.j] - vals[idx]
         # rows: weights of the far sums for u1, u2 and u_c2 (Delta g = slope - g)
         self.far_wts = np.stack([wts, wts * g[idx], wts * (self.slope - g[idx])])
-        # singular-cell nodes (both signs) and site Taylor data
-        ypos, wpos = _near_nodes(near * h)
-        self.y_near = np.concatenate([-ypos[::-1], ypos])
-        w_near = np.concatenate([wpos[::-1], wpos])
-        # row k: y^k times the near-cell weight, so near_wts @ inner gives J_k
-        self.near_wts = (self.y_near[:, None] ** np.arange(6)[None, :] * w_near[:, None]).T
-        self.g_derivs = [
-            float(spectral_derivative(g, length, k)[self.j]) for k in range(6)
-        ]
+        self.y_near = snap.y_near
+        self.near_wts = snap.near_wts
+        # site Taylor data
+        self.g_derivs = snap.g_derivs[:, self.j].tolist()
 
     # -- elementary pieces -------------------------------------------------
 
@@ -259,7 +278,7 @@ def velocity_field(
     """
     if abs(point.lam) > eps:
         raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius)
+    site = _SiteVelocity(_Snapshot(f, eps, trunc_radius), _site_index(f, point.s))
     u1, u2, _ = site.velocities(point.lam)
     return np.array([u1[0], u2[0]])
 
@@ -277,7 +296,7 @@ def velocity_modified(
     """
     if abs(point.lam) > eps:
         raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(f, eps, _site_index(f, point.s), trunc_radius)
+    site = _SiteVelocity(_Snapshot(f, eps, trunc_radius), _site_index(f, point.s))
     _, _, uc2 = site.velocities(point.lam)
     return np.array([0.0, uc2[0]])
 
@@ -309,7 +328,7 @@ def gamma_sharp(
     j = _site_index(f, point.s)
     if dtz is None:
         dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    return _SiteVelocity(f, eps, j, trunc_radius).gamma(point.lam, c, dtz)
+    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).gamma(point.lam, c, dtz)
 
 
 def build_fields(
@@ -326,12 +345,13 @@ def build_fields(
     density is exactly +-1 and m collapses to ``rho u``.
     """
     dtz_all = _default_dtz(f, eps, trunc_radius)
+    snap = _Snapshot(f, eps, trunc_radius)
     sites: dict[int, _SiteVelocity] = {}
     samples = []
     for point in lattice:
         j = _site_index(f, point.s)
         if j not in sites:
-            sites[j] = _SiteVelocity(f, eps, j, trunc_radius)
+            sites[j] = _SiteVelocity(snap, j)
         samples.extend(sites[j].samples(point.lam, c, float(dtz_all[j]))[0])
     return samples
 
@@ -374,7 +394,7 @@ def zero_mean_residual(
     j = _site_index(f, s)
     if dtz is None:
         dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    return _SiteVelocity(f, eps, j, trunc_radius).samples(0.0, 1.0, dtz)[1]
+    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).samples(0.0, 1.0, dtz)[1]
 
 
 def _lambda_fractions(n_lambda: int) -> np.ndarray:
@@ -407,9 +427,10 @@ def subsolution_report(
             idxs = list(s_indices)
         dtz_all = _default_dtz(f, width, trunc_radius)
         lams = _lambda_fractions(n_lambda) * width
+        snap = _Snapshot(f, width, trunc_radius)
         samples, resids = [], []
         for j in idxs:
-            site = _SiteVelocity(f, width, j, trunc_radius)
+            site = _SiteVelocity(snap, j)
             chunk, resid = site.samples(lams, state.c, float(dtz_all[j]))
             samples.extend(chunk)
             resids.append(abs(resid))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mixzone import evolution
+from mixzone import evolution, kernel
 from mixzone.evolution import InterfaceState, Trajectory
-from mixzone.grid import GridFunction1D
+from mixzone.grid import GridFunction1D, spectral_derivative
 
 LENGTH = 40.0
 
@@ -67,6 +67,56 @@ def test_kernel_quadrature_vanishes_for_constant_slope():
     g_vals = np.full(n, 0.3)
     out = evolution.kernel_quadrature(f_vals, g_vals, LENGTH, 0.05, 10.0)
     assert np.max(np.abs(out)) == 0.0
+
+
+def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
+    """Unblocked reference: one site at a time, far trapezoid + near cell."""
+    n = f_vals.size
+    h = LENGTH / n
+    offsets, near = evolution._offset_structure(n, h, trunc_radius)
+    wts = evolution._trapezoid_weights(offsets)
+    far = np.empty(n)
+    for i in range(n):
+        idx = (i - offsets) % n
+        k = kernel.kernel_values(offsets * h, f_vals[i] - f_vals[idx], width)
+        far[i] = np.sum((g_vals[i] - g_vals[idx]) * k * wts) * h
+    slope = spectral_derivative(f_vals, LENGTH)
+    g1, g3, g5 = (spectral_derivative(g_vals, LENGTH, k) for k in (1, 3, 5))
+    return far + evolution.nearfield_correction(slope, g1, g3, g5, h, width, near)
+
+
+def _rows_per_block(n, trunc_radius):
+    offsets, _ = evolution._offset_structure(n, LENGTH / n, trunc_radius)
+    return evolution._BLOCK_ENTRIES // offsets.size
+
+
+def test_kernel_quadrature_blocks_match_row_by_row_sum():
+    n, trunc = 512, 10.0
+    rows = _rows_per_block(n, trunc)
+    assert rows < n and n % rows != 0  # several blocks, the last one ragged
+    f = bump(n, amp=0.3).values
+    g = spectral_derivative(f, LENGTH)
+    for width in (1e-4, 0.05, 0.5):
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, trunc)
+        ref = _row_by_row_quadrature(f, g, width, trunc)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def test_kernel_quadrature_names_global_site_of_bad_kernel():
+    n, trunc = 512, 10.0
+    f = bump(n).values.copy()
+    f[300] = np.inf
+    offsets, _ = evolution._offset_structure(n, LENGTH / n, trunc)
+    with np.errstate(invalid="ignore"):
+        # the first site whose row meets the bad height, found one row at a time
+        first = next(
+            i for i in range(n)
+            if not np.all(np.isfinite(kernel.kernel_values(
+                offsets * LENGTH / n, f[i] - f[(i - offsets) % n], 0.05)))
+        )
+        assert first >= _rows_per_block(n, trunc)  # not in the first block
+        with pytest.raises(FloatingPointError, match=rf"at site {first}$"):
+            evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, trunc)
 
 
 def test_rhs_regularized_zero_fixed_point():

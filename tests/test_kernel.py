@@ -100,6 +100,33 @@ def test_closed_form_matches_oracle_randomly():
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
+def test_closed_form_matches_mpmath(eps):
+    # 50-digit second difference of the unfolded antiderivative: the
+    # cancellation that float64 cannot afford costs mpmath nothing
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def oracle(dx, df):
+        dx, df, w = mp.mpf(dx), mp.mpf(df), mp.mpf(eps)
+
+        def anti(u):
+            return u * mp.atan(u / dx) - dx / 2 * mp.log(dx * dx + u * u)
+
+        bracket = anti(df + 2 * w) - 2 * anti(df) + anti(df - 2 * w)
+        return bracket / (4 * mp.pi * w * w)
+
+    dxs = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0])
+    dxs = np.concatenate([-dxs, dxs])
+    slopes = np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
+    dx = np.repeat(dxs, slopes.size)
+    df = np.tile(slopes, dxs.size) * np.abs(dx)
+    got = kernel.kernel_values(dx, df, eps)
+    want = np.array([float(oracle(a, b)) for a, b in zip(dx, df)])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
 def test_frozen_oddness_exact():
     rng = np.random.default_rng(3)
     for _ in range(100):

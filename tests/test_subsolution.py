@@ -51,7 +51,7 @@ def test_velocity_requires_grid_aligned_site(bump):
 def test_transverse_average_matches_gauss_legendre(bump, w):
     # closed form vs a 96-node Gauss-Legendre average over lam' in [-w, w],
     # on the far offsets and the singular-cell nodes the rule resolves
-    site = subsolution._SiteVelocity(bump, w, 131, trunc_radius=10.0)
+    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), 131)
     y = site.y_near[np.abs(site.y_near) >= w]
     dx = np.concatenate([site.dx, y])
     xg, wg = np.polynomial.legendre.leggauss(96)
@@ -82,7 +82,7 @@ def test_strip_average_matches_evolution_rhs(bump):
     # the transverse mean of the modified velocity is the interface speed
     dtz = evolution_rhs(bump, EPS, trunc_radius=10.0)
     for j in (120, 128, 140):
-        site = subsolution._SiteVelocity(bump, EPS, j, trunc_radius=10.0)
+        site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
         assert site.strip_average() == pytest.approx(dtz[j], abs=1e-6)
 
 
@@ -110,7 +110,7 @@ def test_gamma_rejects_closed_strip(bump):
 def test_gamma_continuous_across_zero(bump):
     j = 131
     dtz = float(evolution_rhs(bump, EPS, 10.0)[j])
-    site = subsolution._SiteVelocity(bump, EPS, j, trunc_radius=10.0)
+    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
     lo = site.gamma(-1e-9 * EPS, 1.0, dtz)
     hi = site.gamma(1e-9 * EPS, 1.0, dtz)
     assert abs(hi - lo) <= 1e-6
@@ -119,7 +119,7 @@ def test_gamma_continuous_across_zero(bump):
 def test_gamma_bounded_near_edges(bump):
     j = 131
     dtz = float(evolution_rhs(bump, EPS, 10.0)[j])
-    site = subsolution._SiteVelocity(bump, EPS, j, trunc_radius=10.0)
+    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
     for frac in (-1 + 1e-6, 1 - 1e-6):
         g = site.gamma(frac * EPS, 1.0, dtz)
         assert np.isfinite(g) and abs(g) < 0.5
