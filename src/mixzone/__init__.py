@@ -8,7 +8,7 @@ lamination-hull inequalities they must satisfy.
 
 __version__ = "0.1.0"
 
-from .grid import GridFunction1D
+from .grid import GridFunction1D, NonFiniteError
 from .kernel import KernelParams, KernelPoint
 from .evolution import InterfaceState, Trajectory
 from .spectral import SpectralField, SymbolTable
@@ -18,6 +18,7 @@ from .flatlab import FlatConfig
 __all__ = [
     "__version__",
     "GridFunction1D",
+    "NonFiniteError",
     "KernelParams",
     "KernelPoint",
     "InterfaceState",

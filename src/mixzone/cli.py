@@ -249,6 +249,8 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         "snapshots": len(traj.snapshots),
         "integration_failed": traj.failed,
         "integration_failure": traj.failure_reason,
+        "integration_failure_step": traj.failure_step,
+        "integration_failure_stage": traj.failure_stage,
         "subsolution_failure_time": failure_time,
         "measured": {
             "final_h4": traj.diagnostics[-1]["h4"],

@@ -14,12 +14,16 @@ the slope difference (frozen-slope kernel), and the trapezoid ends carry
 Gregory corrections.  Without that cell the
 quadrature is first order once the kernel width drops below the mesh;
 with it the scheme is second order in h and the right-hand side stays
-smooth in t, preserving the RK4 order.  Sites are evaluated in row
-blocks small enough to stay in L2, so the O(N M) work never builds an
-N x M array.
+smooth in t, preserving the RK4 order.  The far sum is pair symmetric:
+the kernel is exactly odd, so each pair of sites is evaluated once and
+its flux credited to both, and sites are evaluated in row blocks small
+enough to stay in L2, so the O(N M) work never builds an N x M array.
+The mollifier is the exact Fourier multiplier of its discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
-the stage times.
+the stage times.  A finiteness check that fails inside a stage raises
+:class:`~mixzone.grid.NonFiniteError`; the stepper records the step and
+stage and truncates the trajectory, and lets every other error through.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction1D, spectral_derivative
+from .grid import GridFunction1D, NonFiniteError, spectral_derivative
 from .kernel import kernel_values
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
     "mollifier_weights",
     "mollifier_symbol",
     "mollify",
-    "convolve_periodic",
     "kernel_quadrature",
     "nearfield_correction",
     "mean_velocity_rhs",
@@ -54,8 +57,9 @@ __all__ = [
 DEFAULT_TRUNC_RADIUS = 10.0
 _GL16 = leggauss(16)
 _NEAR_LEVELS = 8
-# (site, offset) entries per row block of the PV quadrature: each float64
-# temporary of a block is at most 128 KiB, so a block stays in L2
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+# entries of the PV quadrature's skew buffer per row block (see _block_rows):
+# each float64 temporary of a block is at most 128 KiB, so a block stays in L2
 _BLOCK_ENTRIES = 16384
 
 
@@ -97,6 +101,10 @@ class Trajectory:
     failed: bool = False
     failure_time: float | None = None
     failure_reason: str | None = None
+    # step (1-based) whose RK4 update failed, and the stage (1-4) whose
+    # rhs failed; the stage is None when the updated state itself failed
+    failure_step: int | None = None
+    failure_stage: int | None = None
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
@@ -106,6 +114,14 @@ class Trajectory:
             raise ValueError("snapshot times must be strictly increasing")
         self.snapshots.append(state)
         self.diagnostics.append(diag)
+
+    def fail(self, t: float, reason: str, step: int, stage: int | None = None):
+        """Flag the trajectory as truncated at time t, step and stage."""
+        self.failed = True
+        self.failure_time = t
+        self.failure_reason = reason
+        self.failure_step = step
+        self.failure_stage = stage
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +148,42 @@ def mollifier_weights(delta: float, h: float) -> np.ndarray:
     return w / w.sum()
 
 
-def convolve_periodic(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Periodic convolution with a centered odd-length stencil."""
-    m = (weights.size - 1) // 2
-    out = np.zeros_like(values)
-    for i, wi in enumerate(weights):
-        out += wi * np.roll(values, m - i)
-    return out
-
-
-def mollify(f: GridFunction1D, delta: float) -> GridFunction1D:
-    """Smooth f by the discrete mean-one Gaussian of width delta."""
-    return f.with_values(convolve_periodic(f.values, mollifier_weights(delta, f.h)))
-
-
 def mollifier_symbol(delta: float, h: float, freqs: np.ndarray) -> np.ndarray:
     """Exact Fourier symbol of the discrete stencil at the given frequencies."""
     w = mollifier_weights(delta, h)
     m = (w.size - 1) // 2
     k = np.arange(-m, m + 1)
     return (w[None, :] * np.cos(2.0 * np.pi * np.outer(freqs, k * h))).sum(axis=1)
+
+
+@lru_cache(maxsize=16)
+def _fourier_multipliers(delta: float, h: float, n: int) -> tuple[np.ndarray, ...]:
+    """Multipliers on the rfft modes: slope, diffusion and stencil.
+
+    The stencil symbol is 1 without a mollifier (``delta = 0``).  The
+    slope multiplier is ``2 pi i xi`` times the stencil symbol (its
+    Nyquist term is imaginary, so ``irfft`` drops it as
+    :func:`spectral_derivative` does); the diffusion multiplier is
+    ``(2 pi i xi)^2`` times the squared symbol.  The stencil
+    acts as the exact multiplier ``irfft(rfft(v) * symbol)``: the symbol is
+    a cosine sum over grid offsets, so a stencil wider than the grid
+    aliases onto it exactly as the periodic stencil sum does.
+    """
+    xi = np.fft.rfftfreq(n, d=h)
+    sym = mollifier_symbol(delta, h, xi) if delta > 0 else np.ones(xi.size)
+    slope = 2j * np.pi * xi * sym
+    diffusion = -((2.0 * np.pi * xi * sym) ** 2)
+    for arr in (slope, diffusion, sym):
+        arr.flags.writeable = False
+    return slope, diffusion, sym
+
+
+def mollify(f: GridFunction1D, delta: float) -> GridFunction1D:
+    """Smooth f by the discrete mean-one Gaussian of width delta."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    sym = _fourier_multipliers(delta, f.h, f.n)[2]
+    return f.with_values(np.fft.irfft(np.fft.rfft(f.values) * sym, n=f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +269,35 @@ def _trapezoid_weights(offsets: np.ndarray) -> np.ndarray:
     return np.concatenate([w[::-1], w])
 
 
-def _periodic_windows(values: np.ndarray, m: int) -> np.ndarray:
-    """Read-only view ``w[i, k] = values[(i + k - m) % n]`` for k = 0..2m, m <= n."""
-    return sliding_window_view(np.concatenate([values[-m:], values, values[:m]]), 2 * m + 1)
+def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
+    """Read-only view ``w[i, c] = values[(i - near - c) % n]`` for c = 0..m_max - near."""
+    n = values.size
+    ext = np.concatenate([values[-m_max:], values])
+    return sliding_window_view(ext, m_max - near + 1)[:n, ::-1]
+
+
+def _block_rows(n_pos: int) -> int:
+    """Rows per block: the skew buffer, ``rows x (rows + n_pos - 1)``, holds
+    about ``_BLOCK_ENTRIES`` entries."""
+    b = n_pos - 1
+    return max(1, int((np.sqrt(b * b + 4.0 * _BLOCK_ENTRIES) - b) / 2))
+
+
+def _first_bad_site(f_values, f_back, dx, near, width, rows) -> int:
+    """First site whose two-sided row meets a non-finite kernel value.
+
+    Failure path only: the pair (i, i - k) lies on the rows of both sites,
+    so every block is rescanned and both ends of each bad pair count.
+    """
+    n = f_values.size
+    bad = np.zeros(n, dtype=bool)
+    for start in range(0, n, rows):
+        blk = slice(start, min(start + rows, n))
+        kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
+        r, c = np.nonzero(~np.isfinite(kern))
+        bad[start + r] = True
+        bad[(start + r - near - c) % n] = True
+    return int(np.argmax(bad))
 
 
 def kernel_quadrature(
@@ -251,35 +309,55 @@ def kernel_quadrature(
 ) -> np.ndarray:
     """``int (g(x) - g(y)) K_w(x, y) dy`` at every site (PV trapezoid + near cell).
 
-    Sites are streamed in row blocks of about ``_BLOCK_ENTRIES`` (site,
-    offset) entries.  A block's gathers, kernel values, weighted sum and
-    near cell are formed together, so no N x M temporary is ever made.
+    Each pair (i, i - k), k > 0, is evaluated once.  ``K(-dx, -u) =
+    -K(dx, u)`` holds bitwise and the weights are mirror symmetric, so the
+    flux ``wts_k (g_i - g_{i-k}) K(k h, f_i - f_{i-k})`` is the same term in
+    the rows of both sites: it is summed into site i and into site i - k
+    (``k <= n//2 - 1``, so no pair is met twice).  Sites are streamed in
+    row blocks; a block's fluxes are written into a skew buffer whose
+    column sums are the sums over the back sites, so no N x M temporary
+    is ever made.
     """
     n = f_values.size
     h = length / n
     offsets, near = _offset_structure(n, h, trunc_radius)
-    dx = offsets * h
-    wts = _trapezoid_weights(offsets) * h
+    m_max = offsets[-1]
+    pos = offsets > 0
+    n_pos = int(np.count_nonzero(pos))
+    dx = offsets[pos] * h
+    wts = _trapezoid_weights(offsets)[pos] * h
     slope = spectral_derivative(f_values, length)
     g1 = spectral_derivative(g_values, length)
     g3 = spectral_derivative(g_values, length, 3)
     g5 = spectral_derivative(g_values, length, 5)
-    # window column of each offset: f_win[i, cols] = f_values[(i - offsets) % n]
-    cols = offsets[-1] - offsets
-    f_win = _periodic_windows(f_values, offsets[-1])
-    g_win = _periodic_windows(g_values, offsets[-1])
-    out = np.empty(n)
-    rows = max(1, _BLOCK_ENTRIES // offsets.size)
+    f_back = _back_windows(f_values, m_max, near)
+    g_back = _back_windows(g_values, m_max, near)
+    rows = min(_block_rows(n_pos), n)
+    # flux[r, c] is skew[r, r + n_pos - 1 - c]: column q of the skew buffer
+    # collects the fluxes bound for site start - m_max + q
+    skew = np.zeros((rows, rows + n_pos - 1))
+    step, item = skew.strides
+    flux = as_strided(skew, (rows, n_pos), (step + item, item))[:, ::-1]
+    # acc[p] accumulates site (p - m_max) % n
+    acc = np.zeros(n + m_max)
     for start in range(0, n, rows):
-        blk = slice(start, min(start + rows, n))
-        kern = kernel_values(dx, f_values[blk, None] - f_win[blk][:, cols], width)
+        stop = min(start + rows, n)
+        blk = slice(start, stop)
+        kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
         if not np.all(np.isfinite(kern)):
-            bad = start + int(np.argwhere(~np.isfinite(kern))[0, 0])
-            raise FloatingPointError(f"non-finite kernel value at site {bad}")
-        dg = g_values[blk, None] - g_win[blk][:, cols]
-        out[blk] = (dg * kern) @ wts + nearfield_correction(
+            bad = _first_bad_site(f_values, f_back, dx, near, width, rows)
+            raise NonFiniteError(f"non-finite kernel value at site {bad}")
+        fl = flux[: stop - start]
+        np.subtract(g_values[blk, None], g_back[blk], out=fl)
+        fl *= kern
+        fl *= wts
+        acc[m_max + start : m_max + stop] += fl.sum(axis=1) + nearfield_correction(
             slope[blk], g1[blk], g3[blk], g5[blk], h, width, near
         )
+        span = stop - start + n_pos - 1
+        acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
+    out = acc[m_max:]
+    out[n - m_max :] += acc[:m_max]
     return out
 
 
@@ -299,7 +377,7 @@ def mean_velocity_rhs(
     out = -kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
     if not np.all(np.isfinite(out)):
         site = int(np.argwhere(~np.isfinite(out))[0])
-        raise FloatingPointError(f"non-finite velocity at site {site}")
+        raise NonFiniteError(f"non-finite velocity at site {site}")
     return f.with_values(out)
 
 
@@ -310,37 +388,27 @@ def rhs_regularized(
 
     Reduces to :func:`mean_velocity_rhs` as delta -> 0, kappa -> 0.  The
     diffusion term ``kappa * phi_d * d2/dx2 phi_d * f`` conserves the mean
-    exactly.
+    exactly.  The mollified slope and the diffusion term come from one
+    ``rfft`` of f; the velocity is mollified by one more transform pair.
     """
     if not state.width > 0:
         raise ValueError("kernel width eps + kappa must be positive")
     f = state.f
+    slope, diffusion, sym = _fourier_multipliers(state.delta, f.h, f.n)
+    fhat = np.fft.rfft(f.values)
+    g = np.fft.irfft(fhat * slope, n=f.n)
+    vel = kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
     if state.delta > 0:
-        w = mollifier_weights(state.delta, f.h)
-        g = convolve_periodic(spectral_derivative(f.values, f.length), w)
-        vel = -kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
-        vel = convolve_periodic(vel, w)
-        smooth = convolve_periodic(f.values, w)
-        diff = state.kappa * convolve_periodic(
-            spectral_derivative(smooth, f.length, 2), w
-        )
-    else:
-        g = spectral_derivative(f.values, f.length)
-        vel = -kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
-        diff = state.kappa * spectral_derivative(f.values, f.length, 2)
-    return f.with_values(vel + diff)
+        vel = np.fft.irfft(np.fft.rfft(vel) * sym, n=f.n)
+    diff = state.kappa * np.fft.irfft(fhat * diffusion, n=f.n)
+    return f.with_values(diff - vel)
 
 
 def diffusion_only_rhs(state: InterfaceState) -> GridFunction1D:
     """The kappa-diffusion part alone (kernel disabled); for linear checks."""
     f = state.f
-    if state.delta > 0:
-        w = mollifier_weights(state.delta, f.h)
-        smooth = convolve_periodic(f.values, w)
-        return f.with_values(
-            state.kappa * convolve_periodic(spectral_derivative(smooth, f.length, 2), w)
-        )
-    return f.with_values(state.kappa * spectral_derivative(f.values, f.length, 2))
+    diffusion = _fourier_multipliers(state.delta, f.h, f.n)[1]
+    return f.with_values(state.kappa * np.fft.irfft(np.fft.rfft(f.values) * diffusion, n=f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +428,7 @@ def stability_limit(
     h = f0.h
     out = np.inf
     if kappa > 0:
-        sigma = 1.0
-        if delta > 0:
-            sym = mollifier_symbol(delta, h, f0.freqs())
-            sigma = float(np.max(sym**2))
+        sigma = float(np.max(_fourier_multipliers(delta, h, f0.n)[2] ** 2))
         out = h * h / (2.0 * kappa * sigma)
     probe = InterfaceState(f=f0, t=max(t_start, 1e-9), c=c, delta=delta, kappa=kappa)
     if probe.width > 0:
@@ -393,8 +458,9 @@ def integrate(
     recorded every ``output_every`` steps (plus the initial and final
     states) with L2 / H4 norms and the damped fifth-derivative norm; an
     ``extra_diagnostics(state) -> dict`` hook can append more columns.
-    The trajectory is truncated and flagged if a norm blows up or turns
-    non-finite.
+    The trajectory is truncated and flagged, with the step and the RK4
+    stage, if a norm blows up or a finiteness check of the right-hand side
+    raises :class:`NonFiniteError`; any other exception propagates.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -437,31 +503,24 @@ def integrate(
     state = InterfaceState(f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa)
     traj.append(state, diagnose(state))
     for step in range(1, n_steps + 1):
+        k = []
         try:
-            k1 = rhs(vals, t)
-            k2 = rhs(vals + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = rhs(vals + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(vals + dt * k3, t + dt)
-        except (ValueError, FloatingPointError):
+            for stage, node in enumerate(_RK4_NODES, start=1):
+                k.append(rhs(vals + node * dt * k[-1] if k else vals, t + node * dt))
+        except NonFiniteError as exc:
             # a stage left the finite range; truncate rather than crash
-            traj.failed = True
-            traj.failure_time = t_start + step * dt
-            traj.failure_reason = "non-finite state"
+            traj.fail(t_start + step * dt, f"non-finite state: {exc}", step, stage)
             break
-        vals = vals + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        vals = vals + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
         t = t_start + step * dt
-        bad = not np.all(np.isfinite(vals))
-        state = None
-        if not bad:
-            state = InterfaceState(
-                f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa
-            )
-            if sobolev_norm(state.f, 4) > blowup_threshold:
-                bad = True
-        if bad:
-            traj.failed = True
-            traj.failure_time = t
-            traj.failure_reason = "non-finite state" if state is None else "norm blowup"
+        if not np.all(np.isfinite(vals)):
+            traj.fail(t, "non-finite state", step)
+            break
+        state = InterfaceState(
+            f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa
+        )
+        if sobolev_norm(state.f, 4) > blowup_threshold:
+            traj.fail(t, "norm blowup", step)
             break
         if step % output_every == 0 or step == n_steps:
             traj.append(state, diagnose(state))

@@ -14,6 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class NonFiniteError(FloatingPointError, ValueError):
+    """A value that must be finite is not: the state left the finite range.
+
+    Raised by the finiteness checks of grid values, kernel values and
+    velocities, so a time stepper can tell a blown-up state from a bug.
+    It is both a ``FloatingPointError`` and a ``ValueError``, as the
+    checks it replaces were.
+    """
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -43,7 +53,7 @@ class GridFunction1D:
         if not self.length > 0:
             raise ValueError("domain length must be positive")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
+            raise NonFiniteError("grid values must be finite")
 
     @property
     def n(self) -> int:

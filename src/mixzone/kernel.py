@@ -25,7 +25,10 @@ This module provides that closed form, a Gauss-Legendre tensor oracle
 for it, the frozen-slope kernel ``K_A``, the transport coefficient
 ``a(x)`` (a principal value of the kernel over the separation), and the
 differentiated kernels ``ktilde`` / ``ktilde_c`` together with their L1
-statistics.
+statistics.  The differentiated kernels are folded the same way (one
+``arctan2``, one ``log1p``), so they too are accurate to roundoff at
+every width; the L1 statistics evaluate them at t = 1 by scale
+invariance.
 
 Conventions adopted here (asserted by the test suite):
 
@@ -227,68 +230,81 @@ def coefficient_a(
 
 # ---------------------------------------------------------------------------
 # Differentiated kernels: ktilde = dK_A/dy away from the jump, and its
-# slow-part subtraction ktilde_c = ktilde(A) - ktilde(0).
+# slow-part subtraction ktilde_c = ktilde(A) - ktilde(0).  Their second
+# differences are folded before any transcendental, as in kernel_values:
+# with s = 2t/y the arctan addition formula gives
+#   -2 arctan A + arctan(A - s) + arctan(A + s)
+#     = arctan2(-8 A t^2, y^2 (1 + A^2)^2 + 4 t^2 (1 - A^2)),
+# and each log combination is one log1p of its exact ratio minus one.
 # ---------------------------------------------------------------------------
+
+
+def _folded_arctan(a: float, y2: np.ndarray, t2: float) -> np.ndarray:
+    """``-2 arctan a + arctan(a - 2t/y) + arctan(a + 2t/y)`` as one ``arctan2``.
+
+    The imaginary part of the folded product is exactly ``-8 a t^2`` and
+    the sum lies in (-pi, pi), so the principal branch is the right one.
+    """
+    p = 1.0 + a * a
+    return np.arctan2(-8.0 * a * t2, y2 * p * p + 4.0 * t2 * (1.0 - a * a))
+
+
+def _ktilde_args(y, t: float) -> tuple[np.ndarray, float]:
+    """Validated ``y`` and ``t^2``."""
+    if not t > 0:
+        raise ValueError("t must be positive")
+    return np.asarray(y, dtype=float), t * t
 
 
 def ktilde(slope_a: float, y, t: float):
     """Derivative kernel K~(A; y) at mixing half-width t.
 
     Equals ``d/dy K_A(y)`` for ``y != 0`` (checked against finite
-    differences of :func:`kernel_frozen` in the tests).
+    differences of :func:`kernel_frozen` in the tests).  The logs are
+    ``-1/2 log1p((8 t^2 y^2 (1 - A^2) + 16 t^4) / (y^4 (1 + A^2)^2))``.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    y = np.asarray(y, dtype=float)
+    y, t2 = _ktilde_args(y, t)
+    y2 = y * y
     a = slope_a
-    arct = a * (
-        -2.0 * np.arctan(a) + np.arctan(a - 2.0 * t / y) + np.arctan(a + 2.0 * t / y)
-    )
-    logs = (
-        np.log(y * y * (1.0 + a * a))
-        - 0.5 * np.log(y * y + (a * y - 2.0 * t) ** 2)
-        - 0.5 * np.log(y * y + (a * y + 2.0 * t) ** 2)
-    )
-    return _maybe_scalar(np.asarray((arct + logs) / (4.0 * np.pi * t * t)))
+    p = 1.0 + a * a
+    excess = 8.0 * t2 * y2 * (1.0 - a * a) + 16.0 * t2 * t2
+    logs = -0.5 * np.log1p(excess / (y2 * y2 * p * p))
+    out = a * _folded_arctan(a, y2, t2) + logs
+    return _maybe_scalar(np.asarray(out / (4.0 * np.pi * t2)))
 
 
 def ktilde_c(slope_a: float, y, t: float):
     """Centered derivative kernel ``K~(A; y) - K~(0; y)``.
 
     Integrable in y (the log(y^2) singularity cancels); identically zero
-    for A = 0.
+    for A = 0.  The logs are ``-1/2 log1p(-A^2 (8 t^2 y^2 (3 + A^2) +
+    16 t^4 (2 + A^2)) / ((1 + A^2)^2 (y^2 + 4 t^2)^2))``.
     """
-    if not t > 0:
-        raise ValueError("t must be positive")
-    y = np.asarray(y, dtype=float)
+    y, t2 = _ktilde_args(y, t)
+    y2 = y * y
     a = slope_a
-    arct = a * (
-        -2.0 * np.arctan(a) + np.arctan(a - 2.0 * t / y) + np.arctan(a + 2.0 * t / y)
-    )
-    logs = (
-        np.log(1.0 + a * a)
-        + np.log(y * y + 4.0 * t * t)
-        - 0.5 * np.log(y * y + (a * y - 2.0 * t) ** 2)
-        - 0.5 * np.log(y * y + (a * y + 2.0 * t) ** 2)
-    )
-    return _maybe_scalar(np.asarray((arct + logs) / (4.0 * np.pi * t * t)))
+    a2 = a * a
+    q = (1.0 + a2) * (y2 + 4.0 * t2)
+    excess = -a2 * (8.0 * t2 * y2 * (3.0 + a2) + 16.0 * t2 * t2 * (2.0 + a2))
+    logs = -0.5 * np.log1p(excess / (q * q))
+    out = a * _folded_arctan(a, y2, t2) + logs
+    return _maybe_scalar(np.asarray(out / (4.0 * np.pi * t2)))
 
 
 def ktilde_slope_derivative(slope_a: float, y, t: float):
-    """Partial derivative of K~ with respect to the frozen slope A."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    y = np.asarray(y, dtype=float)
+    """Partial derivative of K~ with respect to the frozen slope A.
+
+    The rational term is ``16 A y^2 t^2 / ((y^2 + (A y - 2t)^2)(y^2 + (A y
+    + 2t)^2))``, a product of sums of squares.
+    """
+    y, t2 = _ktilde_args(y, t)
+    y2 = y * y
     a = slope_a
-    yp = y / t
-    arct = -2.0 * np.arctan(a) + np.arctan(a - 2.0 / yp) + np.arctan(a + 2.0 / yp)
-    rational = (
-        16.0
-        * a
-        * yp**2
-        / (16.0 - 8.0 * (a * a - 1.0) * yp**2 + (1.0 + a * a) ** 2 * yp**4)
-    )
-    return _maybe_scalar(np.asarray((arct + rational) / (4.0 * np.pi * t * t)))
+    ay = a * y
+    quartic = (y2 + (ay - 2.0 * t) ** 2) * (y2 + (ay + 2.0 * t) ** 2)
+    rational = 16.0 * a * y2 * t2 / quartic
+    out = _folded_arctan(a, y2, t2) + rational
+    return _maybe_scalar(np.asarray(out / (4.0 * np.pi * t2)))
 
 
 def _scaled_l1(scaled_integrand, quad_limit: int = 400) -> float:
@@ -305,41 +321,16 @@ def _scaled_l1(scaled_integrand, quad_limit: int = 400) -> float:
 def ktilde_c_l1(slope_a: float, t: float) -> float:
     """``int t * |ktilde_c(A; y)| dy``; bounded by ``2 A^2 / (1 + A^2)``.
 
-    The integral is scale invariant, so it is computed in the scaled
-    variable ``y' = y/t`` where the adaptive quadrature needs no tail
-    truncation.
+    The integral is scale invariant (``t^2 ktilde_c(A; y, t)`` depends on
+    ``y/t`` only), so it is ``int |ktilde_c(A; y', 1)| dy'``, where the
+    adaptive quadrature needs no tail truncation.
     """
-    a = slope_a
-
-    def scaled(yp):
-        arct = a * (
-            -2.0 * np.arctan(a)
-            + np.arctan(a - 2.0 / yp)
-            + np.arctan(a + 2.0 / yp)
-        )
-        logs = (
-            np.log(1.0 + a * a)
-            + np.log(yp * yp + 4.0)
-            - 0.5 * np.log(yp * yp + (a * yp - 2.0) ** 2)
-            - 0.5 * np.log(yp * yp + (a * yp + 2.0) ** 2)
-        )
-        return arct + logs
-
-    return _scaled_l1(scaled) / (4.0 * np.pi)
+    return _scaled_l1(lambda yp: ktilde_c(slope_a, yp, 1.0))
 
 
 def ktilde_slope_l1(slope_a: float, t: float) -> float:
-    """``int t * |d/dA ktilde(A; y)| dy``; strictly below 2 for every A."""
-    a = slope_a
+    """``int t * |d/dA ktilde(A; y)| dy``; strictly below 2 for every A.
 
-    def scaled(yp):
-        arct = -2.0 * np.arctan(a) + np.arctan(a - 2.0 / yp) + np.arctan(a + 2.0 / yp)
-        rational = (
-            16.0
-            * a
-            * yp**2
-            / (16.0 - 8.0 * (a * a - 1.0) * yp**2 + (1.0 + a * a) ** 2 * yp**4)
-        )
-        return arct + rational
-
-    return _scaled_l1(scaled) / (4.0 * np.pi)
+    Scale invariant like :func:`ktilde_c_l1`, so evaluated at t = 1.
+    """
+    return _scaled_l1(lambda yp: ktilde_slope_derivative(slope_a, yp, 1.0))

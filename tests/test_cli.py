@@ -76,6 +76,7 @@ def test_simulate_zero_data(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["subsolution_failure_time"] is None
     assert not meta["integration_failed"]
+    assert meta["integration_failure_step"] is None and meta["integration_failure_stage"] is None
 
 
 def test_simulate_deterministic_rerun(tmp_path):
@@ -168,6 +169,29 @@ def test_simulate_flags_subsolution_failure(tmp_path, monkeypatch):
     assert meta["subsolution_failure_time"] == 0.0
     assert (out / "trace.csv").exists()
     assert list((out / "snapshots").iterdir())
+
+
+def test_simulate_records_integration_failure_step_and_stage(tmp_path, monkeypatch):
+    from mixzone import evolution
+    from mixzone.grid import NonFiniteError
+
+    real = evolution.rhs_regularized
+    calls = []
+
+    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+        calls.append(state.t)
+        if len(calls) == 1 + 4 + 2:  # the stability probe, step 1, then step 2 stage 2
+            raise NonFiniteError("non-finite kernel value at site 3")
+        return real(state, trunc_radius)
+
+    monkeypatch.setattr(evolution, "rhs_regularized", rhs)
+    cfgpath = _zero_config(tmp_path, initial={"family": "gaussian_bump", "amplitude": 0.05})
+    out = tmp_path / "failrun"
+    assert _run(["simulate", str(cfgpath), "--out", str(out)]) == 1
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["integration_failed"]
+    assert meta["integration_failure"] == "non-finite state: non-finite kernel value at site 3"
+    assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (2, 2)
 
 
 @pytest.mark.parametrize("suite", ["kernel", "flat", "subsolution"])

@@ -3,7 +3,7 @@ import pytest
 
 from mixzone import evolution, kernel
 from mixzone.evolution import InterfaceState, Trajectory
-from mixzone.grid import GridFunction1D, spectral_derivative
+from mixzone.grid import GridFunction1D, NonFiniteError, spectral_derivative
 
 LENGTH = 40.0
 
@@ -87,7 +87,7 @@ def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
 
 def _rows_per_block(n, trunc_radius):
     offsets, _ = evolution._offset_structure(n, LENGTH / n, trunc_radius)
-    return evolution._BLOCK_ENTRIES // offsets.size
+    return evolution._block_rows(np.count_nonzero(offsets > 0))
 
 
 def test_kernel_quadrature_blocks_match_row_by_row_sum():
@@ -117,6 +117,45 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
         assert first >= _rows_per_block(n, trunc)  # not in the first block
         with pytest.raises(FloatingPointError, match=rf"at site {first}$"):
             evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, trunc)
+
+
+@pytest.mark.parametrize(
+    "n, trunc, m_max, near, blocks",
+    [
+        (128, LENGTH / 2, 63, 4, 2),  # m_max = n//2 - 1: back sites wrap to the far side
+        (128, 2.5, 8, 2, 2),  # the near = 2 small-window branch
+        (64, 10.0, 16, 4, 1),  # one block covers the whole grid
+    ],
+)
+def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near, blocks):
+    offsets, got_near = evolution._offset_structure(n, LENGTH / n, trunc)
+    assert (offsets[-1], got_near) == (m_max, near)
+    assert -(-n // _rows_per_block(n, trunc)) == blocks
+    f = GridFunction1D.from_callable(
+        lambda x: 0.3 * np.exp(-(x**2)) + 0.1 * np.sin(2 * np.pi * x / LENGTH), n, LENGTH
+    ).values
+    g = spectral_derivative(f, LENGTH)
+    for width in (1e-4, 0.05, 0.5):
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, trunc)
+        ref = _row_by_row_quadrature(f, g, width, trunc)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def _stencil_sum(values, weights):
+    """Direct periodic stencil sum ``sum_k w_k v[(i - k) % n]``, k = -m..m."""
+    m = (weights.size - 1) // 2
+    idx = (np.arange(values.size)[:, None] - np.arange(-m, m + 1)) % values.size
+    return values[idx] @ weights
+
+
+@pytest.mark.parametrize("n, delta", [(256, 4 * LENGTH / 256), (64, 8.0)])
+def test_mollify_matches_direct_stencil_sum(n, delta):
+    # (64, 8.0): 6 delta / h = 76, so the 153-point stencil wraps the grid
+    rng = np.random.default_rng(2)
+    f = GridFunction1D(rng.standard_normal(n), LENGTH)
+    want = _stencil_sum(f.values, evolution.mollifier_weights(delta, f.h))
+    out = evolution.mollify(f, delta).values
+    assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_rhs_regularized_zero_fixed_point():
@@ -260,6 +299,61 @@ def test_blowup_flag_truncates_trajectory():
     )
     assert traj.failed and traj.failure_reason == "norm blowup"
     assert traj.failure_time is not None and traj.failure_time <= 0.1
+
+
+def _failing_rhs(monkeypatch, call, exc):
+    """Make the ``call``-th rhs evaluation raise ``exc`` (call 1 is the
+    stability probe, then four per RK4 step)."""
+    real = evolution.rhs_regularized
+    calls = []
+
+    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+        calls.append(state.t)
+        if len(calls) == call:
+            raise exc
+        return real(state, trunc_radius)
+
+    monkeypatch.setattr(evolution, "rhs_regularized", rhs)
+
+
+def test_integrate_records_failing_step_and_stage(monkeypatch):
+    f = bump(128)
+    _failing_rhs(monkeypatch, 1 + 4 + 3, NonFiniteError("non-finite kernel value at site 7"))
+    traj = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.05)
+    assert traj.failed
+    assert (traj.failure_step, traj.failure_stage) == (2, 3)
+    assert traj.failure_time == pytest.approx(0.025)
+    assert traj.failure_reason == "non-finite state: non-finite kernel value at site 7"
+    assert len(traj.snapshots) == 2
+
+
+def test_integrate_records_step_of_norm_blowup():
+    f = bump(128)
+    traj = evolution.integrate(
+        f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.1,
+        blowup_threshold=1e-12,
+    )
+    assert (traj.failure_step, traj.failure_stage) == (1, None)
+
+
+def test_integrate_propagates_errors_that_are_not_non_finite(monkeypatch):
+    f = bump(128)
+    _failing_rhs(monkeypatch, 3, ValueError("a bug, not a blow-up"))
+    with pytest.raises(ValueError, match="a bug"):
+        evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.05)
+
+
+def test_finiteness_checks_raise_non_finite_error():
+    # the checks a stage meets: grid values and kernel values; the error
+    # stays a ValueError / FloatingPointError for callers that catch those
+    assert issubclass(NonFiniteError, ValueError)
+    assert issubclass(NonFiniteError, FloatingPointError)
+    with pytest.raises(NonFiniteError):
+        GridFunction1D(np.full(128, np.inf), LENGTH)
+    f = bump(128).values.copy()
+    f[5] = np.nan
+    with pytest.raises(NonFiniteError):
+        evolution.kernel_quadrature(f, np.zeros(128), LENGTH, 0.05, 10.0)
 
 
 def test_trajectory_rejects_nonincreasing_times():

@@ -127,6 +127,17 @@ def test_closed_form_matches_mpmath(eps):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
+def test_kernel_values_pair_identity_is_bitwise(eps):
+    # K(-dx, -u) == -K(dx, u) exactly: the PV quadrature evaluates each
+    # (site, site - k) pair once and credits it to both sites
+    rng = np.random.default_rng(5)
+    dx = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3, 1, 400)
+    u = rng.uniform(-3, 3, 400) * np.abs(dx)
+    u[:40] = 0.0
+    assert np.array_equal(kernel.kernel_values(-dx, -u, eps), -kernel.kernel_values(dx, u, eps))
+
+
 def test_frozen_oddness_exact():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -244,3 +255,32 @@ def test_ktilde_slope_matches_finite_difference():
         assert float(kernel.ktilde_slope_derivative(a, y, t)) == pytest.approx(
             fd, rel=1e-6, abs=1e-10
         )
+
+
+@pytest.mark.parametrize("t", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0])
+def test_ktilde_family_matches_mpmath(t):
+    # 50-digit evaluation of the unfolded arctan/log differences, which
+    # lose every digit in float64 once t/y is small
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def oracle(a, y, centered, slope):
+        a, y, w = mp.mpf(a), mp.mpf(y), mp.mpf(t)
+        arct = -2 * mp.atan(a) + mp.atan(a - 2 * w / y) + mp.atan(a + 2 * w / y)
+        q1 = y * y + (a * y - 2 * w) ** 2
+        q2 = y * y + (a * y + 2 * w) ** 2
+        if slope:
+            out = arct + 16 * a * y * y * w * w / (q1 * q2)
+        else:
+            ref = (1 + a * a) * (y * y + 4 * w * w) if centered else y * y * (1 + a * a)
+            out = a * arct + mp.log(ref) - mp.log(q1) / 2 - mp.log(q2) / 2
+        return float(out / (4 * mp.pi * w * w))
+
+    for a in (-2.0, -0.3, 0.3, 1.0, 2.0):
+        for y in (-5.0, -1.0, 0.1, 1.0, 5.0):
+            for fn, centered, slope in ((kernel.ktilde, False, False),
+                                        (kernel.ktilde_c, True, False),
+                                        (kernel.ktilde_slope_derivative, False, True)):
+                want = oracle(a, y, centered, slope)
+                assert float(fn(a, y, t)) == pytest.approx(want, rel=1e-12, abs=0.0)
