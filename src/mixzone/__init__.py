@@ -9,9 +9,9 @@ lamination-hull inequalities they must satisfy.
 __version__ = "0.1.0"
 
 from .grid import GridFunction1D, NonFiniteError
-from .kernel import KernelParams, KernelPoint
+from .kernel import KernelPoint
 from .evolution import InterfaceState, Trajectory
-from .spectral import SpectralField, SymbolTable
+from .spectral import SpectralField
 from .subsolution import HullMargin, MixCoords, SubsolutionSample
 from .flatlab import FlatConfig
 
@@ -19,12 +19,10 @@ __all__ = [
     "__version__",
     "GridFunction1D",
     "NonFiniteError",
-    "KernelParams",
     "KernelPoint",
     "InterfaceState",
     "Trajectory",
     "SpectralField",
-    "SymbolTable",
     "HullMargin",
     "MixCoords",
     "SubsolutionSample",

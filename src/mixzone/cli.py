@@ -43,6 +43,10 @@ _DEFAULTS = {
 }
 
 _FAMILIES = ("zero", "gaussian_bump", "cosine_packet", "file")
+# a value must have the type of its key's default; for the keys whose
+# default is null, the type a non-null value must have
+_NULL_DEFAULT_TYPES = {"physics.delta": float, "initial.path": str}
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,25 @@ class RunConfig:
         return asdict(self)
 
 
+def _typed(val, default, path: str):
+    """``val`` if it has the type of ``default``, else :class:`ConfigError`.
+
+    A float key takes any finite JSON number and returns it as a float, an
+    int key only a JSON integer; booleans are neither.  A null default
+    also admits null.
+    """
+    kind = _NULL_DEFAULT_TYPES.get(path, type(default))
+    if val is None and default is None or kind is str and isinstance(val, str):
+        return val
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if kind is int and number and isinstance(val, int):
+        return val
+    # NaN, +-Infinity and integers beyond the float range all fail this bound
+    if kind is float and number and abs(val) <= sys.float_info.max:
+        return float(val)
+    raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}")
+
+
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
     out = {}
     for key, val in user.items():
@@ -80,7 +103,7 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"expected an object at {path}")
             out[key] = _merge(defaults[key], val, prefix=f"{path}.")
         else:
-            out[key] = val
+            out[key] = _typed(val, defaults[key], path)
     for key, val in defaults.items():
         if key not in out:
             out[key] = dict(val) if isinstance(val, dict) else val
@@ -93,13 +116,14 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Unknown keys are rejected with their full path; defaults fill every
-    omitted field.  Raises :class:`ConfigError` with a message naming the
-    offending key.
+    Unknown keys are rejected with their full path, and every value must
+    have the type of its default; defaults fill every omitted field.
+    Raises :class:`ConfigError` with a message naming the offending key.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an over-long integer literal, or nesting too deep
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -126,6 +150,8 @@ def parse_config(text: str) -> RunConfig:
     dt, t_end, t_start = float(tcfg["dt"]), float(tcfg["t_end"]), float(tcfg["t_start"])
     if dt <= 0 or t_end <= t_start or t_start < 0:
         raise ConfigError("time must satisfy dt > 0 and t_end > t_start >= 0")
+    if (t_end - t_start) / dt > sys.float_info.max:
+        raise ConfigError("time.dt is too small to count the steps to time.t_end")
     if kappa == 0.0 and t_start == 0.0:
         raise ConfigError("time.t_start must be positive when physics.kappa = 0")
     output_every = tcfg["output_every"]
@@ -143,6 +169,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"initial.family must be one of {_FAMILIES}")
     if family == "file" and not icfg["path"]:
         raise ConfigError("initial.path is required for the file family")
+    if icfg["modes"] < 0:
+        raise ConfigError("initial.modes must be nonnegative")
     return RunConfig(
         n=n, length=length, dt=dt, t_end=t_end, t_start=t_start,
         output_every=output_every, c=c, delta=delta, kappa=kappa,

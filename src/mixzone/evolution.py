@@ -7,17 +7,21 @@ slope difference,
 
 with kernel half-width ``w = c*t + kappa``, optionally mollified on both
 sides of the integral and stabilized by a mollified ``kappa``-diffusion
-term.  Spatial quadrature is the PV trapezoid over grid-aligned offsets
+term.  One function, :func:`rhs_regularized`, computes this right-hand
+side; at ``delta = kappa = 0`` it is the unmollified averaged velocity.
+Spatial quadrature is the PV trapezoid over grid-aligned offsets
 with a Gauss-Legendre near cell: the cells around the singularity are
 integrated on fixed geometric panels against the odd Taylor expansion of
 the slope difference (frozen-slope kernel), and the trapezoid ends carry
-Gregory corrections.  Without that cell the
-quadrature is first order once the kernel width drops below the mesh;
-with it the scheme is second order in h and the right-hand side stays
-smooth in t, preserving the RK4 order.  The far sum is pair symmetric:
-the kernel is exactly odd, so each pair of sites is evaluated once and
-its flux credited to both, and sites are evaluated in row blocks small
-enough to stay in L2, so the O(N M) work never builds an N x M array.
+Gregory corrections.  That layout is built once per grid and window by
+``_quadrature_plan``, which the subsolution check reads too.  Without
+the near cell the quadrature is first order once the kernel width drops
+below the mesh; with it the scheme is second order in h and the
+right-hand side stays smooth in t, preserving the RK4 order.  The far
+sum is pair symmetric: the kernel is exactly odd, so each pair of sites
+is evaluated once and its flux credited to both, and sites are evaluated
+in row blocks small enough to stay in L2, so the O(N M) work never
+builds an N x M array.
 The mollifier is the exact Fourier multiplier of its discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -46,7 +51,6 @@ __all__ = [
     "mollify",
     "kernel_quadrature",
     "nearfield_correction",
-    "mean_velocity_rhs",
     "rhs_regularized",
     "stability_limit",
     "integrate",
@@ -58,7 +62,7 @@ DEFAULT_TRUNC_RADIUS = 10.0
 _GL16 = leggauss(16)
 _NEAR_LEVELS = 8
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
-# entries of the PV quadrature's skew buffer per row block (see _block_rows):
+# entries of the PV quadrature's skew buffer per row block (see _quadrature_plan):
 # each float64 temporary of a block is at most 128 KiB, so a block stays in L2
 _BLOCK_ENTRIES = 16384
 
@@ -191,25 +195,59 @@ def mollify(f: GridFunction1D, delta: float) -> GridFunction1D:
 # ---------------------------------------------------------------------------
 
 
-def _near_nodes(cell: float):
-    """Fixed geometric GL panels on (0, cell], resolving all kernel widths."""
-    edges = [cell * 4.0 ** (-j) for j in range(_NEAR_LEVELS, 0, -1)]
-    edges = [0.0] + edges + [cell]
-    xg, wg = _GL16
-    ys, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ys.append(0.5 * (a + b) + 0.5 * (b - a) * xg)
-        ws.append(0.5 * (b - a) * wg)
-    return np.concatenate(ys), np.concatenate(ws)
+class _Plan(NamedTuple):
+    """Quadrature layout of one grid and window (see :func:`_quadrature_plan`)."""
+
+    offsets: np.ndarray  # trapezoid offsets in grid spacings, both signs
+    weights: np.ndarray  # Gregory end-corrected trapezoid weights times h
+    near: int  # near-cell half-width in grid spacings
+    near_y: np.ndarray  # near-cell Gauss-Legendre nodes on (0, near*h]
+    near_w: np.ndarray  # their weights
+    moments: np.ndarray  # odd-moment table 2 (y, y^3, y^5) w
+    rows: int  # sites per row block of the pair-symmetric sum
+
+
+_GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
 @lru_cache(maxsize=16)
-def _near_moment_table(cell: float) -> tuple[np.ndarray, np.ndarray]:
-    """Near-cell nodes y on (0, cell] and the odd-moment table ``2 (y, y^3, y^5) w``."""
-    y, wy = _near_nodes(cell)
-    table = 2.0 * y[:, None] ** np.array([1, 3, 5]) * wy[:, None]
-    y.flags.writeable = table.flags.writeable = False
-    return y, table
+def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
+    """PV quadrature layout, shared with :mod:`mixzone.subsolution`; read-only.
+
+    The near cell spans four spacings so the kernel core is always either
+    inside the Gauss-Legendre cell or resolved by the far grid; very
+    small windows fall back to two spacings.  The cell is integrated on
+    fixed geometric panels on (0, near*h], resolving all kernel widths.
+    The trapezoid carries Gregory end corrections: the plain rule leaves
+    an uncanceled h^2 Euler-Maclaurin boundary term at the junction with
+    the near cell (the integrand's slope there is ~g'/width, so the term
+    even grows while the mesh is coarser than the kernel); the third-order
+    end correction removes it on both ends.  Rows per block are sized so
+    the skew buffer, ``rows x (rows + n_pos - 1)``, holds about
+    ``_BLOCK_ENTRIES`` entries.
+    """
+    m_max = min(int(np.floor(trunc_radius / h + 0.5)), n // 2 - 1)
+    near = 4 if m_max >= 10 else 2
+    if m_max < near + 6:
+        raise ValueError("trunc_radius too small for this grid")
+    pos = np.arange(near, m_max + 1)
+    offsets = np.concatenate([-pos[::-1], pos])
+    side = np.ones(pos.size)
+    side[:3] = _GREGORY_END
+    side[-3:] = _GREGORY_END[::-1]
+    weights = np.concatenate([side[::-1], side]) * h
+    # panel edges 0, near*h 4^-8, ..., near*h / 4, near*h; 16 GL nodes per panel
+    edges = np.append(0.0, near * h * 4.0 ** -np.arange(_NEAR_LEVELS, -1.0, -1.0))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    xg, wg = _GL16
+    near_y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * xg).ravel()
+    near_w = (0.5 * (hi - lo) * wg).ravel()
+    moments = 2.0 * near_y[:, None] ** np.array([1, 3, 5]) * near_w[:, None]
+    b = pos.size - 1
+    rows = max(1, int((np.sqrt(b * b + 4.0 * _BLOCK_ENTRIES) - b) / 2))
+    for arr in (offsets, weights, near_y, near_w, moments):
+        arr.flags.writeable = False
+    return _Plan(offsets, weights, near, near_y, near_w, moments, min(rows, n))
 
 
 def nearfield_correction(
@@ -217,56 +255,20 @@ def nearfield_correction(
     g1: np.ndarray,
     g3: np.ndarray,
     g5: np.ndarray,
-    h: float,
+    plan: _Plan,
     width: float,
-    near: int,
 ) -> np.ndarray:
     """Near-cell integral ``int_{|y| < near*h} (Delta g)(y) K_w(y) dy``.
 
     Uses the odd Taylor expansion ``Delta g = g' y + g''' y^3/6 + g^(5)
     y^5/120`` with the kernel frozen at the local slope; even terms drop
-    by parity, and the three weighted moments are one product with a
-    cached moment table.  :func:`kernel_quadrature` calls it once per row
+    by parity, and the three weighted moments are one product with the
+    plan's moment table.  :func:`kernel_quadrature` calls it once per row
     block.
     """
-    y, table = _near_moment_table(near * h)
-    i1, i3, i5 = (kernel_values(y, slope[:, None] * y, width) @ table).T
+    y = plan.near_y
+    i1, i3, i5 = (kernel_values(y, slope[:, None] * y, width) @ plan.moments).T
     return g1 * i1 + g3 / 6.0 * i3 + g5 / 120.0 * i5
-
-
-def _offset_structure(n: int, h: float, trunc_radius: float) -> tuple[np.ndarray, int]:
-    """Trapezoid offsets and the near-cell half-width (grid spacings).
-
-    The near cell spans four spacings so the kernel core is always either
-    inside the Gauss-Legendre cell or resolved by the far grid; very
-    small windows fall back to two spacings.
-    """
-    m_max = min(int(np.floor(trunc_radius / h + 0.5)), n // 2 - 1)
-    near = 4 if m_max >= 10 else 2
-    if m_max < near + 6:
-        raise ValueError("trunc_radius too small for this grid")
-    offsets = np.concatenate(
-        [np.arange(-m_max, -near + 1), np.arange(near, m_max + 1)]
-    )
-    return offsets, near
-
-
-_GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
-
-
-def _trapezoid_weights(offsets: np.ndarray) -> np.ndarray:
-    """Gregory end-corrected trapezoid weights, per side.
-
-    The plain rule leaves an uncanceled h^2 Euler-Maclaurin boundary term
-    at the junction with the near cell (the integrand's slope there is
-    ~g'/width, so the term even grows while the mesh is coarser than the
-    kernel); the third-order end correction removes it on both ends.
-    """
-    side = offsets[offsets > 0].size
-    w = np.ones(side)
-    w[:3] = _GREGORY_END
-    w[-3:] = _GREGORY_END[::-1]
-    return np.concatenate([w[::-1], w])
 
 
 def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
@@ -276,14 +278,7 @@ def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
     return sliding_window_view(ext, m_max - near + 1)[:n, ::-1]
 
 
-def _block_rows(n_pos: int) -> int:
-    """Rows per block: the skew buffer, ``rows x (rows + n_pos - 1)``, holds
-    about ``_BLOCK_ENTRIES`` entries."""
-    b = n_pos - 1
-    return max(1, int((np.sqrt(b * b + 4.0 * _BLOCK_ENTRIES) - b) / 2))
-
-
-def _first_bad_site(f_values, f_back, dx, near, width, rows) -> int:
+def _first_bad_site(f_values, f_back, dx, plan, width) -> int:
     """First site whose two-sided row meets a non-finite kernel value.
 
     Failure path only: the pair (i, i - k) lies on the rows of both sites,
@@ -291,12 +286,12 @@ def _first_bad_site(f_values, f_back, dx, near, width, rows) -> int:
     """
     n = f_values.size
     bad = np.zeros(n, dtype=bool)
-    for start in range(0, n, rows):
-        blk = slice(start, min(start + rows, n))
+    for start in range(0, n, plan.rows):
+        blk = slice(start, min(start + plan.rows, n))
         kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
         r, c = np.nonzero(~np.isfinite(kern))
         bad[start + r] = True
-        bad[(start + r - near - c) % n] = True
+        bad[(start + r - plan.near - c) % n] = True
     return int(np.argmax(bad))
 
 
@@ -320,19 +315,18 @@ def kernel_quadrature(
     """
     n = f_values.size
     h = length / n
-    offsets, near = _offset_structure(n, h, trunc_radius)
-    m_max = offsets[-1]
-    pos = offsets > 0
-    n_pos = int(np.count_nonzero(pos))
-    dx = offsets[pos] * h
-    wts = _trapezoid_weights(offsets)[pos] * h
+    plan = _quadrature_plan(n, h, trunc_radius)
+    m_max = plan.offsets[-1]
+    n_pos = plan.offsets.size // 2
+    dx = plan.offsets[n_pos:] * h
+    wts = plan.weights[n_pos:]
     slope = spectral_derivative(f_values, length)
     g1 = spectral_derivative(g_values, length)
     g3 = spectral_derivative(g_values, length, 3)
     g5 = spectral_derivative(g_values, length, 5)
-    f_back = _back_windows(f_values, m_max, near)
-    g_back = _back_windows(g_values, m_max, near)
-    rows = min(_block_rows(n_pos), n)
+    f_back = _back_windows(f_values, m_max, plan.near)
+    g_back = _back_windows(g_values, m_max, plan.near)
+    rows = plan.rows
     # flux[r, c] is skew[r, r + n_pos - 1 - c]: column q of the skew buffer
     # collects the fluxes bound for site start - m_max + q
     skew = np.zeros((rows, rows + n_pos - 1))
@@ -345,14 +339,14 @@ def kernel_quadrature(
         blk = slice(start, stop)
         kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
         if not np.all(np.isfinite(kern)):
-            bad = _first_bad_site(f_values, f_back, dx, near, width, rows)
+            bad = _first_bad_site(f_values, f_back, dx, plan, width)
             raise NonFiniteError(f"non-finite kernel value at site {bad}")
         fl = flux[: stop - start]
         np.subtract(g_values[blk, None], g_back[blk], out=fl)
         fl *= kern
         fl *= wts
         acc[m_max + start : m_max + stop] += fl.sum(axis=1) + nearfield_correction(
-            slope[blk], g1[blk], g3[blk], g5[blk], h, width, near
+            slope[blk], g1[blk], g3[blk], g5[blk], plan, width
         )
         span = stop - start + n_pos - 1
         acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
@@ -361,32 +355,14 @@ def kernel_quadrature(
     return out
 
 
-def mean_velocity_rhs(
-    state: InterfaceState, trunc_radius: float = DEFAULT_TRUNC_RADIUS
-) -> GridFunction1D:
-    """Unmollified averaged velocity ``-int (Delta df/dx) K_w dy``.
-
-    The slope enters by spectral differentiation; offsets are grid
-    aligned.  Vanishes identically for constant and affine-on-the-period
-    data.
-    """
-    if not state.width > 0:
-        raise ValueError("kernel width eps + kappa must be positive")
-    f = state.f
-    g = spectral_derivative(f.values, f.length)
-    out = -kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
-    if not np.all(np.isfinite(out)):
-        site = int(np.argwhere(~np.isfinite(out))[0])
-        raise NonFiniteError(f"non-finite velocity at site {site}")
-    return f.with_values(out)
-
-
 def rhs_regularized(
     state: InterfaceState, trunc_radius: float = DEFAULT_TRUNC_RADIUS
 ) -> GridFunction1D:
     """Mollified velocity term plus mollified kappa-diffusion.
 
-    Reduces to :func:`mean_velocity_rhs` as delta -> 0, kappa -> 0.  The
+    At ``delta = kappa = 0`` (the :class:`InterfaceState` defaults) this is
+    the unmollified averaged velocity ``-int (Delta df/dx) K_w dy``, which
+    vanishes for constant and affine-on-the-period data.  The
     diffusion term ``kappa * phi_d * d2/dx2 phi_d * f`` conserves the mean
     exactly.  The mollified slope and the diffusion term come from one
     ``rfft`` of f; the velocity is mollified by one more transform pair.
@@ -402,13 +378,6 @@ def rhs_regularized(
         vel = np.fft.irfft(np.fft.rfft(vel) * sym, n=f.n)
     diff = state.kappa * np.fft.irfft(fhat * diffusion, n=f.n)
     return f.with_values(diff - vel)
-
-
-def diffusion_only_rhs(state: InterfaceState) -> GridFunction1D:
-    """The kappa-diffusion part alone (kernel disabled); for linear checks."""
-    f = state.f
-    diffusion = _fourier_multipliers(state.delta, f.h, f.n)[1]
-    return f.with_values(state.kappa * np.fft.irfft(np.fft.rfft(f.values) * diffusion, n=f.n))
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +419,12 @@ def integrate(
     t_start: float = 0.0,
     trunc_radius: float = DEFAULT_TRUNC_RADIUS,
     blowup_threshold: float = 1e6,
-    extra_diagnostics=None,
 ) -> Trajectory:
     """March the regularized flow with classical RK4.
 
     ``eps = c*t`` is advanced exactly at the stage times.  Snapshots are
     recorded every ``output_every`` steps (plus the initial and final
-    states) with L2 / H4 norms and the damped fifth-derivative norm; an
-    ``extra_diagnostics(state) -> dict`` hook can append more columns.
+    states) with L2 / H4 norms and the damped fifth-derivative norm.
     The trajectory is truncated and flagged, with the step and the RK4
     stage, if a norm blows up or a finiteness check of the right-hand side
     raises :class:`NonFiniteError`; any other exception propagates.
@@ -486,16 +453,13 @@ def integrate(
 
         d5 = state.f.derivative(5)
         damped = apply_dinv(SpectralField.from_grid(d5), state.t).to_grid()
-        diag = {
+        return {
             "t": state.t,
             "l2": state.f.l2_norm(),
             "h4": sobolev_norm(state.f, 4),
             "dinv_d5": damped.l2_norm(),
             "max_abs_f": float(np.max(np.abs(state.f.values))),
         }
-        if extra_diagnostics is not None:
-            diag.update(extra_diagnostics(state))
-        return diag
 
     traj = Trajectory()
     vals = f0.values.copy()

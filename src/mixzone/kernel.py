@@ -52,7 +52,6 @@ from scipy.integrate import quad
 from .grid import GridFunction1D
 
 __all__ = [
-    "KernelParams",
     "KernelPoint",
     "kernel_closed_form",
     "kernel_values",
@@ -70,38 +69,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Kernel evaluation parameters.
-
-    eps is the mixing half-width, kappa the regularization shift added to
-    it on the regularized path, trunc_radius the principal-value window.
-    """
-
-    eps: float
-    trunc_radius: float
-    kappa: float = 0.0
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if self.trunc_radius < 10.0 * self.eps:
-            raise ValueError("trunc_radius must be at least 10*eps")
-
-    @property
-    def width(self) -> float:
-        """Effective kernel half-width eps + kappa."""
-        return self.eps + self.kappa
-
-
-@dataclass(frozen=True)
 class KernelPoint:
-    """One kernel evaluation point: separation, height difference, slope."""
+    """One kernel evaluation point: separation and height difference."""
 
     dx: float
     delta_f: float
-    slope_a: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.delta_f):
@@ -117,7 +89,10 @@ def kernel_values(dx, delta_f, eps: float):
 
     Two ``arctan2`` and one ``log1p`` per entry (see the module docstring).
     The imaginary part of the folded product is exactly ``-8 eps^2 dx u``,
-    so the first ``arctan2`` carries no cancellation either.
+    so the first ``arctan2`` carries no cancellation either.  Finite
+    entries whose ``r^4`` overflows (``r`` beyond about 1e77) take the
+    Muskat kernel ``dx / (pi r^2)``, which the kernel equals there to a
+    relative ``(2 eps / r)^2``.
     """
     dx = np.asarray(dx, dtype=float)
     u = np.asarray(delta_f, dtype=float)
@@ -130,6 +105,12 @@ def kernel_values(dx, delta_f, eps: float):
     u2 = u * u
     r2 = dx2 + u2
     r4 = r2 * r2
+    far = np.isinf(r4)
+    if far.any():
+        far &= np.isfinite(dx) & np.isfinite(u)
+        if far.any():
+            safe = kernel_values(np.where(far, 1.0, dx), np.where(far, 0.0, u), eps)
+            return _maybe_scalar(np.where(far, muskat_limit(dx, u), safe))
     diff = dx2 - u2
     bracket = u * np.arctan2(-8.0 * w2 * dx * u, r4 + 4.0 * w2 * diff)
     bracket += 2.0 * eps * np.arctan2(4.0 * eps * dx, r2 - 4.0 * w2)
@@ -307,13 +288,13 @@ def ktilde_slope_derivative(slope_a: float, y, t: float):
     return _maybe_scalar(np.asarray(out / (4.0 * np.pi * t2)))
 
 
-def _scaled_l1(scaled_integrand, quad_limit: int = 400) -> float:
+def _scaled_l1(scaled_integrand) -> float:
     """Integrate |g(y')| over the line for an even scaled integrand g."""
     val, _ = quad(
         lambda yp: abs(scaled_integrand(yp)),
         0.0,
         np.inf,
-        limit=quad_limit,
+        limit=400,
     )
     return 2.0 * val
 

@@ -25,7 +25,6 @@ from .grid import GridFunction1D
 
 __all__ = [
     "SpectralField",
-    "SymbolTable",
     "k_hat",
     "h_integrand",
     "H_integral",
@@ -35,13 +34,14 @@ __all__ = [
     "mtilde_table",
     "apply_multiplier",
     "apply_dinv",
-    "apply_dinv_complex",
     "apply_mtilde_dinv",
     "coercivity_probe",
     "energy",
 ]
 
 _SERIES_CUTOFF = 1e-3
+# Chebyshev slope nodes of the fast mtilde Dinv path
+_INTERP_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -200,30 +200,10 @@ def symbol_mtilde(xi, slope_a: float, t: float):
     return (1.0 + s) * np.exp(-h_values(s, slope_a))
 
 
-@dataclass(frozen=True)
-class SymbolTable:
-    """mtilde sampled over (grid site, mode) for a slope field at time t."""
-
-    values: np.ndarray  # shape (n_sites, n_modes)
-    slope_field: np.ndarray
-    freqs: np.ndarray
-    t: float
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return float(self.values.min()), float(self.values.max())
-
-
-def mtilde_table(slope: GridFunction1D, t: float) -> SymbolTable:
-    """Evaluate mtilde(xi_k, A(x_j), t) on the full (site, mode) lattice."""
+def mtilde_table(slope: GridFunction1D, t: float) -> np.ndarray:
+    """mtilde(xi_k, A(x_j), t) on the (site j, mode k) lattice, one row per site."""
     freqs = slope.freqs()
-    s = t * np.abs(freqs)
-    rows = np.empty((slope.n, freqs.size))
-    # group by unique slope values is pointless for generic fields; vectorize
-    # over modes per site instead, reusing the per-site closed form.
-    for j, a in enumerate(slope.values):
-        rows[j] = (1.0 + s) * np.exp(-h_values(s, float(a)))
-    return SymbolTable(values=rows, slope_field=slope.values.copy(), freqs=freqs, t=t)
+    return np.stack([symbol_mtilde(freqs, float(a), t) for a in slope.values])
 
 
 def apply_multiplier(field: SpectralField, symbol, check_hermitian: bool = False) -> SpectralField:
@@ -250,13 +230,6 @@ def apply_dinv(field: SpectralField, t: float) -> SpectralField:
     return apply_multiplier(field, lambda xi: 1.0 / (1.0 + t * np.abs(xi)))
 
 
-def apply_dinv_complex(field: SpectralField, t: float) -> SpectralField:
-    """Complex damping multiplier 1 / (1 + 2 pi i t xi), inverse of 1 + t d/dx."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return apply_multiplier(field, lambda xi: 1.0 / (1.0 + 2j * np.pi * t * xi))
-
-
 def _lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Barycentric Lagrange evaluation weights, shape (len(x), len(nodes))."""
     w = np.ones(nodes.size)
@@ -277,14 +250,14 @@ def apply_mtilde_dinv(
     slope: GridFunction1D,
     t: float,
     method: str = "direct",
-    interp_nodes: int = 16,
 ) -> GridFunction1D:
     """Apply the x-dependent operator ``mtilde(xi, A(x), t) Dinv``.
 
     ``direct`` is the always-correct O(N * M) mode sum per site; ``fast``
     replaces the per-site symbol by barycentric interpolation over
-    Chebyshev slope nodes, which needs only one inverse FFT per node.
-    Both paths agree to better than 1e-8 (enforced in tests).
+    ``_INTERP_NODES`` Chebyshev slope nodes, which needs only one inverse
+    FFT per node.  Both paths agree to better than 1e-8 (enforced in
+    tests).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
@@ -294,19 +267,18 @@ def apply_mtilde_dinv(
     freqs = f.freqs()
     damped = np.fft.fft(f.values) / (1.0 + t * np.abs(freqs))
     if method == "direct":
-        table = mtilde_table(slope, t)
         phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-        out = (table.values * (damped[None, :] * phase)).sum(axis=1).real / n
+        out = (mtilde_table(slope, t) * (damped[None, :] * phase)).sum(axis=1).real / n
         return f.with_values(out)
     if method == "fast":
         a_min, a_max = float(slope.values.min()), float(slope.values.max())
         if np.isclose(a_min, a_max):
             vals = symbol_mtilde(freqs, 0.5 * (a_min + a_max), t)
             return f.with_values(np.fft.ifft(damped * vals).real)
-        k = np.arange(interp_nodes)
-        cheb = np.cos((2 * k + 1) * np.pi / (2 * interp_nodes))
+        k = np.arange(_INTERP_NODES)
+        cheb = np.cos((2 * k + 1) * np.pi / (2 * _INTERP_NODES))
         nodes = 0.5 * (a_min + a_max) + 0.5 * (a_max - a_min) * cheb
-        per_node = np.empty((interp_nodes, n))
+        per_node = np.empty((_INTERP_NODES, n))
         for p, a in enumerate(nodes):
             per_node[p] = np.fft.ifft(damped * symbol_mtilde(freqs, float(a), t)).real
         weights = _lagrange_weights(nodes, slope.values)
@@ -319,7 +291,6 @@ def coercivity_probe(
     t: float,
     trials: int = 16,
     seed: int = 0,
-    method: str = "fast",
 ) -> float:
     """Worst ratio ``||mtilde Dinv F|| / ||Dinv F||`` over random smooth F.
 
@@ -331,14 +302,13 @@ def coercivity_probe(
         raise ValueError("trials must be at least 10")
     rng = np.random.default_rng(seed)
     n, length = slope.n, slope.length
-    freqs = np.fft.fftfreq(n, d=length / n)
     worst = np.inf
     for _ in range(trials):
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         coeffs *= 1.0 / (1.0 + np.abs(np.fft.fftfreq(n) * n)) ** 2
         field = GridFunction1D(np.fft.ifft(coeffs).real, length)
         damped = apply_dinv(SpectralField.from_grid(field), t).to_grid()
-        weighted = apply_mtilde_dinv(field, slope, t, method=method)
+        weighted = apply_mtilde_dinv(field, slope, t, method="fast")
         denom = damped.l2_norm()
         if denom == 0.0:
             continue
@@ -346,6 +316,6 @@ def coercivity_probe(
     return float(worst)
 
 
-def energy(f: GridFunction1D, slope: GridFunction1D, t: float, method: str = "fast") -> float:
+def energy(f: GridFunction1D, slope: GridFunction1D, t: float) -> float:
     """Weighted energy ``|| mtilde Dinv f ||_L2^2``; zero iff f vanishes."""
-    return apply_mtilde_dinv(f, slope, t, method=method).l2_norm() ** 2
+    return apply_mtilde_dinv(f, slope, t, method="fast").l2_norm() ** 2

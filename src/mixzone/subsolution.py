@@ -8,16 +8,16 @@ strip-averaged Poisson integral, and the flux m carries the normal defect
 the strip.  The four lamination-hull inequalities are evaluated as signed
 slacks, with the velocity bound M chosen from the sampled speeds.
 
-Quadrature layout (shared with :mod:`mixzone.evolution` so the averaged
-velocity identity holds at quadrature accuracy): PV trapezoid over
-grid-aligned horizontal offsets with the singular cells integrated on
-geometric Gauss-Legendre panels.  The transverse average of the Poisson
-kernel is exact at every offset, regular or singular: one ``arctan2``
-per offset and lam.  Integrals in lam (the strip average, the zero-mean
-residual and gamma) use composite Gauss-Legendre, and one site's
-offsets, strip nodes and gamma nodes share a single batched evaluation.
-The modified velocity and the full velocity share their moment
-integrals, which makes the tangential identity
+Quadrature layout (read from the plan :mod:`mixzone.evolution` builds,
+so the averaged velocity identity holds at quadrature accuracy): PV
+trapezoid over grid-aligned horizontal offsets with the singular cells
+integrated on geometric Gauss-Legendre panels.  The transverse average
+of the Poisson kernel is exact at every offset, regular or singular: one
+``arctan2`` per offset and lam.  Integrals in lam (the strip average,
+the zero-mean residual and gamma) use composite Gauss-Legendre, and one
+site's offsets, strip nodes and gamma nodes share a single batched
+evaluation.  The modified velocity and the full velocity share their
+moment integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
 For a run of the regularized flow the strip half-width handed to these
@@ -32,14 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .evolution import (
-    DEFAULT_TRUNC_RADIUS,
-    Trajectory,
-    _near_nodes,
-    _offset_structure,
-    _trapezoid_weights,
-    kernel_quadrature,
-)
+from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
 from .grid import GridFunction1D, spectral_derivative
 
 __all__ = [
@@ -114,8 +107,9 @@ class _Snapshot:
     """Site-independent quadrature data of one snapshot.
 
     The slope ``g = f'`` and its derivatives of orders 0-5 (whole-grid
-    FFTs), the trapezoid offsets and weights and the singular-cell nodes
-    are computed once and shared by every site evaluated on the snapshot.
+    FFTs) are computed once and shared by every site evaluated on the
+    snapshot; the trapezoid offsets and weights and the singular-cell
+    nodes come from the evolution's cached quadrature plan.
     """
 
     def __init__(self, f: GridFunction1D, width: float,
@@ -131,11 +125,12 @@ class _Snapshot:
         self.g_derivs = np.stack(
             [spectral_derivative(self.g, length, k) for k in range(6)]
         )
-        self.offsets, near = _offset_structure(n, h, trunc_radius)
+        plan = _quadrature_plan(n, h, trunc_radius)
+        self.offsets = plan.offsets
         self.dx = self.offsets * h
-        self.wts = _trapezoid_weights(self.offsets) * h
+        self.wts = plan.weights
         # singular-cell nodes (both signs)
-        ypos, wpos = _near_nodes(near * h)
+        ypos, wpos = plan.near_y, plan.near_w
         self.y_near = np.concatenate([-ypos[::-1], ypos])
         w_near = np.concatenate([wpos[::-1], wpos])
         # row k: y^k times the near-cell weight, so near_wts @ inner gives J_k

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mixzone import cli
-from mixzone.cli import ConfigError, parse_config
+from mixzone import cli, verify
+from mixzone.cli import ConfigError, RunConfig, parse_config
 
 
 def test_parse_minimal_document_applies_defaults():
@@ -41,6 +41,73 @@ def test_parse_rejects_bad_family_and_missing_path():
         parse_config('{"initial": {"family": "sawtooth"}}')
     with pytest.raises(ConfigError, match="path"):
         parse_config('{"initial": {"family": "file"}}')
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"grid": {"length": null}}', "grid.length"),
+        ('{"grid": {"length": [1]}}', "grid.length"),
+        ('{"physics": {"kappa": "0.001"}}', "physics.kappa"),
+        ('{"physics": {"c": true}}', "physics.c"),
+        ('{"physics": {"delta": {}}}', "physics.delta"),
+        ('{"time": {"dt": NaN}}', "time.dt"),
+        ('{"time": {"dt": 5e-324}}', "time.dt"),
+        ('{"time": {"t_end": Infinity}}', "time.t_end"),
+        ('{"quadrature": {"trunc_radius": -Infinity}}', "quadrature.trunc_radius"),
+        ('{"initial": {"amplitude": 1e999}}', "initial.amplitude"),
+        ('{"time": {"output_every": true}}', "time.output_every"),
+        ('{"time": {"output_every": 2.0}}', "time.output_every"),
+        ('{"grid": {"n": false}}', "grid.n"),
+        ('{"initial": {"modes": -1}}', "initial.modes"),
+        ('{"initial": {"path": 5}}', "initial.path"),
+        ('{"seed": null}', "seed"),
+    ],
+)
+def test_parse_rejects_malformed_value_with_path(doc, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(doc)
+
+
+def _config_documents(st):
+    """JSON documents over the real key tree, values from every JSON type."""
+    scalars = (
+        st.none() | st.booleans() | st.text(max_size=4)
+        | st.integers() | st.just(10**400) | st.floats()
+    )
+    junk = st.recursive(
+        scalars,
+        lambda inner: (
+            st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        ),
+        max_leaves=6,
+    )
+    plausible = st.sampled_from(
+        [0, 1, 3, 64, 256, 2**40, 1e-3, 0.0125, 0.1, 1.0, 10.0, 40.0, -1.0]
+        + list(cli._FAMILIES)
+    )
+    value = plausible | junk
+    tree = {
+        key: st.fixed_dictionaries({}, optional={k: value for k in default})
+        if isinstance(default, dict) else value
+        for key, default in cli._DEFAULTS.items()
+    }
+    return st.fixed_dictionaries({}, optional=tree)
+
+
+def test_parse_config_fuzz_raises_only_config_error():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @hypothesis.given(_config_documents(hypothesis.strategies))
+    def check(doc):
+        try:
+            cfg = parse_config(json.dumps(doc))
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+
+    check()
 
 
 def _run(argv):
@@ -140,6 +207,8 @@ def test_simulate_bad_config_exit_code(tmp_path):
     assert _run(["simulate", str(path)]) == 2
     missing = tmp_path / "missing.json"
     assert _run(["simulate", str(missing)]) == 2
+    path.write_text('{"grid": {"length": null}}')  # a configuration error, not a crash
+    assert _run(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
 
 
 def test_simulate_flags_subsolution_failure(tmp_path, monkeypatch):
@@ -194,7 +263,7 @@ def test_simulate_records_integration_failure_step_and_stage(tmp_path, monkeypat
     assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (2, 2)
 
 
-@pytest.mark.parametrize("suite", ["kernel", "flat", "subsolution"])
+@pytest.mark.parametrize("suite", verify.available_suites())
 def test_verify_suites_pass(suite, capsys):
     assert cli.run_verify(suite) == 0
     report = json.loads(capsys.readouterr().out)

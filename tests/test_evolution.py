@@ -53,12 +53,6 @@ def test_mollifier_gaussian_semigroup():
     assert np.max(np.abs(twice.values - once.values)) <= 1e-10
 
 
-def test_mean_velocity_zero_data():
-    state = InterfaceState(f=GridFunction1D.zeros(128, LENGTH), t=0.05, c=1.0)
-    out = evolution.mean_velocity_rhs(state)
-    assert np.all(out.values == 0.0)
-
-
 def test_kernel_quadrature_vanishes_for_constant_slope():
     # tilted data: the slope difference vanishes so the quadrature must too
     n = 128
@@ -73,21 +67,20 @@ def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
     """Unblocked reference: one site at a time, far trapezoid + near cell."""
     n = f_vals.size
     h = LENGTH / n
-    offsets, near = evolution._offset_structure(n, h, trunc_radius)
-    wts = evolution._trapezoid_weights(offsets)
+    plan = evolution._quadrature_plan(n, h, trunc_radius)
+    offsets = plan.offsets
     far = np.empty(n)
     for i in range(n):
         idx = (i - offsets) % n
         k = kernel.kernel_values(offsets * h, f_vals[i] - f_vals[idx], width)
-        far[i] = np.sum((g_vals[i] - g_vals[idx]) * k * wts) * h
+        far[i] = np.sum((g_vals[i] - g_vals[idx]) * k * plan.weights)
     slope = spectral_derivative(f_vals, LENGTH)
     g1, g3, g5 = (spectral_derivative(g_vals, LENGTH, k) for k in (1, 3, 5))
-    return far + evolution.nearfield_correction(slope, g1, g3, g5, h, width, near)
+    return far + evolution.nearfield_correction(slope, g1, g3, g5, plan, width)
 
 
 def _rows_per_block(n, trunc_radius):
-    offsets, _ = evolution._offset_structure(n, LENGTH / n, trunc_radius)
-    return evolution._block_rows(np.count_nonzero(offsets > 0))
+    return evolution._quadrature_plan(n, LENGTH / n, trunc_radius).rows
 
 
 def test_kernel_quadrature_blocks_match_row_by_row_sum():
@@ -106,7 +99,7 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
     n, trunc = 512, 10.0
     f = bump(n).values.copy()
     f[300] = np.inf
-    offsets, _ = evolution._offset_structure(n, LENGTH / n, trunc)
+    offsets = evolution._quadrature_plan(n, LENGTH / n, trunc).offsets
     with np.errstate(invalid="ignore"):
         # the first site whose row meets the bad height, found one row at a time
         first = next(
@@ -128,8 +121,8 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
     ],
 )
 def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near, blocks):
-    offsets, got_near = evolution._offset_structure(n, LENGTH / n, trunc)
-    assert (offsets[-1], got_near) == (m_max, near)
+    plan = evolution._quadrature_plan(n, LENGTH / n, trunc)
+    assert (plan.offsets[-1], plan.near) == (m_max, near)
     assert -(-n // _rows_per_block(n, trunc)) == blocks
     f = GridFunction1D.from_callable(
         lambda x: 0.3 * np.exp(-(x**2)) + 0.1 * np.sin(2 * np.pi * x / LENGTH), n, LENGTH
@@ -159,10 +152,12 @@ def test_mollify_matches_direct_stencil_sum(n, delta):
 
 
 def test_rhs_regularized_zero_fixed_point():
+    # mollified and diffused, then unmollified (the state's delta = kappa = 0)
     f = GridFunction1D.zeros(128, LENGTH)
-    state = InterfaceState(f=f, t=0.05, c=1.0, delta=4 * f.h, kappa=1e-3)
-    out = evolution.rhs_regularized(state)
-    assert np.all(out.values == 0.0)
+    for kw in (dict(delta=4 * f.h, kappa=1e-3), {}):
+        state = InterfaceState(f=f, t=0.05, c=1.0, **kw)
+        out = evolution.rhs_regularized(state)
+        assert np.all(out.values == 0.0)
 
 
 def test_rhs_regularized_reduces_to_mean_velocity():
@@ -170,7 +165,7 @@ def test_rhs_regularized_reduces_to_mean_velocity():
     # (the rate approaches 2 from below; delta = 8h here is preasymptotic)
     f = bump(1024)
     base = InterfaceState(f=f, t=0.06, c=1.0, delta=0.0, kappa=0.0)
-    target = evolution.mean_velocity_rhs(base).values
+    target = evolution.rhs_regularized(base).values
     errs = []
     for delta in (8 * f.h, 4 * f.h, 2 * f.h):
         state = InterfaceState(f=f, t=0.06, c=1.0, delta=delta, kappa=0.0)
@@ -180,36 +175,40 @@ def test_rhs_regularized_reduces_to_mean_velocity():
     assert np.log2(errs[1] / errs[2]) >= 1.9
 
 
-def test_mean_velocity_rhs_self_convergence():
-    # half-grid refinement of the velocity quadrature: order >= 2
+def test_rhs_regularized_self_convergence():
+    # half-grid refinement of the unmollified velocity quadrature: order >= 2
     vals = {}
     for n in (512, 1024, 2048):
         state = InterfaceState(f=bump(n), t=0.06, c=1.0)
-        vals[n] = evolution.mean_velocity_rhs(state, trunc_radius=10.0).values
+        vals[n] = evolution.rhs_regularized(state, trunc_radius=10.0).values
     e1 = np.max(np.abs(vals[512] - vals[1024][::2]))
     e2 = np.max(np.abs(vals[1024] - vals[2048][::2]))
     assert np.log2(e1 / e2) >= 2.0
 
 
 def test_pure_diffusion_symbol():
-    # kernel disabled: a single mode decays at kappa * (2 pi k/L)^2 times the
-    # squared stencil symbol (exact linear solution of the mollified heat term)
+    # the diffusion multiplier rhs_regularized applies: mode k decays at
+    # kappa * (2 pi k/L)^2 times the squared stencil symbol (exact linear
+    # solution of the mollified heat term)
     n, k, kappa = 256, 5, 1e-3
-    f = GridFunction1D.from_callable(lambda x: np.sin(2 * np.pi * k * x / LENGTH), n, LENGTH)
-    delta = 4 * f.h
-    state = InterfaceState(f=f, t=0.05, c=1.0, delta=delta, kappa=kappa)
-    out = evolution.diffusion_only_rhs(state)
-    sym = evolution.mollifier_symbol(delta, f.h, np.array([k / LENGTH]))[0]
+    h = LENGTH / n
+    delta = 4 * h
+    diffusion = evolution._fourier_multipliers(delta, h, n)[1]
+    sym = evolution.mollifier_symbol(delta, h, np.array([k / LENGTH]))[0]
     rate = kappa * (2 * np.pi * k / LENGTH) ** 2 * sym**2
-    assert np.max(np.abs(out.values + rate * f.values)) <= 1e-6 * rate
+    assert abs(kappa * diffusion[k] + rate) <= 1e-6 * rate
 
 
 def test_diffusion_mean_and_monotone_l2():
+    # the zero mode is untouched (mean conserved) and no mode grows (L2 norm)
     f = bump(128)
-    state = InterfaceState(f=f, t=0.05, c=1.0, delta=4 * f.h, kappa=1e-2)
-    out = evolution.diffusion_only_rhs(state)
-    assert abs(out.values.mean()) <= 1e-17
-    stepped = f.values + 0.01 * out.values
+    kappa = 1e-2
+    diffusion = evolution._fourier_multipliers(4 * f.h, f.h, f.n)[1]
+    assert diffusion[0] == 0.0
+    assert np.all(diffusion <= 0.0)
+    out = kappa * np.fft.irfft(np.fft.rfft(f.values) * diffusion, n=f.n)
+    assert abs(out.mean()) <= 1e-17
+    stepped = f.values + 0.01 * out
     assert np.sqrt(np.sum(stepped**2)) <= np.sqrt(np.sum(f.values**2))
 
 
@@ -280,15 +279,6 @@ def test_time_reversal_single_step():
         errs.append(np.max(np.abs(back - f.values)))
     # fifth-order local error: halving dt divides the defect by ~32
     assert errs[1] <= errs[0] / 16.0
-
-
-def test_integrate_extra_diagnostics_hook():
-    f = bump(128)
-    traj = evolution.integrate(
-        f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.025, t_end=0.05,
-        extra_diagnostics=lambda state: {"peak": float(np.max(state.f.values))},
-    )
-    assert all("peak" in d and d["peak"] <= 0.11 for d in traj.diagnostics)
 
 
 def test_blowup_flag_truncates_trajectory():

@@ -3,18 +3,7 @@ import pytest
 
 from mixzone import kernel
 from mixzone.grid import GridFunction1D
-from mixzone.kernel import KernelParams, KernelPoint
-
-
-def test_params_invariants():
-    KernelParams(eps=0.1, trunc_radius=5.0, kappa=0.0)
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.0, trunc_radius=5.0)
-    with pytest.raises(ValueError):
-        KernelParams(eps=0.1, trunc_radius=5.0, kappa=-1.0)
-    with pytest.raises(ValueError):
-        KernelParams(eps=1.0, trunc_radius=5.0)  # below 10*eps
-    assert KernelParams(eps=0.1, trunc_radius=5.0, kappa=0.01).width == pytest.approx(0.11)
+from mixzone.kernel import KernelPoint
 
 
 def test_flat_kernel_odd_in_separation():
@@ -136,6 +125,26 @@ def test_kernel_values_pair_identity_is_bitwise(eps):
     u = rng.uniform(-3, 3, 400) * np.abs(dx)
     u[:40] = 0.0
     assert np.array_equal(kernel.kernel_values(-dx, -u, eps), -kernel.kernel_values(dx, u, eps))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.1])
+def test_kernel_values_far_field_where_r4_overflows(eps):
+    # r^4 overflows once |delta_f| passes ~1e77; there the kernel is the
+    # Muskat kernel to a relative (2 eps / r)^2, far below roundoff
+    dx = np.array([1.0, -1.0, 2.5, 1.0, -1.0, 0.5])
+    u = np.array([1e78, -1e78, 1e80, -1e80, 1e150, -1e150])
+    with np.errstate(over="ignore"):
+        got = kernel.kernel_values(dx, u, eps)
+        huge = kernel.kernel_values(np.ones(4), np.array([1e160, -1e160, 1e300, -1e300]), eps)
+        odd = kernel.kernel_values(-dx, -u, eps)
+    want = dx / (np.pi * (dx * dx + u * u))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    assert np.all(np.isfinite(huge))
+    assert np.array_equal(odd, -got)
+    # in-range entries next to out-of-range ones keep their values bitwise
+    mixed = np.array([0.3, 1e80])
+    with np.errstate(over="ignore"):
+        assert kernel.kernel_values(1.0, mixed, eps)[0] == kernel.kernel_values(1.0, 0.3, eps)
 
 
 def test_frozen_oddness_exact():
