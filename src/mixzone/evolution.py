@@ -435,12 +435,15 @@ def integrate(
         raise ValueError("output_every must be at least 1")
     if kappa == 0.0 and t_start <= 0.0:
         raise ValueError("kappa = 0 runs must start at t_start > 0")
+    steps = (t_end - t_start) / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"(t_end - t_start) / dt = {steps} is not a finite step count")
+    n_steps = int(round(steps))
+    if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end - t_start must be an integer number of steps")
     limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius)
     if dt > limit:
         raise ValueError(f"dt = {dt} violates the stability bound {limit:.6g}")
-    n_steps = int(round((t_end - t_start) / dt))
-    if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end - t_start must be an integer number of steps")
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
         state = InterfaceState(

@@ -84,6 +84,23 @@ def _maybe_scalar(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
+def _poisson(dx, u, scale: float = 1.0) -> np.ndarray:
+    """``dx / (scale (dx^2 + u^2))``, rescaled where the squares leave the float range."""
+    dx, u = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(u, dtype=float))
+    with np.errstate(over="ignore"):
+        r2 = dx * dx + u * u
+    size = np.maximum(np.abs(dx), np.abs(u))
+    # scale <= 4: scale * r2 stays finite below max / 4
+    fix = ((r2 < np.finfo(float).tiny) | (r2 > np.finfo(float).max / 4.0)) & (size > 0)
+    fix &= np.isfinite(size)
+    if not fix.any():
+        return np.asarray(dx / (scale * r2))
+    out = np.asarray(dx / (scale * np.where(fix, 1.0, r2)))
+    a, b = dx[fix] / size[fix], u[fix] / size[fix]
+    out[fix] = a / (scale * (a * a + b * b)) / size[fix]
+    return out
+
+
 def kernel_values(dx, delta_f, eps: float):
     """Vectorized closed-form kernel; dx == 0 entries return 0.
 
@@ -101,10 +118,11 @@ def kernel_values(dx, delta_f, eps: float):
         safe = kernel_values(np.where(zero, 1.0, dx), u, eps)
         return _maybe_scalar(np.where(zero, 0.0, safe))
     w2 = eps * eps
-    dx2 = dx * dx
-    u2 = u * u
-    r2 = dx2 + u2
-    r4 = r2 * r2
+    with np.errstate(over="ignore"):  # overflowing entries take the far branch
+        dx2 = dx * dx
+        u2 = u * u
+        r2 = dx2 + u2
+        r4 = r2 * r2
     far = np.isinf(r4)
     if far.any():
         far &= np.isfinite(dx) & np.isfinite(u)
@@ -145,7 +163,7 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float, nodes: int = 64) -> flo
     wl = eps * wg
     l1, l2 = np.meshgrid(lam, lam, indexing="ij")
     w2 = np.outer(wl, wl)
-    integrand = p.dx / (p.dx**2 + (p.delta_f + (l1 - l2)) ** 2)
+    integrand = _poisson(p.dx, p.delta_f + (l1 - l2))
     return float(np.sum(w2 * integrand) / (4.0 * np.pi * eps * eps))
 
 
@@ -160,9 +178,7 @@ def kernel_frozen(slope_a: float, y, eps: float):
 
 def muskat_limit(dx, delta_f):
     """The eps -> 0 limit ``(1/pi) dx / (dx^2 + delta_f^2)``."""
-    dx = np.asarray(dx, dtype=float)
-    delta_f = np.asarray(delta_f, dtype=float)
-    return _maybe_scalar(np.asarray(dx / (np.pi * (dx * dx + delta_f * delta_f))))
+    return _maybe_scalar(_poisson(dx, delta_f, np.pi))
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ so the averaged velocity identity holds at quadrature accuracy): PV
 trapezoid over grid-aligned horizontal offsets with the singular cells
 integrated on geometric Gauss-Legendre panels.  The transverse average
 of the Poisson kernel is exact at every offset, regular or singular: one
-``arctan2`` per offset and lam.  Integrals in lam (the strip average,
-the zero-mean residual and gamma) use composite Gauss-Legendre, and one
-site's offsets, strip nodes and gamma nodes share a single batched
-evaluation.  The modified velocity and the full velocity share their
-moment integrals, which makes the tangential identity
+``arctan2`` per offset and lam.  The velocity is linear in that average,
+so integrals in lam (the strip average, the zero-mean residual and
+gamma) apply the same weights to its exact lam integral, a folded mixed
+second difference (:func:`_lambda_integral`); no lam quadrature is left.
+The modified velocity and the full velocity share their moment
+integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
 For a run of the regularized flow the strip half-width handed to these
@@ -30,30 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
 from .grid import GridFunction1D, spectral_derivative
 
 __all__ = [
-    "MixCoords",
-    "SubsolutionSample",
-    "HullMargin",
-    "velocity_field",
-    "velocity_modified",
-    "gamma_sharp",
-    "build_fields",
-    "hull_check",
-    "choose_M",
-    "zero_mean_residual",
-    "subsolution_report",
-    "SLACK_VIOLATION_BAND",
+    "MixCoords", "SubsolutionSample", "HullMargin", "velocity_field", "velocity_modified",
+    "gamma_sharp", "build_fields", "hull_check", "choose_M", "zero_mean_residual",
+    "subsolution_report", "SLACK_VIOLATION_BAND",
 ]
 
 EDGE_CLAMP = 1e-6
 SLACK_VIOLATION_BAND = 1e-5
-_GL8 = leggauss(8)
-_LAMBDA_PANELS = 16
 
 
 @dataclass(frozen=True)
@@ -93,14 +82,40 @@ class HullMargin:
         return self.min_slack > 0.0
 
 
-def _composite_gl(a: float, b: float, panels: int):
-    xg, wg = _GL8
-    edges = np.linspace(a, b, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+def _lambda_integral(x, d, a, b, w: float) -> np.ndarray:
+    """``int_a^b inner(x, d + lam) dlam`` in closed form, for a <= b.
+
+    With ``A(u) = -Re(z log z)``, ``z = x + iu``, this is the mixed second
+    difference of A over steps ``s1 = b - a``, ``s2 = 2w``, over 2w.  About
+    a base corner z0 (z1 = z0 + i s1, z2 = z0 + i s2) it folds to ``-Re[z0
+    log1p(zeta) + i s1 log1p(i s2/z1) + i s2 log1p(i s1/z2)]``, ``zeta = s1
+    s2/(z1 z2)``, each complex log1p one real log1p and one ``arctan2``; odd
+    in x, as the integral is.  It stays at roundoff near the singularity
+    u = 0: the base is the outer corner nearer to it (``inner`` is even in d,
+    so ``(d, a, b) -> (-d, -b, -a)`` mirrors the other into place), a small
+    ``1 + zeta`` is built from its small factor z0 z12, and corners are
+    ``d + (a - w)`` etc., exact where a or b is a strip edge.
+    """
+    s1, s2 = b - a, 2.0 * w
+    mirror = np.abs(d + (b + w)) < np.abs(d + (a - w))
+    d, a, b = np.where(mirror, -d, d), np.where(mirror, -b, a), np.where(mirror, -a, b)
+    q, p1, p2, p12 = d + (a - w), d + (b - w), d + (a + w), d + (b + w)
+    x2, s12 = x * x, s1 * s2
+    cross, den = x2 - p1 * p2, (x2 + p1 * p1) * (x2 + p2 * p2)
+    # 1 + zeta = z0 z12 conj(z1 z2) / den; ratio = |1 + zeta|^2 - 1, folded
+    theta = np.arctan2(-s12 * x * (p1 + p2), den + s12 * cross)
+    ratio = s12 * (2.0 * cross + s12) / den
+    logs = np.log1p(np.maximum(ratio, -0.5))
+    small = ratio < -0.5
+    if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
+        xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
+        re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
+        theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
+        logs[small] = np.log((xs * xs + qs * qs) * (xs * xs + ps * ps) / den[small])
+    out = q * theta - 0.5 * x * logs
+    out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
+    out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
+    return out / s2
 
 
 class _Snapshot:
@@ -122,9 +137,7 @@ class _Snapshot:
         if trunc_radius is None:
             trunc_radius = length / 2.0 - h
         self.g = spectral_derivative(f.values, length)
-        self.g_derivs = np.stack(
-            [spectral_derivative(self.g, length, k) for k in range(6)]
-        )
+        self.g_derivs = np.stack([spectral_derivative(self.g, length, k) for k in range(6)])
         plan = _quadrature_plan(n, h, trunc_radius)
         self.offsets = plan.offsets
         self.dx = self.offsets * h
@@ -141,8 +154,8 @@ class _SiteVelocity:
     """Velocity quadratures at one grid site of a snapshot.
 
     Evaluates u1, u2 and the modified vertical velocity u_c2 at arbitrary
-    transverse offsets lam, and from one batch of them the relaxed
-    state, gamma and the zero-mean residual.
+    transverse offsets lam, and from them and their exact lam integrals
+    the relaxed state, gamma and the zero-mean residual.
     """
 
     def __init__(self, snap: _Snapshot, s_index: int):
@@ -158,10 +171,11 @@ class _SiteVelocity:
         self.far_wts = np.stack([wts, wts * g[idx], wts * (self.slope - g[idx])])
         self.y_near = snap.y_near
         self.near_wts = snap.near_wts
+        # every offset's (x, d) pair at lam = 0: far offsets, then near-cell nodes
+        self.x = np.concatenate([self.dx, self.y_near])[:, None]
+        self.d = np.concatenate([self.df, self.slope * self.y_near])[:, None]
         # site Taylor data
         self.g_derivs = snap.g_derivs[:, self.j].tolist()
-
-    # -- elementary pieces -------------------------------------------------
 
     def _inner(self, dx: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Exact transverse average of the Poisson kernel ``dx/(dx^2 + (d - lam')^2)``.
@@ -172,84 +186,67 @@ class _SiteVelocity:
         w = self.width
         return np.arctan2(2.0 * w * dx, dx * dx + (d - w) * (d + w)) / (2.0 * w)
 
-    def _near_moments(self, lams: np.ndarray) -> np.ndarray:
-        """J_k(lam) = int over the near cell of y^k inner(y, lam), k = 0..5."""
-        y = self.y_near[:, None]
-        return self.near_wts @ self._inner(y, self.slope * y + lams[None, :])
-
-    # -- assembled velocities ----------------------------------------------
-
-    def velocities(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u1, u2, u_c2) at the requested transverse offsets."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        far1, far2, farc = self.far_wts @ self._inner(
-            self.dx[:, None], self.df[:, None] + lams[None, :]
-        )
-        jk = self._near_moments(lams)
+    def _assemble(self, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u1, u2, u_c2) from ``inner`` (or its lam integral), one column per lam."""
+        far1, far2, farc = self.far_wts @ inner[: self.dx.size]
+        # J_k = int over the near cell of y^k inner(y, slope y + lam), k = 0..5
+        jk = self.near_wts @ inner[self.dx.size:]
         g0, g1, g2, g3, g4, g5 = self.g_derivs
         # g(x - y) Taylor'd through y^5; Delta g uses the same coefficients
-        near2 = (
-            g0 * jk[0] - g1 * jk[1] + g2 / 2.0 * jk[2]
-            - g3 / 6.0 * jk[3] + g4 / 24.0 * jk[4] - g5 / 120.0 * jk[5]
-        )
-        nearc = (
-            g1 * jk[1] - g2 / 2.0 * jk[2] + g3 / 6.0 * jk[3]
-            - g4 / 24.0 * jk[4] + g5 / 120.0 * jk[5]
-        )
+        near2 = (g0 * jk[0] - g1 * jk[1] + g2 / 2.0 * jk[2]
+                 - g3 / 6.0 * jk[3] + g4 / 24.0 * jk[4] - g5 / 120.0 * jk[5])
+        nearc = (g1 * jk[1] - g2 / 2.0 * jk[2] + g3 / 6.0 * jk[3]
+                 - g4 / 24.0 * jk[4] + g5 / 120.0 * jk[5])
         u1 = (far1 + jk[0]) / np.pi
         u2 = (far2 + near2) / np.pi
         uc2 = -(farc + nearc) / np.pi
         return u1, u2, uc2
 
+    def velocities(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u1, u2, u_c2) at the requested transverse offsets."""
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        return self._assemble(self._inner(self.x, self.d + lams[None, :]))
+
     def strip_average(self) -> float:
-        """Transverse average of u_c2: the averaged velocity at this site."""
-        # the zero-mean residual against dtz = 0 is the strip integral of u_c2
-        return self.samples(0.0, 1.0, 0.0)[1] / (2.0 * self.width)
+        """Transverse average of u_c2 (the residual against dtz = 0, over 2w)."""
+        return self.samples(0.0, 1.0, 0.0)[4] / (2.0 * self.width)
 
-    def samples(self, lams, c: float, dtz: float) -> tuple[list[SubsolutionSample], float]:
-        """Relaxed state at each offset in ``lams`` and the zero-mean residual.
+    def samples(self, lams, c: float, dtz: float):
+        """``(rho, u, m, gamma)`` at each offset in ``lams``, and the zero-mean residual.
 
-        One velocity call covers the offsets, the full-strip nodes of
-        ``int (u_c - dtz).dz_perp dlam`` and the half-strip nodes of every
-        gamma.  gamma at lam <= 0 integrates the imbalance up from the
-        lower edge, at lam > 0 down from the upper edge (the full-strip
-        integral vanishes), which keeps the ``1/(1 - rho^2)`` factor
-        harmless; it is taken a relative EDGE_CLAMP inside the strip, so
-        ``|lam| = width`` gives rho = +-1 and ``m = rho u``.
+        u and m have one row per offset.  ``int (u_c - dtz).dz_perp dlam``
+        over the full strip and each gamma's half strip is exact.
+        gamma at lam <= 0 integrates the imbalance up from the lower edge,
+        at lam > 0 down from the upper edge (the full-strip integral
+        vanishes), which keeps the ``1/(1 - rho^2)`` factor harmless; it is
+        taken a relative EDGE_CLAMP inside the strip, so ``|lam| = width``
+        gives rho = +-1 and ``m = rho u``.
         """
         w = self.width
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if np.any(np.abs(lams) > w):
             raise ValueError("|lam| must not exceed the strip half-width")
         lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
-        full_nodes, full_wts = _composite_gl(-w, w, _LAMBDA_PANELS)
-        nodes, half_wts = [lams, full_nodes], []
-        for lam in lam_g:
-            a, b = (-w, lam) if lam <= 0.0 else (lam, w)
-            panels = max(2, int(np.ceil(_LAMBDA_PANELS * (b - a) / (2.0 * w))))
-            x, wt = _composite_gl(a, b, panels)
-            nodes.append(x)
-            half_wts.append(wt if lam <= 0.0 else -wt)
-        u1, u2, uc2 = self.velocities(np.concatenate(nodes))
-        n, tail = lams.size, lams.size + full_nodes.size
-        resid = float(((uc2[n:tail] - dtz) * full_wts).sum())
-        starts = np.cumsum([0] + [wt.size for wt in half_wts[:-1]])
-        integrals = np.add.reduceat((uc2[tail:] - dtz) * np.concatenate(half_wts), starts)
+        lower = lam_g <= 0.0
+        # half-strip intervals, then the full strip
+        a = np.append(np.where(lower, -w, lam_g), -w)
+        b = np.append(np.where(lower, lam_g, w), w)
+        _, _, integrals = self._assemble(_lambda_integral(self.x, self.d, a, b, w))
+        integrals -= dtz * (b - a)
         rho_g = lam_g / w
-        gamma = -(1.0 - c) / 2.0 + integrals / ((1.0 - rho_g * rho_g) * w)
-        out = []
-        for q in range(n):
-            rho = lams[q] / w
-            u = np.array([u1[q], u2[q]])
-            m = rho * u - (gamma[q] + 0.5) * (1.0 - rho * rho) * np.array([0.0, 1.0])
-            out.append(SubsolutionSample(float(rho), u, m, float(gamma[q])))
-        return out, resid
+        half = np.where(lower, integrals[:-1], -integrals[:-1])
+        gamma = -(1.0 - c) / 2.0 + half / ((1.0 - rho_g * rho_g) * w)
+        rho = lams / w
+        u = np.stack(self.velocities(lams)[:2], axis=1)
+        m = rho[:, None] * u
+        m[:, 1] -= (gamma + 0.5) * (1.0 - rho * rho)
+        return rho, u, m, gamma, float(integrals[-1])
 
     def gamma(self, lam: float, c: float, dtz: float) -> float:
         """Normal defect gamma at offset lam in the open strip."""
         if abs(lam) >= self.width:
             raise ValueError("gamma is defined in the open strip |lam| < width")
-        return self.samples(lam, c, dtz)[0][0].gamma
+        return float(self.samples(lam, c, dtz)[3][0])
 
 
 def _site_index(f: GridFunction1D, s: float) -> int:
@@ -347,26 +344,36 @@ def build_fields(
         j = _site_index(f, point.s)
         if j not in sites:
             sites[j] = _SiteVelocity(snap, j)
-        samples.extend(sites[j].samples(point.lam, c, float(dtz_all[j]))[0])
+        rho, u, m, gamma, _ = sites[j].samples(point.lam, c, float(dtz_all[j]))
+        samples.append(SubsolutionSample(float(rho[0]), u[0], m[0], float(gamma[0])))
     return samples
+
+
+def _hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:
+    """Signed slacks of the four relaxation inequalities, one row per sample.
+
+    ``rho`` has shape (n,), ``u`` and ``m`` shape (n, 2); column k is
+    slack k + 1, positive where the inequality holds strictly.
+    """
+    r = rho[:, None]
+    one = 1.0 - rho * rho
+    e2 = np.array([0.0, 1.0])
+    norm = np.linalg.norm
+    return np.stack([
+        0.5 * one - norm(m - r * u + 0.5 * one[:, None] * e2, axis=1),
+        m_bound**2 - one - np.sum((2.0 * u + r * e2) ** 2, axis=1),
+        0.5 * m_bound * (1.0 - rho) - norm(m - u - 0.5 * (1.0 - r) * e2, axis=1),
+        0.5 * m_bound * (1.0 + rho) - norm(m + u + 0.5 * (1.0 + r) * e2, axis=1),
+    ], axis=1)
 
 
 def hull_check(sample: SubsolutionSample, m_bound: float) -> HullMargin:
     """Signed slacks of the four relaxation inequalities at one sample."""
     if not m_bound > 1.0:
         raise ValueError("the velocity bound M must exceed 1")
-    rho, u, m = sample.rho, sample.u, sample.m
-    e2 = np.array([0.0, 1.0])
-    one = 1.0 - rho * rho
-    s1 = 0.5 * one - float(np.linalg.norm(m - rho * u + 0.5 * one * e2))
-    s2 = m_bound**2 - one - float(np.sum((2.0 * u + rho * e2) ** 2))
-    s3 = 0.5 * m_bound * (1.0 - rho) - float(
-        np.linalg.norm(m - u - 0.5 * (1.0 - rho) * e2)
-    )
-    s4 = 0.5 * m_bound * (1.0 + rho) - float(
-        np.linalg.norm(m + u + 0.5 * (1.0 + rho) * e2)
-    )
-    return HullMargin(slack1=s1, slack2=s2, slack3=s3, slack4=s4, m_bound=m_bound)
+    u, m = (np.asarray(v, dtype=float).reshape(1, 2) for v in (sample.u, sample.m))
+    slacks = _hull_slacks(np.array([float(sample.rho)]), u, m, m_bound)[0].tolist()
+    return HullMargin(*slacks, m_bound=m_bound)
 
 
 def choose_M(u_samples) -> float:
@@ -389,12 +396,11 @@ def zero_mean_residual(
     j = _site_index(f, s)
     if dtz is None:
         dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).samples(0.0, 1.0, dtz)[1]
+    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).samples(0.0, 1.0, dtz)[4]
 
 
 def _lambda_fractions(n_lambda: int) -> np.ndarray:
-    fr = np.linspace(-1.0, 1.0, n_lambda)
-    return fr * (1.0 - EDGE_CLAMP)
+    return np.linspace(-1.0, 1.0, n_lambda) * (1.0 - EDGE_CLAMP)
 
 
 def subsolution_report(
@@ -416,31 +422,23 @@ def subsolution_report(
         width = state.width
         if not width > 0:
             continue
-        if s_indices is None:
-            idxs = list(range(0, f.n, max(1, f.n // 32)))
-        else:
-            idxs = list(s_indices)
+        idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)
         dtz_all = _default_dtz(f, width, trunc_radius)
         lams = _lambda_fractions(n_lambda) * width
         snap = _Snapshot(f, width, trunc_radius)
-        samples, resids = [], []
-        for j in idxs:
-            site = _SiteVelocity(snap, j)
-            chunk, resid = site.samples(lams, state.c, float(dtz_all[j]))
-            samples.extend(chunk)
-            resids.append(abs(resid))
-        m_bound = choose_M(np.array([s.u for s in samples]))
-        slacks = [hull_check(s, m_bound).min_slack for s in samples]
-        max_gamma = max(abs(s.gamma) for s in samples)
-        min_slack = float(min(slacks))
+        sites = [_SiteVelocity(snap, j).samples(lams, state.c, float(dtz_all[j])) for j in idxs]
+        rho, u, m, gamma = (np.concatenate([site[k] for site in sites]) for k in range(4))
+        m_bound = choose_M(u)
+        min_slack = float(_hull_slacks(rho, u, m, m_bound).min())
+        max_gamma = float(np.abs(gamma).max())
         ok = max_gamma < 0.5 and min_slack >= -SLACK_VIOLATION_BAND
         rows.append(
             {
                 "t": state.t,
-                "max_gamma": float(max_gamma),
+                "max_gamma": max_gamma,
                 "min_slack": min_slack,
                 "m_bound": float(m_bound),
-                "zero_mean_residual": float(max(resids)),
+                "zero_mean_residual": max(abs(site[4]) for site in sites),
                 "ok": bool(ok),
                 "s_sites": [float(f.x[j]) for j in idxs],
             }

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,20 @@ def test_kernel_eval_subcommand(capsys):
     assert _run(["kernel-eval", "--dx", "1.0", "--df", "0.3", "--eps", "0.1"]) == 0
     out = capsys.readouterr().out
     assert "closed_form" in out and "muskat_limit" in out
+
+
+def test_kernel_eval_far_field_prints_no_warnings():
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    argv = ["kernel-eval", "--dx", "1", "--df", "1e160", "--eps", "0.1"]
+    proc = subprocess.run([sys.executable, "-m", "mixzone.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
+    assert len(values) == 3 and all(np.isfinite(values))
+    # the kernel equals the Muskat kernel 1/(pi 1e320) there (a subnormal)
+    assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
 
 
 def test_flat_demo_subcommand(capsys):

@@ -233,6 +233,19 @@ def test_stability_bound_rejects_large_dt():
         evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=kappa, dt=1.0, t_end=2.0)
 
 
+@pytest.mark.parametrize("dt", [5e-324, 1e-310])
+def test_integrate_rejects_infinite_step_count_before_the_probe(monkeypatch, dt):
+    # (t_end - t_start) / dt overflows to inf: a ValueError, not an
+    # OverflowError after a full stability probe
+    def probe(*args, **kwargs):
+        raise AssertionError("the stability probe ran")
+
+    monkeypatch.setattr(evolution, "stability_limit", probe)
+    f = bump(128)
+    with pytest.raises(ValueError, match="finite step count"):
+        evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=dt, t_end=0.1)
+
+
 def test_integrate_requires_positive_start_without_kappa():
     f = bump(128)
     with pytest.raises(ValueError):

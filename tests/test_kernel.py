@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,30 @@ def test_kernel_values_far_field_where_r4_overflows(eps):
     mixed = np.array([0.3, 1e80])
     with np.errstate(over="ignore"):
         assert kernel.kernel_values(1.0, mixed, eps)[0] == kernel.kernel_values(1.0, 0.3, eps)
+
+
+def test_far_field_evaluations_are_silent():
+    # no RuntimeWarning on far-field inputs that are handled correctly:
+    # the kernel, the Muskat limit and the Gauss-Legendre oracle
+    mpmath = pytest.importorskip("mpmath")
+    dx = np.array([1.0, -1.0, 1.0, 1e160, -1e200, 1e300, 0.0, 2.0])
+    u = np.array([1e78, 1e160, -1e300, 1e160, 1.0, -1e300, 1e160, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.kernel_values(dx, u, 0.1)
+        limit = kernel.muskat_limit(dx[:-2], u[:-2])
+        oracle = kernel.kernel_quadrature_oracle(kernel.KernelPoint(1.0, 1e160), 0.1)
+        scalar = kernel.kernel_closed_form(kernel.KernelPoint(1.0, 1e160), 0.1)
+    # the kernel is odd in dx and even in delta_f
+    assert np.isfinite(oracle) and scalar == -got[1]
+    assert got[-2] == 0.0 and got[-1] == kernel.kernel_values(2.0, 0.3, 0.1)
+    want = np.array([float(mpmath.mpf(a) / (mpmath.pi * (mpmath.mpf(a) ** 2 + mpmath.mpf(b) ** 2)))
+                     for a, b in zip(dx[:-2], u[:-2])])
+    normal = np.abs(want) > 1e-300  # subnormal results keep fewer digits
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(limit))
+    assert np.max(np.abs(got[:-2] - want)[normal] / np.abs(want[normal])) <= 1e-13
+    assert np.max(np.abs(limit - want)[normal] / np.abs(want[normal])) <= 1e-13
+    assert np.allclose(got[:-2][~normal], want[~normal], rtol=1e-3, atol=0.0)
 
 
 def test_frozen_oddness_exact():

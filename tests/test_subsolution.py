@@ -63,6 +63,85 @@ def test_transverse_average_matches_gauss_legendre(bump, w):
         assert np.max(np.abs(exact - oracle) / np.abs(oracle)) <= 1e-13
 
 
+@pytest.mark.parametrize("w", [1e-10, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
+def test_lambda_integral_matches_mpmath(bump, w):
+    # closed form vs the 50-digit mixed second difference of
+    # A(u) = u arctan(u/x) - (x/2) log(x^2 + u^2), whose cancellation
+    # float64 cannot afford; on far offsets and near-cell nodes of both
+    # signs (into the innermost panel, (0, 4h 4^-8]), steep near-cell
+    # slopes, the clamped half strips of the report (their 1e-6 w edge
+    # slivers included) and the full strip, with d shifted so d + lam
+    # crosses +-w, and on random points with a corner of the difference
+    # within x of the singularity u = 0
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+
+    def oracle(x, d, a, b):
+        x, d, a, b, ww = (mp.mpf(float(v)) for v in (x, d, a, b, w))
+
+        def anti(u):
+            return u * mp.atan(u / abs(x)) - abs(x) / 2 * mp.log(x * x + u * u)
+
+        diff = anti(d + b + ww) - anti(d + b - ww) - anti(d + a + ww) + anti(d + a - ww)
+        return float(mp.sign(x) * diff / (2 * ww))
+
+    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), 131)
+    lam = subsolution._lambda_fractions(9) * w
+    a = np.append(np.where(lam <= 0, -w, lam), -w)
+    b = np.append(np.where(lam <= 0, lam, w), w)
+    far = np.arange(0, site.dx.size, 13)
+    near = np.union1d(np.arange(0, site.y_near.size, 31), np.argsort(np.abs(site.y_near))[:2])
+    assert np.min(np.abs(site.y_near[near])) < 4 * bump.h * 4.0**-8
+    assert np.any(site.dx[far] < 0) and np.any(site.y_near[near] < 0)
+    cases = []
+    for shift in (0.0, w, -w):
+        for slope in (site.slope, 5.0, -5.0):
+            x = np.concatenate([site.dx[far], site.y_near[near]])
+            d = np.concatenate([site.df[far], slope * site.y_near[near]]) + shift
+            got = subsolution._lambda_integral(x[:, None], d[:, None], a, b, w)
+            cases += [(got[i, k], x[i], d[i], a[k], b[k]) for i in range(x.size) for k in range(a.size)]
+    rng = np.random.default_rng(int(-np.log10(w)))
+    for _ in range(60):
+        k = rng.integers(a.size)
+        x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, 1.0)
+        corner = rng.choice([a[k] - w, a[k] + w, b[k] - w, b[k] + w])
+        d = -corner + rng.uniform(-3.0, 3.0) * abs(x) * 10.0 ** rng.uniform(-3.0, 0.0)
+        got = subsolution._lambda_integral(np.array([[x]]), np.array([[d]]), a[k], b[k], w)
+        cases.append((got[0, 0], x, d, a[k], b[k]))
+    worst = max(abs(got - want) / abs(want)
+                for got, *args in cases for want in [oracle(*args)])
+    assert worst <= 1e-12
+
+
+def _composite_gl(a, b, panels):
+    # 8-node Gauss-Legendre on equal panels: the lam rule the closed form replaced
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(a, b, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mids[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+
+
+@pytest.mark.parametrize("w", [1e-4, 1e-2, EPS, 0.5])
+def test_gamma_matches_gauss_legendre(bump, w):
+    # gamma and the zero-mean residual from the closed form vs composite GL
+    # over the same velocities (16 panels per strip width)
+    dtz = evolution_rhs(bump, w, trunc_radius=10.0)
+    for j in (116, 128, 132):
+        site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), j)
+        lams = subsolution._lambda_fractions(9) * w
+        _, _, _, gamma, resid = site.samples(lams, 1.0, float(dtz[j]))
+        x, wt = _composite_gl(-w, w, 16)
+        assert abs(resid) <= 1e-15
+        assert abs(((site.velocities(x)[2] - dtz[j]) * wt).sum()) <= 1e-15
+        for lam, g in zip(lams, gamma):
+            a, b = (-w, lam) if lam <= 0 else (lam, w)
+            x, wt = _composite_gl(a, b, max(2, int(np.ceil(16 * (b - a) / (2 * w)))))
+            half = ((site.velocities(x)[2] - dtz[j]) * wt).sum() * (1.0 if lam <= 0 else -1.0)
+            assert abs(g - half / ((1.0 - (lam / w) ** 2) * w)) <= 1e-14
+
+
 def test_tangential_identity(bump):
     slope = bump.derivative().values
     for j, frac in ((131, 0.3), (120, -0.7), (128, 0.0)):
@@ -83,7 +162,7 @@ def test_strip_average_matches_evolution_rhs(bump):
     dtz = evolution_rhs(bump, EPS, trunc_radius=10.0)
     for j in (120, 128, 140):
         site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
-        assert site.strip_average() == pytest.approx(dtz[j], abs=1e-6)
+        assert site.strip_average() == pytest.approx(dtz[j], abs=1e-15)
 
 
 def test_zero_mean_identity(bump):
@@ -92,7 +171,7 @@ def test_zero_mean_identity(bump):
         resid = subsolution.zero_mean_residual(
             bump, EPS, float(bump.x[j]), dtz=float(dtz[j]), trunc_radius=10.0
         )
-        assert abs(resid) <= 1e-6
+        assert abs(resid) <= 1e-15
 
 
 def test_gamma_flat_exact(flat):
@@ -178,6 +257,23 @@ def test_hull_check_rejects_small_bound():
     s = SubsolutionSample(rho=0.0, u=np.zeros(2), m=np.zeros(2), gamma=0.0)
     with pytest.raises(ValueError):
         subsolution.hull_check(s, 1.0)
+
+
+def test_hull_slacks_match_hull_check_bitwise():
+    # the array form the report uses and the scalar API give the same bits,
+    # on interior, boundary (rho = +-1, m = rho u) and violating samples
+    rng = np.random.default_rng(11)
+    rho = np.concatenate([rng.uniform(-1, 1, 40), [-1.0, 1.0, -1.0, 1.0, 0.0, 0.5]])
+    u = rng.normal(0.0, 0.3, (rho.size, 2))
+    m = rho[:, None] * u
+    m[:, 1] -= rng.uniform(0.0, 1.0, rho.size) * (1.0 - rho**2)
+    m[-2:] += np.array([[0.0, 0.4], [3.0, -2.0]])  # pushed out of the hull
+    slacks = subsolution._hull_slacks(rho, u, m, 4.0)
+    assert slacks.min() < 0.0 < slacks.max()
+    for k in range(rho.size):
+        margin = subsolution.hull_check(SubsolutionSample(rho[k], u[k], m[k], 0.0), 4.0)
+        scalar = [margin.slack1, margin.slack2, margin.slack3, margin.slack4]
+        assert np.array_equal(slacks[k], scalar)
 
 
 def test_hull_margin_min_slack():
