@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -204,13 +205,18 @@ def initial_data(cfg: RunConfig) -> GridFunction1D:
 
         return GridFunction1D.from_callable(packet, cfg.n, cfg.length)
     if cfg.family == "file":
-        data = np.loadtxt(cfg.path, delimiter=",", skiprows=1)
-        values = data[:, 1]
-        if values.size != cfg.n:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty table fails below
+                data = np.loadtxt(cfg.path, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"initial.path cannot be read as an x,f table: {exc}") from exc
+        if data.shape != (cfg.n, 2):
             raise ConfigError(
-                f"initial.path holds {values.size} samples, grid.n is {cfg.n}"
+                f"initial.path must be an x,f table of grid.n = {cfg.n} rows, "
+                f"found a {data.shape[0]} x {data.shape[1]} table"
             )
-        return GridFunction1D(values, cfg.length)
+        return GridFunction1D(data[:, 1], cfg.length)
     raise ConfigError(f"unhandled family {cfg.family}")
 
 
@@ -225,10 +231,10 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     (|gamma| >= 1/2 or a hull slack below the violation band) fails before
     t_end; the trajectory is written either way.
     """
+    f0 = initial_data(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    f0 = initial_data(cfg)
     traj = evolution.integrate(
         f0,
         c=cfg.c,

@@ -80,6 +80,10 @@ class KernelPoint:
             raise ValueError("delta_f must be finite")
 
 
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
 def _maybe_scalar(out: np.ndarray):
     return out if out.ndim else float(out)
 
@@ -107,9 +111,8 @@ def kernel_values(dx, delta_f, eps: float):
     Two ``arctan2`` and one ``log1p`` per entry (see the module docstring).
     The imaginary part of the folded product is exactly ``-8 eps^2 dx u``,
     so the first ``arctan2`` carries no cancellation either.  Finite
-    entries whose ``r^4`` overflows (``r`` beyond about 1e77) take the
-    Muskat kernel ``dx / (pi r^2)``, which the kernel equals there to a
-    relative ``(2 eps / r)^2``.
+    entries whose ``r^4`` leaves the normal float range take
+    :func:`_outside_r4_range` instead.
     """
     dx = np.asarray(dx, dtype=float)
     u = np.asarray(delta_f, dtype=float)
@@ -118,17 +121,19 @@ def kernel_values(dx, delta_f, eps: float):
         safe = kernel_values(np.where(zero, 1.0, dx), u, eps)
         return _maybe_scalar(np.where(zero, 0.0, safe))
     w2 = eps * eps
-    with np.errstate(over="ignore"):  # overflowing entries take the far branch
+    with np.errstate(over="ignore"):  # out-of-range entries take the edge branch
         dx2 = dx * dx
         u2 = u * u
         r2 = dx2 + u2
         r4 = r2 * r2
-    far = np.isinf(r4)
-    if far.any():
-        far &= np.isfinite(dx) & np.isfinite(u)
-        if far.any():
-            safe = kernel_values(np.where(far, 1.0, dx), np.where(far, 0.0, u), eps)
-            return _maybe_scalar(np.where(far, muskat_limit(dx, u), safe))
+    edge = (r4 < _TINY) | (r4 > _HUGE)
+    if edge.any():
+        edge &= np.isfinite(dx) & np.isfinite(u)
+        if edge.any():
+            dx, u = np.broadcast_arrays(dx, u)
+            out = np.array(kernel_values(np.where(edge, 1.0, dx), np.where(edge, 0.0, u), eps))
+            out[edge] = _outside_r4_range(dx[edge], u[edge], eps)
+            return _maybe_scalar(out)
     diff = dx2 - u2
     bracket = u * np.arctan2(-8.0 * w2 * dx * u, r4 + 4.0 * w2 * diff)
     bracket += 2.0 * eps * np.arctan2(4.0 * eps * dx, r2 - 4.0 * w2)
@@ -138,6 +143,25 @@ def kernel_values(dx, delta_f, eps: float):
     bracket -= 0.5 * dx * np.log1p(diff)
     bracket *= 1.0 / (4.0 * np.pi * w2)
     return _maybe_scalar(bracket)
+
+
+def _outside_r4_range(dx: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
+    """The kernel at finite, nonzero-``dx`` entries whose ``r^4`` is not a normal float.
+
+    Above the range (``r`` beyond about 1e77) it is the Muskat kernel
+    ``dx / (pi r^2)``, to a relative ``(2 eps / r)^2``.  Below it (``r``
+    under about 1e-77) it is the ``r -> 0`` limit ``sign(dx) / (2 eps)``,
+    to a relative ``O((r / eps) log(eps / r))``, wherever ``r < 1e-20 eps``;
+    elsewhere it is the rescaled kernel ``K(dx / eps, u / eps, 1) / eps``.
+    """
+    size = np.maximum(np.abs(dx), np.abs(u))
+    out = np.sign(dx) / (2.0 * eps)
+    far = size > 1.0
+    out[far] = muskat_limit(dx[far], u[far])
+    scaled = ~far & (size >= 1e-20 * eps)
+    if scaled.any():
+        out[scaled] = kernel_values(dx[scaled] / eps, u[scaled] / eps, 1.0) / eps
+    return out
 
 
 def kernel_closed_form(p: KernelPoint, eps: float) -> float:
@@ -315,19 +339,19 @@ def _scaled_l1(scaled_integrand) -> float:
     return 2.0 * val
 
 
-def ktilde_c_l1(slope_a: float, t: float) -> float:
-    """``int t * |ktilde_c(A; y)| dy``; bounded by ``2 A^2 / (1 + A^2)``.
+def ktilde_c_l1(slope_a: float) -> float:
+    """``int t * |ktilde_c(A; y, t)| dy``; bounded by ``2 A^2 / (1 + A^2)``.
 
-    The integral is scale invariant (``t^2 ktilde_c(A; y, t)`` depends on
-    ``y/t`` only), so it is ``int |ktilde_c(A; y', 1)| dy'``, where the
+    The integral is the same at every t (``t^2 ktilde_c(A; y, t)`` depends
+    on ``y/t`` only), so it is ``int |ktilde_c(A; y', 1)| dy'``, where the
     adaptive quadrature needs no tail truncation.
     """
     return _scaled_l1(lambda yp: ktilde_c(slope_a, yp, 1.0))
 
 
-def ktilde_slope_l1(slope_a: float, t: float) -> float:
-    """``int t * |d/dA ktilde(A; y)| dy``; strictly below 2 for every A.
+def ktilde_slope_l1(slope_a: float) -> float:
+    """``int t * |d/dA ktilde(A; y, t)| dy``; strictly below 2 for every A.
 
-    Scale invariant like :func:`ktilde_c_l1`, so evaluated at t = 1.
+    The same at every t, like :func:`ktilde_c_l1`, so evaluated at t = 1.
     """
     return _scaled_l1(lambda yp: ktilde_slope_derivative(slope_a, yp, 1.0))

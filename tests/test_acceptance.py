@@ -1,310 +1,44 @@
-"""Acceptance criteria, one test per criterion, each printing a verdict line.
+"""Every entry of the check table, run once, each printing a verdict line.
 
-Every tolerance here is fixed by the project contract; nothing is tuned
-at runtime.  The evolution benchmark is the Gaussian bump
-f0 = 0.1 exp(-x^2) on a period of 40 with c = 1, kappa = 1e-3 and
-delta = 4h.
+The checks, their inputs and their contract bounds live in
+``mixzone.verify.TABLE``; this module only runs them.  Criterion entries
+print ``[criterion NN] PASS/FAIL - detail``, the others
+``[suite: name] PASS/FAIL - detail``.
 """
 
-import time
+import re
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from mixzone import evolution, flatlab, kernel, spectral, subsolution
-from mixzone.grid import GridFunction1D
-from mixzone.kernel import KernelPoint
-
-LENGTH = 40.0
-TRUNC = 10.0
+from mixzone import verify
 
 
-def _verdict(num: int, passed: bool, detail: str):
-    tag = "PASS" if passed else "FAIL"
-    print(f"[criterion {num:2d}] {tag} - {detail}")
-    assert passed, f"criterion {num}: {detail}"
+def _detail(entry, measured) -> str:
+    parts = []
+    for key, val in measured.items():
+        op_limit = entry.bounds.get(key)
+        parts.append(f"{key} {val:.3g}" + (f" ({op_limit[0]} {op_limit[1]:g})" if op_limit else ""))
+    return ", ".join(parts)
 
 
-def _benchmark_f0(n):
-    return GridFunction1D.from_callable(lambda x: 0.1 * np.exp(-(x**2)), n, LENGTH)
+@pytest.mark.parametrize("entry", verify.TABLE, ids=lambda entry: entry.name)
+def test_check(entry):
+    record = entry.run()
+    number = re.match(r"criterion_(\d\d)_", entry.name)
+    tag = f"criterion {int(number[1]):2d}" if number else f"{entry.suite}: {entry.name}"
+    detail = _detail(entry, record["measured"])
+    print(f"[{tag}] {'PASS' if record['passed'] else 'FAIL'} - {detail}")
+    assert record["passed"], f"{entry.name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def benchmark_trajectory():
-    """N = 256 benchmark run to t = 0.05 with intermediate outputs."""
-    f0 = _benchmark_f0(256)
-    return evolution.integrate(
-        f0,
-        c=1.0,
-        delta=4 * f0.h,
-        kappa=1e-3,
-        dt=0.0125,
-        t_end=0.05,
-        output_every=1,
-        trunc_radius=TRUNC,
-    )
-
-
-def test_criterion_01_kernel_closed_form_vs_oracle():
-    rng = np.random.default_rng(0)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        eps = rng.uniform(0.01, 1.0)
-        dx = rng.uniform(0.01, 10.0) * rng.choice([-1.0, 1.0])
-        df = rng.uniform(-2.0, 2.0) * abs(dx)
-        p = KernelPoint(dx=dx, delta_f=df)
-        closed = kernel.kernel_closed_form(p, eps)
-        oracle = kernel.kernel_quadrature_oracle(p, eps, nodes=128)
-        worst = max(worst, abs(closed - oracle) / max(abs(oracle), 1e-300))
-    elapsed = time.perf_counter() - start
-    _verdict(
-        1,
-        worst <= 1e-8 and elapsed < 5.0,
-        f"max rel err {worst:.2e} (<= 1e-8), runtime {elapsed:.2f}s (< 5s)",
-    )
-
-
-def test_criterion_02_frozen_kernel_transform_vs_dft():
-    start = time.perf_counter()
-    eps = 0.1
-    n = 2**14
-    length = 200 * eps
-    h = length / n
-    x = -length / 2 + h * np.arange(n)
-    freqs = np.fft.fftfreq(n, d=h)
-    worst = 0.0
-    for a in (0.0, 0.5, 1.0, 2.0):
-        sigma = 1.0 / (1.0 + a * a)
-        samples = np.asarray(kernel.kernel_frozen(a, x, eps))
-        # peel off the slow 1/y tail and the jump, both with exact transforms,
-        # so the remaining DFT is clean mid-band
-        aw = 2.0 * eps
-        bw = 1.0 / (2.0 * eps)
-        tail = (sigma / np.pi) * x / (x**2 + aw**2)
-        jump = (1.0 / (2.0 * eps)) * np.sign(x) * np.exp(-bw * np.abs(x))
-        rest = h * np.fft.fft(np.fft.ifftshift(samples - tail - jump))
-        tail_hat = -1j * sigma * np.sign(freqs) * np.exp(-2 * np.pi * aw * np.abs(freqs))
-        jump_hat = (1.0 / (2.0 * eps)) * (-4j * np.pi * freqs) / (
-            bw**2 + 4 * np.pi**2 * freqs**2
-        )
-        oracle = rest + tail_hat + jump_hat
-        ks = np.arange(1, n // 2)
-        band = ks[(freqs[ks] * eps >= 0.05) & (freqs[ks] * eps <= 5.0)]
-        exact = spectral.k_hat(a, freqs[band], eps)
-        worst = max(worst, float(np.max(np.abs(oracle[band] - exact) / np.abs(exact))))
-    elapsed = time.perf_counter() - start
-    _verdict(
-        2,
-        worst <= 1e-3 and elapsed < 30.0,
-        f"mid-band max rel err {worst:.2e} (<= 1e-3) over A in {{0,0.5,1,2}}, "
-        f"runtime {elapsed:.1f}s (< 30s)",
-    )
-
-
-def test_criterion_03_damping_exponent_fundamental_theorem():
-    worst = 0.0
-    for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        for s in np.logspace(-3, 4, 29):
-            r = 1e-5
-            deriv = (
-                spectral.H_integral(s * (1 + r), a)
-                - spectral.H_integral(s * (1 - r), a)
-            ) / (2 * s * r)
-            ig = spectral.h_integrand(s, a)
-            worst = max(worst, abs(deriv - ig) / (1.0 + abs(ig)))
-    _verdict(3, worst <= 1e-6, f"max normalized dH/ds residual {worst:.2e} (<= 1e-6)")
-
-
-def test_criterion_04_symbol_bounds():
-    def band(a_grid, s_grid):
-        lo, hi = np.inf, 0.0
-        for a in a_grid:
-            vals = (1.0 + s_grid) * np.exp(-spectral.h_values(s_grid, float(a)))
-            lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
-        return lo, hi
-
-    lo1, hi1 = band(np.linspace(-2, 2, 41), np.linspace(0, 100, 201))
-    lo2, hi2 = band(np.linspace(-2, 2, 81), np.linspace(0, 100, 401))
-    stable = abs(lo1 - lo2) / lo2 <= 0.01 and abs(hi1 - hi2) / hi2 <= 0.01
-
-    rng = np.random.default_rng(4)
-    consistent = 0.0
-    for _ in range(200):
-        xi = rng.uniform(-50, 50)
-        a = rng.uniform(-2, 2)
-        t = rng.uniform(0, 2)
-        m = float(spectral.symbol_m(xi, a, t))
-        mt = float(spectral.symbol_mtilde(xi, a, t))
-        consistent = max(consistent, abs(mt - (1 + t * abs(xi)) * m) / mt)
-    _verdict(
-        4,
-        lo2 > 0.0 and np.isfinite(hi2) and stable and consistent <= 1e-12,
-        f"band [{lo2:.6f}, {hi2:.6f}], refinement drift <= 1%: {stable}, "
-        f"mtilde = (1+t|xi|)m to {consistent:.1e} (<= 1e-12)",
-    )
-
-
-def test_criterion_05_flat_horizontal_pipeline():
-    worst = 0.0
-    for c in (0.5, 1.0, 1.5):
-        f0 = GridFunction1D.zeros(128, LENGTH)
-        traj = evolution.integrate(
-            f0, c=c, delta=4 * f0.h, kappa=1e-3, dt=0.01, t_end=0.04,
-            output_every=4, trunc_radius=5.0,
-        )
-        final = traj.snapshots[-1]
-        width = final.width
-        for lam_frac in (-0.7, 0.0, 0.4):
-            g = subsolution.gamma_sharp(
-                final.f, width, c, subsolution.MixCoords(0.0, lam_frac * width),
-                trunc_radius=5.0,
-            )
-            worst = max(worst, abs(g - (-(1 - c) / 2)))
-
-    # closed forms reproduced to 1e-12 by the straight-interface module
-    closed = 0.0
-    for mu1, mu2, sg, c in ((1.0, 0.0, -1, 1.0), (0.0, 1.0, 1, 0.5), (1.0, 1.0, -1, 0.25)):
-        cfg = flatlab.FlatConfig(mu1, mu2, sg, c)
-        expected = 0.5 * (mu1 / np.hypot(mu1, mu2) + sg * c)
-        closed = max(closed, abs(flatlab.flat_gamma(cfg) - expected))
-
-    sweep_ok = True
-    for c in np.linspace(0.05, 3.0, 30):
-        cfg = flatlab.FlatConfig(1.0, 0.0, -1, float(c))
-        inside = 0.0 < c < 2.0
-        sweep_ok = sweep_ok and ((abs(flatlab.flat_gamma(cfg)) < 0.5) == inside)
-
-    _verdict(
-        5,
-        worst <= 1e-10 and closed <= 1e-12 and sweep_ok,
-        f"evolved-flat gamma err {worst:.2e} (<= 1e-10), closed form err "
-        f"{closed:.1e} (<= 1e-12), 30-point admissible sweep exact: {sweep_ok}",
-    )
-
-
-def test_criterion_06_hull_membership_sweep():
-    rng = np.random.default_rng(6)
-    cases = 0
-    misclassified = 0
-    for _ in range(20):
-        angle = rng.uniform(-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
-        mu1, mu2 = float(np.cos(angle)), float(np.sin(angle))
-        sg = int(rng.choice([-1, 1]))
-        interval = flatlab.flat_admissible_c(mu1, mu2, sg)
-        upper = interval[1] if interval else 1.0
-        cs = np.concatenate(
-            [np.linspace(0.15, 0.85, 5) * upper, [upper], upper * np.array([1.1, 1.3, 1.7, 2.4])]
-        )
-        rows = flatlab.flat_hull_sweep(mu1, mu2, sg, cs, band=2e-6)
-        for row in rows:
-            cases += 1
-            inside = interval is not None and interval[0] < row["c"] < interval[1]
-            at_edge = interval is not None and abs(row["c"] - interval[1]) <= 1e-12
-            if at_edge:
-                ok = row["status"] in ("boundary", "fail") and row["min_slack"] <= 2e-6
-            elif inside:
-                ok = row["status"] == "pass"
-            else:
-                ok = row["status"] == "fail"
-            misclassified += 0 if ok else 1
-    _verdict(
-        6,
-        cases >= 200 and misclassified == 0,
-        f"{cases} cases, {misclassified} misclassifications beyond the 2e-6 band",
-    )
-
-
-def test_criterion_07_small_width_kernel_limit():
-    # sample separations of order one and larger so eps = 0.1 already sits
-    # in the asymptotic regime of the width expansion
-    rng = np.random.default_rng(7)
-    worst_order = np.inf
-    for _ in range(10):
-        dx = rng.uniform(1.0, 10.0) * rng.choice([-1.0, 1.0])
-        df = rng.uniform(-2.0, 2.0) * abs(dx)
-        lim = float(kernel.muskat_limit(dx, df))
-        errs = [
-            abs(kernel.kernel_closed_form(KernelPoint(dx, df), e) - lim)
-            for e in (0.1, 0.05, 0.025)
-        ]
-        worst_order = min(
-            worst_order, np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
-        )
-    _verdict(7, worst_order >= 1.9, f"min Richardson order {worst_order:.3f} (>= 1.9)")
-
-
-def test_criterion_08_evolution_self_convergence():
-    kw = dict(c=1.0, kappa=1e-3, trunc_radius=TRUNC, output_every=10**6)
-
-    def final(n, dt):
-        f0 = _benchmark_f0(n)
-        traj = evolution.integrate(
-            f0, delta=4 * f0.h, dt=dt, t_end=0.1, **kw
-        )
-        return traj.snapshots[-1].f.values
-
-    # dt order at fixed grid
-    f_dt = {dt: final(256, dt) for dt in (0.05, 0.025, 0.0125)}
-    e1 = np.max(np.abs(f_dt[0.05] - f_dt[0.025]))
-    e2 = np.max(np.abs(f_dt[0.025] - f_dt[0.0125]))
-    dt_order = float(np.log2(e1 / e2))
-
-    # h order against the next-finer reference (pairwise halving approaches
-    # the asymptotic rate 2 from below at delta = 4h)
-    start = time.perf_counter()
-    f1024 = final(1024, 0.0125)
-    t1024 = time.perf_counter() - start
-    f512 = final(512, 0.0125)
-    ref = final(2048, 0.0125)
-    eh1 = np.max(np.abs(f512 - ref[::4]))
-    eh2 = np.max(np.abs(f1024 - ref[::2]))
-    h_order = float(np.log2(eh1 / eh2))
-
-    _verdict(
-        8,
-        dt_order >= 3.5 and h_order >= 2.0 and t1024 < 120.0,
-        f"dt order {dt_order:.2f} (>= 3.5), h order {h_order:.2f} (>= 2.0), "
-        f"N=1024 run {t1024:.1f}s (< 120s)",
-    )
-
-
-def test_criterion_09_small_time_subsolution(benchmark_trajectory):
-    n = benchmark_trajectory.snapshots[0].f.n
-    sites = list(range(n // 2 - 16, n // 2 + 17, 4))
-    rows = subsolution.subsolution_report(
-        benchmark_trajectory, s_indices=sites, n_lambda=9, trunc_radius=TRUNC
-    )
-    assert rows, "benchmark produced no reportable snapshots"
-    max_gamma = max(r["max_gamma"] for r in rows)
-    max_resid = max(r["zero_mean_residual"] for r in rows)
-    _verdict(
-        9,
-        max_gamma < 0.5 and max_resid <= 1e-6,
-        f"max |gamma| {max_gamma:.4f} (< 0.5) for t <= 0.05, "
-        f"zero-mean residual {max_resid:.2e} (<= 1e-6) at every output time",
-    )
-
-
-def test_criterion_10_l1_bounds_and_coercivity(benchmark_trajectory):
-    bound_ok = True
-    worst_margin = np.inf
-    for a in (0.25, 0.5, 1.0, 2.0):
-        sigma = 1.0 / (1.0 + a * a)
-        for t in (0.1, 0.5, 1.0):
-            val = kernel.ktilde_c_l1(a, t)
-            bound = 2.0 * a * a * sigma
-            bound_ok = bound_ok and val <= bound + 1e-9
-            worst_margin = min(worst_margin, bound - val)
-            slope_l1 = kernel.ktilde_slope_l1(a, t)
-            bound_ok = bound_ok and slope_l1 < 2.0
-
-    final = benchmark_trajectory.snapshots[-1]
-    slope = final.f.derivative()
-    ratio = spectral.coercivity_probe(slope, 0.05, trials=12, seed=0)
-    _verdict(
-        10,
-        bound_ok and ratio >= 0.5,
-        f"L1 bounds hold (min margin {worst_margin:.3f}), coercivity ratio "
-        f"{ratio:.3f} (>= 0.5) at t = 0.05",
-    )
+def test_table_structure():
+    names = [entry.name for entry in verify.TABLE]
+    assert len(names) == len(set(names))
+    criteria = [int(m[1]) for m in map(re.compile(r"criterion_(\d\d)_").match, names) if m]
+    assert sorted(criteria) == list(range(1, 11))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = [s.strip() for s in re.search(r"mixzone verify \w+ +# (.*)", readme)[1].split("|")]
+    assert listed == verify.available_suites()
+    for suite in listed:
+        assert any(entry.suite == suite and entry.bounds for entry in verify.TABLE)

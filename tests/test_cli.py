@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +217,21 @@ def test_simulate_bad_config_exit_code(tmp_path):
     assert _run(["simulate", str(path), "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize(
+    "table",
+    [None, "x,f\n", "x\n" + "0.0\n" * 64, "x,f\n" + "0.0,0.0\n" * 32, "x,f\n0.0,abc\n"],
+    ids=["missing", "header_only", "one_column", "short", "not_numeric"],
+)
+def test_simulate_bad_initial_path_exit_code(tmp_path, capsys, table):
+    snapshot = tmp_path / "f.csv"
+    if table is not None:
+        snapshot.write_text(table)
+    cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(snapshot)})
+    assert _run(["simulate", str(cfgpath), "--out", str(tmp_path / "run")]) == 2
+    assert "configuration error: initial.path" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_flags_subsolution_failure(tmp_path, monkeypatch):
     # exit code 1 with the failure time in the metadata when a condition
     # breaks mid-run; the trajectory is still written in full
@@ -267,11 +284,41 @@ def test_simulate_records_integration_failure_step_and_stage(tmp_path, monkeypat
     assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (2, 2)
 
 
+def _at_bound(op, limit):
+    """A measured value that meets ``op limit`` with nothing to spare."""
+    if op in ("<=", ">=", "=="):
+        return limit
+    return float(np.nextafter(limit, -np.inf if op == "<" else np.inf))
+
+
 @pytest.mark.parametrize("suite", verify.available_suites())
-def test_verify_suites_pass(suite, capsys):
+def test_verify_suites_pass(suite, capsys, monkeypatch):
+    # the report of each suite, with measurements stubbed at their bounds:
+    # the numerics themselves run once, in the acceptance module
+    stubbed = [
+        dataclasses.replace(e, fn=lambda e=e: {k: _at_bound(*b) for k, b in e.bounds.items()})
+        for e in verify.TABLE
+    ]
+    monkeypatch.setattr(verify, "TABLE", stubbed)
     assert cli.run_verify(suite) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["suite"] == suite
+    assert [c["name"] for c in report["checks"]] == [e.name for e in stubbed if e.suite == suite]
+    assert all(c["passed"] and set(c["measured"]) for c in report["checks"])
+
+
+def test_verify_failing_check_fails_the_command(capsys, monkeypatch):
+    table = [
+        verify.Check("holds", "kernel", lambda: {"err": 0.5}, {"err": ("<=", 1.0)}),
+        verify.Check("breaks", "kernel", lambda: {"err": 2.0, "n": 3}, {"err": ("<=", 1.0)}),
+    ]
+    monkeypatch.setattr(verify, "TABLE", table)
+    assert cli.run_verify("kernel") == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    verdicts = [(c["name"], c["passed"]) for c in report["checks"]]
+    assert verdicts == [("holds", True), ("breaks", False)]
+    assert report["checks"][1]["measured"] == {"err": 2.0, "n": 3.0}
 
 
 def test_verify_unknown_suite():
@@ -296,6 +343,14 @@ def test_kernel_eval_far_field_prints_no_warnings():
     assert len(values) == 3 and all(np.isfinite(values))
     # the kernel equals the Muskat kernel 1/(pi 1e320) there (a subnormal)
     assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
+
+
+def test_kernel_eval_where_r4_underflows(capsys):
+    # the r -> 0 limit 1/(2 eps), with no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["kernel-eval", "--dx", "1e-80", "--df", "0", "--eps", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "closed_form      = 5"
 
 
 def test_flat_demo_subcommand(capsys):

@@ -23,12 +23,6 @@ def test_state_invariants():
         InterfaceState(f=f, t=-0.1, c=1.0)
 
 
-def test_mollifier_preserves_constants_exactly():
-    ones = GridFunction1D(np.ones(128), LENGTH)
-    out = evolution.mollify(ones, 4 * ones.h)
-    assert np.max(np.abs(out.values - 1.0)) <= 1e-15
-
-
 def test_mollifier_rejects_unresolved_width():
     f = bump(128)
     with pytest.raises(ValueError):
@@ -43,14 +37,6 @@ def test_mollifier_second_order_in_width():
         errs.append(np.max(np.abs(out.values - f.values)))
     assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
     assert np.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.1)
-
-
-def test_mollifier_gaussian_semigroup():
-    f = bump(256)
-    delta = 4 * f.h
-    twice = evolution.mollify(evolution.mollify(f, delta), delta)
-    once = evolution.mollify(f, np.sqrt(2.0) * delta)
-    assert np.max(np.abs(twice.values - once.values)) <= 1e-10
 
 
 def test_kernel_quadrature_vanishes_for_constant_slope():
@@ -154,13 +140,6 @@ def test_mollify_matches_direct_stencil_sum(n, delta):
 def test_mean_velocity_zero_data():
     # the unmollified mean velocity: rhs_regularized at delta = kappa = 0
     state = InterfaceState(f=GridFunction1D.zeros(128, LENGTH), t=0.05, c=1.0)
-    out = evolution.rhs_regularized(state)
-    assert np.all(out.values == 0.0)
-
-
-def test_rhs_regularized_zero_fixed_point():
-    f = GridFunction1D.zeros(128, LENGTH)
-    state = InterfaceState(f=f, t=0.05, c=1.0, delta=4 * f.h, kappa=1e-3)
     out = evolution.rhs_regularized(state)
     assert np.all(out.values == 0.0)
 
@@ -400,11 +379,6 @@ def test_sobolev_norm_zero_and_single_mode():
     for k in (0, 2, 4):
         expected = amp * np.sqrt(LENGTH / 2.0) * (1 + xi1**2) ** (k / 2.0)
         assert evolution.sobolev_norm(f, k) == pytest.approx(expected, rel=1e-12)
-
-
-def test_sobolev_parseval_matches_grid_norm():
-    f = bump(256, amp=0.3)
-    assert evolution.sobolev_norm(f, 0) == pytest.approx(f.l2_norm(), rel=1e-12)
 
 
 def test_sobolev_rejects_bad_order():

@@ -25,30 +25,6 @@ def test_gamma_closed_form_values():
     ) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_admissible_intervals():
-    assert flatlab.flat_admissible_c(1.0, 0.0, -1) == pytest.approx((0.0, 2.0))
-    assert flatlab.flat_admissible_c(1.0, 0.0, 1) is None
-    lo, hi = flatlab.flat_admissible_c(1.0, 1.0, 1)
-    assert (lo, hi) == pytest.approx((0.0, 1.0 - 1.0 / np.sqrt(2.0)))
-    assert flatlab.flat_admissible_c(0.0, 1.0, 1) == pytest.approx((0.0, 1.0))
-
-
-def test_gamma_interval_equivalence():
-    # |gamma| < 1/2 exactly on the admissible interval (algebraic identity)
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        mu1 = rng.uniform(0.0, 3.0)
-        mu2 = rng.uniform(-3.0, 3.0)
-        if mu1 == 0 and mu2 == 0:
-            continue
-        sg = int(rng.choice([-1, 1]))
-        interval = flatlab.flat_admissible_c(mu1, mu2, sg)
-        for c in rng.uniform(0.01, 3.0, 6):
-            cfg = FlatConfig(mu1, mu2, sg, float(c))
-            inside = interval is not None and interval[0] < c < interval[1]
-            assert (abs(flatlab.flat_gamma(cfg)) < 0.5) == inside
-
-
 def test_fields_center_and_boundary():
     cfg = FlatConfig(1.0, 1.0, -1, 1.0)
     eps = 0.3
@@ -94,23 +70,6 @@ def test_fields_divergence_structure():
     assert abs(div) <= 1e-9
     assert curl == pytest.approx(-drho_dx1, abs=1e-9)
     assert abs(u_at(x0) @ grad_rho) <= 1e-9
-
-
-def test_transport_identity_random_points():
-    rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(20):
-        cfg = FlatConfig(
-            mu1=float(rng.uniform(0, 2)),
-            mu2=float(rng.uniform(0.1, 2) * rng.choice([-1, 1])),
-            sigma_sign=int(rng.choice([-1, 1])),
-            c=float(rng.uniform(0.1, 1.5)),
-        )
-        t = float(rng.uniform(0.2, 1.0))
-        lam = float(rng.uniform(-0.9, 0.9)) * cfg.c * t
-        x = flatlab.to_physical(cfg, float(rng.uniform(-2, 2)), lam)
-        worst = max(worst, abs(flatlab.transport_residual(cfg, x, t)))
-    assert worst <= 1e-12
 
 
 def test_fields_reject_outside_strip():
@@ -161,34 +120,6 @@ def test_hull_slacks_match_analytic_closed_forms():
         assert margin.slack2 == pytest.approx(s2, abs=1e-12)
         assert margin.slack3 == pytest.approx(s3, abs=1e-12)
         assert margin.slack4 == pytest.approx(s4, abs=1e-12)
-
-
-def test_hull_sweep_horizontal_unstable():
-    rows = flatlab.flat_hull_sweep(1.0, 0.0, -1, [1.0, 2.0, 2.5])
-    assert [r["status"] for r in rows] == ["pass", "boundary", "fail"]
-    assert rows[1]["min_slack"] == pytest.approx(0.0, abs=2e-6)
-
-
-def test_hull_sweep_matches_interval_everywhere():
-    # 20 directions x 10 growth rates, classification matches the interval
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        angle = rng.uniform(-np.pi / 2 + 0.05, np.pi / 2 - 0.05)
-        mu1, mu2 = float(np.cos(angle)), float(np.sin(angle))
-        sg = int(rng.choice([-1, 1]))
-        interval = flatlab.flat_admissible_c(mu1, mu2, sg)
-        if interval is None:
-            cs = np.linspace(0.1, 2.0, 10)
-        else:
-            cs = np.concatenate(
-                [np.linspace(0.1, 0.9, 5) * interval[1], interval[1] * np.array([1.05, 1.2, 1.5, 2.0, 3.0])]
-            )
-        rows = flatlab.flat_hull_sweep(mu1, mu2, sg, cs)
-        for row in rows:
-            inside = interval is not None and interval[0] < row["c"] < interval[1]
-            if row["status"] == "boundary":
-                continue
-            assert (row["status"] == "pass") == inside, (mu1, mu2, sg, row)
 
 
 def test_flat_fields_agree_with_curved_pipeline_flat_data():

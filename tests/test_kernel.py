@@ -41,18 +41,6 @@ def test_magnitude_bounded_by_c_over_eps():
         assert v <= 2.0 / eps
 
 
-def test_small_eps_limit_richardson():
-    # error against (1/pi) dx/(dx^2+df^2) decays at second order in eps
-    dx, df = 1.0, 0.3
-    lim = float(kernel.muskat_limit(dx, df))
-    errs = [
-        abs(kernel.kernel_closed_form(KernelPoint(dx, df), e) - lim)
-        for e in (0.1, 0.05, 0.025)
-    ]
-    assert np.log2(errs[0] / errs[1]) >= 1.9
-    assert np.log2(errs[1] / errs[2]) >= 1.9
-
-
 def test_oracle_self_check_flat_point():
     p = KernelPoint(1.0, 0.0)
     a = kernel.kernel_closed_form(p, 0.5)
@@ -75,20 +63,6 @@ def test_oracle_joint_odd_symmetry():
 def test_oracle_rejects_too_few_nodes():
     with pytest.raises(ValueError):
         kernel.kernel_quadrature_oracle(KernelPoint(1.0, 0.0), 0.1, nodes=4)
-
-
-def test_closed_form_matches_oracle_randomly():
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(100):
-        eps = rng.uniform(0.01, 1.0)
-        dx = rng.uniform(0.01, 10.0) * rng.choice([-1, 1])
-        df = rng.uniform(-2.0, 2.0) * abs(dx)
-        p = KernelPoint(dx, df)
-        a = kernel.kernel_closed_form(p, eps)
-        b = kernel.kernel_quadrature_oracle(p, eps, nodes=128)
-        worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
-    assert worst <= 1e-8
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
@@ -149,6 +123,38 @@ def test_kernel_values_far_field_where_r4_overflows(eps):
         assert kernel.kernel_values(1.0, mixed, eps)[0] == kernel.kernel_values(1.0, 0.3, eps)
 
 
+def test_kernel_values_where_r4_underflows():
+    # r^4 underflows once r falls below ~1e-77; there the kernel is the
+    # r -> 0 limit sign(dx) / (2 eps), or the rescaled kernel when eps is
+    # as small as r (checked against a 400-digit second difference)
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 400
+
+    def oracle(dx, df, eps):
+        dx, df, w = mp.mpf(dx), mp.mpf(df), mp.mpf(eps)
+
+        def anti(u):
+            return u * mp.atan(u / dx) - dx / 2 * mp.log(dx * dx + u * u)
+
+        return float((anti(df + 2 * w) - 2 * anti(df) + anti(df - 2 * w)) / (4 * mp.pi * w * w))
+
+    dx = np.array([1e-80, 1e-80, 1e-300, -1e-80, 1e-70])
+    u = np.array([0.0, 1e-80, 0.0, 3e-81, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.kernel_values(dx, u, 0.1)
+        tiny_eps = kernel.kernel_values(np.array([1e-80, -2e-79]), np.array([5e-81, 1e-79]), 1e-79)
+    assert np.array_equal(got[:4], [5.0, 5.0, 5.0, -5.0])
+    assert got[4] == kernel.kernel_values(1e-70, 0.0, 0.1) == pytest.approx(oracle(1e-70, 0.0, 0.1))
+    assert tiny_eps == pytest.approx([oracle(1e-80, 5e-81, 1e-79), oracle(-2e-79, 1e-79, 1e-79)],
+                                     rel=1e-13)
+    assert np.array_equal(kernel.kernel_values(-dx, -u, 0.1), -got)
+    # in-range entries next to underflowing ones keep their values bitwise
+    mixed = kernel.kernel_values(np.array([1.0, 1e-80]), 0.3, 0.1)
+    assert mixed[0] == kernel.kernel_values(1.0, 0.3, 0.1)
+
+
 def test_far_field_evaluations_are_silent():
     # no RuntimeWarning on far-field inputs that are handled correctly:
     # the kernel, the Muskat limit and the Gauss-Legendre oracle
@@ -171,17 +177,6 @@ def test_far_field_evaluations_are_silent():
     assert np.max(np.abs(got[:-2] - want)[normal] / np.abs(want[normal])) <= 1e-13
     assert np.max(np.abs(limit - want)[normal] / np.abs(want[normal])) <= 1e-13
     assert np.allclose(got[:-2][~normal], want[~normal], rtol=1e-3, atol=0.0)
-
-
-def test_frozen_oddness_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        a = rng.uniform(-2, 2)
-        y = rng.uniform(0.01, 8)
-        eps = rng.uniform(0.02, 1.0)
-        assert kernel.kernel_frozen(a, y, eps) == pytest.approx(
-            -float(kernel.kernel_frozen(a, -y, eps)), rel=1e-13, abs=1e-16
-        )
 
 
 def test_frozen_is_closed_form_substitution():
@@ -266,18 +261,17 @@ def test_ktilde_c_even_and_finite_at_origin():
     assert right[0] == pytest.approx(expected0, rel=1e-6)
 
 
-@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
-def test_ktilde_c_l1_bound(a, t):
-    sigma = 1.0 / (1.0 + a * a)
-    val = kernel.ktilde_c_l1(a, t)
-    assert 0.0 < val <= 2.0 * a * a * sigma + 1e-9
+@pytest.mark.parametrize("t", [0.1, 0.5])
+def test_ktilde_l1_statistics_do_not_depend_on_t(t):
+    # t * int |ktilde_c(A; y, t)| dy and its slope analogue, by direct
+    # quadrature at width t, equal the t-free statistics
+    from scipy.integrate import quad
 
-
-@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
-def test_ktilde_slope_l1_below_two(a):
-    val = kernel.ktilde_slope_l1(a, 0.3)
-    assert 0.0 < val < 2.0
+    for a in (0.25, 0.5, 1.0, 2.0):
+        for fn, stat in ((kernel.ktilde_c, kernel.ktilde_c_l1),
+                         (kernel.ktilde_slope_derivative, kernel.ktilde_slope_l1)):
+            direct = 2.0 * t * quad(lambda y: abs(fn(a, y, t)), 0.0, np.inf, limit=400)[0]
+            assert direct == pytest.approx(stat(a), rel=1e-5)
 
 
 def test_ktilde_slope_matches_finite_difference():

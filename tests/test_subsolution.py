@@ -142,16 +142,6 @@ def test_gamma_matches_gauss_legendre(bump, w):
             assert abs(g - half / ((1.0 - (lam / w) ** 2) * w)) <= 1e-14
 
 
-def test_tangential_identity(bump):
-    slope = bump.derivative().values
-    for j, frac in ((131, 0.3), (120, -0.7), (128, 0.0)):
-        pt = MixCoords(bump.x[j], frac * EPS)
-        u = subsolution.velocity_field(bump, EPS, pt)
-        uc = subsolution.velocity_modified(bump, EPS, pt)
-        perp = np.array([-slope[j], 1.0])
-        assert abs(uc @ perp - u @ perp) <= 1e-8 * (1 + np.linalg.norm(u))
-
-
 def test_modified_velocity_is_vertical(bump):
     uc = subsolution.velocity_modified(bump, EPS, MixCoords(bump.x[131], 0.2 * EPS))
     assert uc[0] == 0.0
@@ -163,22 +153,6 @@ def test_strip_average_matches_evolution_rhs(bump):
     for j in (120, 128, 140):
         site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
         assert site.strip_average() == pytest.approx(dtz[j], abs=1e-15)
-
-
-def test_zero_mean_identity(bump):
-    dtz = evolution_rhs(bump, EPS, trunc_radius=10.0)
-    for j in (122, 128, 137):
-        resid = subsolution.zero_mean_residual(
-            bump, EPS, float(bump.x[j]), dtz=float(dtz[j]), trunc_radius=10.0
-        )
-        assert abs(resid) <= 1e-15
-
-
-def test_gamma_flat_exact(flat):
-    for c in (0.5, 1.0, 1.5):
-        for lam in (-0.9 * EPS, 0.0, 0.4 * EPS):
-            g = subsolution.gamma_sharp(flat, EPS, c, MixCoords(0.0, lam))
-            assert g == pytest.approx(-(1 - c) / 2, abs=1e-12)
 
 
 def test_gamma_rejects_closed_strip(bump):
@@ -202,16 +176,6 @@ def test_gamma_bounded_near_edges(bump):
     for frac in (-1 + 1e-6, 1 - 1e-6):
         g = site.gamma(frac * EPS, 1.0, dtz)
         assert np.isfinite(g) and abs(g) < 0.5
-
-
-def test_build_fields_boundary_matching(bump):
-    lattice = [MixCoords(bump.x[128], lam) for lam in (-EPS, -0.5 * EPS, 0.0, 0.5 * EPS, EPS)]
-    samples = subsolution.build_fields(bump, EPS, 1.0, lattice, trunc_radius=10.0)
-    assert samples[0].rho == -1.0 and samples[-1].rho == 1.0
-    for s in samples[1:-1]:
-        assert abs(s.rho) < 1.0
-    for s in (samples[0], samples[-1]):
-        assert np.linalg.norm(s.m - s.rho * s.u) <= 1e-15
 
 
 def test_build_fields_center_sample(bump):
