@@ -5,9 +5,11 @@ measured values, and the contract bound each bounded value must meet.
 The ten acceptance criteria are entries named ``criterion_NN_...``; the
 other entries are the module invariants that no criterion states.  Each
 check is implemented here once: ``mixzone verify <suite>`` runs the
-entries of one suite, and ``tests/test_acceptance.py`` runs every entry
-once and prints its verdict line.  The criterion-08 convergence study is
-an entry too, so ``mixzone verify evolution`` takes a few seconds.
+entries of one suite, and the tests run every entry exactly once (the
+criteria in ``tests/test_acceptance.py``, each invariant in the unit-test
+module of its suite), each printing its verdict line.  The criterion-08
+convergence study is an entry too, so ``mixzone verify evolution`` takes
+a few seconds.
 Every bound is fixed by the project contract; nothing is tuned at run
 time.
 

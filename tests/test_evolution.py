@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _table import run_check
 
 from mixzone import evolution, kernel
 from mixzone.evolution import InterfaceState, Trajectory
@@ -23,6 +24,10 @@ def test_state_invariants():
         InterfaceState(f=f, t=-0.1, c=1.0)
 
 
+def test_mollifier_preserves_constants_exactly():
+    run_check("mollifier_preserves_constants")
+
+
 def test_mollifier_rejects_unresolved_width():
     f = bump(128)
     with pytest.raises(ValueError):
@@ -37,6 +42,10 @@ def test_mollifier_second_order_in_width():
         errs.append(np.max(np.abs(out.values - f.values)))
     assert np.log2(errs[0] / errs[1]) == pytest.approx(2.0, abs=0.1)
     assert np.log2(errs[1] / errs[2]) == pytest.approx(2.0, abs=0.1)
+
+
+def test_mollifier_gaussian_semigroup():
+    run_check("mollifier_semigroup")
 
 
 def test_kernel_quadrature_vanishes_for_constant_slope():
@@ -142,6 +151,10 @@ def test_mean_velocity_zero_data():
     state = InterfaceState(f=GridFunction1D.zeros(128, LENGTH), t=0.05, c=1.0)
     out = evolution.rhs_regularized(state)
     assert np.all(out.values == 0.0)
+
+
+def test_rhs_regularized_zero_fixed_point():
+    run_check("zero_fixed_point")
 
 
 def test_rhs_regularized_reduces_to_mean_velocity():
@@ -379,6 +392,10 @@ def test_sobolev_norm_zero_and_single_mode():
     for k in (0, 2, 4):
         expected = amp * np.sqrt(LENGTH / 2.0) * (1 + xi1**2) ** (k / 2.0)
         assert evolution.sobolev_norm(f, k) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sobolev_parseval_matches_grid_norm():
+    run_check("sobolev_parseval")
 
 
 def test_sobolev_rejects_bad_order():

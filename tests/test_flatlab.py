@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _table import run_check
 
 from mixzone import flatlab, subsolution
 from mixzone.flatlab import FlatConfig
@@ -23,6 +24,10 @@ def test_gamma_closed_form_values():
     assert flatlab.flat_gamma(
         FlatConfig(1.0, 1.0, -1, 1.0 / np.sqrt(2.0))
     ) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_admissible_intervals():
+    run_check("admissible_intervals")
 
 
 def test_fields_center_and_boundary():
@@ -70,6 +75,10 @@ def test_fields_divergence_structure():
     assert abs(div) <= 1e-9
     assert curl == pytest.approx(-drho_dx1, abs=1e-9)
     assert abs(u_at(x0) @ grad_rho) <= 1e-9
+
+
+def test_transport_identity_random_points():
+    run_check("transport_identity")
 
 
 def test_fields_reject_outside_strip():
@@ -137,3 +146,7 @@ def test_flat_fields_agree_with_curved_pipeline_flat_data():
     )[0]
     assert np.allclose(curved.m, sample.m, atol=1e-12)
     assert np.allclose(curved.u, sample.u, atol=1e-12)
+
+
+def test_hull_sweep_horizontal_unstable():
+    run_check("horizontal_unstable_sweep")

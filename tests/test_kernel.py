@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from _table import run_check
 
 from mixzone import kernel
 from mixzone.grid import GridFunction1D
@@ -179,6 +180,10 @@ def test_far_field_evaluations_are_silent():
     assert np.allclose(got[:-2][~normal], want[~normal], rtol=1e-3, atol=0.0)
 
 
+def test_frozen_oddness_exact():
+    run_check("frozen_kernel_oddness")
+
+
 def test_frozen_is_closed_form_substitution():
     a, y, eps = 0.7, 0.3, 0.2
     assert float(kernel.kernel_frozen(a, y, eps)) == pytest.approx(
@@ -261,17 +266,28 @@ def test_ktilde_c_even_and_finite_at_origin():
     assert right[0] == pytest.approx(expected0, rel=1e-6)
 
 
-@pytest.mark.parametrize("t", [0.1, 0.5])
-def test_ktilde_l1_statistics_do_not_depend_on_t(t):
-    # t * int |ktilde_c(A; y, t)| dy and its slope analogue, by direct
-    # quadrature at width t, equal the t-free statistics
+def _direct_l1(fn, a, t):
+    # t * int |fn(A; y, t)| dy by adaptive quadrature at width t
     from scipy.integrate import quad
 
-    for a in (0.25, 0.5, 1.0, 2.0):
-        for fn, stat in ((kernel.ktilde_c, kernel.ktilde_c_l1),
-                         (kernel.ktilde_slope_derivative, kernel.ktilde_slope_l1)):
-            direct = 2.0 * t * quad(lambda y: abs(fn(a, y, t)), 0.0, np.inf, limit=400)[0]
-            assert direct == pytest.approx(stat(a), rel=1e-5)
+    return 2.0 * t * quad(lambda y: abs(fn(a, y, t)), 0.0, np.inf, limit=400)[0]
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("t", [0.1, 0.5, 1.0])
+def test_ktilde_c_l1_bound(a, t):
+    # the statistic does not depend on t, so the bound holds at every t
+    direct = _direct_l1(kernel.ktilde_c, a, t)
+    assert direct == pytest.approx(kernel.ktilde_c_l1(a), rel=1e-5)
+    assert 0.0 < direct <= 2.0 * a * a / (1.0 + a * a) + 1e-9
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 1.0, 2.0])
+def test_ktilde_slope_l1_below_two(a):
+    for t in (0.1, 0.5):
+        direct = _direct_l1(kernel.ktilde_slope_derivative, a, t)
+        assert direct == pytest.approx(kernel.ktilde_slope_l1(a), rel=1e-5)
+        assert 0.0 < direct < 2.0
 
 
 def test_ktilde_slope_matches_finite_difference():

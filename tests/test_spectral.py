@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _table import run_check
 
 from mixzone import spectral
 from mixzone.grid import GridFunction1D
@@ -28,6 +29,10 @@ def test_k_hat_rejects_zero_frequency():
         spectral.k_hat(0.5, 0.0, 0.1)
     with pytest.raises(ValueError):
         spectral.k_hat(0.5, np.array([1.0, 0.0]), 0.1)
+
+
+def test_k_hat_hermitian_symmetry():
+    run_check("k_hat_hermitian_symmetry")
 
 
 def test_k_hat_zero_slope_bracket():
@@ -92,6 +97,10 @@ def test_h_zero_and_monotone_start():
     assert spectral.H_integral(1e-4, a) == pytest.approx(2 * np.pi * sigma * 1e-4, rel=1e-3)
 
 
+def test_h_closed_form_matches_quadrature():
+    run_check("h_closed_form_vs_quadrature")
+
+
 def test_h_minus_log_bounded():
     # |H - log(1+s)| <= C (1 + |A|); C = 2.2 is the measured constant
     for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
@@ -120,6 +129,10 @@ def test_multiplier_identity_and_contraction(wave):
     )
     damped = spectral.apply_dinv(field, 0.8)
     assert damped.to_grid().l2_norm() <= wave.l2_norm()
+
+
+def test_dinv_multiplier_roundtrip():
+    run_check("dinv_multiplier_roundtrip")
 
 
 def test_multiplier_hermitian_check(wave):

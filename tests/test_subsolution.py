@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _table import run_check
 
 from mixzone import evolution, subsolution
 from mixzone.grid import GridFunction1D, spectral_derivative
@@ -142,6 +143,10 @@ def test_gamma_matches_gauss_legendre(bump, w):
             assert abs(g - half / ((1.0 - (lam / w) ** 2) * w)) <= 1e-14
 
 
+def test_tangential_identity():
+    run_check("tangential_identity")
+
+
 def test_modified_velocity_is_vertical(bump):
     uc = subsolution.velocity_modified(bump, EPS, MixCoords(bump.x[131], 0.2 * EPS))
     assert uc[0] == 0.0
@@ -153,6 +158,10 @@ def test_strip_average_matches_evolution_rhs(bump):
     for j in (120, 128, 140):
         site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
         assert site.strip_average() == pytest.approx(dtz[j], abs=1e-15)
+
+
+def test_zero_mean_identity():
+    run_check("zero_mean_identity")
 
 
 def test_gamma_rejects_closed_strip(bump):
@@ -176,6 +185,10 @@ def test_gamma_bounded_near_edges(bump):
     for frac in (-1 + 1e-6, 1 - 1e-6):
         g = site.gamma(frac * EPS, 1.0, dtz)
         assert np.isfinite(g) and abs(g) < 0.5
+
+
+def test_build_fields_boundary_matching():
+    run_check("boundary_matching")
 
 
 def test_build_fields_center_sample(bump):
