@@ -12,7 +12,7 @@ from .grid import GridFunction1D, NonFiniteError
 from .kernel import KernelPoint
 from .evolution import InterfaceState, Trajectory
 from .spectral import SpectralField
-from .subsolution import HullMargin, MixCoords, SubsolutionSample
+from .subsolution import SubsolutionSample
 from .flatlab import FlatConfig
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "InterfaceState",
     "Trajectory",
     "SpectralField",
-    "HullMargin",
-    "MixCoords",
     "SubsolutionSample",
     "FlatConfig",
 ]

@@ -327,7 +327,7 @@ def _cmd_flat_demo(args) -> int:
 def _cmd_kernel_eval(args) -> int:
     p = kernel.KernelPoint(dx=args.dx, delta_f=args.df)
     closed = kernel.kernel_closed_form(p, args.eps)
-    oracle = kernel.kernel_quadrature_oracle(p, args.eps, nodes=128)
+    oracle = kernel.kernel_quadrature_oracle(p, args.eps)
     print(f"closed_form      = {closed:.17g}")
     print(f"quadrature       = {oracle:.17g}")
     print(f"muskat_limit     = {float(kernel.muskat_limit(args.dx, args.df)):.17g}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsolution import SubsolutionSample, choose_M, hull_check
+from .subsolution import SubsolutionSample, choose_M, hull_slacks
 
 __all__ = [
     "FlatConfig",
@@ -186,7 +186,9 @@ def flat_hull_sweep(
         samples = [flat_fields(cfg, 0.0, lam, eps) for lam in lams]
         m_bound = choose_M(np.array([s.u for s in samples]))
         interior = [s for s in samples if abs(s.rho) < 1.0]
-        min_slack = min(hull_check(s, m_bound).min_slack for s in interior)
+        slacks = hull_slacks(np.array([s.rho for s in interior]), np.array([s.u for s in interior]),
+                             np.array([s.m for s in interior]), m_bound)
+        min_slack = float(slacks.min())
         if min_slack > band:
             status = "pass"
         elif min_slack < -band:

@@ -16,12 +16,16 @@ transcendental is evaluated, so that with ``u = delta_f`` and
       + 2 eps arctan2(4 eps dx, r^2 - 4 eps^2)
       - (dx/2) log1p((8 eps^2 (dx^2 - u^2) + 16 eps^4) / r^4).
 
-No term is a difference of nearly equal O(|dx| log |dx|) values, so the
-kernel is accurate to roundoff at every width (about 1e-15 relative
-against a 50-digit evaluation, ``eps = 1e-10`` included), and the
-principal ``arctan2`` branches are right for either sign of ``dx``.
+No term is a difference of nearly equal O(|dx| log |dx|) values, and the
+principal ``arctan2`` branches are right for either sign of ``dx``.  The
+log1p argument itself cancels only near the strip-edge corner
+(``|delta_f|`` close to ``2 eps``, ``|dx|`` small against eps), where
+``kernel_values`` takes the same second difference in the form of
+:func:`_lambda_integral`.  Together they are accurate to roundoff at
+every width (within 1e-13 relative of a 50-digit evaluation, ``eps =
+1e-10`` and ``dx / eps`` down to 1e-12 at the corner included).
 
-This module provides that closed form, a Gauss-Legendre tensor oracle
+This module provides that closed form, an adaptive-quadrature oracle
 for it, the frozen-slope kernel ``K_A``, the transport coefficient
 ``a(x)`` (a principal value of the kernel over the separation), and the
 differentiated kernels ``ktilde`` / ``ktilde_c`` together with their L1
@@ -46,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from .grid import GridFunction1D
@@ -88,23 +91,6 @@ def _maybe_scalar(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
-def _poisson(dx, u, scale: float = 1.0) -> np.ndarray:
-    """``dx / (scale (dx^2 + u^2))``, rescaled where the squares leave the float range."""
-    dx, u = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(u, dtype=float))
-    with np.errstate(over="ignore"):
-        r2 = dx * dx + u * u
-    size = np.maximum(np.abs(dx), np.abs(u))
-    # scale <= 4: scale * r2 stays finite below max / 4
-    fix = ((r2 < np.finfo(float).tiny) | (r2 > np.finfo(float).max / 4.0)) & (size > 0)
-    fix &= np.isfinite(size)
-    if not fix.any():
-        return np.asarray(dx / (scale * r2))
-    out = np.asarray(dx / (scale * np.where(fix, 1.0, r2)))
-    a, b = dx[fix] / size[fix], u[fix] / size[fix]
-    out[fix] = a / (scale * (a * a + b * b)) / size[fix]
-    return out
-
-
 def kernel_values(dx, delta_f, eps: float):
     """Vectorized closed-form kernel; dx == 0 entries return 0.
 
@@ -112,7 +98,11 @@ def kernel_values(dx, delta_f, eps: float):
     The imaginary part of the folded product is exactly ``-8 eps^2 dx u``,
     so the first ``arctan2`` carries no cancellation either.  Finite
     entries whose ``r^4`` leaves the normal float range take
-    :func:`_outside_r4_range` instead.
+    :func:`_outside_r4_range` instead.  Near the strip-edge corner
+    (``|u|`` close to ``2 eps``, ``|dx|`` small against eps) the log1p
+    argument ``1 + x = |z-|^2 |z+|^2 / r^4`` cancels; entries with
+    ``1 + x < 1/2`` take the same second difference from
+    :func:`_lambda_integral`, which builds that small factor directly.
     """
     dx = np.asarray(dx, dtype=float)
     u = np.asarray(delta_f, dtype=float)
@@ -140,8 +130,14 @@ def kernel_values(dx, delta_f, eps: float):
     diff *= 8.0 * w2
     diff += 16.0 * w2 * w2
     diff /= r4
-    bracket -= 0.5 * dx * np.log1p(diff)
+    with np.errstate(divide="ignore", invalid="ignore"):  # corner entries are replaced below
+        bracket -= 0.5 * dx * np.log1p(diff)
     bracket *= 1.0 / (4.0 * np.pi * w2)
+    corner = diff < -0.5
+    if corner.any():
+        dx, u, bracket = *np.broadcast_arrays(dx, u), np.array(bracket)
+        strip = _lambda_integral(dx[corner], u[corner], -eps, eps, eps)
+        bracket[corner] = strip / (2.0 * np.pi * eps)
     return _maybe_scalar(bracket)
 
 
@@ -164,6 +160,45 @@ def _outside_r4_range(dx: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def _lambda_integral(x, d, a, b, w: float) -> np.ndarray:
+    """``int_a^b inner(x, d + lam) dlam`` in closed form, for a <= b.
+
+    ``inner(x, d)`` is the transverse average over ``[-w, w]`` of the
+    Poisson kernel ``x / (x^2 + (d - lam')^2)``, so the kernel itself is
+    this integral over the strip (a = -w, b = w, w = eps) over ``2 pi eps``.
+    With ``A(u) = -Re(z log z)``, ``z = x + iu``, this is the mixed second
+    difference of A over steps ``s1 = b - a``, ``s2 = 2w``, over 2w.  About
+    a base corner z0 (z1 = z0 + i s1, z2 = z0 + i s2) it folds to ``-Re[z0
+    log1p(zeta) + i s1 log1p(i s2/z1) + i s2 log1p(i s1/z2)]``, ``zeta = s1
+    s2/(z1 z2)``, each complex log1p one real log1p and one ``arctan2``; odd
+    in x, as the integral is.  It stays at roundoff near the singularity
+    u = 0: the base is the outer corner nearer to it (``inner`` is even in d,
+    so ``(d, a, b) -> (-d, -b, -a)`` mirrors the other into place), a small
+    ``1 + zeta`` is built from its small factor z0 z12, and corners are
+    ``d + (a - w)`` etc., exact where a or b is a strip edge.
+    """
+    s1, s2 = b - a, 2.0 * w
+    mirror = np.abs(d + (b + w)) < np.abs(d + (a - w))
+    d, a, b = np.where(mirror, -d, d), np.where(mirror, -b, a), np.where(mirror, -a, b)
+    q, p1, p2, p12 = d + (a - w), d + (b - w), d + (a + w), d + (b + w)
+    x2, s12 = x * x, s1 * s2
+    cross, den = x2 - p1 * p2, (x2 + p1 * p1) * (x2 + p2 * p2)
+    # 1 + zeta = z0 z12 conj(z1 z2) / den; ratio = |1 + zeta|^2 - 1, folded
+    theta = np.arctan2(-s12 * x * (p1 + p2), den + s12 * cross)
+    ratio = s12 * (2.0 * cross + s12) / den
+    logs = np.log1p(np.maximum(ratio, -0.5))
+    small = ratio < -0.5
+    if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
+        xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
+        re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
+        theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
+        logs[small] = np.log((xs * xs + qs * qs) * (xs * xs + ps * ps) / den[small])
+    out = q * theta - 0.5 * x * logs
+    out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
+    out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
+    return out / s2
+
+
 def kernel_closed_form(p: KernelPoint, eps: float) -> float:
     """Exactly integrated double-average kernel at one point."""
     if not eps > 0:
@@ -171,24 +206,47 @@ def kernel_closed_form(p: KernelPoint, eps: float) -> float:
     return float(kernel_values(p.dx, p.delta_f, eps))
 
 
-def kernel_quadrature_oracle(p: KernelPoint, eps: float, nodes: int = 64) -> float:
-    """Tensor Gauss-Legendre average of the unintegrated kernel.
+def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
+    """Adaptive quadrature of the unintegrated kernel.
 
-    Independent oracle for :func:`kernel_closed_form`: integrates
-    ``dx / (dx^2 + (delta_f + (lam - lam'))^2)`` over the square
-    ``[-eps, eps]^2`` and applies the ``1/(4 pi eps^2)`` normalization.
+    Independent oracle for :func:`kernel_closed_form`.  The average of
+    ``F(delta_f + lam - lam')``, ``F(u) = dx / (dx^2 + u^2)``, over the
+    square ``[-eps, eps]^2`` depends on ``v = lam - lam'`` only, so the
+    kernel is the tent integral ``int (2 eps - |v|) F(delta_f + v) dv``
+    over ``|v| <= 2 eps``, divided by ``4 pi eps^2``.  It is even in
+    delta_f and odd in dx.  The tent is split at its kink v = 0 and at the
+    spike u = 0 of F; on each piece ``|u| = |dx| sinh(tau)`` turns
+    ``F du`` into ``sign(dx) dtau / cosh(tau)``, with tau counted from the
+    piece's end nearest the spike, so that a piece far out keeps its width.
     """
-    if nodes < 8:
-        raise ValueError("nodes must be at least 8")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    xg, wg = leggauss(nodes)
-    lam = eps * xg
-    wl = eps * wg
-    l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-    w2 = np.outer(wl, wl)
-    integrand = _poisson(p.dx, p.delta_f + (l1 - l2))
-    return float(np.sum(w2 * integrand) / (4.0 * np.pi * eps * eps))
+    if p.dx == 0.0:
+        return 0.0
+    # below 1e-300 eps the kernel is sign(dx) / (2 eps) to far beyond roundoff;
+    # the floor keeps every ratio to |dx| in range
+    ax, df, tent = max(abs(p.dx), 1e-300 * eps), abs(p.delta_f), 2.0 * eps
+
+    def piece(v0: float, v1: float) -> float:
+        start, step = (v0, 1.0) if df + v0 >= 0.0 else (v1, -1.0)
+        # the tent is linear on the piece: head + rate * grow, exact at the edges
+        head, rate = tent - abs(start), (-step if v0 >= 0.0 else step)
+        p0, length = abs(df + start), v1 - v0  # |u| grows from p0 by length
+        q0, r0 = p0 + length, np.hypot(ax, p0)
+        r1 = np.hypot(ax, q0)
+        # asinh(q0 / ax) - asinh(p0 / ax), without the difference
+        span = np.arcsinh(length * ((q0 + p0) / r1) / (q0 * (r0 / r1) + p0))
+
+        def integrand(tau: float) -> float:
+            sh, ch = np.sinh(0.5 * tau), np.cosh(0.5 * tau)
+            grow = 2.0 * sh * (r0 * ch + p0 * sh)  # |u| - p0 = r0 sinh(tau) + p0 (cosh(tau) - 1)
+            return (head + rate * grow) * (ax / np.hypot(ax, p0 + grow))  # tent / cosh(tau)
+
+        return quad(integrand, 0.0, span, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    cuts = sorted({-tent, max(-df, -tent), 0.0, tent})
+    total = sum(piece(v0, v1) for v0, v1 in zip(cuts[:-1], cuts[1:]))
+    return float(np.sign(p.dx) * total / (4.0 * np.pi * eps) / eps)
 
 
 def kernel_frozen(slope_a: float, y, eps: float):
@@ -201,8 +259,22 @@ def kernel_frozen(slope_a: float, y, eps: float):
 
 
 def muskat_limit(dx, delta_f):
-    """The eps -> 0 limit ``(1/pi) dx / (dx^2 + delta_f^2)``."""
-    return _maybe_scalar(_poisson(dx, delta_f, np.pi))
+    """The eps -> 0 limit ``(1/pi) dx / (dx^2 + delta_f^2)``.
+
+    Rescaled where the squares leave the float range.
+    """
+    dx, u = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(delta_f, dtype=float))
+    with np.errstate(over="ignore"):
+        r2 = dx * dx + u * u
+    size = np.maximum(np.abs(dx), np.abs(u))
+    # pi * r2 stays finite below max / 4
+    fix = ((r2 < _TINY) | (r2 > _HUGE / 4.0)) & (size > 0) & np.isfinite(size)
+    if not fix.any():
+        return _maybe_scalar(np.asarray(dx / (np.pi * r2)))
+    out = np.asarray(dx / (np.pi * np.where(fix, 1.0, r2)))
+    a, b = dx[fix] / size[fix], u[fix] / size[fix]
+    out[fix] = a / (np.pi * (a * a + b * b)) / size[fix]
+    return _maybe_scalar(out)
 
 
 @dataclass(frozen=True)

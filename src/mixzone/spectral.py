@@ -32,6 +32,7 @@ __all__ = [
     "symbol_m",
     "symbol_mtilde",
     "mtilde_table",
+    "mtilde_dinv_mode_sum",
     "apply_multiplier",
     "apply_dinv",
     "apply_mtilde_dinv",
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _SERIES_CUTOFF = 1e-3
-# Chebyshev slope nodes of the fast mtilde Dinv path
+# Chebyshev slope nodes over which apply_mtilde_dinv interpolates the symbol
 _INTERP_NODES = 16
 
 
@@ -206,6 +207,18 @@ def mtilde_table(slope: GridFunction1D, t: float) -> np.ndarray:
     return np.stack([symbol_mtilde(freqs, float(a), t) for a in slope.values])
 
 
+def mtilde_dinv_mode_sum(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
+    """``mtilde(xi, A(x), t) Dinv f`` as the exact O(N^2) mode sum per site.
+
+    Reference for :func:`apply_mtilde_dinv`, which interpolates the symbol
+    in the slope instead.
+    """
+    n = f.n
+    damped = np.fft.fft(f.values) / (1.0 + t * np.abs(f.freqs()))
+    phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
+    return f.with_values((mtilde_table(slope, t) * (damped[None, :] * phase)).sum(axis=1).real / n)
+
+
 def apply_multiplier(field: SpectralField, symbol, check_hermitian: bool = False) -> SpectralField:
     """Pointwise product with a frequency symbol.
 
@@ -245,19 +258,13 @@ def _lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_mtilde_dinv(
-    f: GridFunction1D,
-    slope: GridFunction1D,
-    t: float,
-    method: str = "direct",
-) -> GridFunction1D:
+def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
     """Apply the x-dependent operator ``mtilde(xi, A(x), t) Dinv``.
 
-    ``direct`` is the always-correct O(N * M) mode sum per site; ``fast``
-    replaces the per-site symbol by barycentric interpolation over
+    The per-site symbol is interpolated barycentrically over
     ``_INTERP_NODES`` Chebyshev slope nodes, which needs only one inverse
-    FFT per node.  Both paths agree to better than 1e-8 (enforced in
-    tests).
+    FFT per node; it agrees with the exact mode sum
+    :func:`mtilde_dinv_mode_sum` to better than 1e-8 (enforced in tests).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
@@ -266,24 +273,18 @@ def apply_mtilde_dinv(
     n = f.n
     freqs = f.freqs()
     damped = np.fft.fft(f.values) / (1.0 + t * np.abs(freqs))
-    if method == "direct":
-        phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-        out = (mtilde_table(slope, t) * (damped[None, :] * phase)).sum(axis=1).real / n
-        return f.with_values(out)
-    if method == "fast":
-        a_min, a_max = float(slope.values.min()), float(slope.values.max())
-        if np.isclose(a_min, a_max):
-            vals = symbol_mtilde(freqs, 0.5 * (a_min + a_max), t)
-            return f.with_values(np.fft.ifft(damped * vals).real)
-        k = np.arange(_INTERP_NODES)
-        cheb = np.cos((2 * k + 1) * np.pi / (2 * _INTERP_NODES))
-        nodes = 0.5 * (a_min + a_max) + 0.5 * (a_max - a_min) * cheb
-        per_node = np.empty((_INTERP_NODES, n))
-        for p, a in enumerate(nodes):
-            per_node[p] = np.fft.ifft(damped * symbol_mtilde(freqs, float(a), t)).real
-        weights = _lagrange_weights(nodes, slope.values)
-        return f.with_values(np.einsum("jp,pj->j", weights, per_node))
-    raise ValueError(f"unknown method {method!r}")
+    a_min, a_max = float(slope.values.min()), float(slope.values.max())
+    if np.isclose(a_min, a_max):
+        vals = symbol_mtilde(freqs, 0.5 * (a_min + a_max), t)
+        return f.with_values(np.fft.ifft(damped * vals).real)
+    k = np.arange(_INTERP_NODES)
+    cheb = np.cos((2 * k + 1) * np.pi / (2 * _INTERP_NODES))
+    nodes = 0.5 * (a_min + a_max) + 0.5 * (a_max - a_min) * cheb
+    per_node = np.empty((_INTERP_NODES, n))
+    for p, a in enumerate(nodes):
+        per_node[p] = np.fft.ifft(damped * symbol_mtilde(freqs, float(a), t)).real
+    weights = _lagrange_weights(nodes, slope.values)
+    return f.with_values(np.einsum("jp,pj->j", weights, per_node))
 
 
 def coercivity_probe(
@@ -308,7 +309,7 @@ def coercivity_probe(
         coeffs *= 1.0 / (1.0 + np.abs(np.fft.fftfreq(n) * n)) ** 2
         field = GridFunction1D(np.fft.ifft(coeffs).real, length)
         damped = apply_dinv(SpectralField.from_grid(field), t).to_grid()
-        weighted = apply_mtilde_dinv(field, slope, t, method="fast")
+        weighted = apply_mtilde_dinv(field, slope, t)
         denom = damped.l2_norm()
         if denom == 0.0:
             continue
@@ -318,4 +319,4 @@ def coercivity_probe(
 
 def energy(f: GridFunction1D, slope: GridFunction1D, t: float) -> float:
     """Weighted energy ``|| mtilde Dinv f ||_L2^2``; zero iff f vanishes."""
-    return apply_mtilde_dinv(f, slope, t, method="fast").l2_norm() ** 2
+    return apply_mtilde_dinv(f, slope, t).l2_norm() ** 2

@@ -8,15 +8,19 @@ strip-averaged Poisson integral, and the flux m carries the normal defect
 the strip.  The four lamination-hull inequalities are evaluated as signed
 slacks, with the velocity bound M chosen from the sampled speeds.
 
+One evaluator, :func:`site_samples`, computes every sample: the
+per-snapshot report, the verify checks and the tests all read it, and the
+slacks of any set of samples are one :func:`hull_slacks` call.
+
 Quadrature layout (read from the plan :mod:`mixzone.evolution` builds,
 so the averaged velocity identity holds at quadrature accuracy): PV
 trapezoid over grid-aligned horizontal offsets with the singular cells
 integrated on geometric Gauss-Legendre panels.  The transverse average
 of the Poisson kernel is exact at every offset, regular or singular: one
 ``arctan2`` per offset and lam.  The velocity is linear in that average,
-so integrals in lam (the strip average, the zero-mean residual and
-gamma) apply the same weights to its exact lam integral, a folded mixed
-second difference (:func:`_lambda_integral`); no lam quadrature is left.
+so integrals in lam (the zero-mean residual and gamma) apply the same
+weights to its exact lam integral, the folded mixed second difference
+:func:`mixzone.kernel._lambda_integral`; no lam quadrature is left.
 The modified velocity and the full velocity share their moment
 integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
@@ -29,28 +33,21 @@ actually computed, so all consistency identities refer to one kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
 from .grid import GridFunction1D, spectral_derivative
+from .kernel import _lambda_integral
 
 __all__ = [
-    "MixCoords", "SubsolutionSample", "HullMargin", "velocity_field", "velocity_modified",
-    "gamma_sharp", "build_fields", "hull_check", "choose_M", "zero_mean_residual",
+    "SubsolutionSample", "SiteSamples", "site_samples", "hull_slacks", "choose_M",
     "subsolution_report", "SLACK_VIOLATION_BAND",
 ]
 
 EDGE_CLAMP = 1e-6
 SLACK_VIOLATION_BAND = 1e-5
-
-
-@dataclass(frozen=True)
-class MixCoords:
-    """Strip coordinates: horizontal position s, transverse offset lam."""
-
-    s: float
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -63,59 +60,20 @@ class SubsolutionSample:
     gamma: float
 
 
-@dataclass(frozen=True)
-class HullMargin:
-    """Signed slacks of the four hull inequalities; positive = strict."""
+class SiteSamples(NamedTuple):
+    """Samples at every (site, offset) pair, rows in site-major order.
 
-    slack1: float
-    slack2: float
-    slack3: float
-    slack4: float
-    m_bound: float
-
-    @property
-    def min_slack(self) -> float:
-        return min(self.slack1, self.slack2, self.slack3, self.slack4)
-
-    @property
-    def strict(self) -> bool:
-        return self.min_slack > 0.0
-
-
-def _lambda_integral(x, d, a, b, w: float) -> np.ndarray:
-    """``int_a^b inner(x, d + lam) dlam`` in closed form, for a <= b.
-
-    With ``A(u) = -Re(z log z)``, ``z = x + iu``, this is the mixed second
-    difference of A over steps ``s1 = b - a``, ``s2 = 2w``, over 2w.  About
-    a base corner z0 (z1 = z0 + i s1, z2 = z0 + i s2) it folds to ``-Re[z0
-    log1p(zeta) + i s1 log1p(i s2/z1) + i s2 log1p(i s1/z2)]``, ``zeta = s1
-    s2/(z1 z2)``, each complex log1p one real log1p and one ``arctan2``; odd
-    in x, as the integral is.  It stays at roundoff near the singularity
-    u = 0: the base is the outer corner nearer to it (``inner`` is even in d,
-    so ``(d, a, b) -> (-d, -b, -a)`` mirrors the other into place), a small
-    ``1 + zeta`` is built from its small factor z0 z12, and corners are
-    ``d + (a - w)`` etc., exact where a or b is a strip edge.
+    ``u`` and ``m`` have one (2,)-row per sample; ``uc2`` is the modified
+    vertical velocity, ``u_c = (0, uc2)``; ``residual`` holds one
+    zero-mean residual ``int (u_c - dtz).dz_perp dlam`` per site.
     """
-    s1, s2 = b - a, 2.0 * w
-    mirror = np.abs(d + (b + w)) < np.abs(d + (a - w))
-    d, a, b = np.where(mirror, -d, d), np.where(mirror, -b, a), np.where(mirror, -a, b)
-    q, p1, p2, p12 = d + (a - w), d + (b - w), d + (a + w), d + (b + w)
-    x2, s12 = x * x, s1 * s2
-    cross, den = x2 - p1 * p2, (x2 + p1 * p1) * (x2 + p2 * p2)
-    # 1 + zeta = z0 z12 conj(z1 z2) / den; ratio = |1 + zeta|^2 - 1, folded
-    theta = np.arctan2(-s12 * x * (p1 + p2), den + s12 * cross)
-    ratio = s12 * (2.0 * cross + s12) / den
-    logs = np.log1p(np.maximum(ratio, -0.5))
-    small = ratio < -0.5
-    if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
-        xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
-        re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
-        theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
-        logs[small] = np.log((xs * xs + qs * qs) * (xs * xs + ps * ps) / den[small])
-    out = q * theta - 0.5 * x * logs
-    out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
-    out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
-    return out / s2
+
+    rho: np.ndarray
+    u: np.ndarray
+    m: np.ndarray
+    gamma: np.ndarray
+    uc2: np.ndarray
+    residual: np.ndarray
 
 
 class _Snapshot:
@@ -127,15 +85,12 @@ class _Snapshot:
     nodes come from the evolution's cached quadrature plan.
     """
 
-    def __init__(self, f: GridFunction1D, width: float,
-                 trunc_radius: float | None = None):
+    def __init__(self, f: GridFunction1D, width: float, trunc_radius: float):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
         self.f = f
         self.width = width
         n, h, length = f.n, f.h, f.length
-        if trunc_radius is None:
-            trunc_radius = length / 2.0 - h
         self.g = spectral_derivative(f.values, length)
         self.g_derivs = np.stack([spectral_derivative(self.g, length, k) for k in range(6)])
         plan = _quadrature_plan(n, h, trunc_radius)
@@ -202,17 +157,8 @@ class _SiteVelocity:
         uc2 = -(farc + nearc) / np.pi
         return u1, u2, uc2
 
-    def velocities(self, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u1, u2, u_c2) at the requested transverse offsets."""
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        return self._assemble(self._inner(self.x, self.d + lams[None, :]))
-
-    def strip_average(self) -> float:
-        """Transverse average of u_c2 (the residual against dtz = 0, over 2w)."""
-        return self.samples(0.0, 1.0, 0.0)[4] / (2.0 * self.width)
-
     def samples(self, lams, c: float, dtz: float):
-        """``(rho, u, m, gamma)`` at each offset in ``lams``, and the zero-mean residual.
+        """``(rho, u, m, gamma, u_c2)`` at each offset in ``lams``, and the zero-mean residual.
 
         u and m have one row per offset.  ``int (u_c - dtz).dz_perp dlam``
         over the full strip and each gamma's half strip is exact.
@@ -237,124 +183,47 @@ class _SiteVelocity:
         half = np.where(lower, integrals[:-1], -integrals[:-1])
         gamma = -(1.0 - c) / 2.0 + half / ((1.0 - rho_g * rho_g) * w)
         rho = lams / w
-        u = np.stack(self.velocities(lams)[:2], axis=1)
+        u1, u2, uc2 = self._assemble(self._inner(self.x, self.d + lams[None, :]))
+        u = np.stack([u1, u2], axis=1)
         m = rho[:, None] * u
         m[:, 1] -= (gamma + 0.5) * (1.0 - rho * rho)
-        return rho, u, m, gamma, float(integrals[-1])
-
-    def gamma(self, lam: float, c: float, dtz: float) -> float:
-        """Normal defect gamma at offset lam in the open strip."""
-        if abs(lam) >= self.width:
-            raise ValueError("gamma is defined in the open strip |lam| < width")
-        return float(self.samples(lam, c, dtz)[3][0])
+        return rho, u, m, gamma, uc2, float(integrals[-1])
 
 
-def _site_index(f: GridFunction1D, s: float) -> int:
-    j = (s + 0.5 * f.length) / f.h
-    jr = int(round(j))
-    if abs(j - jr) > 1e-9:
-        raise ValueError("s must lie on a grid node (PV nodes are grid aligned)")
-    return jr % f.n
-
-
-def velocity_field(
-    f: GridFunction1D,
-    eps: float,
-    point: MixCoords,
-    trunc_radius: float | None = None,
-) -> np.ndarray:
-    """Strip-averaged velocity u at ``x(s, lam)``.
-
-    Finite for all points of the closed strip; the second component
-    vanishes identically for flat data.
-    """
-    if abs(point.lam) > eps:
-        raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(_Snapshot(f, eps, trunc_radius), _site_index(f, point.s))
-    u1, u2, _ = site.velocities(point.lam)
-    return np.array([u1[0], u2[0]])
-
-
-def velocity_modified(
-    f: GridFunction1D,
-    eps: float,
-    point: MixCoords,
-    trunc_radius: float | None = None,
-) -> np.ndarray:
-    """Modified velocity u_c (velocity minus a tangential correction).
-
-    In graph form the correction cancels the horizontal component, so
-    ``u_c = (0, u_c2)`` with ``u_c.dz_perp = u.dz_perp`` exactly.
-    """
-    if abs(point.lam) > eps:
-        raise ValueError("|lam| must not exceed the strip half-width")
-    site = _SiteVelocity(_Snapshot(f, eps, trunc_radius), _site_index(f, point.s))
-    _, _, uc2 = site.velocities(point.lam)
-    return np.array([0.0, uc2[0]])
-
-
-def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float | None) -> np.ndarray:
+def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float) -> np.ndarray:
     """Instantaneous interface velocity: the evolution right-hand side."""
-    r = trunc_radius if trunc_radius is not None else f.length / 2.0 - f.h
     g = spectral_derivative(f.values, f.length)
-    return -kernel_quadrature(f.values, g, f.length, width, r)
+    return -kernel_quadrature(f.values, g, f.length, width, trunc_radius)
 
 
-def gamma_sharp(
+def site_samples(
     f: GridFunction1D,
-    eps: float,
+    width: float,
     c: float,
-    point: MixCoords,
-    dtz: float | None = None,
-    trunc_radius: float | None = None,
-) -> float:
-    """Normal defect gamma at one strip point.
+    s_indices,
+    lams,
+    trunc_radius: float = DEFAULT_TRUNC_RADIUS,
+) -> SiteSamples:
+    """The relaxed state at each grid site in ``s_indices`` and offset in ``lams``.
 
-    ``dtz`` is the vertical interface speed at s; by default it is the
-    instantaneous evolution right-hand side there.  Points with
-    ``|lam| >= eps`` are rejected; the admissible range is clamped a
-    relative 1e-6 inside the strip.
+    ``dtz`` is the instantaneous evolution right-hand side at each site;
+    the snapshot's quadrature data are built once and shared by the sites.
     """
-    if abs(point.lam) >= eps:
-        raise ValueError("gamma is defined in the open strip |lam| < eps")
-    j = _site_index(f, point.s)
-    if dtz is None:
-        dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).gamma(point.lam, c, dtz)
+    dtz = _default_dtz(f, width, trunc_radius)
+    snap = _Snapshot(f, width, trunc_radius)
+    sites = [_SiteVelocity(snap, j).samples(lams, c, float(dtz[j])) for j in s_indices]
+    rho, u, m, gamma, uc2 = (np.concatenate([site[k] for site in sites]) for k in range(5))
+    return SiteSamples(rho, u, m, gamma, uc2, np.array([site[5] for site in sites]))
 
 
-def build_fields(
-    f: GridFunction1D,
-    eps: float,
-    c: float,
-    lattice,
-    trunc_radius: float | None = None,
-) -> list[SubsolutionSample]:
-    """Assemble (rho, u, m, gamma) samples over an (s, lam) lattice.
-
-    ``rho = lam/eps``, u is the strip-averaged velocity and
-    ``m = rho u - (gamma + 1/2)(1 - rho^2) e2``; at ``lam = +-eps`` the
-    density is exactly +-1 and m collapses to ``rho u``.
-    """
-    dtz_all = _default_dtz(f, eps, trunc_radius)
-    snap = _Snapshot(f, eps, trunc_radius)
-    sites: dict[int, _SiteVelocity] = {}
-    samples = []
-    for point in lattice:
-        j = _site_index(f, point.s)
-        if j not in sites:
-            sites[j] = _SiteVelocity(snap, j)
-        rho, u, m, gamma, _ = sites[j].samples(point.lam, c, float(dtz_all[j]))
-        samples.append(SubsolutionSample(float(rho[0]), u[0], m[0], float(gamma[0])))
-    return samples
-
-
-def _hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:
+def hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:
     """Signed slacks of the four relaxation inequalities, one row per sample.
 
     ``rho`` has shape (n,), ``u`` and ``m`` shape (n, 2); column k is
     slack k + 1, positive where the inequality holds strictly.
     """
+    if not m_bound > 1.0:
+        raise ValueError("the velocity bound M must exceed 1")
     r = rho[:, None]
     one = 1.0 - rho * rho
     e2 = np.array([0.0, 1.0])
@@ -367,15 +236,6 @@ def _hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:
     ], axis=1)
 
 
-def hull_check(sample: SubsolutionSample, m_bound: float) -> HullMargin:
-    """Signed slacks of the four relaxation inequalities at one sample."""
-    if not m_bound > 1.0:
-        raise ValueError("the velocity bound M must exceed 1")
-    u, m = (np.asarray(v, dtype=float).reshape(1, 2) for v in (sample.u, sample.m))
-    slacks = _hull_slacks(np.array([float(sample.rho)]), u, m, m_bound)[0].tolist()
-    return HullMargin(*slacks, m_bound=m_bound)
-
-
 def choose_M(u_samples) -> float:
     """Velocity bound ``8 (max|u| + 1)`` with a small safety margin."""
     u = np.asarray(u_samples, dtype=float)
@@ -383,20 +243,6 @@ def choose_M(u_samples) -> float:
         raise ValueError("u_samples must be nonempty")
     speeds = np.linalg.norm(u.reshape(-1, 2), axis=1) if u.ndim > 1 else np.abs(u)
     return 8.0 * (float(speeds.max()) + 1.0) * (1.0 + 1e-6)
-
-
-def zero_mean_residual(
-    f: GridFunction1D,
-    eps: float,
-    s: float,
-    dtz: float | None = None,
-    trunc_radius: float | None = None,
-) -> float:
-    """Residual of ``int (u_c - dtz).dz_perp dlam = 0`` at one site."""
-    j = _site_index(f, s)
-    if dtz is None:
-        dtz = float(_default_dtz(f, eps, trunc_radius)[j])
-    return _SiteVelocity(_Snapshot(f, eps, trunc_radius), j).samples(0.0, 1.0, dtz)[4]
 
 
 def _lambda_fractions(n_lambda: int) -> np.ndarray:
@@ -423,14 +269,11 @@ def subsolution_report(
         if not width > 0:
             continue
         idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)
-        dtz_all = _default_dtz(f, width, trunc_radius)
         lams = _lambda_fractions(n_lambda) * width
-        snap = _Snapshot(f, width, trunc_radius)
-        sites = [_SiteVelocity(snap, j).samples(lams, state.c, float(dtz_all[j])) for j in idxs]
-        rho, u, m, gamma = (np.concatenate([site[k] for site in sites]) for k in range(4))
-        m_bound = choose_M(u)
-        min_slack = float(_hull_slacks(rho, u, m, m_bound).min())
-        max_gamma = float(np.abs(gamma).max())
+        samples = site_samples(f, width, state.c, idxs, lams, trunc_radius)
+        m_bound = choose_M(samples.u)
+        min_slack = float(hull_slacks(samples.rho, samples.u, samples.m, m_bound).min())
+        max_gamma = float(np.abs(samples.gamma).max())
         ok = max_gamma < 0.5 and min_slack >= -SLACK_VIOLATION_BAND
         rows.append(
             {
@@ -438,7 +281,7 @@ def subsolution_report(
                 "max_gamma": max_gamma,
                 "min_slack": min_slack,
                 "m_bound": float(m_bound),
-                "zero_mean_residual": max(abs(site[4]) for site in sites),
+                "zero_mean_residual": float(np.abs(samples.residual).max()),
                 "ok": bool(ok),
                 "s_sites": [float(f.x[j]) for j in idxs],
             }

@@ -109,7 +109,7 @@ def _closed_form_vs_oracle():
             eps = rng.uniform(0.01, 1.0)
             dx = rng.uniform(0.01, 10.0) * rng.choice([-1.0, 1.0])
             p = kernel.KernelPoint(dx, rng.uniform(-2.0, 2.0) * abs(dx))
-            oracle = kernel.kernel_quadrature_oracle(p, eps, nodes=128)
+            oracle = kernel.kernel_quadrature_oracle(p, eps)
             err = abs(kernel.kernel_closed_form(p, eps) - oracle) / max(abs(oracle), 1e-300)
             worst = max(worst, err)
     return {"max_rel_err": worst, "runtime_s": time.perf_counter() - start}
@@ -348,6 +348,11 @@ def _sobolev_parseval():
 EPS = 0.05
 
 
+def _whole_period(f: GridFunction1D) -> float:
+    """The widest PV window of a grid: everything but the wrap-around node."""
+    return f.length / 2.0 - f.h
+
+
 @_entry("criterion_09_small_time_subsolution", "subsolution",
         max_gamma=("<", 0.5), zero_mean_residual=("<=", 1e-6))
 def _small_time_subsolution():
@@ -368,11 +373,9 @@ def _tangential_identity():
                      (_bump(256), ((131, 0.3), (120, -0.7), (128, 0.0)))):
         slope = f.derivative().values
         for j, frac in sites:
-            pt = subsolution.MixCoords(f.x[j], frac * EPS)
-            u = subsolution.velocity_field(f, EPS, pt)
-            uc = subsolution.velocity_modified(f, EPS, pt)
-            perp = np.array([-slope[j], 1.0])
-            worst = max(worst, abs(uc @ perp - u @ perp) / (1.0 + np.linalg.norm(u)))
+            s = subsolution.site_samples(f, EPS, 1.0, [j], [frac * EPS], _whole_period(f))
+            u, perp = s.u[0], np.array([-slope[j], 1.0])
+            worst = max(worst, abs(s.uc2[0] - u @ perp) / (1.0 + np.linalg.norm(u)))
     return {"max_defect": worst}
 
 
@@ -380,29 +383,26 @@ def _tangential_identity():
         rho_mismatches=("==", 0), max_flux_gap=("<=", 1e-15))
 def _boundary_matching():
     # rho = -1 and +1 on the strip edges, |rho| < 1 inside, m = rho u on the edges
-    mismatches, gap = 0, 0.0
-    for f, j, fracs, trunc in ((_bump(128), 64, (-1.0, 0.0, 1.0), None),
+    mismatches, gap, coarse = 0, 0.0, _bump(128)
+    for f, j, fracs, trunc in ((coarse, 64, (-1.0, 0.0, 1.0), _whole_period(coarse)),
                                (_bump(256), 128, (-1.0, -0.5, 0.0, 0.5, 1.0), TRUNC)):
-        lattice = [subsolution.MixCoords(f.x[j], frac * EPS) for frac in fracs]
-        samples = subsolution.build_fields(f, EPS, 1.0, lattice, trunc_radius=trunc)
-        edges = (samples[0], samples[-1])
-        mismatches += int([s.rho for s in edges] != [-1.0, 1.0])
-        mismatches += sum(abs(s.rho) >= 1.0 for s in samples[1:-1])
-        gap = max([gap] + [float(np.linalg.norm(s.m - s.rho * s.u)) for s in edges])
+        s = subsolution.site_samples(f, EPS, 1.0, [j], [frac * EPS for frac in fracs], trunc)
+        mismatches += int(s.rho[[0, -1]].tolist() != [-1.0, 1.0])
+        mismatches += int(np.sum(np.abs(s.rho[1:-1]) >= 1.0))
+        edges = s.m[[0, -1]] - s.rho[[0, -1], None] * s.u[[0, -1]]
+        gap = max(gap, float(np.max(np.linalg.norm(edges, axis=1))))
     return {"rho_mismatches": mismatches, "max_flux_gap": gap}
 
 
 @_entry("zero_mean_identity", "subsolution", max_residual=("<=", 1e-15))
 def _zero_mean_identity():
-    # at the N = 128 site the default dtz path, at the N = 256 sites a given dtz
-    coarse = _bump(128)
-    worst = abs(subsolution.zero_mean_residual(coarse, EPS, float(coarse.x[69])))
-    f = _bump(256)
-    dtz = subsolution._default_dtz(f, EPS, TRUNC)
-    for j in (122, 128, 137):
-        worst = max(worst, abs(subsolution.zero_mean_residual(
-            f, EPS, float(f.x[j]), dtz=float(dtz[j]), trunc_radius=TRUNC)))
-    return {"max_residual": worst}
+    # the N = 128 site over the whole period, the N = 256 sites in the window
+    coarse, f = _bump(128), _bump(256)
+    residuals = np.concatenate([
+        subsolution.site_samples(coarse, EPS, 1.0, [69], [0.0], _whole_period(coarse)).residual,
+        subsolution.site_samples(f, EPS, 1.0, [122, 128, 137], [0.0], TRUNC).residual,
+    ])
+    return {"max_residual": np.max(np.abs(residuals))}
 
 
 # ---------------------------------------------------------------- flat
@@ -417,12 +417,12 @@ def _flat_pipeline():
         f0 = GridFunction1D.zeros(128, LENGTH)
         final = evolution.integrate(f0, c=c, delta=4 * f0.h, kappa=1e-3, dt=0.01, t_end=0.04,
                                     output_every=4, trunc_radius=5.0).snapshots[-1]
-        cases = [(final.f, final.width, frac, 5.0) for frac in (-0.7, 0.0, 0.4)]
-        cases += [(f0, EPS, frac, None) for frac in (-0.9, 0.0, 0.2, 0.4)]
-        for f, width, frac, trunc in cases:
-            g = subsolution.gamma_sharp(f, width, c, subsolution.MixCoords(0.0, frac * width),
-                                        trunc_radius=trunc)
-            gamma_err = max(gamma_err, abs(g - (-(1 - c) / 2)))
+        cases = [(final.f, final.width, (-0.7, 0.0, 0.4), 5.0),
+                 (f0, EPS, (-0.9, 0.0, 0.2, 0.4), _whole_period(f0))]
+        for f, width, fracs, trunc in cases:
+            lams = [frac * width for frac in fracs]
+            s = subsolution.site_samples(f, width, c, [f.n // 2], lams, trunc)  # the site at x = 0
+            gamma_err = max(gamma_err, float(np.max(np.abs(s.gamma - (-(1 - c) / 2)))))
 
     closed = 0.0
     for mu1, mu2, sg, c in ((1.0, 0.0, -1, 1.0), (0.0, 1.0, 1, 0.5), (1.0, 1.0, -1, 0.25)):

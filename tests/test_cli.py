@@ -332,17 +332,21 @@ def test_kernel_eval_subcommand(capsys):
 
 
 def test_kernel_eval_far_field_prints_no_warnings():
-    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr; the
+    # far field, the strip-edge corner and the lam = lam' spike of the
+    # oracle's integrand
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    argv = ["kernel-eval", "--dx", "1", "--df", "1e160", "--eps", "0.1"]
-    proc = subprocess.run([sys.executable, "-m", "mixzone.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0 and proc.stderr == ""
-    values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
-    assert len(values) == 3 and all(np.isfinite(values))
-    # the kernel equals the Muskat kernel 1/(pi 1e320) there (a subnormal)
-    assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
+    for dx, df in (("1", "1e160"), ("1e-9", "0.2"), ("1e-4", "0")):
+        argv = ["kernel-eval", "--dx", dx, "--df", df, "--eps", "0.1"]
+        proc = subprocess.run([sys.executable, "-m", "mixzone.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", argv
+        values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
+        assert len(values) == 3 and all(np.isfinite(values))
+        assert values[1] == pytest.approx(values[0], rel=1e-6, abs=1e-300)
+        if df == "1e160":  # the Muskat kernel 1/(pi 1e320) there (a subnormal)
+            assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
 
 
 def test_kernel_eval_where_r4_underflows(capsys):

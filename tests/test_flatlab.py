@@ -111,9 +111,11 @@ def test_hull_slacks_match_analytic_closed_forms():
     w = -sin_a * cfg.tangent
     n = cfg.normal
     e2 = np.array([0.0, 1.0])
-    for lam in (-0.9 * eps, -0.3 * eps, 0.0, 0.55 * eps):
-        s = flatlab.flat_fields(cfg, 0.0, lam, eps)
-        margin = subsolution.hull_check(s, m_bound)
+    lams = (-0.9 * eps, -0.3 * eps, 0.0, 0.55 * eps)
+    samples = [flatlab.flat_fields(cfg, 0.0, lam, eps) for lam in lams]
+    rho, u, m = (np.array([getattr(s, k) for s in samples]) for k in ("rho", "u", "m"))
+    slacks = subsolution.hull_slacks(rho, u, m, m_bound)
+    for s, got in zip(samples, slacks):
         rho, gamma = s.rho, s.gamma
         s1 = (1 - rho**2) * (0.5 - abs(gamma))
         s2 = m_bound**2 - 1.0
@@ -125,10 +127,7 @@ def test_hull_slacks_match_analytic_closed_forms():
             0.5 * m_bound
             - np.linalg.norm(rho * w - gamma * (1 - rho) * n + 0.5 * rho * e2)
         )
-        assert margin.slack1 == pytest.approx(s1, abs=1e-12)
-        assert margin.slack2 == pytest.approx(s2, abs=1e-12)
-        assert margin.slack3 == pytest.approx(s3, abs=1e-12)
-        assert margin.slack4 == pytest.approx(s4, abs=1e-12)
+        assert got == pytest.approx([s1, s2, s3, s4], abs=1e-12)
 
 
 def test_flat_fields_agree_with_curved_pipeline_flat_data():
@@ -137,15 +136,13 @@ def test_flat_fields_agree_with_curved_pipeline_flat_data():
     cfg = FlatConfig(1.0, 0.0, -1, c)
     f = GridFunction1D.zeros(128, 40.0)
     eps = 0.05
-    gamma_curved = subsolution.gamma_sharp(f, eps, c, subsolution.MixCoords(0.0, 0.2 * eps))
+    # the site at x = 0, with the PV window over the whole period
+    curved = subsolution.site_samples(f, eps, c, [64], [0.2 * eps], f.length / 2 - f.h)
     sample = flatlab.flat_fields(cfg, 0.0, 0.2 * eps, eps)
-    assert sample.gamma == pytest.approx(gamma_curved, abs=1e-12)
+    assert sample.gamma == pytest.approx(curved.gamma[0], abs=1e-12)
     assert sample.gamma == pytest.approx(-flatlab.flat_gamma(cfg), abs=1e-15)
-    curved = subsolution.build_fields(
-        f, eps, c, [subsolution.MixCoords(0.0, 0.2 * eps)]
-    )[0]
-    assert np.allclose(curved.m, sample.m, atol=1e-12)
-    assert np.allclose(curved.u, sample.u, atol=1e-12)
+    assert np.allclose(curved.m[0], sample.m, atol=1e-12)
+    assert np.allclose(curved.u[0], sample.u, atol=1e-12)
 
 
 def test_hull_sweep_horizontal_unstable():

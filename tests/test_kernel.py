@@ -45,25 +45,37 @@ def test_magnitude_bounded_by_c_over_eps():
 def test_oracle_self_check_flat_point():
     p = KernelPoint(1.0, 0.0)
     a = kernel.kernel_closed_form(p, 0.5)
-    b = kernel.kernel_quadrature_oracle(p, 0.5, nodes=64)
+    b = kernel.kernel_quadrature_oracle(p, 0.5)
     assert abs(a - b) <= 1e-10
+
+
+def test_oracle_resolves_the_diagonal_spike():
+    # |dx| small against eps: the integrand is a spike of width |dx| on the
+    # diagonal lam = lam' (dx = 1e-80 included), or at the strip-edge corner
+    for dx, df in ((1e-3, 0.0), (1e-4, 0.0), (1e-6, 0.0), (1e-80, 0.0), (-1e-9, 0.2), (1e-7, -0.2)):
+        p = KernelPoint(dx, df)
+        closed = kernel.kernel_closed_form(p, 0.1)
+        assert kernel.kernel_quadrature_oracle(p, 0.1) == pytest.approx(closed, rel=1e-11)
 
 
 def test_oracle_small_eps_limit():
     # eps = 0.01 at (dx, df) = (1, 0.2): the Muskat limit up to O(eps^2)
-    v = kernel.kernel_quadrature_oracle(KernelPoint(1.0, 0.2), 0.01, nodes=64)
+    v = kernel.kernel_quadrature_oracle(KernelPoint(1.0, 0.2), 0.01)
     assert v == pytest.approx(float(kernel.muskat_limit(1.0, 0.2)), abs=5e-5)
 
 
 def test_oracle_joint_odd_symmetry():
-    v1 = kernel.kernel_quadrature_oracle(KernelPoint(1.3, 0.4), 0.2, nodes=32)
-    v2 = kernel.kernel_quadrature_oracle(KernelPoint(-1.3, -0.4), 0.2, nodes=32)
+    v1 = kernel.kernel_quadrature_oracle(KernelPoint(1.3, 0.4), 0.2)
+    v2 = kernel.kernel_quadrature_oracle(KernelPoint(-1.3, -0.4), 0.2)
     assert v1 == pytest.approx(-v2, rel=1e-13)
 
 
-def test_oracle_rejects_too_few_nodes():
-    with pytest.raises(ValueError):
-        kernel.kernel_quadrature_oracle(KernelPoint(1.0, 0.0), 0.1, nodes=4)
+def _corner_points(eps):
+    # the strip-edge corner: |delta_f| within a few |dx| of 2 eps, with
+    # dx / eps from 1e-2 to 1e-12, where the log1p argument cancels
+    dx = np.repeat(np.outer([-1.0, 1.0], eps * 10.0 ** -np.arange(2.0, 13.0, 2.0)).ravel(), 5)
+    df = 2.0 * eps + np.tile([-3.0, -1.0, 0.0, 1.0, 3.0], dx.size // 5) * np.abs(dx)
+    return np.concatenate([dx, dx]), np.concatenate([df, -df])
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
@@ -88,6 +100,8 @@ def test_closed_form_matches_mpmath(eps):
     slopes = np.array([-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0])
     dx = np.repeat(dxs, slopes.size)
     df = np.tile(slopes, dxs.size) * np.abs(dx)
+    corner_dx, corner_df = _corner_points(eps)
+    dx, df = np.concatenate([dx, corner_dx]), np.concatenate([df, corner_df])
     got = kernel.kernel_values(dx, df, eps)
     want = np.array([float(oracle(a, b)) for a, b in zip(dx, df)])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
@@ -101,6 +115,8 @@ def test_kernel_values_pair_identity_is_bitwise(eps):
     dx = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-3, 1, 400)
     u = rng.uniform(-3, 3, 400) * np.abs(dx)
     u[:40] = 0.0
+    corner_dx, corner_u = _corner_points(eps)
+    dx, u = np.concatenate([dx, corner_dx]), np.concatenate([u, corner_u])
     assert np.array_equal(kernel.kernel_values(-dx, -u, eps), -kernel.kernel_values(dx, u, eps))
 
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from _table import run_check
 
-from mixzone import evolution, subsolution
-from mixzone.grid import GridFunction1D, spectral_derivative
-from mixzone.subsolution import HullMargin, MixCoords, SubsolutionSample
+from mixzone import evolution, kernel, subsolution
+from mixzone.grid import GridFunction1D
 
 LENGTH = 40.0
 EPS = 0.05
@@ -20,32 +19,26 @@ def flat():
     return GridFunction1D.zeros(128, LENGTH)
 
 
-def evolution_rhs(f, width, trunc_radius=None):
-    r = trunc_radius if trunc_radius is not None else f.length / 2 - f.h
-    g = spectral_derivative(f.values, f.length)
-    return -evolution.kernel_quadrature(f.values, g, f.length, width, r)
+def whole_period(f):
+    return f.length / 2 - f.h
 
 
 def test_flat_velocity_vanishes(flat):
-    u = subsolution.velocity_field(flat, EPS, MixCoords(0.0, 0.2 * EPS))
+    # the site at x = 0
+    (u,) = subsolution.site_samples(flat, EPS, 1.0, [64], [0.2 * EPS], whole_period(flat)).u
     assert abs(u[1]) == 0.0
     assert abs(u[0]) <= 1e-15
 
 
 def test_flat_velocity_translation_invariant(flat):
-    u1 = subsolution.velocity_field(flat, EPS, MixCoords(0.0, 0.0))
-    u2 = subsolution.velocity_field(flat, EPS, MixCoords(5.0, 0.0))
-    assert u1[0] == pytest.approx(u2[0], abs=1e-15)
+    # the sites at x = 0 and x = 5
+    u = subsolution.site_samples(flat, EPS, 1.0, [64, 80], [0.0], whole_period(flat)).u
+    assert u[0, 0] == pytest.approx(u[1, 0], abs=1e-15)
 
 
 def test_velocity_rejects_outside_strip(bump):
     with pytest.raises(ValueError):
-        subsolution.velocity_field(bump, EPS, MixCoords(0.0, 2 * EPS))
-
-
-def test_velocity_requires_grid_aligned_site(bump):
-    with pytest.raises(ValueError):
-        subsolution.velocity_field(bump, EPS, MixCoords(0.077, 0.0))
+        subsolution.site_samples(bump, EPS, 1.0, [128], [2 * EPS])
 
 
 @pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.5])
@@ -100,7 +93,7 @@ def test_lambda_integral_matches_mpmath(bump, w):
         for slope in (site.slope, 5.0, -5.0):
             x = np.concatenate([site.dx[far], site.y_near[near]])
             d = np.concatenate([site.df[far], slope * site.y_near[near]]) + shift
-            got = subsolution._lambda_integral(x[:, None], d[:, None], a, b, w)
+            got = kernel._lambda_integral(x[:, None], d[:, None], a, b, w)
             cases += [(got[i, k], x[i], d[i], a[k], b[k]) for i in range(x.size) for k in range(a.size)]
     rng = np.random.default_rng(int(-np.log10(w)))
     for _ in range(60):
@@ -108,7 +101,7 @@ def test_lambda_integral_matches_mpmath(bump, w):
         x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, 1.0)
         corner = rng.choice([a[k] - w, a[k] + w, b[k] - w, b[k] + w])
         d = -corner + rng.uniform(-3.0, 3.0) * abs(x) * 10.0 ** rng.uniform(-3.0, 0.0)
-        got = subsolution._lambda_integral(np.array([[x]]), np.array([[d]]), a[k], b[k], w)
+        got = kernel._lambda_integral(np.array([[x]]), np.array([[d]]), a[k], b[k], w)
         cases.append((got[0, 0], x, d, a[k], b[k]))
     worst = max(abs(got - want) / abs(want)
                 for got, *args in cases for want in [oracle(*args)])
@@ -127,64 +120,52 @@ def _composite_gl(a, b, panels):
 @pytest.mark.parametrize("w", [1e-4, 1e-2, EPS, 0.5])
 def test_gamma_matches_gauss_legendre(bump, w):
     # gamma and the zero-mean residual from the closed form vs composite GL
-    # over the same velocities (16 panels per strip width)
-    dtz = evolution_rhs(bump, w, trunc_radius=10.0)
-    for j in (116, 128, 132):
-        site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), j)
-        lams = subsolution._lambda_fractions(9) * w
-        _, _, _, gamma, resid = site.samples(lams, 1.0, float(dtz[j]))
-        x, wt = _composite_gl(-w, w, 16)
-        assert abs(resid) <= 1e-15
-        assert abs(((site.velocities(x)[2] - dtz[j]) * wt).sum()) <= 1e-15
-        for lam, g in zip(lams, gamma):
-            a, b = (-w, lam) if lam <= 0 else (lam, w)
-            x, wt = _composite_gl(a, b, max(2, int(np.ceil(16 * (b - a) / (2 * w)))))
-            half = ((site.velocities(x)[2] - dtz[j]) * wt).sum() * (1.0 if lam <= 0 else -1.0)
-            assert abs(g - half / ((1.0 - (lam / w) ** 2) * w)) <= 1e-14
+    # over the sampled modified velocity (16 panels per strip width)
+    sites = (116, 128, 132)
+    dtz = subsolution._default_dtz(bump, w, 10.0)
+    lams = subsolution._lambda_fractions(9) * w
+    samples = subsolution.site_samples(bump, w, 1.0, sites, lams, 10.0)
+    # the full strip, then each gamma's half strip
+    rules = [_composite_gl(-w, w, 16)]
+    for lam in lams:
+        a, b = (-w, lam) if lam <= 0 else (lam, w)
+        rules.append(_composite_gl(a, b, max(2, int(np.ceil(16 * (b - a) / (2 * w))))))
+    nodes = np.concatenate([x for x, _ in rules])
+    uc2 = subsolution.site_samples(bump, w, 1.0, sites, nodes, 10.0).uc2.reshape(len(sites), -1)
+    ends = np.cumsum([x.size for x, _ in rules])[:-1]
+    blocks = np.split(uc2 - dtz[list(sites)][:, None], ends, axis=1)
+    integrals = np.stack([(blk * wt).sum(axis=1) for blk, (_, wt) in zip(blocks, rules)], axis=1)
+    assert np.max(np.abs(samples.residual)) <= 1e-15
+    assert np.max(np.abs(integrals[:, 0])) <= 1e-15
+    half = integrals[:, 1:] * np.where(lams <= 0, 1.0, -1.0)
+    gamma = samples.gamma.reshape(len(sites), -1)
+    assert np.max(np.abs(gamma - half / ((1.0 - (lams / w) ** 2) * w))) <= 1e-14
 
 
 def test_tangential_identity():
     run_check("tangential_identity")
 
 
-def test_modified_velocity_is_vertical(bump):
-    uc = subsolution.velocity_modified(bump, EPS, MixCoords(bump.x[131], 0.2 * EPS))
-    assert uc[0] == 0.0
-
-
 def test_strip_average_matches_evolution_rhs(bump):
-    # the transverse mean of the modified velocity is the interface speed
-    dtz = evolution_rhs(bump, EPS, trunc_radius=10.0)
-    for j in (120, 128, 140):
-        site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
-        assert site.strip_average() == pytest.approx(dtz[j], abs=1e-15)
+    # the transverse mean of the modified velocity is the interface speed:
+    # the residual int (u_c2 - dtz) dlam over the strip width 2 EPS
+    residual = subsolution.site_samples(bump, EPS, 1.0, (120, 128, 140), [0.0], 10.0).residual
+    assert np.max(np.abs(residual / (2.0 * EPS))) <= 1e-15
 
 
 def test_zero_mean_identity():
     run_check("zero_mean_identity")
 
 
-def test_gamma_rejects_closed_strip(bump):
-    with pytest.raises(ValueError):
-        subsolution.gamma_sharp(bump, EPS, 1.0, MixCoords(0.0, EPS))
-
-
 def test_gamma_continuous_across_zero(bump):
-    j = 131
-    dtz = float(evolution_rhs(bump, EPS, 10.0)[j])
-    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
-    lo = site.gamma(-1e-9 * EPS, 1.0, dtz)
-    hi = site.gamma(1e-9 * EPS, 1.0, dtz)
+    lo, hi = subsolution.site_samples(bump, EPS, 1.0, [131], [-1e-9 * EPS, 1e-9 * EPS], 10.0).gamma
     assert abs(hi - lo) <= 1e-6
 
 
 def test_gamma_bounded_near_edges(bump):
-    j = 131
-    dtz = float(evolution_rhs(bump, EPS, 10.0)[j])
-    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, EPS, 10.0), j)
-    for frac in (-1 + 1e-6, 1 - 1e-6):
-        g = site.gamma(frac * EPS, 1.0, dtz)
-        assert np.isfinite(g) and abs(g) < 0.5
+    lams = [(-1 + 1e-6) * EPS, (1 - 1e-6) * EPS]
+    gamma = subsolution.site_samples(bump, EPS, 1.0, [131], lams, 10.0).gamma
+    assert np.all(np.isfinite(gamma)) and np.all(np.abs(gamma) < 0.5)
 
 
 def test_build_fields_boundary_matching():
@@ -192,70 +173,45 @@ def test_build_fields_boundary_matching():
 
 
 def test_build_fields_center_sample(bump):
-    (sample,) = subsolution.build_fields(
-        bump, EPS, 1.0, [MixCoords(bump.x[128], 0.0)], trunc_radius=10.0
-    )
-    assert sample.rho == 0.0
+    s = subsolution.site_samples(bump, EPS, 1.0, [128], [0.0], 10.0)
+    assert s.rho[0] == 0.0
     # m = rho u - (gamma + 1/2)(1 - rho^2) e2: at rho = 0 the e-part is (0, 1/2)
-    assert sample.m[1] == pytest.approx(-(sample.gamma + 0.5), rel=1e-12)
-    assert sample.m[0] == pytest.approx(0.0, abs=1e-15)
+    assert s.m[0, 1] == pytest.approx(-(s.gamma[0] + 0.5), rel=1e-12)
+    assert s.m[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_build_fields_flat_unit_rate(flat):
-    lattice = [MixCoords(0.0, lam) for lam in (-0.6 * EPS, 0.2 * EPS)]
-    samples = subsolution.build_fields(flat, EPS, 1.0, lattice)
-    for s, lam in zip(samples, (-0.6 * EPS, 0.2 * EPS)):
-        rho = lam / EPS
-        expected_m = rho * s.u - 0.5 * (1 - rho**2) * np.array([0.0, 1.0])
-        assert np.allclose(s.m, expected_m, atol=1e-12)
-        assert abs(s.gamma) <= 1e-12
+    lams = np.array([-0.6 * EPS, 0.2 * EPS])
+    s = subsolution.site_samples(flat, EPS, 1.0, [64], lams, whole_period(flat))
+    rho = lams / EPS
+    expected_m = rho[:, None] * s.u - 0.5 * (1 - rho[:, None] ** 2) * np.array([0.0, 1.0])
+    assert np.allclose(s.m, expected_m, atol=1e-12)
+    assert np.max(np.abs(s.gamma)) <= 1e-12
+
+
+def _slacks(m, m_bound=2.0):
+    # the slacks of one sample at rho = 0, u = 0
+    return subsolution.hull_slacks(np.zeros(1), np.zeros((1, 2)), np.array([m]), m_bound)[0]
 
 
 def test_hull_check_interior_point():
-    s = SubsolutionSample(rho=0.0, u=np.zeros(2), m=np.array([0.0, -0.25]), gamma=0.0)
-    margin = subsolution.hull_check(s, 2.0)
-    assert margin.slack1 == pytest.approx(0.25)
-    assert margin.strict
+    slacks = _slacks([0.0, -0.25])
+    assert slacks[0] == pytest.approx(0.25)
+    assert slacks.min() > 0.0
 
 
 def test_hull_check_equality_case():
     # m = 0 at rho = 0, u = 0 sits exactly on the first constraint sphere
-    s = SubsolutionSample(rho=0.0, u=np.zeros(2), m=np.zeros(2), gamma=0.0)
-    margin = subsolution.hull_check(s, 2.0)
-    assert margin.slack1 == 0.0
-    assert not margin.strict
+    slacks = _slacks([0.0, 0.0])
+    assert slacks[0] == 0.0 and not slacks.min() > 0.0
     # pushing m upward violates the constraint by exactly the push
     for zeta in (1e-3, 1e-6):
-        s2 = SubsolutionSample(rho=0.0, u=np.zeros(2), m=np.array([0.0, zeta]), gamma=0.0)
-        assert subsolution.hull_check(s2, 2.0).slack1 == pytest.approx(-zeta)
+        assert _slacks([0.0, zeta])[0] == pytest.approx(-zeta)
 
 
 def test_hull_check_rejects_small_bound():
-    s = SubsolutionSample(rho=0.0, u=np.zeros(2), m=np.zeros(2), gamma=0.0)
     with pytest.raises(ValueError):
-        subsolution.hull_check(s, 1.0)
-
-
-def test_hull_slacks_match_hull_check_bitwise():
-    # the array form the report uses and the scalar API give the same bits,
-    # on interior, boundary (rho = +-1, m = rho u) and violating samples
-    rng = np.random.default_rng(11)
-    rho = np.concatenate([rng.uniform(-1, 1, 40), [-1.0, 1.0, -1.0, 1.0, 0.0, 0.5]])
-    u = rng.normal(0.0, 0.3, (rho.size, 2))
-    m = rho[:, None] * u
-    m[:, 1] -= rng.uniform(0.0, 1.0, rho.size) * (1.0 - rho**2)
-    m[-2:] += np.array([[0.0, 0.4], [3.0, -2.0]])  # pushed out of the hull
-    slacks = subsolution._hull_slacks(rho, u, m, 4.0)
-    assert slacks.min() < 0.0 < slacks.max()
-    for k in range(rho.size):
-        margin = subsolution.hull_check(SubsolutionSample(rho[k], u[k], m[k], 0.0), 4.0)
-        scalar = [margin.slack1, margin.slack2, margin.slack3, margin.slack4]
-        assert np.array_equal(slacks[k], scalar)
-
-
-def test_hull_margin_min_slack():
-    m = HullMargin(slack1=0.1, slack2=3.0, slack3=-0.2, slack4=1.0, m_bound=9.0)
-    assert m.min_slack == -0.2 and not m.strict
+        _slacks([0.0, 0.0], m_bound=1.0)
 
 
 def test_choose_m_values():
@@ -269,9 +225,8 @@ def test_choose_m_values():
 def test_choose_m_stable_under_lattice_refinement(bump):
     def m_for(n_lambda):
         lams = np.linspace(-EPS, EPS, n_lambda)
-        lattice = [MixCoords(bump.x[j], lam) for j in (120, 128, 136) for lam in lams]
-        samples = subsolution.build_fields(bump, EPS, 1.0, lattice, trunc_radius=10.0)
-        return subsolution.choose_M(np.array([s.u for s in samples]))
+        return subsolution.choose_M(subsolution.site_samples(bump, EPS, 1.0, (120, 128, 136), lams,
+                                                             10.0).u)
 
     m9, m17 = m_for(9), m_for(17)
     assert abs(m9 - m17) / m17 <= 0.02
@@ -302,29 +257,22 @@ def test_report_reproducible(bump):
 
 
 def test_report_matches_scalar_api(bump):
+    # each row is the hull data of the samples, evaluated here one site
+    # and one offset at a time, with the default window and rate
     traj = evolution.integrate(
         bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025, output_every=1
     )
-    sites, r = (118, 128, 138), evolution.DEFAULT_TRUNC_RADIUS
-    rows = subsolution.subsolution_report(traj, s_indices=sites, n_lambda=5, trunc_radius=r)
+    sites = (118, 128, 138)
+    rows = subsolution.subsolution_report(traj, s_indices=sites, n_lambda=5)
     assert len(rows) == len(traj.snapshots) == 2
     for row, state in zip(rows, traj.snapshots):
-        f, w, c = state.f, state.width, state.c
-        dtz = evolution_rhs(f, w, trunc_radius=r)
-        samples, resids = [], []
-        for j in sites:
-            x = float(f.x[j])
-            resids.append(abs(subsolution.zero_mean_residual(f, w, x, float(dtz[j]), r)))
-            for lam in subsolution._lambda_fractions(5) * w:
-                pt = MixCoords(x, lam)
-                u = subsolution.velocity_field(f, w, pt, r)
-                gamma = subsolution.gamma_sharp(f, w, c, pt, float(dtz[j]), r)
-                rho = lam / w
-                m = rho * u - (gamma + 0.5) * (1 - rho**2) * np.array([0.0, 1.0])
-                samples.append(SubsolutionSample(rho, u, m, gamma))
-        m_bound = subsolution.choose_M(np.array([s.u for s in samples]))
+        f, w = state.f, state.width
+        singles = [subsolution.site_samples(f, w, state.c, [j], [lam])
+                   for j in sites for lam in subsolution._lambda_fractions(5) * w]
+        rho, u, m, gamma, _, residual = (np.concatenate(col) for col in zip(*singles))
+        m_bound = subsolution.choose_M(u)
         assert row["m_bound"] == pytest.approx(m_bound, rel=1e-12)
-        assert row["max_gamma"] == pytest.approx(max(abs(s.gamma) for s in samples), abs=1e-12)
-        min_slack = min(subsolution.hull_check(s, m_bound).min_slack for s in samples)
+        assert row["max_gamma"] == pytest.approx(np.max(np.abs(gamma)), abs=1e-12)
+        min_slack = subsolution.hull_slacks(rho, u, m, m_bound).min()
         assert row["min_slack"] == pytest.approx(min_slack, abs=1e-12)
-        assert row["zero_mean_residual"] == pytest.approx(max(resids), abs=1e-12)
+        assert row["zero_mean_residual"] == pytest.approx(np.max(np.abs(residual)), abs=1e-12)
