@@ -3,13 +3,16 @@
 Configuration is a JSON document with explicit defaults and strict key
 checking; simulation output is a deterministic set of plain-text files
 (`trace.csv`, per-time snapshots, `meta.json`).  Exit codes: 0 success,
-1 a scientific condition failed during the run, 2 configuration error.
+1 a scientific condition failed during the run, 2 configuration error
+(:class:`ConfigError`, or an invalid command-line argument).  Any other
+exception is a bug and surfaces with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -151,8 +154,10 @@ def parse_config(text: str) -> RunConfig:
     dt, t_end, t_start = float(tcfg["dt"]), float(tcfg["t_end"]), float(tcfg["t_start"])
     if dt <= 0 or t_end <= t_start or t_start < 0:
         raise ConfigError("time must satisfy dt > 0 and t_end > t_start >= 0")
-    if (t_end - t_start) / dt > sys.float_info.max:
-        raise ConfigError("time.dt is too small to count the steps to time.t_end")
+    try:
+        evolution.step_count(t_start, t_end, dt)
+    except ValueError as exc:
+        raise ConfigError(f"time.dt does not divide time.t_end - time.t_start: {exc}") from exc
     if kappa == 0.0 and t_start == 0.0:
         raise ConfigError("time.t_start must be positive when physics.kappa = 0")
     output_every = tcfg["output_every"]
@@ -164,6 +169,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("quadrature.trunc_radius must be at least 10*(c*t_end + kappa)")
     if trunc > length / 2:
         raise ConfigError("quadrature.trunc_radius must not exceed half the period")
+    try:
+        evolution.trapezoid_reach(n, h, trunc)
+    except ValueError as exc:
+        raise ConfigError(f"quadrature.trunc_radius is too small for this grid: {exc}") from exc
     icfg = merged["initial"]
     family = icfg["family"]
     if family not in _FAMILIES:
@@ -172,6 +181,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("initial.path is required for the file family")
     if icfg["modes"] < 0:
         raise ConfigError("initial.modes must be nonnegative")
+    if family in ("gaussian_bump", "cosine_packet") and icfg["width"] == 0:
+        raise ConfigError("initial.width must be nonzero")
     return RunConfig(
         n=n, length=length, dt=dt, t_end=t_end, t_start=t_start,
         output_every=output_every, c=c, delta=delta, kappa=kappa,
@@ -182,7 +193,11 @@ def parse_config(text: str) -> RunConfig:
 
 
 def initial_data(cfg: RunConfig) -> GridFunction1D:
-    """Construct the initial interface height for a parsed configuration."""
+    """Construct the initial interface height for a parsed configuration.
+
+    Raises :class:`ConfigError` when the table of the ``file`` family
+    cannot be read or holds heights that are not finite.
+    """
     if cfg.family == "zero":
         return GridFunction1D.zeros(cfg.n, cfg.length)
     if cfg.family == "gaussian_bump":
@@ -216,6 +231,8 @@ def initial_data(cfg: RunConfig) -> GridFunction1D:
                 f"initial.path must be an x,f table of grid.n = {cfg.n} rows, "
                 f"found a {data.shape[0]} x {data.shape[1]} table"
             )
+        if not np.all(np.isfinite(data[:, 1])):
+            raise ConfigError("initial.path holds heights that are not finite")
         return GridFunction1D(data[:, 1], cfg.length)
     raise ConfigError(f"unhandled family {cfg.family}")
 
@@ -229,23 +246,30 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
 
     Returns the process exit code: 0, or 1 when a subsolution condition
     (|gamma| >= 1/2 or a hull slack below the violation band) fails before
-    t_end; the trajectory is written either way.
+    t_end or the integration fails; the trajectory is written either way.
+    A ``dt`` above the stability bound is a :class:`ConfigError`, raised
+    before anything is written.
     """
     f0 = initial_data(cfg)
+    try:
+        traj = evolution.integrate(
+            f0,
+            c=cfg.c,
+            delta=cfg.delta,
+            kappa=cfg.kappa,
+            dt=cfg.dt,
+            t_end=cfg.t_end,
+            output_every=cfg.output_every,
+            t_start=cfg.t_start,
+            trunc_radius=cfg.trunc_radius,
+        )
+    except evolution.StabilityError as exc:
+        raise ConfigError(
+            f"time.dt = {exc.dt} exceeds the stability bound {exc.limit:.6g} of the initial data"
+        ) from exc
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    traj = evolution.integrate(
-        f0,
-        c=cfg.c,
-        delta=cfg.delta,
-        kappa=cfg.kappa,
-        dt=cfg.dt,
-        t_end=cfg.t_end,
-        output_every=cfg.output_every,
-        t_start=cfg.t_start,
-        trunc_radius=cfg.trunc_radius,
-    )
     report = subsolution.subsolution_report(traj, trunc_radius=cfg.trunc_radius)
     by_time = {row["t"]: row for row in report}
 
@@ -287,8 +311,8 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         "integration_failure_stage": traj.failure_stage,
         "subsolution_failure_time": failure_time,
         "measured": {
-            "final_h4": traj.diagnostics[-1]["h4"],
-            "final_dinv_d5": traj.diagnostics[-1]["dinv_d5"],
+            "final_h4": traj.diagnostics[-1]["h4"] if traj.diagnostics else None,
+            "final_dinv_d5": traj.diagnostics[-1]["dinv_d5"] if traj.diagnostics else None,
             "m_bound": None if not report else report[-1]["m_bound"],
             "max_zero_mean_residual": (
                 None if not report else max(r["zero_mean_residual"] for r in report)
@@ -311,6 +335,23 @@ def run_verify(suite: str, stream=None) -> int:
     json.dump(report, stream, indent=2, default=float)
     stream.write("\n")
     return 0 if report["passed"] else 1
+
+
+def _number(accept, what: str):
+    """argparse type: a float for which ``accept`` holds."""
+
+    def parse(text: str) -> float:
+        val = float(text)
+        if not accept(val):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return val
+
+    return parse
+
+
+_finite = _number(math.isfinite, "a finite number")
+_nonnegative = _number(lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_positive = _number(lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _cmd_flat_demo(args) -> int:
@@ -349,17 +390,19 @@ def main(argv=None) -> int:
     p_ver.add_argument("suite", help="|".join(verify.available_suites()))
 
     p_flat = sub.add_parser("flat-demo", help="straight-interface closed forms")
-    p_flat.add_argument("--mu1", type=float, default=1.0)
-    p_flat.add_argument("--mu2", type=float, default=0.0)
+    p_flat.add_argument("--mu1", type=_nonnegative, default=1.0)
+    p_flat.add_argument("--mu2", type=_finite, default=0.0)
     p_flat.add_argument("--sigma", type=int, default=-1, choices=(-1, 1))
-    p_flat.add_argument("--c", type=float, default=1.0)
+    p_flat.add_argument("--c", type=_positive, default=1.0)
 
     p_ker = sub.add_parser("kernel-eval", help="evaluate the kernel at a point")
-    p_ker.add_argument("--dx", type=float, required=True)
-    p_ker.add_argument("--df", type=float, required=True)
-    p_ker.add_argument("--eps", type=float, required=True)
+    p_ker.add_argument("--dx", type=_finite, required=True)
+    p_ker.add_argument("--df", type=_finite, required=True)
+    p_ker.add_argument("--eps", type=_positive, required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "flat-demo" and args.mu1 == 0.0 and args.mu2 == 0.0:
+        p_flat.error("the direction (--mu1, --mu2) must be nonzero")
     try:
         if args.command == "simulate":
             try:
@@ -377,9 +420,6 @@ def main(argv=None) -> int:
             return _cmd_kernel_eval(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
 

@@ -25,9 +25,11 @@ builds an N x M array.
 The mollifier is the exact Fourier multiplier of its discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
-the stage times.  A finiteness check that fails inside a stage raises
+the stage times.  A finiteness check that fails inside a stage, or in the
+stability probe before the first step, raises
 :class:`~mixzone.grid.NonFiniteError`; the stepper records the step and
 stage and truncates the trajectory, and lets every other error through.
+A step above the stability bound raises :class:`StabilityError`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ from .kernel import kernel_values
 __all__ = [
     "InterfaceState",
     "Trajectory",
+    "StabilityError",
+    "trapezoid_reach",
+    "step_count",
     "mollifier_weights",
     "mollifier_symbol",
     "mollify",
@@ -62,6 +67,9 @@ DEFAULT_TRUNC_RADIUS = 10.0
 _GL16 = leggauss(16)
 _NEAR_LEVELS = 8
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+# fewest trapezoid offsets a window may have: the smallest near cell (2
+# spacings) plus the Gregory ends of both sides (6)
+_MIN_REACH = 8
 # entries of the PV quadrature's skew buffer per row block (see _quadrature_plan):
 # each float64 temporary of a block is at most 128 KiB, so a block stays in L2
 _BLOCK_ENTRIES = 16384
@@ -106,7 +114,8 @@ class Trajectory:
     failure_time: float | None = None
     failure_reason: str | None = None
     # step (1-based) whose RK4 update failed, and the stage (1-4) whose
-    # rhs failed; the stage is None when the updated state itself failed
+    # rhs failed; the stage is None when the updated state itself failed.
+    # Step 0 is the stability probe of the initial state (no snapshots).
     failure_step: int | None = None
     failure_stage: int | None = None
 
@@ -210,6 +219,21 @@ class _Plan(NamedTuple):
 _GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
+def trapezoid_reach(n: int, h: float, trunc_radius: float) -> int:
+    """Largest PV trapezoid offset, in grid spacings, of a grid and window.
+
+    ``trunc_radius / h`` rounded to the nearest integer, at most ``n // 2 -
+    1``.  Raises ValueError below 8, where the near cell and the Gregory
+    ends of both sides leave no room.
+    """
+    m_max = min(int(np.floor(trunc_radius / h + 0.5)), n // 2 - 1)
+    if m_max < _MIN_REACH:
+        raise ValueError(
+            f"the window reaches {m_max} grid spacings, fewer than {_MIN_REACH}"
+        )
+    return m_max
+
+
 @lru_cache(maxsize=16)
 def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     """PV quadrature layout, shared with :mod:`mixzone.subsolution`; read-only.
@@ -226,10 +250,8 @@ def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     the skew buffer, ``rows x (rows + n_pos - 1)``, holds about
     ``_BLOCK_ENTRIES`` entries.
     """
-    m_max = min(int(np.floor(trunc_radius / h + 0.5)), n // 2 - 1)
+    m_max = trapezoid_reach(n, h, trunc_radius)
     near = 4 if m_max >= 10 else 2
-    if m_max < near + 6:
-        raise ValueError("trunc_radius too small for this grid")
     pos = np.arange(near, m_max + 1)
     offsets = np.concatenate([-pos[::-1], pos])
     side = np.ones(pos.size)
@@ -257,6 +279,7 @@ def nearfield_correction(
     g5: np.ndarray,
     plan: _Plan,
     width: float,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Near-cell integral ``int_{|y| < near*h} (Delta g)(y) K_w(y) dy``.
 
@@ -264,10 +287,14 @@ def nearfield_correction(
     y^5/120`` with the kernel frozen at the local slope; even terms drop
     by parity, and the three weighted moments are one product with the
     plan's moment table.  :func:`kernel_quadrature` calls it once per row
-    block.
+    block, with ``work``: a float array of shape ``(6, sites, nodes)`` for
+    the frozen height differences and the kernel's temporaries.
     """
     y = plan.near_y
-    i1, i3, i5 = (kernel_values(y, slope[:, None] * y, width) @ plan.moments).T
+    if work is None:
+        work = np.empty((6, slope.size, y.size))
+    u = np.multiply(slope[:, None], y, out=work[0])
+    i1, i3, i5 = (kernel_values(y, u, width, work=work[1:]) @ plan.moments).T
     return g1 * i1 + g3 / 6.0 * i3 + g5 / 120.0 * i5
 
 
@@ -334,10 +361,18 @@ def kernel_quadrature(
     flux = as_strided(skew, (rows, n_pos), (step + item, item))[:, ::-1]
     # acc[p] accumulates site (p - m_max) % n
     acc = np.zeros(n + m_max)
+    # the blocks' height differences and kernel temporaries, far and near,
+    # in one buffer: no block allocates a full-size array, so the heap the
+    # blocks reuse is neither returned to the system nor faulted in again
+    n_near = plan.near_y.size
+    buf = np.empty(6 * rows * (n_pos + n_near))
+    far_work = buf[: 6 * rows * n_pos].reshape(6, rows, n_pos)
+    near_work = buf[6 * rows * n_pos :].reshape(6, rows, n_near)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         blk = slice(start, stop)
-        kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
+        u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
+        kern = kernel_values(dx, u, width, work=far_work[1:, : stop - start])
         if not np.all(np.isfinite(kern)):
             bad = _first_bad_site(f_values, f_back, dx, plan, width)
             raise NonFiniteError(f"non-finite kernel value at site {bad}")
@@ -346,7 +381,7 @@ def kernel_quadrature(
         fl *= kern
         fl *= wts
         acc[m_max + start : m_max + stop] += fl.sum(axis=1) + nearfield_correction(
-            slope[blk], g1[blk], g3[blk], g5[blk], plan, width
+            slope[blk], g1[blk], g3[blk], g5[blk], plan, width, near_work[:, : stop - start]
         )
         span = stop - start + n_pos - 1
         acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
@@ -383,6 +418,30 @@ def rhs_regularized(
 # ---------------------------------------------------------------------------
 # Time stepping
 # ---------------------------------------------------------------------------
+
+
+class StabilityError(ValueError):
+    """The time step exceeds the explicit stability bound of the initial state."""
+
+    def __init__(self, dt: float, limit: float):
+        super().__init__(f"dt = {dt} violates the stability bound {limit:.6g}")
+        self.dt = dt
+        self.limit = limit
+
+
+def step_count(t_start: float, t_end: float, dt: float) -> int:
+    """Number of steps of size ``dt`` from ``t_start`` to ``t_end``.
+
+    Raises ValueError unless the quotient is finite and an integer to a
+    relative 1e-9 of ``t_end``.
+    """
+    steps = (t_end - t_start) / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"(t_end - t_start) / dt = {steps} is not a finite step count")
+    n_steps = int(round(steps))
+    if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+        raise ValueError("t_end - t_start must be an integer number of steps")
+    return n_steps
 
 
 def stability_limit(
@@ -427,7 +486,10 @@ def integrate(
     states) with L2 / H4 norms and the damped fifth-derivative norm.
     The trajectory is truncated and flagged, with the step and the RK4
     stage, if a norm blows up or a finiteness check of the right-hand side
-    raises :class:`NonFiniteError`; any other exception propagates.
+    raises :class:`NonFiniteError`; any other exception propagates.  When
+    the stability probe of ``f0`` raises it, the trajectory is empty and
+    flagged at step 0.  ``dt`` above the stability bound raises
+    :class:`StabilityError`.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -435,15 +497,16 @@ def integrate(
         raise ValueError("output_every must be at least 1")
     if kappa == 0.0 and t_start <= 0.0:
         raise ValueError("kappa = 0 runs must start at t_start > 0")
-    steps = (t_end - t_start) / dt
-    if not np.isfinite(steps):
-        raise ValueError(f"(t_end - t_start) / dt = {steps} is not a finite step count")
-    n_steps = int(round(steps))
-    if abs(t_start + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end - t_start must be an integer number of steps")
-    limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius)
+    n_steps = step_count(t_start, t_end, dt)
+    try:
+        limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius)
+    except NonFiniteError as exc:
+        # the initial state's velocity leaves the finite range: no step is taken
+        traj = Trajectory()
+        traj.fail(t_start, f"non-finite state: {exc}", 0)
+        return traj
     if dt > limit:
-        raise ValueError(f"dt = {dt} violates the stability bound {limit:.6g}")
+        raise StabilityError(dt, limit)
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
         state = InterfaceState(

@@ -23,7 +23,12 @@ log1p argument itself cancels only near the strip-edge corner
 ``kernel_values`` takes the same second difference in the form of
 :func:`_lambda_integral`.  Together they are accurate to roundoff at
 every width (within 1e-13 relative of a 50-digit evaluation, ``eps =
-1e-10`` and ``dx / eps`` down to 1e-12 at the corner included).
+1e-10`` and ``dx / eps`` down to 1e-12 at the corner included).  Where
+``eps^4`` or ``r^4`` would leave the float range, and in the far field
+``r >= 1e8 eps`` where the three terms cancel, ``kernel_values`` uses the
+kernel's homogeneity ``K(dx, u, eps) = K(dx / eps, u / eps, 1) / eps`` and
+its two limits, the Muskat kernel and ``sign(dx) / (2 eps)``; the tests
+cover widths from 1e-170 to 1e200.
 
 This module provides that closed form, an adaptive-quadrature oracle
 for it, the frozen-slope kernel ``K_A``, the transport coefficient
@@ -32,7 +37,8 @@ differentiated kernels ``ktilde`` / ``ktilde_c`` together with their L1
 statistics.  The differentiated kernels are folded the same way (one
 ``arctan2``, one ``log1p``), so they too are accurate to roundoff at
 every width; the L1 statistics evaluate them at t = 1 by scale
-invariance.
+invariance.  The oracle and the L1 statistics import scipy's ``quad``
+when called; the closed forms need numpy only.
 
 Conventions adopted here (asserted by the test suite):
 
@@ -47,10 +53,10 @@ Conventions adopted here (asserted by the test suite):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import GridFunction1D
 
@@ -85,24 +91,38 @@ class KernelPoint:
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
+# kernel_values evaluates the folded form for widths in this range, where no
+# power of eps it forms leaves the float range; other widths are rescaled
+_EPS_RANGE = (1e-20, 1e20)
+# and for entries with _NEAR eps <= r < _FAR eps; the far ones take the
+# Muskat kernel, exact to (2 eps / r)^2, the near ones the r -> 0 limit
+_NEAR = 1e-20
+_FAR = 1e8
 
 
 def _maybe_scalar(out: np.ndarray):
     return out if out.ndim else float(out)
 
 
-def kernel_values(dx, delta_f, eps: float):
+def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
     """Vectorized closed-form kernel; dx == 0 entries return 0.
 
     Two ``arctan2`` and one ``log1p`` per entry (see the module docstring).
     The imaginary part of the folded product is exactly ``-8 eps^2 dx u``,
     so the first ``arctan2`` carries no cancellation either.  Finite
-    entries whose ``r^4`` leaves the normal float range take
-    :func:`_outside_r4_range` instead.  Near the strip-edge corner
-    (``|u|`` close to ``2 eps``, ``|dx|`` small against eps) the log1p
-    argument ``1 + x = |z-|^2 |z+|^2 / r^4`` cancels; entries with
-    ``1 + x < 1/2`` take the same second difference from
+    entries with ``r >= 1e8 eps`` (the far field, where the three terms
+    cancel to ``O(eps^2 / r^2)``) or ``r < 1e-20 eps`` take
+    :func:`_by_scale` instead, found by two scalar thresholds on ``r^4``;
+    so does every entry when ``eps`` lies outside [1e-20, 1e20].  Near the
+    strip-edge corner (``|u|`` close to ``2 eps``, ``|dx|`` small against
+    eps) the log1p argument ``1 + x = |z-|^2 |z+|^2 / r^4`` cancels;
+    entries with ``1 + x < 1/2`` take the same second difference from
     :func:`_lambda_integral`, which builds that small factor directly.
+
+    ``work``, a float array of shape ``(5,) + shape`` for the broadcast
+    shape of ``dx`` and ``delta_f``, holds the temporaries of the folded
+    form, so a caller that evaluates many blocks of one shape allocates
+    them once.  The folded form returns its values in ``work[0]``.
     """
     dx = np.asarray(dx, dtype=float)
     u = np.asarray(delta_f, dtype=float)
@@ -110,53 +130,80 @@ def kernel_values(dx, delta_f, eps: float):
     if np.any(zero):
         safe = kernel_values(np.where(zero, 1.0, dx), u, eps)
         return _maybe_scalar(np.where(zero, 0.0, safe))
+    if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
+        return _maybe_scalar(_by_scale(*np.broadcast_arrays(dx, u), eps))
+    if work is None:
+        work = np.empty((5,) + np.broadcast_shapes(dx.shape, u.shape))
+    out, diff, r2, r4, tmp = (work[k, ...] for k in range(5))  # 0-d views for scalars
     w2 = eps * eps
-    with np.errstate(over="ignore"):  # out-of-range entries take the edge branch
+    # edge and corner entries are evaluated too, and replaced below
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         dx2 = dx * dx
-        u2 = u * u
-        r2 = dx2 + u2
-        r4 = r2 * r2
-    edge = (r4 < _TINY) | (r4 > _HUGE)
+        np.multiply(u, u, out=diff)
+        np.add(dx2, diff, out=r2)
+        np.multiply(r2, r2, out=r4)
+        np.subtract(dx2, diff, out=diff)
+        np.multiply(diff, 4.0 * w2, out=tmp)
+        tmp += r4
+        np.multiply(-8.0 * w2 * dx, u, out=out)
+        np.arctan2(out, tmp, out=out)
+        out *= u
+        np.subtract(r2, 4.0 * w2, out=tmp)
+        np.arctan2(4.0 * eps * dx, tmp, out=tmp)
+        tmp *= 2.0 * eps
+        out += tmp
+        diff *= 8.0 * w2
+        diff += 16.0 * w2 * w2
+        diff /= r4
+        np.log1p(diff, out=tmp)
+        tmp *= 0.5 * dx
+        out -= tmp
+        out *= 1.0 / (4.0 * np.pi * w2)
+    near4, far4 = (_NEAR * eps) ** 4, (_FAR * eps) ** 4  # normal floats in the range
+    edge = (r4 < near4) | (r4 >= far4)
+    corner = diff < -0.5
     if edge.any():
         edge &= np.isfinite(dx) & np.isfinite(u)
-        if edge.any():
-            dx, u = np.broadcast_arrays(dx, u)
-            out = np.array(kernel_values(np.where(edge, 1.0, dx), np.where(edge, 0.0, u), eps))
-            out[edge] = _outside_r4_range(dx[edge], u[edge], eps)
-            return _maybe_scalar(out)
-    diff = dx2 - u2
-    bracket = u * np.arctan2(-8.0 * w2 * dx * u, r4 + 4.0 * w2 * diff)
-    bracket += 2.0 * eps * np.arctan2(4.0 * eps * dx, r2 - 4.0 * w2)
-    diff *= 8.0 * w2
-    diff += 16.0 * w2 * w2
-    diff /= r4
-    with np.errstate(divide="ignore", invalid="ignore"):  # corner entries are replaced below
-        bracket -= 0.5 * dx * np.log1p(diff)
-    bracket *= 1.0 / (4.0 * np.pi * w2)
-    corner = diff < -0.5
+        corner &= ~edge
+        dxb, ub = np.broadcast_arrays(dx, u)
+        out[edge] = _by_scale(dxb[edge], ub[edge], eps)
     if corner.any():
-        dx, u, bracket = *np.broadcast_arrays(dx, u), np.array(bracket)
-        strip = _lambda_integral(dx[corner], u[corner], -eps, eps, eps)
-        bracket[corner] = strip / (2.0 * np.pi * eps)
-    return _maybe_scalar(bracket)
+        dxb, ub = np.broadcast_arrays(dx, u)
+        strip = _lambda_integral(dxb[corner], ub[corner], -eps, eps, eps)
+        out[corner] = strip / (2.0 * np.pi * eps)
+    return _maybe_scalar(out)
 
 
-def _outside_r4_range(dx: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
-    """The kernel at finite, nonzero-``dx`` entries whose ``r^4`` is not a normal float.
+def _by_scale(dx: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
+    """The kernel at nonzero-``dx`` entries, by their size against ``eps``.
 
-    Above the range (``r`` beyond about 1e77) it is the Muskat kernel
-    ``dx / (pi r^2)``, to a relative ``(2 eps / r)^2``.  Below it (``r``
-    under about 1e-77) it is the ``r -> 0`` limit ``sign(dx) / (2 eps)``,
-    to a relative ``O((r / eps) log(eps / r))``, wherever ``r < 1e-20 eps``;
-    elsewhere it is the rescaled kernel ``K(dx / eps, u / eps, 1) / eps``.
+    With ``size = max(|dx|, |u|)``, so that ``r / sqrt 2 <= size <= r``:
+
+    * far, ``size > 5e7 eps``: the Muskat kernel ``dx / (pi r^2)``, to a
+      relative ``(2 eps / r)^2 < 2e-15``;
+    * near, ``size < 2e-20 eps``: the ``r -> 0`` limit ``sign(dx) / (2
+      eps)``, to a relative ``O((r / eps) log(eps / r))``;
+    * otherwise the kernel is homogeneous of degree -1: with ``eps = m 2^e``,
+      ``m`` in [1/2, 1), ``K(dx, u, eps) = 2^-e K(2^-e dx, 2^-e u, m)``, and
+      the power-of-two scaling is exact.  A scaled ``dx`` that underflows to
+      0 is kept at the smallest normal float of its sign, where the kernel
+      has reached its ``dx -> 0`` limit.
+
+    The margins of 2 on both sides make the entries that :func:`kernel_values`
+    hands over (``r >= 1e8 eps`` or ``r < 1e-20 eps``) far or near, and the
+    scaled ones fall inside its main branch.  Non-finite entries give
+    non-finite values.
     """
     size = np.maximum(np.abs(dx), np.abs(u))
-    out = np.sign(dx) / (2.0 * eps)
-    far = size > 1.0
+    out = np.array(np.sign(dx) / (2.0 * eps))
+    far = size > 0.5 * _FAR * eps
     out[far] = muskat_limit(dx[far], u[far])
-    scaled = ~far & (size >= 1e-20 * eps)
+    scaled = ~far & (size >= 2.0 * _NEAR * eps)
     if scaled.any():
-        out[scaled] = kernel_values(dx[scaled] / eps, u[scaled] / eps, 1.0) / eps
+        m, e = math.frexp(eps)
+        sx, su = np.ldexp(dx[scaled], -e), np.ldexp(u[scaled], -e)
+        sx[sx == 0.0] = np.copysign(_TINY, dx[scaled][sx == 0.0])
+        out[scaled] = np.ldexp(kernel_values(sx, su, m), -e)
     return out
 
 
@@ -218,7 +265,10 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
     spike u = 0 of F; on each piece ``|u| = |dx| sinh(tau)`` turns
     ``F du`` into ``sign(dx) dtau / cosh(tau)``, with tau counted from the
     piece's end nearest the spike, so that a piece far out keeps its width.
+    The tent is taken over its height 2 eps, so no width underflows it.
     """
+    from scipy.integrate import quad
+
     if not eps > 0:
         raise ValueError("eps must be positive")
     if p.dx == 0.0:
@@ -229,8 +279,9 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
 
     def piece(v0: float, v1: float) -> float:
         start, step = (v0, 1.0) if df + v0 >= 0.0 else (v1, -1.0)
-        # the tent is linear on the piece: head + rate * grow, exact at the edges
-        head, rate = tent - abs(start), (-step if v0 >= 0.0 else step)
+        # the tent over its height is linear on the piece: head + rate * grow,
+        # exact at the edges
+        head, rate = 1.0 - abs(start) / tent, (-step if v0 >= 0.0 else step) / tent
         p0, length = abs(df + start), v1 - v0  # |u| grows from p0 by length
         q0, r0 = p0 + length, np.hypot(ax, p0)
         r1 = np.hypot(ax, q0)
@@ -246,7 +297,7 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
 
     cuts = sorted({-tent, max(-df, -tent), 0.0, tent})
     total = sum(piece(v0, v1) for v0, v1 in zip(cuts[:-1], cuts[1:]))
-    return float(np.sign(p.dx) * total / (4.0 * np.pi * eps) / eps)
+    return float(np.sign(p.dx) * total / (2.0 * np.pi * eps))
 
 
 def kernel_frozen(slope_a: float, y, eps: float):
@@ -402,6 +453,8 @@ def ktilde_slope_derivative(slope_a: float, y, t: float):
 
 def _scaled_l1(scaled_integrand) -> float:
     """Integrate |g(y')| over the line for an even scaled integrand g."""
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda yp: abs(scaled_integrand(yp)),
         0.0,

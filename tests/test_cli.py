@@ -331,22 +331,40 @@ def test_kernel_eval_subcommand(capsys):
     assert "closed_form" in out and "muskat_limit" in out
 
 
-def test_kernel_eval_far_field_prints_no_warnings():
-    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr; the
-    # far field, the strip-edge corner and the lam = lam' spike of the
-    # oracle's integrand
+def _fresh_python(args, cwd=None):
+    """``python args`` in a fresh interpreter that imports this checkout's package."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    for dx, df in (("1", "1e160"), ("1e-9", "0.2"), ("1e-4", "0")):
-        argv = ["kernel-eval", "--dx", dx, "--df", df, "--eps", "0.1"]
-        proc = subprocess.run([sys.executable, "-m", "mixzone.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=300)
+
+
+def _cli_process(argv):
+    """``python -m mixzone.cli argv`` in a fresh interpreter."""
+    return _fresh_python(["-m", "mixzone.cli", *argv])
+
+
+def test_kernel_eval_far_field_prints_no_warnings():
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr; the
+    # far field, the strip-edge corner, the lam = lam' spike of the oracle's
+    # integrand, a tiny |dx| against a huge |delta_f| (the Muskat value, not
+    # 3 times it), and widths whose square under- or overflows
+    points = (("1", "1e160", "0.1"), ("1e-9", "0.2", "0.1"), ("1e-4", "0", "0.1"),
+              ("1e-200", "1e40", "1e-3"), ("1", "0.3", "1e-170"), ("1", "0.3", "1e150"),
+              ("1", "0.3", "1e200"))
+    for dx, df, eps in points:
+        argv = ["kernel-eval", "--dx", dx, "--df", df, "--eps", eps]
+        proc = _cli_process(argv)
         assert proc.returncode == 0 and proc.stderr == "", argv
         values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
         assert len(values) == 3 and all(np.isfinite(values))
         assert values[1] == pytest.approx(values[0], rel=1e-6, abs=1e-300)
         if df == "1e160":  # the Muskat kernel 1/(pi 1e320) there (a subnormal)
             assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
+        if float(eps) < 1e-100 or float(df) > 1e8 * float(eps):  # the Muskat limit
+            assert values[0] == pytest.approx(values[2], rel=1e-13)
+        if float(eps) > 1e100:  # the r -> 0 limit 1 / (2 eps)
+            assert values[0] == pytest.approx(0.5 / float(eps), rel=1e-13)
 
 
 def test_kernel_eval_where_r4_underflows(capsys):
@@ -361,3 +379,91 @@ def test_flat_demo_subcommand(capsys):
     assert _run(["flat-demo", "--mu1", "1.0", "--mu2", "0.0", "--sigma", "-1", "--c", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "admissible c interval: (0.0, 2.0)" in out
+
+
+def test_simulate_imports_no_scipy(tmp_path):
+    # scipy serves the oracles, `verify` and the tests only: importing the
+    # CLI and running `simulate` on the defaults must not load it
+    (tmp_path / "empty.json").write_text("{}")
+    code = (
+        "import sys\n"
+        "import mixzone.cli\n"
+        "rc = mixzone.cli.main(['simulate', 'empty.json', '--out', 'run'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = _fresh_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
+
+
+def _table_file(path, heights):
+    x = -20.0 + 40.0 / 64 * np.arange(64)
+    path.write_text("x,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), heights)))
+
+
+@pytest.mark.parametrize(
+    "case, key",
+    [("stability", "time.dt"), ("window", "quadrature.trunc_radius"), ("nan_table", "initial.path")],
+)
+def test_simulate_config_error_exits_2_without_traceback(tmp_path, case, key):
+    # each is a configuration error, reported on one line with its key, and
+    # nothing is written
+    if case == "stability":  # h^2 / (2 kappa) = 0.39 < dt
+        extra = {"time": {"dt": 0.5, "t_end": 1.0}, "physics": {"kappa": 0.5},
+                 "quadrature": {"trunc_radius": 10.0}}
+    elif case == "window":  # 4 / h = 6.4 grid spacings, fewer than the near cell needs
+        extra = {"physics": {"c": 0.01}, "quadrature": {"trunc_radius": 4.0}}
+    else:
+        _table_file(tmp_path / "f.csv", [0.0] * 10 + [float("nan")] + [0.0] * 53)
+        extra = {"initial": {"family": "file", "path": str(tmp_path / "f.csv")}}
+    cfgpath = _zero_config(tmp_path, **extra)
+    proc = _cli_process(["simulate", str(cfgpath), "--out", str(tmp_path / "run")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"configuration error: {key}") and "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_simulate_overflowing_initial_velocity_is_an_integration_failure(tmp_path):
+    # +-1e308 heights are finite, but their velocity is not: the stability
+    # probe fails before the first step, which is recorded as step 0
+    _table_file(tmp_path / "f.csv", [1e308, -1e308] * 32)
+    cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
+    out = tmp_path / "run"
+    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["integration_failed"] is True and meta["snapshots"] == 0
+    assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (0, None)
+    assert meta["integration_failure"].startswith("non-finite state")
+    assert (out / "trace.csv").read_text().splitlines() == [
+        "t,l2_norm,h4_norm,energy,max_gamma,min_slack,m_bound"]
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ('{"time": {"dt": 0.03}}', "time.dt"),
+        ('{"grid": {"n": 64}, "physics": {"c": 0.01}, "quadrature": {"trunc_radius": 4.0}}',
+         "quadrature.trunc_radius"),
+        ('{"initial": {"width": 0}}', "initial.width"),
+    ],
+)
+def test_parse_rejects_what_the_run_would_reject(doc, key):
+    # a step count that is not an integer, a window too small for the near
+    # cell, and a zero bump width (0/0 at the centre) are configuration errors
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kernel-eval", "--dx", "1", "--df", "0.3", "--eps", "0"],
+     ["kernel-eval", "--dx", "inf", "--df", "0.3", "--eps", "0.1"],
+     ["flat-demo", "--mu1", "0", "--mu2", "0"],
+     ["flat-demo", "--c", "nan"]],
+)
+def test_invalid_arguments_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -78,15 +78,20 @@ def _corner_points(eps):
     return np.concatenate([dx, dx]), np.concatenate([df, -df])
 
 
-@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0])
+@pytest.mark.parametrize("eps", [1e-170, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 1.0, 1e150, 1e200])
 def test_closed_form_matches_mpmath(eps):
-    # 50-digit second difference of the unfolded antiderivative: the
-    # cancellation that float64 cannot afford costs mpmath nothing
+    # second difference of the unfolded antiderivative, with 50 digits more
+    # than it cancels (about (eps / r)^2 |dx| / |delta_f| of its terms): the
+    # cancellation that float64 cannot afford costs mpmath nothing.  Widths
+    # from 1e-170 to 1e200 (eps^2 under- and overflows outside about
+    # [1e-154, 1e154]), and far-field points where |dx| is tiny against
+    # |delta_f| (the first arctan2 underflows there)
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
-    mp.dps = 50
 
     def oracle(dx, df):
+        r = np.hypot(dx, df)
+        mp.dps = 50 + int(2 * np.log10(1.0 + r / eps) + np.log10(1.0 + abs(df / dx)))
         dx, df, w = mp.mpf(dx), mp.mpf(df), mp.mpf(eps)
 
         def anti(u):
@@ -101,8 +106,11 @@ def test_closed_form_matches_mpmath(eps):
     dx = np.repeat(dxs, slopes.size)
     df = np.tile(slopes, dxs.size) * np.abs(dx)
     corner_dx, corner_df = _corner_points(eps)
-    dx, df = np.concatenate([dx, corner_dx]), np.concatenate([df, corner_df])
-    got = kernel.kernel_values(dx, df, eps)
+    far_dx, far_df = np.array([1e-200, -1e-200, 1e-100]), np.array([1e40, 1e40, -1e60])
+    dx, df = np.concatenate([dx, corner_dx, far_dx]), np.concatenate([df, corner_df, far_df])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.kernel_values(dx, df, eps)
     want = np.array([float(oracle(a, b)) for a, b in zip(dx, df)])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 

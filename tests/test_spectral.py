@@ -101,6 +101,48 @@ def test_h_closed_form_matches_quadrature():
     run_check("h_closed_form_vs_quadrature")
 
 
+def test_h_values_matches_mpmath():
+    # 50-digit Re[Ein(w) - 1 + (1 - e^-w) / w], Ein(w) = gamma + log w + E1(w),
+    # at random s in [1e-9, 1e3] and |A| <= 200, and where |w| crosses the
+    # switch from the power series to the continued fraction near the
+    # imaginary axis (|A| large), where the fraction converges slowest
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    rng = np.random.default_rng(21)
+    s = np.concatenate([10.0 ** rng.uniform(-9, 3, 240), [1e-9, 1e3, 1e-9, 1e3]])
+    a = rng.choice([-1.0, 1.0], 240) * 10.0 ** rng.uniform(-3, np.log10(200), 240)
+    a = np.concatenate([a, [0.0, 0.0, 200.0, -200.0]])
+    # |w| = 4 pi s / sqrt(1 + A^2) within 1 % of the switch radius 4
+    a_edge = rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(0, np.log10(200), 60)
+    s_edge = 4.0 * rng.uniform(0.99, 1.01, 60) * np.sqrt(1 + a_edge**2) / (4 * np.pi)
+    s, a = np.concatenate([s, s_edge]), np.concatenate([a, a_edge])
+
+    def h_exact(sv, av):
+        sv, av = mp.mpf(sv), mp.mpf(av)
+        w = 4 * mp.pi / (1 + av * av) * mp.mpc(1, av) * sv
+        return float(mp.re(mp.euler + mp.log(w) + mp.e1(w) - 1 + (1 - mp.exp(-w)) / w))
+
+    want = np.array([h_exact(sv, av) for sv, av in zip(s, a)])
+    got = spectral.h_values(s, a)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert spectral.h_values(0.0, 3.0) == 0.0
+
+
+def test_symbol_broadcast_matches_one_slope_calls():
+    # the (slope, mode) table of apply_mtilde_dinv is one broadcast call;
+    # row for row it is the one-slope call, bit for bit
+    freqs = np.fft.fftfreq(256, d=40.0 / 256)
+    k = np.arange(16)
+    nodes = -0.5 + 2.5 * np.cos((2 * k + 1) * np.pi / 32)
+    for t in (0.0, 1e-4, 0.3, 5.0):
+        table = spectral.symbol_mtilde(freqs, nodes[:, None], t)
+        rows = np.stack([spectral.symbol_mtilde(freqs, float(a), t) for a in nodes])
+        assert np.array_equal(table, rows)
+        m_table = spectral.symbol_m(freqs, nodes[:, None], t)
+        assert np.array_equal(m_table, np.stack([spectral.symbol_m(freqs, float(a), t) for a in nodes]))
+
+
 def test_h_minus_log_bounded():
     # |H - log(1+s)| <= C (1 + |A|); C = 2.2 is the measured constant
     for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
