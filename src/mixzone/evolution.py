@@ -14,7 +14,12 @@ with a Gauss-Legendre near cell: the cells around the singularity are
 integrated on fixed geometric panels against the odd Taylor expansion of
 the slope difference (frozen-slope kernel), and the trapezoid ends carry
 Gregory corrections.  That layout is built once per grid and window by
-``_quadrature_plan``, which the subsolution check reads too.  Without
+``_quadrature_plan``, which the subsolution check reads too.  The
+frozen-slope moments are analytic in the slope, so each quadrature call
+evaluates them once, at Chebyshev points of its slope range (17 for the
+criterion-08 data), and interpolates them to every site to within
+e^-37; when that would take more than an eighth as many nodes as sites,
+or a slope is not finite, they are summed at the sites' own slopes.  Without
 the near cell the quadrature is first order once the kernel width drops
 below the mesh; with it the scheme is second order in h and the
 right-hand side stays smooth in t, preserving the RK4 order.  The far
@@ -34,6 +39,7 @@ A step above the stability bound raises :class:`StabilityError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -73,6 +79,15 @@ _MIN_REACH = 8
 # entries of the PV quadrature's skew buffer per row block (see _quadrature_plan):
 # each float64 temporary of a block is at most 128 KiB, so a block stays in L2
 _BLOCK_ENTRIES = 16384
+# near-cell moments are interpolated in the slope (see nearfield_correction):
+# semi-minor axis of the Bernstein ellipse inside the strip |Im A| < 1 where
+# they are analytic, and minus the log of the interpolation tolerance e^-37
+_STRIP_SEMI_MINOR = 0.5
+_LOG_TOL = 37.0
+# Chebyshev nodes only when there are at most n / 8 of them: timed on 2 vCPUs,
+# table plus interpolation then cost 0.3-0.7 of the sites' own slopes at
+# n = 256-2048 and about 1.0 at n = 4096 (n / 6 already cost 1.1 at n = 2048)
+_SITES_PER_NODE = 8
 
 
 @dataclass(frozen=True)
@@ -272,6 +287,64 @@ def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     return _Plan(offsets, weights, near, near_y, near_w, moments, min(rows, n))
 
 
+def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarray) -> np.ndarray:
+    """Frozen-slope moments ``2 int_0^{near*h} y^k K(y, A y, w) dy``, k = 1, 3, 5.
+
+    One row ``(I1, I3, I5)`` per slope A, summed on the plan's near-cell
+    nodes in blocks of ``plan.rows`` slopes; ``work`` has shape ``(6,
+    plan.rows, nodes)``.
+    """
+    y = plan.near_y
+    out = np.empty((slopes.size, 3))
+    for start in range(0, slopes.size, plan.rows):
+        stop = min(start + plan.rows, slopes.size)
+        u = np.multiply(slopes[start:stop, None], y, out=work[0, : stop - start])
+        out[start:stop] = kernel_values(y, u, width, work=work[1:, : stop - start]) @ plan.moments
+    return out
+
+
+def _slope_nodes(slope: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+    """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
+
+    ``t_j = cos(j pi / d)``, j = 0..d, with ``d = ceil(37 / log rho)``
+    (one node, ``t = 0``, for a constant slope).  None, meaning the sites'
+    own slopes, when a slope is not finite or the nodes would number more
+    than ``1 / _SITES_PER_NODE`` of the sites.
+    """
+    lo, hi = float(np.min(slope)), float(np.max(slope))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    # halves taken first, so a finite range never overflows
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    if half == 0.0:
+        return mid, half, np.zeros(1)
+    # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
+    # no overflow or cancellation at any finite half (inf once b / half is)
+    log_rho = math.asinh(_STRIP_SEMI_MINOR / half)
+    max_nodes = slope.size // _SITES_PER_NODE
+    if not _LOG_TOL < log_rho * (max_nodes - 1):  # ceil(tol / log rho) + 1 > max_nodes
+        return None
+    d = max(1, math.ceil(_LOG_TOL / log_rho))
+    return mid, half, np.cos(np.pi * np.arange(d + 1) / d)
+
+
+def _barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` (values at the Chebyshev points ``t_nodes``) interpolated to ``t``.
+
+    The barycentric formula of the second kind (weights ``(-1)^j``, halved
+    at both ends); a ``t`` equal to a node takes that node's row.
+    """
+    weights = np.resize([1.0, -1.0], t_nodes.size)
+    weights[[0, -1]] *= 0.5
+    diff = t[:, None] - t_nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = weights / diff
+        out = (c @ table) / c.sum(axis=1)[:, None]
+    rows, cols = np.nonzero(diff == 0.0)
+    out[rows] = table[cols]
+    return out
+
+
 def nearfield_correction(
     slope: np.ndarray,
     g1: np.ndarray,
@@ -281,21 +354,59 @@ def nearfield_correction(
     width: float,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Near-cell integral ``int_{|y| < near*h} (Delta g)(y) K_w(y) dy``.
+    """Near-cell integral ``int_{|y| < near*h} (Delta g)(y) K_w(y) dy`` at every site.
 
     Uses the odd Taylor expansion ``Delta g = g' y + g''' y^3/6 + g^(5)
-    y^5/120`` with the kernel frozen at the local slope; even terms drop
-    by parity, and the three weighted moments are one product with the
-    plan's moment table.  :func:`kernel_quadrature` calls it once per row
-    block, with ``work``: a float array of shape ``(6, sites, nodes)`` for
-    the frozen height differences and the kernel's temporaries.
+    y^5/120`` with the kernel frozen at the local slope A; even terms
+    drop by parity, and the three weighted moments ``I_k(A) = 2
+    int_0^{near*h} y^k K(y, A y, w) dy`` are one product with the plan's
+    moment table.
+
+    The moments are smooth in the one scalar A, so they are evaluated
+    once, at Chebyshev points of the slope range ``[lo, hi]``, and
+    interpolated to every site.  ``K(y, A y, w)`` is built from ``-Re(z
+    log z)`` at ``z = y (1 + i A) + i c``, ``c`` in ``{0, +-2w}``.  For
+    complex A and real ``y > 0`` both ``z`` and its conjugate partner
+    ``y (1 - i A) - i c`` keep a positive real part while ``|Im A| < 1``,
+    so no branch point is met and every moment (a finite sum over the
+    nodes) is analytic in that strip.  The Bernstein ellipse about
+    ``[lo, hi]`` with semi-minor axis ``b = 1/2`` lies inside it; its
+    half-width is ``a = (hi - lo) / 2`` and its parameter ``rho = (b +
+    sqrt(a^2 + b^2)) / a``, so degree ``d = ceil(37 / log rho)`` makes
+    the interpolation error, of order ``rho^-d`` (Trefethen, ATAP, Thm
+    8.2), at most ``e^-37``: ``d + 1`` is 17 nodes for ``|A| <= 0.086``,
+    78 for ``[-1, 1]`` and 742 for ``[-10, 10]``.  The interpolation is
+    barycentric (Berrut & Trefethen, SIAM Review 46, 2004), in chunks of
+    sites whose temporaries are no larger than a row block's.
+
+    The one evaluator, :func:`_near_moments`, runs on the sites' own
+    slopes instead (the interpolation is then the identity) when the
+    nodes would number more than an eighth of the sites, or when a slope
+    is not finite.  A constant slope is one node, exact.
+
+    :func:`kernel_quadrature` calls it once per call, with ``work``: a
+    float array of shape ``(6, plan.rows, nodes)`` for the frozen height
+    differences and the kernel's temporaries.
     """
-    y = plan.near_y
     if work is None:
-        work = np.empty((6, slope.size, y.size))
-    u = np.multiply(slope[:, None], y, out=work[0])
-    i1, i3, i5 = (kernel_values(y, u, width, work=work[1:]) @ plan.moments).T
-    return g1 * i1 + g3 / 6.0 * i3 + g5 / 120.0 * i5
+        work = np.empty((6, plan.rows, plan.near_y.size))
+    nodes = _slope_nodes(slope)
+    if nodes is None:
+        m = _near_moments(slope, plan, width, work)
+    else:
+        mid, half, t_nodes = nodes
+        table = _near_moments(mid + half * t_nodes, plan, width, work)
+        if half == 0.0:
+            m = np.broadcast_to(table, (slope.size, 3))
+        else:
+            # a chunk's (sites, nodes) temporaries are no larger than a
+            # row block's skew buffer
+            chunk = max(1, _BLOCK_ENTRIES // t_nodes.size)
+            m = np.empty((slope.size, 3))
+            for start in range(0, slope.size, chunk):
+                blk = slice(start, start + chunk)
+                m[blk] = _barycentric(t_nodes, table, (slope[blk] - mid) / half)
+    return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 
 def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
@@ -315,7 +426,9 @@ def _first_bad_site(f_values, f_back, dx, plan, width) -> int:
     bad = np.zeros(n, dtype=bool)
     for start in range(0, n, plan.rows):
         blk = slice(start, min(start + plan.rows, n))
-        kern = kernel_values(dx, f_values[blk, None] - f_back[blk], width)
+        with np.errstate(over="ignore"):  # an overflowing difference is a bad kernel value
+            u = f_values[blk, None] - f_back[blk]
+        kern = kernel_values(dx, u, width)
         r, c = np.nonzero(~np.isfinite(kern))
         bad[start + r] = True
         bad[(start + r - plan.near - c) % n] = True
@@ -361,17 +474,18 @@ def kernel_quadrature(
     flux = as_strided(skew, (rows, n_pos), (step + item, item))[:, ::-1]
     # acc[p] accumulates site (p - m_max) % n
     acc = np.zeros(n + m_max)
-    # the blocks' height differences and kernel temporaries, far and near,
+    # the blocks' height differences and kernel temporaries, far then near,
     # in one buffer: no block allocates a full-size array, so the heap the
     # blocks reuse is neither returned to the system nor faulted in again
     n_near = plan.near_y.size
-    buf = np.empty(6 * rows * (n_pos + n_near))
+    buf = np.empty(6 * rows * max(n_pos, n_near))
     far_work = buf[: 6 * rows * n_pos].reshape(6, rows, n_pos)
-    near_work = buf[6 * rows * n_pos :].reshape(6, rows, n_near)
+    near_work = buf[: 6 * rows * n_near].reshape(6, rows, n_near)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         blk = slice(start, stop)
-        u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
+        with np.errstate(over="ignore"):  # the finiteness check below reports it
+            u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
         kern = kernel_values(dx, u, width, work=far_work[1:, : stop - start])
         if not np.all(np.isfinite(kern)):
             bad = _first_bad_site(f_values, f_back, dx, plan, width)
@@ -380,13 +494,12 @@ def kernel_quadrature(
         np.subtract(g_values[blk, None], g_back[blk], out=fl)
         fl *= kern
         fl *= wts
-        acc[m_max + start : m_max + stop] += fl.sum(axis=1) + nearfield_correction(
-            slope[blk], g1[blk], g3[blk], g5[blk], plan, width, near_work[:, : stop - start]
-        )
+        acc[m_max + start : m_max + stop] += fl.sum(axis=1)
         span = stop - start + n_pos - 1
         acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
     out = acc[m_max:]
     out[n - m_max :] += acc[:m_max]
+    out += nearfield_correction(slope, g1, g3, g5, plan, width, near_work)
     return out
 
 
@@ -406,12 +519,15 @@ def rhs_regularized(
         raise ValueError("kernel width eps + kappa must be positive")
     f = state.f
     slope, diffusion, sym = _fourier_multipliers(state.delta, f.h, f.n)
-    fhat = np.fft.rfft(f.values)
-    g = np.fft.irfft(fhat * slope, n=f.n)
+    # heights near the float64 limit overflow the transform; the finiteness
+    # checks of the quadrature and of the result report it, so it stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        fhat = np.fft.rfft(f.values)
+        g = np.fft.irfft(fhat * slope, n=f.n)
+        diff = state.kappa * np.fft.irfft(fhat * diffusion, n=f.n)
     vel = kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
     if state.delta > 0:
         vel = np.fft.irfft(np.fft.rfft(vel) * sym, n=f.n)
-    diff = state.kappa * np.fft.irfft(fhat * diffusion, n=f.n)
     return f.with_values(diff - vel)
 
 

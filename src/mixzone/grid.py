@@ -96,11 +96,17 @@ class GridFunction1D:
 
 
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
-    """d^order/dx^order of periodic samples via the FFT."""
+    """d^order/dx^order of periodic samples via the FFT.
+
+    Samples whose transform overflows (heights near the float64 limit)
+    give a non-finite derivative without a warning; the callers'
+    finiteness checks report it.
+    """
     values = np.asarray(values, dtype=float)
     n = values.size
     k = np.fft.rfftfreq(n, d=length / n)
-    coeffs = np.fft.rfft(values) * (2j * np.pi * k) ** order
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.fft.rfft(values) * (2j * np.pi * k) ** order
     if order % 2 == 1 and n % 2 == 0:
         coeffs[-1] = 0.0
     return np.fft.irfft(coeffs, n=n)

@@ -425,18 +425,34 @@ def test_simulate_config_error_exits_2_without_traceback(tmp_path, case, key):
 
 def test_simulate_overflowing_initial_velocity_is_an_integration_failure(tmp_path):
     # +-1e308 heights are finite, but their velocity is not: the stability
-    # probe fails before the first step, which is recorded as step 0
+    # probe fails before the first step, which is recorded as step 0; the
+    # overflows on the way (transforms, height differences) print nothing
     _table_file(tmp_path / "f.csv", [1e308, -1e308] * 32)
     cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
     out = tmp_path / "run"
     proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
-    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.returncode == 1 and proc.stderr == ""
     meta = json.loads((out / "meta.json").read_text())
     assert meta["integration_failed"] is True and meta["snapshots"] == 0
     assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (0, None)
     assert meta["integration_failure"].startswith("non-finite state")
     assert (out / "trace.csv").read_text().splitlines() == [
         "t,l2_norm,h4_norm,energy,max_gamma,min_slack,m_bound"]
+
+
+def test_simulate_overflowing_transform_fails_silently_at_step_0(tmp_path):
+    # 1e307 heights with a bump: every height difference is finite, but the
+    # transform's zero mode overflows, so the slopes (and the near cell's
+    # slope range) are not finite and the probe's velocity is rejected
+    x = -20.0 + 40.0 / 64 * np.arange(64)
+    _table_file(tmp_path / "f.csv", (1e307 + 1e306 * np.exp(-(x**2))).tolist())
+    cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
+    out = tmp_path / "run"
+    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
+    assert proc.returncode == 1 and proc.stderr == ""
+    meta = json.loads((out / "meta.json").read_text())
+    assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
+    assert meta["integration_failure"] == "non-finite state: grid values must be finite"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from _table import run_check
@@ -71,7 +73,94 @@ def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
         far[i] = np.sum((g_vals[i] - g_vals[idx]) * k * plan.weights)
     slope = spectral_derivative(f_vals, LENGTH)
     g1, g3, g5 = (spectral_derivative(g_vals, LENGTH, k) for k in (1, 3, 5))
-    return far + evolution.nearfield_correction(slope, g1, g3, g5, plan, width)
+    i1, i3, i5 = _direct_near_moments(slope, plan, width).T
+    return far + g1 * i1 + g3 / 6.0 * i3 + g5 / 120.0 * i5
+
+
+def _direct_near_moments(slope, plan, width):
+    """Near-cell moments ``(I1, I3, I5)`` summed at every site's own slope."""
+    y = plan.near_y
+    return kernel.kernel_values(y, slope[:, None] * y, width) @ plan.moments
+
+
+def _interpolated_near_moments(slope, plan, width):
+    """The moments :func:`evolution.nearfield_correction` uses, one column per unit g."""
+    one, zero = np.ones(slope.size), np.zeros(slope.size)
+    units = ((one, zero, zero), (zero, 6.0 * one, zero), (zero, zero, 120.0 * one))
+    return np.stack(
+        [evolution.nearfield_correction(slope, *g, plan, width) for g in units], axis=1
+    )
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, 0.0), (0.3, 0.3), (-0.01, 0.01), (-0.3, 0.0), (-1.0, 1.0), (2.0, 3.0), (-10.0, 10.0)],
+)
+def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
+    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    slope = np.random.default_rng(3).uniform(lo, hi, n)
+    slope[:2] = lo, hi
+    if (lo, hi) == (-10.0, 10.0):  # 742 Chebyshev nodes: the sites' own slopes instead
+        assert evolution._slope_nodes(slope) is None
+    for width in (1e-10, 1e-6, 1e-3, 0.1, 0.5):
+        ref = _direct_near_moments(slope, plan, width)
+        got = _interpolated_near_moments(slope, plan, width)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_near_moments_node_counts():
+    # d = ceil(37 / asinh(b / a)), a the half-width of the slope range, b = 1/2
+    for (lo, hi), nodes in (((0.0, 0.0), 1), ((-0.086, 0.086), 17), ((-1.0, 1.0), 78),
+                            ((2.0, 3.0), 43)):
+        slope = np.linspace(lo, hi, 2048)
+        assert evolution._slope_nodes(slope)[2].size == nodes
+
+
+def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
+    # the range of finite slopes +-1e308 overflows a naive hi - lo, and a
+    # non-finite slope poisons the range: both take the sites' own slopes,
+    # with the direct sum's values, a NaN only at the NaN site and no warning
+    n = 256
+    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    huge = np.resize([1e308, -1e308, 0.3, 1.7e308, -5.0], n)
+    with_nan = np.linspace(-0.1, 0.1, n)
+    with_nan[7] = np.nan
+    for slope in (huge, with_nan):
+        assert evolution._slope_nodes(slope) is None
+        ref = _direct_near_moments(slope, plan, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _interpolated_near_moments(slope, plan, 0.05)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+    assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [7]
+
+
+def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
+    # one nearfield_correction call per quadrature, whose kernel entries are
+    # the 144 near-cell nodes times the Chebyshev nodes of the slope range
+    n, trunc = 512, 10.0
+    plan = evolution._quadrature_plan(n, LENGTH / n, trunc)
+    f = bump(n, amp=0.3).values
+    slope = spectral_derivative(f, LENGTH)
+    entries, near_calls = [], []
+    real_kernel, real_near = evolution.kernel_values, evolution.nearfield_correction
+
+    def counting_kernel(dx, delta_f, *args, **kwargs):
+        out = real_kernel(dx, delta_f, *args, **kwargs)
+        entries.append(out.size)
+        return out
+
+    def counting_near(*args, **kwargs):
+        near_calls.append(1)
+        return real_near(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "kernel_values", counting_kernel)
+    monkeypatch.setattr(evolution, "nearfield_correction", counting_near)
+    evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, trunc)
+    nodes = evolution._slope_nodes(slope)[2].size
+    assert len(near_calls) == 1 and 1 < nodes <= n // 8
+    assert sum(entries) == n * (plan.offsets.size // 2) + plan.near_y.size * nodes
 
 
 def _rows_per_block(n, trunc_radius):
