@@ -9,20 +9,12 @@ lamination-hull inequalities they must satisfy.
 __version__ = "0.1.0"
 
 from .grid import GridFunction1D, NonFiniteError
-from .kernel import KernelPoint
 from .evolution import InterfaceState, Trajectory
-from .spectral import SpectralField
-from .subsolution import SubsolutionSample
-from .flatlab import FlatConfig
 
 __all__ = [
     "__version__",
     "GridFunction1D",
     "NonFiniteError",
-    "KernelPoint",
     "InterfaceState",
     "Trajectory",
-    "SpectralField",
-    "SubsolutionSample",
-    "FlatConfig",
 ]

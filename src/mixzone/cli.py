@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, evolution, flatlab, kernel, spectral, subsolution, verify
+from . import __version__, evolution, kernel, spectral, subsolution
 from .grid import GridFunction1D
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "run_simulate", "run_verify", "main"]
@@ -325,6 +325,8 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
 
 def run_verify(suite: str, stream=None) -> int:
     """Execute one verification suite; prints a JSON report."""
+    from . import verify
+
     stream = stream or sys.stdout
     try:
         checks = verify.run_suite(suite)
@@ -355,6 +357,8 @@ _positive = _number(lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 def _cmd_flat_demo(args) -> int:
+    from . import flatlab
+
     cfg = flatlab.FlatConfig(mu1=args.mu1, mu2=args.mu2, sigma_sign=args.sigma, c=args.c)
     interval = flatlab.flat_admissible_c(args.mu1, args.mu2, args.sigma)
     print(f"gamma = {flatlab.flat_gamma(cfg):.17g}")
@@ -366,9 +370,8 @@ def _cmd_flat_demo(args) -> int:
 
 
 def _cmd_kernel_eval(args) -> int:
-    p = kernel.KernelPoint(dx=args.dx, delta_f=args.df)
-    closed = kernel.kernel_closed_form(p, args.eps)
-    oracle = kernel.kernel_quadrature_oracle(p, args.eps)
+    closed = kernel.kernel_values(args.dx, args.df, args.eps)
+    oracle = kernel.kernel_quadrature_oracle(args.dx, args.df, args.eps)
     print(f"closed_form      = {closed:.17g}")
     print(f"quadrature       = {oracle:.17g}")
     print(f"muskat_limit     = {float(kernel.muskat_limit(args.dx, args.df)):.17g}")
@@ -387,7 +390,7 @@ def main(argv=None) -> int:
     p_sim.add_argument("--out", type=Path, default=Path("out"), help="output directory")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite", help="|".join(verify.available_suites()))
+    p_ver.add_argument("suite", help="suite name; an unknown one lists the suites")
 
     p_flat = sub.add_parser("flat-demo", help="straight-interface closed forms")
     p_flat.add_argument("--mu1", type=_nonnegative, default=1.0)

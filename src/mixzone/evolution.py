@@ -50,6 +50,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .grid import GridFunction1D, NonFiniteError, spectral_derivative
 from .kernel import kernel_values
+from .spectral import apply_dinv
 
 __all__ = [
     "InterfaceState",
@@ -497,6 +498,11 @@ def kernel_quadrature(
         acc[m_max + start : m_max + stop] += fl.sum(axis=1)
         span = stop - start + n_pos - 1
         acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
+    # after the kernel check, which names the site of a non-finite height;
+    # finite heights whose transform overflows leave the slopes non-finite
+    finite = np.isfinite(slope) & np.isfinite(g_values)
+    if not finite.all():
+        raise NonFiniteError(f"non-finite slope at site {int(np.argmin(finite))}")
     out = acc[m_max:]
     out[n - m_max :] += acc[:m_max]
     out += nearfield_correction(slope, g1, g3, g5, plan, width, near_work)
@@ -631,15 +637,11 @@ def integrate(
         return rhs_regularized(state, trunc_radius).values
 
     def diagnose(state: InterfaceState) -> dict:
-        from .spectral import SpectralField, apply_dinv
-
-        d5 = state.f.derivative(5)
-        damped = apply_dinv(SpectralField.from_grid(d5), state.t).to_grid()
         return {
             "t": state.t,
             "l2": state.f.l2_norm(),
             "h4": sobolev_norm(state.f, 4),
-            "dinv_d5": damped.l2_norm(),
+            "dinv_d5": apply_dinv(state.f.derivative(5), state.t).l2_norm(),
             "max_abs_f": float(np.max(np.abs(state.f.values))),
         }
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsolution import SubsolutionSample, choose_M, hull_slacks
+from .subsolution import choose_M, hull_slacks
 
 __all__ = [
     "FlatConfig",
@@ -35,6 +35,10 @@ __all__ = [
     "from_physical",
     "flat_hull_sweep",
 ]
+
+# strip offsets sampled per growth rate, and the slack band of a boundary verdict
+FLAT_N_LAMBDA = 21
+FLAT_BAND = 2e-6
 
 
 @dataclass(frozen=True)
@@ -95,25 +99,27 @@ def flat_admissible_c(mu1: float, mu2: float, sigma_sign: int) -> tuple[float, f
     return (0.0, upper)
 
 
-def flat_fields(cfg: FlatConfig, s: float, lam: float, eps: float) -> SubsolutionSample:
-    """Exact relaxed state at strip coordinates (s, lam), |lam| <= eps.
+def flat_fields(cfg: FlatConfig, lams, eps: float):
+    """Exact relaxed state ``(rho, u, m, gamma)`` at the offsets ``lams``, |lam| <= eps.
 
     rho runs linearly from -1 to +1 across the strip, u is tangential and
-    proportional to rho, and m carries the transport-consistent defect.
-    The state is s-independent.
+    proportional to rho, and m carries the transport-consistent defect;
+    the state does not depend on the tangential coordinate.  ``rho`` and
+    ``gamma`` have one entry per offset, ``u`` and ``m`` one (2,)-row.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if abs(lam) > eps:
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(np.abs(lams) > eps):
         raise ValueError("|lam| must not exceed eps")
-    rho = -cfg.sigma_sign * lam / eps
+    rho = -cfg.sigma_sign * lams / eps
     t, n = cfg.tangent, cfg.normal
     sin_incline = cfg.mu2 / float(np.hypot(cfg.mu1, cfg.mu2))
-    u = -sin_incline * rho * t
+    u = (-sin_incline * rho)[:, None] * t
     gamma = -flat_gamma(cfg)
     one = 1.0 - rho * rho
-    m = rho * u - gamma * one * n - 0.5 * one * np.array([0.0, 1.0])
-    return SubsolutionSample(rho=float(rho), u=u, m=m, gamma=float(gamma))
+    m = rho[:, None] * u - (gamma * one)[:, None] * n - (0.5 * one)[:, None] * np.array([0.0, 1.0])
+    return rho, u, m, np.full(rho.shape, gamma)
 
 
 def to_physical(cfg: FlatConfig, s: float, lam: float) -> np.ndarray:
@@ -164,38 +170,27 @@ def transport_residual(cfg: FlatConfig, x: np.ndarray, t: float) -> float:
     return float(drho_dt + dm_drho @ grad_rho)
 
 
-def flat_hull_sweep(
-    mu1: float,
-    mu2: float,
-    sigma_sign: int,
-    c_values,
-    n_lambda: int = 21,
-    band: float = 2e-6,
-) -> list[dict]:
+def flat_hull_sweep(mu1: float, mu2: float, sigma_sign: int, c_values) -> list[dict]:
     """Hull classification of the straight-interface states per growth rate.
 
-    Samples the strip at ``n_lambda`` offsets, picks M from the sampled
-    speeds and reports pass / boundary / fail per c, where `boundary`
-    means the worst slack sits inside ``+-band``.
+    Samples the strip at ``FLAT_N_LAMBDA`` offsets, picks M from the
+    sampled speeds and reports pass / boundary / fail per c, where
+    `boundary` means the worst slack sits inside ``+-FLAT_BAND``.
     """
     rows = []
+    lams = np.linspace(-1.0, 1.0, FLAT_N_LAMBDA)  # the strip at eps = 1
     for c in c_values:
         cfg = FlatConfig(mu1=mu1, mu2=mu2, sigma_sign=sigma_sign, c=float(c))
-        eps = 1.0
-        lams = np.linspace(-eps, eps, n_lambda)
-        samples = [flat_fields(cfg, 0.0, lam, eps) for lam in lams]
-        m_bound = choose_M(np.array([s.u for s in samples]))
-        interior = [s for s in samples if abs(s.rho) < 1.0]
-        slacks = hull_slacks(np.array([s.rho for s in interior]), np.array([s.u for s in interior]),
-                             np.array([s.m for s in interior]), m_bound)
+        rho, u, m, _ = flat_fields(cfg, lams, 1.0)
+        m_bound = choose_M(u)
+        interior = np.abs(rho) < 1.0
+        slacks = hull_slacks(rho[interior], u[interior], m[interior], m_bound)
         min_slack = float(slacks.min())
-        if min_slack > band:
+        if min_slack > FLAT_BAND:
             status = "pass"
-        elif min_slack < -band:
+        elif min_slack < -FLAT_BAND:
             status = "fail"
         else:
             status = "boundary"
-        rows.append(
-            {"c": float(c), "min_slack": float(min_slack), "m_bound": m_bound, "status": status}
-        )
+        rows.append({"c": float(c), "min_slack": min_slack, "m_bound": m_bound, "status": status})
     return rows

@@ -23,70 +23,48 @@ log1p argument itself cancels only near the strip-edge corner
 ``kernel_values`` takes the same second difference in the form of
 :func:`_lambda_integral`.  Together they are accurate to roundoff at
 every width (within 1e-13 relative of a 50-digit evaluation, ``eps =
-1e-10`` and ``dx / eps`` down to 1e-12 at the corner included).  Where
-``eps^4`` or ``r^4`` would leave the float range, and in the far field
-``r >= 1e8 eps`` where the three terms cancel, ``kernel_values`` uses the
-kernel's homogeneity ``K(dx, u, eps) = K(dx / eps, u / eps, 1) / eps`` and
-its two limits, the Muskat kernel and ``sign(dx) / (2 eps)``; the tests
-cover widths from 1e-170 to 1e200.
+1e-10``, ``dx / eps`` down to 1e-12 and ``|dx|`` down to 1e-300 at the
+corner included).  Where ``eps^4`` or ``r^4`` would leave the float
+range, and in the far field ``r >= 1e8 eps`` where the three terms
+cancel, ``kernel_values`` uses the kernel's homogeneity ``K(dx, u, eps)
+= K(dx / eps, u / eps, 1) / eps`` and its two limits, the Muskat kernel
+and ``sign(dx) / (2 eps)``; the tests cover widths from 1e-170 to 1e200.
 
 This module provides that closed form, an adaptive-quadrature oracle
-for it, the frozen-slope kernel ``K_A``, the transport coefficient
-``a(x)`` (a principal value of the kernel over the separation), and the
-differentiated kernels ``ktilde`` / ``ktilde_c`` together with their L1
-statistics.  The differentiated kernels are folded the same way (one
-``arctan2``, one ``log1p``), so they too are accurate to roundoff at
-every width; the L1 statistics evaluate them at t = 1 by scale
-invariance.  The oracle and the L1 statistics import scipy's ``quad``
-when called; the closed forms need numpy only.
+for it, the frozen-slope kernel ``K_A``, and the differentiated kernels
+``ktilde`` / ``ktilde_c`` together with their L1 statistics.  The
+differentiated kernels are folded the same way (one ``arctan2``, one
+``log1p``), so they too are accurate to roundoff at every width; the L1
+statistics evaluate them at t = 1 by scale invariance.  The oracle and
+the L1 statistics import scipy's ``quad`` when called; the closed forms
+need numpy only.
 
 Conventions adopted here (asserted by the test suite):
 
 * the ``1/(4 pi eps^2)`` normalization, so the ``eps -> 0`` limit is the
   Muskat kernel ``(1/pi) dx / (dx^2 + delta_f^2)``;
-* ``kernel_closed_form`` at ``dx == 0`` returns 0 (the kernel is odd and
+* ``kernel_values`` at ``dx == 0`` returns 0 (the kernel is odd and
   every consumer multiplies it by a difference vanishing there), which
-  sidesteps the arctan branch at ``dx = 0``;
-* principal values use symmetric node placement around 0 and a hard
-  truncation at ``trunc_radius``, with the truncation error reported.
+  sidesteps the arctan branch at ``dx = 0``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction1D
-
 __all__ = [
-    "KernelPoint",
-    "kernel_closed_form",
     "kernel_values",
     "kernel_quadrature_oracle",
     "kernel_frozen",
     "muskat_limit",
-    "coefficient_a",
-    "CoefficientValue",
     "ktilde",
     "ktilde_c",
     "ktilde_slope_derivative",
     "ktilde_c_l1",
     "ktilde_slope_l1",
 ]
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """One kernel evaluation point: separation and height difference."""
-
-    dx: float
-    delta_f: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta_f):
-            raise ValueError("delta_f must be finite")
 
 
 _TINY = np.finfo(float).tiny
@@ -117,7 +95,8 @@ def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
     strip-edge corner (``|u|`` close to ``2 eps``, ``|dx|`` small against
     eps) the log1p argument ``1 + x = |z-|^2 |z+|^2 / r^4`` cancels;
     entries with ``1 + x < 1/2`` take the same second difference from
-    :func:`_lambda_integral`, which builds that small factor directly.
+    :func:`_lambda_integral`, which builds that small factor directly, at
+    a width scaled into [1/2, 1) when eps is below 1/2.
 
     ``work``, a float array of shape ``(5,) + shape`` for the broadcast
     shape of ``dx`` and ``delta_f``, holds the temporaries of the folded
@@ -168,9 +147,13 @@ def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
         dxb, ub = np.broadcast_arrays(dx, u)
         out[edge] = _by_scale(dxb[edge], ub[edge], eps)
     if corner.any():
+        # below width 1/2 the products of powers of eps in the strip integral
+        # reach the subnormal range; scaling by a power of two is exact
         dxb, ub = np.broadcast_arrays(dx, u)
-        strip = _lambda_integral(dxb[corner], ub[corner], -eps, eps, eps)
-        out[corner] = strip / (2.0 * np.pi * eps)
+        m, e = math.frexp(eps)
+        w, e = (m, e) if e < 0 else (eps, 0)
+        strip = _lambda_integral(np.ldexp(dxb[corner], -e), np.ldexp(ub[corner], -e), -w, w, w)
+        out[corner] = np.ldexp(strip / (2.0 * np.pi * w), -e)
     return _maybe_scalar(out)
 
 
@@ -239,24 +222,23 @@ def _lambda_integral(x, d, a, b, w: float) -> np.ndarray:
         xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
         re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
         theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
-        logs[small] = np.log((xs * xs + qs * qs) * (xs * xs + ps * ps) / den[small])
+        r0, r12, dens = xs * xs + qs * qs, xs * xs + ps * ps, den[small]
+        arg = r0 * r12 / dens
+        # where |z0|^2 or the ratio is subnormal, log |z0| comes from |z0| itself
+        deep = np.minimum(r0, arg) < _TINY
+        lg = np.log(np.where(deep, 1.0, arg))
+        lg[deep] = 2.0 * np.log(np.hypot(xs[deep], qs[deep])) + np.log(r12[deep] / dens[deep])
+        logs[small] = lg
     out = q * theta - 0.5 * x * logs
     out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
     out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
     return out / s2
 
 
-def kernel_closed_form(p: KernelPoint, eps: float) -> float:
-    """Exactly integrated double-average kernel at one point."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return float(kernel_values(p.dx, p.delta_f, eps))
-
-
-def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
+def kernel_quadrature_oracle(dx: float, delta_f: float, eps: float) -> float:
     """Adaptive quadrature of the unintegrated kernel.
 
-    Independent oracle for :func:`kernel_closed_form`.  The average of
+    Independent oracle for :func:`kernel_values`.  The average of
     ``F(delta_f + lam - lam')``, ``F(u) = dx / (dx^2 + u^2)``, over the
     square ``[-eps, eps]^2`` depends on ``v = lam - lam'`` only, so the
     kernel is the tent integral ``int (2 eps - |v|) F(delta_f + v) dv``
@@ -271,11 +253,11 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
 
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if p.dx == 0.0:
+    if dx == 0.0:
         return 0.0
     # below 1e-300 eps the kernel is sign(dx) / (2 eps) to far beyond roundoff;
     # the floor keeps every ratio to |dx| in range
-    ax, df, tent = max(abs(p.dx), 1e-300 * eps), abs(p.delta_f), 2.0 * eps
+    ax, df, tent = max(abs(dx), 1e-300 * eps), abs(delta_f), 2.0 * eps
 
     def piece(v0: float, v1: float) -> float:
         start, step = (v0, 1.0) if df + v0 >= 0.0 else (v1, -1.0)
@@ -297,7 +279,7 @@ def kernel_quadrature_oracle(p: KernelPoint, eps: float) -> float:
 
     cuts = sorted({-tent, max(-df, -tent), 0.0, tent})
     total = sum(piece(v0, v1) for v0, v1 in zip(cuts[:-1], cuts[1:]))
-    return float(np.sign(p.dx) * total / (2.0 * np.pi * eps))
+    return float(np.sign(dx) * total / (2.0 * np.pi * eps))
 
 
 def kernel_frozen(slope_a: float, y, eps: float):
@@ -326,50 +308,6 @@ def muskat_limit(dx, delta_f):
     a, b = dx[fix] / size[fix], u[fix] / size[fix]
     out[fix] = a / (np.pi * (a * a + b * b)) / size[fix]
     return _maybe_scalar(out)
-
-
-@dataclass(frozen=True)
-class CoefficientValue:
-    """P.V. coefficient value with its reported truncation estimate."""
-
-    value: float
-    truncation_estimate: float
-
-
-def coefficient_a(
-    f: GridFunction1D,
-    eps: float,
-    index: int,
-    trunc_radius: float | None = None,
-) -> CoefficientValue:
-    """Transport coefficient ``a(x_j) = -P.V. int K_eps(x_j, y) dy``.
-
-    Symmetric grid-aligned nodes around the singularity, hard truncation at
-    ``trunc_radius``.  The truncation estimate is the change produced by
-    halving the window, an O(1/R) self-estimate.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n, h = f.n, f.h
-    if trunc_radius is None:
-        trunc_radius = f.length / 2.0 - h
-    m_max = min(int(np.floor(trunc_radius / h)), n // 2 - 1)
-    if m_max < 2:
-        raise ValueError("trunc_radius too small for this grid")
-    vals = f.values
-
-    def truncated(m: int) -> float:
-        # +-offset pairs are summed first: the kernel is odd, so zero data
-        # give exactly 0 whatever the summation order
-        o = np.arange(1, m + 1)
-        pairs = kernel_values(o * h, vals[index] - vals[(index - o) % n], eps)
-        pairs += kernel_values(-o * h, vals[index] - vals[(index + o) % n], eps)
-        pairs[-1] *= 0.5
-        return -float(np.sum(pairs) * h)
-
-    full = truncated(m_max)
-    halved = truncated(m_max // 2)
-    return CoefficientValue(value=full, truncation_estimate=abs(full - halved))
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,12 @@ here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridFunction1D
 
 __all__ = [
-    "SpectralField",
     "k_hat",
     "h_integrand",
     "H_integral",
@@ -40,7 +38,6 @@ __all__ = [
     "symbol_mtilde",
     "mtilde_table",
     "mtilde_dinv_mode_sum",
-    "apply_multiplier",
     "apply_dinv",
     "apply_mtilde_dinv",
     "coercivity_probe",
@@ -57,40 +54,6 @@ _INTERP_NODES = 16
 _F_RADIUS = 4.0
 _F_SERIES = tuple((-1.0) ** (j + 1) / (j * math.factorial(j + 1)) for j in range(1, 33))
 _E1_DEPTH = 45
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Complex Fourier data in FFT layout with explicit frequencies.
-
-    ``coeffs[k]`` multiplies ``exp(2 pi i j k / N)`` in the inverse
-    transform; ``freqs[k] = k / L`` in cycles per unit length.
-    """
-
-    coeffs: np.ndarray
-    freqs: np.ndarray
-    domain_length: float
-
-    @classmethod
-    def from_grid(cls, f: GridFunction1D) -> "SpectralField":
-        return cls(np.fft.fft(f.values), f.freqs(), f.length)
-
-    def to_grid(self) -> GridFunction1D:
-        vals = np.fft.ifft(self.coeffs)
-        return GridFunction1D(vals.real, self.domain_length)
-
-    def hermitian_defect(self) -> float:
-        """Max deviation from the conjugate symmetry of a real field."""
-        n = self.coeffs.size
-        mirrored = np.conj(self.coeffs[(-np.arange(n)) % n])
-        scale = np.max(np.abs(self.coeffs)) or 1.0
-        return float(np.max(np.abs(self.coeffs - mirrored)) / scale)
-
-    def l2_norm(self) -> float:
-        """Parseval norm matching ``GridFunction1D.l2_norm``."""
-        n = self.coeffs.size
-        h = self.domain_length / n
-        return float(np.sqrt(h / n * np.sum(np.abs(self.coeffs) ** 2)))
 
 
 def k_hat(slope_a: float, xi, eps: float):
@@ -249,6 +212,13 @@ def mtilde_table(slope: GridFunction1D, t: float) -> np.ndarray:
     return symbol_mtilde(slope.freqs(), slope.values[:, None], t)
 
 
+def _damped_spectrum(f: GridFunction1D, t: float) -> np.ndarray:
+    """``fft(f) / (1 + t |xi|)``: the spectrum of ``Dinv f``."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return np.fft.fft(f.values) / (1.0 + t * np.abs(f.freqs()))
+
+
 def mtilde_dinv_mode_sum(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
     """``mtilde(xi, A(x), t) Dinv f`` as the exact O(N^2) mode sum per site.
 
@@ -256,33 +226,14 @@ def mtilde_dinv_mode_sum(f: GridFunction1D, slope: GridFunction1D, t: float) -> 
     in the slope instead.
     """
     n = f.n
-    damped = np.fft.fft(f.values) / (1.0 + t * np.abs(f.freqs()))
+    damped = _damped_spectrum(f, t)
     phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     return f.with_values((mtilde_table(slope, t) * (damped[None, :] * phase)).sum(axis=1).real / n)
 
 
-def apply_multiplier(field: SpectralField, symbol, check_hermitian: bool = False) -> SpectralField:
-    """Pointwise product with a frequency symbol.
-
-    ``symbol`` is either an array over the field's frequencies or a
-    callable ``freqs -> values``.  With ``check_hermitian`` the output is
-    verified to stay conjugate-symmetric (Hermitian symbol acting on a
-    real field); a violation raises.
-    """
-    sym = symbol(field.freqs) if callable(symbol) else np.asarray(symbol)
-    if sym.shape != field.coeffs.shape:
-        raise ValueError("symbol shape does not match the field")
-    out = SpectralField(field.coeffs * sym, field.freqs, field.domain_length)
-    if check_hermitian and out.hermitian_defect() > 1e-10:
-        raise ValueError("multiplier broke conjugate symmetry of a real field")
-    return out
-
-
-def apply_dinv(field: SpectralField, t: float) -> SpectralField:
-    """Damping multiplier 1 / (1 + t |xi|); an L2 contraction."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return apply_multiplier(field, lambda xi: 1.0 / (1.0 + t * np.abs(xi)))
+def apply_dinv(f: GridFunction1D, t: float) -> GridFunction1D:
+    """Damping multiplier ``Dinv = 1 / (1 + t |xi|)``; an L2 contraction."""
+    return f.with_values(np.fft.ifft(_damped_spectrum(f, t)).real)
 
 
 def _lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -311,10 +262,8 @@ def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> Gri
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     freqs = f.freqs()
-    damped = np.fft.fft(f.values) / (1.0 + t * np.abs(freqs))
+    damped = _damped_spectrum(f, t)
     a_min, a_max = float(slope.values.min()), float(slope.values.max())
     if np.isclose(a_min, a_max):
         vals = symbol_mtilde(freqs, 0.5 * (a_min + a_max), t)
@@ -348,7 +297,7 @@ def coercivity_probe(
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         coeffs *= 1.0 / (1.0 + np.abs(np.fft.fftfreq(n) * n)) ** 2
         field = GridFunction1D(np.fft.ifft(coeffs).real, length)
-        damped = apply_dinv(SpectralField.from_grid(field), t).to_grid()
+        damped = apply_dinv(field, t)
         weighted = apply_mtilde_dinv(field, slope, t)
         denom = damped.l2_norm()
         if denom == 0.0:

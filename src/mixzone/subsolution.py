@@ -32,7 +32,6 @@ actually computed, so all consistency identities refer to one kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,22 +41,12 @@ from .grid import GridFunction1D, spectral_derivative
 from .kernel import _lambda_integral
 
 __all__ = [
-    "SubsolutionSample", "SiteSamples", "site_samples", "hull_slacks", "choose_M",
+    "SiteSamples", "site_samples", "hull_slacks", "choose_M",
     "subsolution_report", "SLACK_VIOLATION_BAND",
 ]
 
 EDGE_CLAMP = 1e-6
 SLACK_VIOLATION_BAND = 1e-5
-
-
-@dataclass(frozen=True)
-class SubsolutionSample:
-    """Relaxed state (rho, u, m) and its normal defect gamma at one point."""
-
-    rho: float
-    u: np.ndarray
-    m: np.ndarray
-    gamma: float
 
 
 class SiteSamples(NamedTuple):

@@ -348,12 +348,14 @@ def test_kernel_eval_far_field_prints_no_warnings():
     # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr; the
     # far field, the strip-edge corner, the lam = lam' spike of the oracle's
     # integrand, a tiny |dx| against a huge |delta_f| (the Muskat value, not
-    # 3 times it), and widths whose square under- or overflows
+    # 3 times it), widths whose square under- or overflows, and a |dx| at the
+    # corner so tiny that the strip integral's products leave the normal range
     points = (("1", "1e160", "0.1"), ("1e-9", "0.2", "0.1"), ("1e-4", "0", "0.1"),
               ("1e-200", "1e40", "1e-3"), ("1", "0.3", "1e-170"), ("1", "0.3", "1e150"),
-              ("1", "0.3", "1e200"))
+              ("1", "0.3", "1e200"), ("1e-200", "0.2", "0.1"), ("1e-170", "0.2", "0.1"),
+              ("1e-300", "0.2", "0.1"), ("-1.27e-288", "7.17e-12", "3.58e-12"))
     for dx, df, eps in points:
-        argv = ["kernel-eval", "--dx", dx, "--df", df, "--eps", eps]
+        argv = ["kernel-eval", f"--dx={dx}", f"--df={df}", f"--eps={eps}"]
         proc = _cli_process(argv)
         assert proc.returncode == 0 and proc.stderr == "", argv
         values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
@@ -383,17 +385,20 @@ def test_flat_demo_subcommand(capsys):
 
 def test_simulate_imports_no_scipy(tmp_path):
     # scipy serves the oracles, `verify` and the tests only: importing the
-    # CLI and running `simulate` on the defaults must not load it
+    # CLI and running `simulate` on the defaults must not load it, nor the
+    # modules of the other commands
     (tmp_path / "empty.json").write_text("{}")
     code = (
         "import sys\n"
         "import mixzone.cli\n"
         "rc = mixzone.cli.main(['simulate', 'empty.json', '--out', 'run'])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in ('mixzone.verify', 'mixzone.flatlab') if m in sys.modules))\n"
     )
     proc = _fresh_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.splitlines()[0] == "0 []"
+    assert proc.stdout.splitlines()[1] == "[]"
 
 
 def _table_file(path, heights):
@@ -442,8 +447,8 @@ def test_simulate_overflowing_initial_velocity_is_an_integration_failure(tmp_pat
 
 def test_simulate_overflowing_transform_fails_silently_at_step_0(tmp_path):
     # 1e307 heights with a bump: every height difference is finite, but the
-    # transform's zero mode overflows, so the slopes (and the near cell's
-    # slope range) are not finite and the probe's velocity is rejected
+    # transform's zero mode overflows, so the slopes are not finite; the
+    # quadrature names the first such site
     x = -20.0 + 40.0 / 64 * np.arange(64)
     _table_file(tmp_path / "f.csv", (1e307 + 1e306 * np.exp(-(x**2))).tolist())
     cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
@@ -452,7 +457,7 @@ def test_simulate_overflowing_transform_fails_silently_at_step_0(tmp_path):
     assert proc.returncode == 1 and proc.stderr == ""
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
-    assert meta["integration_failure"] == "non-finite state: grid values must be finite"
+    assert meta["integration_failure"] == "non-finite state: non-finite slope at site 0"
 
 
 @pytest.mark.parametrize(

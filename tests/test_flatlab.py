@@ -33,14 +33,11 @@ def test_admissible_intervals():
 def test_fields_center_and_boundary():
     cfg = FlatConfig(1.0, 1.0, -1, 1.0)
     eps = 0.3
-    center = flatlab.flat_fields(cfg, 0.0, 0.0, eps)
-    assert center.rho == 0.0
-    assert np.allclose(center.u, 0.0)
-    top = flatlab.flat_fields(cfg, 0.0, eps, eps)
-    bottom = flatlab.flat_fields(cfg, 0.0, -eps, eps)
-    assert {abs(top.rho), abs(bottom.rho)} == {1.0}
-    for s in (top, bottom):
-        assert np.linalg.norm(s.m - s.rho * s.u) <= 1e-15
+    rho, u, m, _ = flatlab.flat_fields(cfg, [0.0, eps, -eps], eps)
+    assert rho[0] == 0.0
+    assert np.allclose(u[0], 0.0)
+    assert np.array_equal(np.abs(rho[1:]), [1.0, 1.0])
+    assert np.max(np.linalg.norm(m[1:] - rho[1:, None] * u[1:], axis=1)) <= 1e-15
 
 
 def test_fields_divergence_structure():
@@ -54,7 +51,7 @@ def test_fields_divergence_structure():
 
     def u_at(x):
         _, lam = flatlab.from_physical(cfg, x)
-        return flatlab.flat_fields(cfg, 0.0, lam, eps).u
+        return flatlab.flat_fields(cfg, lam, eps)[1][0]
 
     def rho_at(x):
         _, lam = flatlab.from_physical(cfg, x)
@@ -84,7 +81,7 @@ def test_transport_identity_random_points():
 def test_fields_reject_outside_strip():
     cfg = FlatConfig(1.0, 0.0, -1, 1.0)
     with pytest.raises(ValueError):
-        flatlab.flat_fields(cfg, 0.0, 0.4, 0.3)
+        flatlab.flat_fields(cfg, [0.4], 0.3)
 
 
 def test_coordinate_shim_roundtrip():
@@ -112,11 +109,9 @@ def test_hull_slacks_match_analytic_closed_forms():
     n = cfg.normal
     e2 = np.array([0.0, 1.0])
     lams = (-0.9 * eps, -0.3 * eps, 0.0, 0.55 * eps)
-    samples = [flatlab.flat_fields(cfg, 0.0, lam, eps) for lam in lams]
-    rho, u, m = (np.array([getattr(s, k) for s in samples]) for k in ("rho", "u", "m"))
-    slacks = subsolution.hull_slacks(rho, u, m, m_bound)
-    for s, got in zip(samples, slacks):
-        rho, gamma = s.rho, s.gamma
+    rhos, u, m, gammas = flatlab.flat_fields(cfg, lams, eps)
+    slacks = subsolution.hull_slacks(rhos, u, m, m_bound)
+    for rho, gamma, got in zip(rhos, gammas, slacks):
         s1 = (1 - rho**2) * (0.5 - abs(gamma))
         s2 = m_bound**2 - 1.0
         s3 = (1 - rho) * (
@@ -138,11 +133,11 @@ def test_flat_fields_agree_with_curved_pipeline_flat_data():
     eps = 0.05
     # the site at x = 0, with the PV window over the whole period
     curved = subsolution.site_samples(f, eps, c, [64], [0.2 * eps], f.length / 2 - f.h)
-    sample = flatlab.flat_fields(cfg, 0.0, 0.2 * eps, eps)
-    assert sample.gamma == pytest.approx(curved.gamma[0], abs=1e-12)
-    assert sample.gamma == pytest.approx(-flatlab.flat_gamma(cfg), abs=1e-15)
-    assert np.allclose(curved.m[0], sample.m, atol=1e-12)
-    assert np.allclose(curved.u[0], sample.u, atol=1e-12)
+    _, u, m, gamma = flatlab.flat_fields(cfg, 0.2 * eps, eps)
+    assert gamma[0] == pytest.approx(curved.gamma[0], abs=1e-12)
+    assert gamma[0] == pytest.approx(-flatlab.flat_gamma(cfg), abs=1e-15)
+    assert np.allclose(curved.m[0], m[0], atol=1e-12)
+    assert np.allclose(curved.u[0], u[0], atol=1e-12)
 
 
 def test_hull_sweep_horizontal_unstable():

@@ -5,14 +5,12 @@ import pytest
 from _table import run_check
 
 from mixzone import kernel
-from mixzone.grid import GridFunction1D
-from mixzone.kernel import KernelPoint
 
 
 def test_flat_kernel_odd_in_separation():
     for d in (0.3, 1.0, 7.5):
-        a = kernel.kernel_closed_form(KernelPoint(d, 0.0), 0.2)
-        b = kernel.kernel_closed_form(KernelPoint(-d, 0.0), 0.2)
+        a = kernel.kernel_values(d, 0.0, 0.2)
+        b = kernel.kernel_values(-d, 0.0, 0.2)
         assert a == pytest.approx(-b, abs=1e-15)
 
 
@@ -22,13 +20,13 @@ def test_joint_odd_symmetry_random():
         dx = rng.uniform(0.01, 5.0) * rng.choice([-1, 1])
         df = rng.uniform(-3, 3)
         eps = rng.uniform(0.02, 1.0)
-        a = kernel.kernel_closed_form(KernelPoint(dx, df), eps)
-        b = kernel.kernel_closed_form(KernelPoint(-dx, -df), eps)
+        a = kernel.kernel_values(dx, df, eps)
+        b = kernel.kernel_values(-dx, -df, eps)
         assert a == pytest.approx(-b, rel=1e-13, abs=1e-15)
 
 
 def test_dx_zero_convention():
-    assert kernel.kernel_closed_form(KernelPoint(0.0, 0.7), 0.3) == 0.0
+    assert kernel.kernel_values(0.0, 0.7, 0.3) == 0.0
     vals = kernel.kernel_values(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.3)
     assert vals[0] == 0.0 and np.isfinite(vals[1])
 
@@ -37,15 +35,13 @@ def test_magnitude_bounded_by_c_over_eps():
     rng = np.random.default_rng(2)
     for _ in range(100):
         eps = rng.uniform(0.01, 1.0)
-        p = KernelPoint(rng.uniform(-10, 10), rng.uniform(-5, 5))
-        v = abs(kernel.kernel_closed_form(p, eps))
+        v = abs(kernel.kernel_values(rng.uniform(-10, 10), rng.uniform(-5, 5), eps))
         assert v <= 2.0 / eps
 
 
 def test_oracle_self_check_flat_point():
-    p = KernelPoint(1.0, 0.0)
-    a = kernel.kernel_closed_form(p, 0.5)
-    b = kernel.kernel_quadrature_oracle(p, 0.5)
+    a = kernel.kernel_values(1.0, 0.0, 0.5)
+    b = kernel.kernel_quadrature_oracle(1.0, 0.0, 0.5)
     assert abs(a - b) <= 1e-10
 
 
@@ -53,32 +49,40 @@ def test_oracle_resolves_the_diagonal_spike():
     # |dx| small against eps: the integrand is a spike of width |dx| on the
     # diagonal lam = lam' (dx = 1e-80 included), or at the strip-edge corner
     for dx, df in ((1e-3, 0.0), (1e-4, 0.0), (1e-6, 0.0), (1e-80, 0.0), (-1e-9, 0.2), (1e-7, -0.2)):
-        p = KernelPoint(dx, df)
-        closed = kernel.kernel_closed_form(p, 0.1)
-        assert kernel.kernel_quadrature_oracle(p, 0.1) == pytest.approx(closed, rel=1e-11)
+        closed = kernel.kernel_values(dx, df, 0.1)
+        assert kernel.kernel_quadrature_oracle(dx, df, 0.1) == pytest.approx(closed, rel=1e-11)
 
 
 def test_oracle_small_eps_limit():
     # eps = 0.01 at (dx, df) = (1, 0.2): the Muskat limit up to O(eps^2)
-    v = kernel.kernel_quadrature_oracle(KernelPoint(1.0, 0.2), 0.01)
+    v = kernel.kernel_quadrature_oracle(1.0, 0.2, 0.01)
     assert v == pytest.approx(float(kernel.muskat_limit(1.0, 0.2)), abs=5e-5)
 
 
 def test_oracle_joint_odd_symmetry():
-    v1 = kernel.kernel_quadrature_oracle(KernelPoint(1.3, 0.4), 0.2)
-    v2 = kernel.kernel_quadrature_oracle(KernelPoint(-1.3, -0.4), 0.2)
+    v1 = kernel.kernel_quadrature_oracle(1.3, 0.4, 0.2)
+    v2 = kernel.kernel_quadrature_oracle(-1.3, -0.4, 0.2)
     assert v1 == pytest.approx(-v2, rel=1e-13)
 
 
 def _corner_points(eps):
     # the strip-edge corner: |delta_f| within a few |dx| of 2 eps, with
-    # dx / eps from 1e-2 to 1e-12, where the log1p argument cancels
+    # dx / eps from 1e-2 to 1e-12, where the log1p argument cancels; and at
+    # widths up to 1, |dx| so small that the squares and triple products of
+    # the strip integral leave the normal range (the last point, at eps =
+    # 3.58e-12, is a fuzz finding at |delta_f| = 2.0028 eps)
     dx = np.repeat(np.outer([-1.0, 1.0], eps * 10.0 ** -np.arange(2.0, 13.0, 2.0)).ravel(), 5)
     df = 2.0 * eps + np.tile([-3.0, -1.0, 0.0, 1.0, 3.0], dx.size // 5) * np.abs(dx)
+    if eps <= 1.0:
+        deep_dx = np.array([1e-170, -1e-200, 1e-300, -1.27e-288 * (eps / 3.58e-12)])
+        deep_df = np.array([2.0, 2.0, 2.0, 7.17e-12 / 3.58e-12]) * eps
+        keep = (np.abs(deep_dx) > 0.0) & (np.abs(deep_dx) < 1e-12 * eps)
+        dx, df = np.append(dx, deep_dx[keep]), np.append(df, deep_df[keep])
     return np.concatenate([dx, dx]), np.concatenate([df, -df])
 
 
-@pytest.mark.parametrize("eps", [1e-170, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 1.0, 1e150, 1e200])
+@pytest.mark.parametrize("eps", [1e-170, 3.58e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5,
+                                 1.0, 1e150, 1e200])
 def test_closed_form_matches_mpmath(eps):
     # second difference of the unfolded antiderivative, with 50 digits more
     # than it cancels (about (eps / r)^2 |dx| / |delta_f| of its terms): the
@@ -190,8 +194,8 @@ def test_far_field_evaluations_are_silent():
         warnings.simplefilter("error")
         got = kernel.kernel_values(dx, u, 0.1)
         limit = kernel.muskat_limit(dx[:-2], u[:-2])
-        oracle = kernel.kernel_quadrature_oracle(kernel.KernelPoint(1.0, 1e160), 0.1)
-        scalar = kernel.kernel_closed_form(kernel.KernelPoint(1.0, 1e160), 0.1)
+        oracle = kernel.kernel_quadrature_oracle(1.0, 1e160, 0.1)
+        scalar = kernel.kernel_values(1.0, 1e160, 0.1)
     # the kernel is odd in dx and even in delta_f
     assert np.isfinite(oracle) and scalar == -got[1]
     assert got[-2] == 0.0 and got[-1] == kernel.kernel_values(2.0, 0.3, 0.1)
@@ -211,7 +215,7 @@ def test_frozen_oddness_exact():
 def test_frozen_is_closed_form_substitution():
     a, y, eps = 0.7, 0.3, 0.2
     assert float(kernel.kernel_frozen(a, y, eps)) == pytest.approx(
-        kernel.kernel_closed_form(KernelPoint(y, a * y), eps), rel=1e-15
+        kernel.kernel_values(y, a * y, eps), rel=1e-15
     )
 
 
@@ -226,41 +230,6 @@ def test_frozen_jump_height():
     eps = 0.2
     near = float(kernel.kernel_frozen(0.7, 1e-12, eps))
     assert near == pytest.approx(1.0 / (2.0 * eps), rel=1e-6)
-
-
-def test_coefficient_zero_for_zero_f():
-    f = GridFunction1D.zeros(256, 40.0)
-    out = kernel.coefficient_a(f, 0.05, 128, trunc_radius=10.0)
-    assert out.value == 0.0
-
-
-def test_coefficient_zero_for_affine_f():
-    # sampled tilt, center site, window clear of the periodic wrap
-    n, length = 256, 40.0
-    x = -length / 2 + (length / n) * np.arange(n)
-    f = GridFunction1D(0.3 * x, length)
-    out = kernel.coefficient_a(f, 0.05, n // 2, trunc_radius=8.0)
-    assert abs(out.value) <= 1e-10
-
-
-def test_coefficient_gaussian_refinement():
-    # even data make x = 0 exact by symmetry; the off-center site carries
-    # the real content and must be stable under halving the grid
-    length = 40.0
-    vals = {}
-    for n in (512, 1024):
-        f = GridFunction1D.from_callable(lambda x: 0.1 * np.exp(-(x**2)), n, length)
-        out = kernel.coefficient_a(f, 0.05, n // 2 + n // 64, trunc_radius=10.0)
-        vals[n] = out.value
-        assert out.truncation_estimate >= 0.0
-    center = kernel.coefficient_a(
-        GridFunction1D.from_callable(lambda x: 0.1 * np.exp(-(x**2)), 512, length),
-        0.05,
-        256,
-        trunc_radius=10.0,
-    )
-    assert abs(center.value) <= 1e-12
-    assert abs(vals[512] - vals[1024]) <= 1e-6
 
 
 def test_ktilde_is_derivative_of_frozen_kernel():
