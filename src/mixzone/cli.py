@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -378,8 +379,21 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads ``-1.27e-288`` as a value, not an option.
+
+    argparse takes only ``-1`` and ``-1.5`` style tokens for negative
+    numbers; this parser, and the subcommand parsers it makes, accept an
+    exponent too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixzone",
         description="Mixing-zone interface evolution and subsolution verification",
     )

@@ -304,13 +304,13 @@ def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarra
     return out
 
 
-def _slope_nodes(slope: np.ndarray) -> tuple[float, float, np.ndarray] | None:
+def _slope_nodes(slope: np.ndarray, max_nodes: int) -> tuple[float, float, np.ndarray] | None:
     """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
 
     ``t_j = cos(j pi / d)``, j = 0..d, with ``d = ceil(37 / log rho)``
     (one node, ``t = 0``, for a constant slope).  None, meaning the sites'
     own slopes, when a slope is not finite or the nodes would number more
-    than ``1 / _SITES_PER_NODE`` of the sites.
+    than ``max_nodes``.
     """
     lo, hi = float(np.min(slope)), float(np.max(slope))
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -322,7 +322,6 @@ def _slope_nodes(slope: np.ndarray) -> tuple[float, float, np.ndarray] | None:
     # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
     # no overflow or cancellation at any finite half (inf once b / half is)
     log_rho = math.asinh(_STRIP_SEMI_MINOR / half)
-    max_nodes = slope.size // _SITES_PER_NODE
     if not _LOG_TOL < log_rho * (max_nodes - 1):  # ceil(tol / log rho) + 1 > max_nodes
         return None
     d = max(1, math.ceil(_LOG_TOL / log_rho))
@@ -344,6 +343,33 @@ def _barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nd
     rows, cols = np.nonzero(diff == 0.0)
     out[rows] = table[cols]
     return out
+
+
+def _slope_interpolated(slope: np.ndarray, max_nodes: int, moments) -> np.ndarray:
+    """``moments(slope)``, taken from a table at the nodes of :func:`_slope_nodes`.
+
+    ``moments`` maps an array of slopes to one row (of any shape) per
+    slope.  It runs once, on the Chebyshev nodes of the slope range, and
+    the table is interpolated to every slope by :func:`_barycentric`, in
+    chunks of slopes whose temporaries are no larger than a row block's
+    skew buffer; one node is broadcast.  Without nodes it runs on the
+    slopes themselves.
+    """
+    nodes = _slope_nodes(slope, max_nodes)
+    if nodes is None:
+        return moments(slope)
+    mid, half, t_nodes = nodes
+    table = moments(mid + half * t_nodes)
+    shape = (slope.size, *table.shape[1:])
+    if half == 0.0:
+        return np.broadcast_to(table, shape)
+    flat = table.reshape(t_nodes.size, -1)
+    chunk = max(1, _BLOCK_ENTRIES // t_nodes.size)
+    out = np.empty((slope.size, flat.shape[1]))
+    for start in range(0, slope.size, chunk):
+        blk = slice(start, start + chunk)
+        out[blk] = _barycentric(t_nodes, flat, (slope[blk] - mid) / half)
+    return out.reshape(shape)
 
 
 def nearfield_correction(
@@ -391,22 +417,8 @@ def nearfield_correction(
     """
     if work is None:
         work = np.empty((6, plan.rows, plan.near_y.size))
-    nodes = _slope_nodes(slope)
-    if nodes is None:
-        m = _near_moments(slope, plan, width, work)
-    else:
-        mid, half, t_nodes = nodes
-        table = _near_moments(mid + half * t_nodes, plan, width, work)
-        if half == 0.0:
-            m = np.broadcast_to(table, (slope.size, 3))
-        else:
-            # a chunk's (sites, nodes) temporaries are no larger than a
-            # row block's skew buffer
-            chunk = max(1, _BLOCK_ENTRIES // t_nodes.size)
-            m = np.empty((slope.size, 3))
-            for start in range(0, slope.size, chunk):
-                blk = slice(start, start + chunk)
-                m[blk] = _barycentric(t_nodes, table, (slope[blk] - mid) / half)
+    m = _slope_interpolated(slope, slope.size // _SITES_PER_NODE,
+                            lambda slopes: _near_moments(slopes, plan, width, work))
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 

@@ -25,6 +25,16 @@ The modified velocity and the full velocity share their moment
 integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
+Sites are evaluated in blocks of about ``_BLOCK_ENTRIES`` (site, offset,
+column) values, a column being one lam interval or one lam, contracted
+by one batched matmul.  The singular cell depends on a site only through
+its slope A: for real ``y != 0``, ``inner(y, A y + lam)`` has its branch
+points at ``Im A = +-1`` whatever lam is, so its moments are analytic in
+the strip of the evolution's near-cell moments.  They are tabulated at
+the same Chebyshev nodes of the sites' slope range and interpolated to
+the sites (:func:`mixzone.evolution._slope_interpolated`); with as many
+nodes as sites, each site takes its own slope.
+
 For a run of the regularized flow the strip half-width handed to these
 routines is the kernel half-width ``eps(t) + kappa`` of the evolution
 actually computed, so all consistency identities refer to one kernel.
@@ -36,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
+from .evolution import (DEFAULT_TRUNC_RADIUS, _BLOCK_ENTRIES, Trajectory, _quadrature_plan,
+                        _slope_interpolated, kernel_quadrature)
 from .grid import GridFunction1D, spectral_derivative
 from .kernel import _lambda_integral
 
@@ -66,25 +77,17 @@ class SiteSamples(NamedTuple):
 
 
 class _Snapshot:
-    """Site-independent quadrature data of one snapshot.
-
-    The slope ``g = f'`` and its derivatives of orders 0-5 (whole-grid
-    FFTs) are computed once and shared by every site evaluated on the
-    snapshot; the trapezoid offsets and weights and the singular-cell
-    nodes come from the evolution's cached quadrature plan.
-    """
+    """Site-independent data of one snapshot: ``g = f'`` and its derivatives
+    0-5 (whole-grid FFTs), and the nodes of the evolution's quadrature plan."""
 
     def __init__(self, f: GridFunction1D, width: float, trunc_radius: float):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
-        self.f = f
-        self.width = width
-        n, h, length = f.n, f.h, f.length
-        self.g = spectral_derivative(f.values, length)
-        self.g_derivs = np.stack([spectral_derivative(self.g, length, k) for k in range(6)])
-        plan = _quadrature_plan(n, h, trunc_radius)
+        self.g = spectral_derivative(f.values, f.length)
+        self.g_derivs = np.stack([spectral_derivative(self.g, f.length, k) for k in range(6)])
+        plan = _quadrature_plan(f.n, f.h, trunc_radius)
         self.offsets = plan.offsets
-        self.dx = self.offsets * h
+        self.dx = self.offsets * f.h
         self.wts = plan.weights
         # singular-cell nodes (both signs)
         ypos, wpos = plan.near_y, plan.near_w
@@ -94,89 +97,49 @@ class _Snapshot:
         self.near_wts = (self.y_near[:, None] ** np.arange(6)[None, :] * w_near[:, None]).T
 
 
-class _SiteVelocity:
-    """Velocity quadratures at one grid site of a snapshot.
+def _inner(x: np.ndarray, d: np.ndarray, w: float) -> np.ndarray:
+    """Exact transverse average of the Poisson kernel ``x/(x^2 + (d - lam')^2)``.
 
-    Evaluates u1, u2 and the modified vertical velocity u_c2 at arbitrary
-    transverse offsets lam, and from them and their exact lam integrals
-    the relaxed state, gamma and the zero-mean residual.
+    ``(arctan((d + w)/x) - arctan((d - w)/x)) / (2w)`` folded into one
+    ``arctan2``, valid for either sign of x without a branch fix-up.
     """
+    return np.arctan2(2.0 * w * x, x * x + (d - w) * (d + w)) / (2.0 * w)
 
-    def __init__(self, snap: _Snapshot, s_index: int):
-        n = snap.f.n
-        self.width = snap.width
-        self.j = int(s_index) % n
-        vals, g, wts = snap.f.values, snap.g, snap.wts
-        self.slope = float(g[self.j])
-        idx = (self.j - snap.offsets) % n
-        self.dx = snap.dx
-        self.df = vals[self.j] - vals[idx]
-        # rows: weights of the far sums for u1, u2 and u_c2 (Delta g = slope - g)
-        self.far_wts = np.stack([wts, wts * g[idx], wts * (self.slope - g[idx])])
-        self.y_near = snap.y_near
-        self.near_wts = snap.near_wts
-        # every offset's (x, d) pair at lam = 0: far offsets, then near-cell nodes
-        self.x = np.concatenate([self.dx, self.y_near])[:, None]
-        self.d = np.concatenate([self.df, self.slope * self.y_near])[:, None]
-        # site Taylor data
-        self.g_derivs = snap.g_derivs[:, self.j].tolist()
 
-    def _inner(self, dx: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Exact transverse average of the Poisson kernel ``dx/(dx^2 + (d - lam')^2)``.
+def _contract(wts, x, d, w: float, a, b, lams) -> np.ndarray:
+    """``wts @ columns`` over the nodes ``(x, d)`` of a block.
 
-        ``(arctan((d + w)/dx) - arctan((d - w)/dx)) / (2w)`` folded into one
-        ``arctan2``, valid for either sign of dx without a branch fix-up.
-        """
-        w = self.width
-        return np.arctan2(2.0 * w * dx, dx * dx + (d - w) * (d + w)) / (2.0 * w)
+    Column k of a node is ``int_a^b inner(x, d + lam) dlam`` over the k-th
+    interval, then ``inner(x, d + lam)`` at each of ``lams``.
+    """
+    x, d = x[..., None], d[..., None]
+    return wts @ np.concatenate([_lambda_integral(x, d, a, b, w), _inner(x, d + lams, w)], axis=-1)
 
-    def _assemble(self, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u1, u2, u_c2) from ``inner`` (or its lam integral), one column per lam."""
-        far1, far2, farc = self.far_wts @ inner[: self.dx.size]
-        # J_k = int over the near cell of y^k inner(y, slope y + lam), k = 0..5
-        jk = self.near_wts @ inner[self.dx.size:]
-        g0, g1, g2, g3, g4, g5 = self.g_derivs
-        # g(x - y) Taylor'd through y^5; Delta g uses the same coefficients
-        near2 = (g0 * jk[0] - g1 * jk[1] + g2 / 2.0 * jk[2]
-                 - g3 / 6.0 * jk[3] + g4 / 24.0 * jk[4] - g5 / 120.0 * jk[5])
-        nearc = (g1 * jk[1] - g2 / 2.0 * jk[2] + g3 / 6.0 * jk[3]
-                 - g4 / 24.0 * jk[4] + g5 / 120.0 * jk[5])
-        u1 = (far1 + jk[0]) / np.pi
-        u2 = (far2 + near2) / np.pi
-        uc2 = -(farc + nearc) / np.pi
-        return u1, u2, uc2
 
-    def samples(self, lams, c: float, dtz: float):
-        """``(rho, u, m, gamma, u_c2)`` at each offset in ``lams``, and the zero-mean residual.
+def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
+    """``block(rows)`` over consecutive slices ``rows`` of ``range(count)``, stacked.
 
-        u and m have one row per offset.  ``int (u_c - dtz).dz_perp dlam``
-        over the full strip and each gamma's half strip is exact.
-        gamma at lam <= 0 integrates the imbalance up from the lower edge,
-        at lam > 0 down from the upper edge (the full-strip integral
-        vanishes), which keeps the ``1/(1 - rho^2)`` factor harmless; it is
-        taken a relative EDGE_CLAMP inside the strip, so ``|lam| = width``
-        gives rho = +-1 and ``m = rho u``.
-        """
-        w = self.width
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        if np.any(np.abs(lams) > w):
-            raise ValueError("|lam| must not exceed the strip half-width")
-        lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
-        lower = lam_g <= 0.0
-        # half-strip intervals, then the full strip
-        a = np.append(np.where(lower, -w, lam_g), -w)
-        b = np.append(np.where(lower, lam_g, w), w)
-        _, _, integrals = self._assemble(_lambda_integral(self.x, self.d, a, b, w))
-        integrals -= dtz * (b - a)
-        rho_g = lam_g / w
-        half = np.where(lower, integrals[:-1], -integrals[:-1])
-        gamma = -(1.0 - c) / 2.0 + half / ((1.0 - rho_g * rho_g) * w)
-        rho = lams / w
-        u1, u2, uc2 = self._assemble(self._inner(self.x, self.d + lams[None, :]))
-        u = np.stack([u1, u2], axis=1)
-        m = rho[:, None] * u
-        m[:, 1] -= (gamma + 0.5) * (1.0 - rho * rho)
-        return rho, u, m, gamma, uc2, float(integrals[-1])
+    A slice has as many rows as fit ``(rows, nodes, columns)`` in
+    ``_BLOCK_ENTRIES`` entries, and at least one.
+    """
+    rows = max(1, _BLOCK_ENTRIES // (nodes * columns))
+    return np.concatenate([block(slice(i, i + rows)) for i in range(0, count, rows)])
+
+
+def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(u1, u2, u_c2) per site and column.
+
+    ``far`` (sites, 3, columns) holds their far sums, ``jk`` (sites, 6,
+    columns) the near-cell moments ``J_k = int y^k inner(y, slope y + lam)``
+    and ``g_derivs`` (sites, 6) the derivatives 0-5 of g at the sites.
+    """
+    # g(x - y) Taylor'd through y^5; Delta g = g(x) - g(x - y) is minus its tail
+    taylor = g_derivs[:, 1:] / np.array([-1.0, 2.0, -6.0, 24.0, -120.0])
+    tail = (taylor[:, None, :] @ jk[:, 1:])[:, 0]
+    u1 = (far[:, 0] + jk[:, 0]) / np.pi
+    u2 = (far[:, 1] + g_derivs[:, :1] * jk[:, 0] + tail) / np.pi
+    uc2 = -(far[:, 2] - tail) / np.pi
+    return u1, u2, uc2
 
 
 def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float) -> np.ndarray:
@@ -195,14 +158,51 @@ def site_samples(
 ) -> SiteSamples:
     """The relaxed state at each grid site in ``s_indices`` and offset in ``lams``.
 
-    ``dtz`` is the instantaneous evolution right-hand side at each site;
-    the snapshot's quadrature data are built once and shared by the sites.
+    ``dtz`` is the instantaneous evolution right-hand side at each site.
+    gamma at lam <= 0 integrates the imbalance ``(u_c - dtz).dz_perp`` up
+    from the lower edge, at lam > 0 down from the upper edge (the
+    full-strip integral, the residual, vanishes), which keeps the ``1/(1 -
+    rho^2)`` factor harmless; it is taken a relative EDGE_CLAMP inside the
+    strip, so ``|lam| = width`` gives rho = +-1 and ``m = rho u``.
     """
     dtz = _default_dtz(f, width, trunc_radius)
     snap = _Snapshot(f, width, trunc_radius)
-    sites = [_SiteVelocity(snap, j).samples(lams, c, float(dtz[j])) for j in s_indices]
-    rho, u, m, gamma, uc2 = (np.concatenate([site[k] for site in sites]) for k in range(5))
-    return SiteSamples(rho, u, m, gamma, uc2, np.array([site[5] for site in sites]))
+    w, n = width, f.n
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(np.abs(lams) > w):
+        raise ValueError("|lam| must not exceed the strip half-width")
+    lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
+    lower = lam_g <= 0.0
+    # half-strip intervals, then the full strip
+    a = np.append(np.where(lower, -w, lam_g), -w)
+    b = np.append(np.where(lower, lam_g, w), w)
+    cols = a.size + lams.size
+    js = np.asarray(s_indices, dtype=int).ravel() % n
+
+    def far_block(rows):
+        j = js[rows, None]
+        back = (j - snap.offsets) % n
+        g_back = snap.g[back]
+        wts = snap.wts * np.stack([np.ones_like(g_back), g_back, snap.g[j] - g_back], axis=1)
+        return _contract(wts, snap.dx, f.values[j] - f.values[back], w, a, b, lams)
+
+    def near_moments(slopes):
+        return _in_blocks(slopes.size, snap.y_near.size, cols, lambda rows: _contract(
+            snap.near_wts, snap.y_near, slopes[rows, None] * snap.y_near, w, a, b, lams))
+
+    far = _in_blocks(js.size, snap.dx.size, cols, far_block)
+    # a table node costs what a site's own near cell does: fewer than one per site
+    jk = _slope_interpolated(snap.g[js], js.size - 1, near_moments)
+    u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)
+    integrals = uc2[:, : a.size] - dtz[js, None] * (b - a)
+    rho_g = lam_g / w
+    half = np.where(lower, integrals[:, :-1], -integrals[:, :-1])
+    gamma = (-(1.0 - c) / 2.0 + half / ((1.0 - rho_g * rho_g) * w)).ravel()
+    rho = np.tile(lams / w, js.size)
+    u = np.stack([u1[:, a.size:], u2[:, a.size:]], axis=-1).reshape(-1, 2)
+    m = rho[:, None] * u
+    m[:, 1] -= (gamma + 0.5) * (1.0 - rho * rho)
+    return SiteSamples(rho, u, m, gamma, uc2[:, a.size:].ravel(), integrals[:, -1])
 
 
 def hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:

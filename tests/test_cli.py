@@ -369,6 +369,19 @@ def test_kernel_eval_far_field_prints_no_warnings():
             assert values[0] == pytest.approx(0.5 / float(eps), rel=1e-13)
 
 
+def test_negative_numbers_with_exponents_parse_as_values():
+    # argparse alone reads -1.27e-288 as an option and exits 2 with
+    # "expected one argument"
+    proc = _cli_process(["kernel-eval", "--dx", "-1.27e-288", "--df", "7.17e-12",
+                         "--eps", "3.58e-12"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert float(proc.stdout.splitlines()[0].split("=")[1]) == pytest.approx(
+        -4.6387296322072604e-266, rel=1e-15, abs=0.0)
+    proc = _cli_process(["flat-demo", "--mu2", "-1e-3"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("gamma = -2.49999812518")
+
+
 def test_kernel_eval_where_r4_underflows(capsys):
     # the r -> 0 limit 1/(2 eps), with no floating-point warning
     with warnings.catch_warnings():

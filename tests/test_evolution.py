@@ -83,6 +83,11 @@ def _direct_near_moments(slope, plan, width):
     return kernel.kernel_values(y, slope[:, None] * y, width) @ plan.moments
 
 
+def _quadrature_nodes(slope):
+    """:func:`evolution._slope_nodes` with the cap :func:`evolution.kernel_quadrature` gives it."""
+    return evolution._slope_nodes(slope, slope.size // evolution._SITES_PER_NODE)
+
+
 def _interpolated_near_moments(slope, plan, width):
     """The moments :func:`evolution.nearfield_correction` uses, one column per unit g."""
     one, zero = np.ones(slope.size), np.zeros(slope.size)
@@ -102,7 +107,7 @@ def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
     slope = np.random.default_rng(3).uniform(lo, hi, n)
     slope[:2] = lo, hi
     if (lo, hi) == (-10.0, 10.0):  # 742 Chebyshev nodes: the sites' own slopes instead
-        assert evolution._slope_nodes(slope) is None
+        assert _quadrature_nodes(slope) is None
     for width in (1e-10, 1e-6, 1e-3, 0.1, 0.5):
         ref = _direct_near_moments(slope, plan, width)
         got = _interpolated_near_moments(slope, plan, width)
@@ -114,7 +119,7 @@ def test_near_moments_node_counts():
     for (lo, hi), nodes in (((0.0, 0.0), 1), ((-0.086, 0.086), 17), ((-1.0, 1.0), 78),
                             ((2.0, 3.0), 43)):
         slope = np.linspace(lo, hi, 2048)
-        assert evolution._slope_nodes(slope)[2].size == nodes
+        assert _quadrature_nodes(slope)[2].size == nodes
 
 
 def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
@@ -127,7 +132,7 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
     with_nan = np.linspace(-0.1, 0.1, n)
     with_nan[7] = np.nan
     for slope in (huge, with_nan):
-        assert evolution._slope_nodes(slope) is None
+        assert _quadrature_nodes(slope) is None
         ref = _direct_near_moments(slope, plan, 0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -158,7 +163,7 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     monkeypatch.setattr(evolution, "kernel_values", counting_kernel)
     monkeypatch.setattr(evolution, "nearfield_correction", counting_near)
     evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, trunc)
-    nodes = evolution._slope_nodes(slope)[2].size
+    nodes = _quadrature_nodes(slope)[2].size
     assert len(near_calls) == 1 and 1 < nodes <= n // 8
     assert sum(entries) == n * (plan.offsets.size // 2) + plan.near_y.size * nodes
 

@@ -47,10 +47,13 @@ def test_oracle_self_check_flat_point():
 
 def test_oracle_resolves_the_diagonal_spike():
     # |dx| small against eps: the integrand is a spike of width |dx| on the
-    # diagonal lam = lam' (dx = 1e-80 included), or at the strip-edge corner
-    for dx, df in ((1e-3, 0.0), (1e-4, 0.0), (1e-6, 0.0), (1e-80, 0.0), (-1e-9, 0.2), (1e-7, -0.2)):
+    # diagonal lam = lam' (dx = 1e-80 included), or at the strip-edge corner,
+    # where the kernel is O(dx log dx), not sign(dx) / (2 eps), down to the
+    # subnormal |dx| = 1e-310 (the kernel about 5.67e-307)
+    for dx, df in ((1e-3, 0.0), (1e-4, 0.0), (1e-6, 0.0), (1e-80, 0.0), (-1e-9, 0.2), (1e-7, -0.2),
+                   (1e-302, 0.2), (1e-310, 0.2), (-1e-310, -0.2)):
         closed = kernel.kernel_values(dx, df, 0.1)
-        assert kernel.kernel_quadrature_oracle(dx, df, 0.1) == pytest.approx(closed, rel=1e-11)
+        assert abs(kernel.kernel_quadrature_oracle(dx, df, 0.1) - closed) <= 1e-12 * abs(closed)
 
 
 def test_oracle_small_eps_limit():

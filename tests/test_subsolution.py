@@ -41,17 +41,23 @@ def test_velocity_rejects_outside_strip(bump):
         subsolution.site_samples(bump, EPS, 1.0, [128], [2 * EPS])
 
 
+def _site(f, w, j):
+    """A snapshot's quadrature data, and site j's far height differences and slope."""
+    snap = subsolution._Snapshot(f, w, 10.0)
+    return snap, f.values[j] - f.values[(j - snap.offsets) % f.n], snap.g[j]
+
+
 @pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.5])
 def test_transverse_average_matches_gauss_legendre(bump, w):
     # closed form vs a 96-node Gauss-Legendre average over lam' in [-w, w],
     # on the far offsets and the singular-cell nodes the rule resolves
-    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), 131)
-    y = site.y_near[np.abs(site.y_near) >= w]
-    dx = np.concatenate([site.dx, y])
+    snap, df, slope = _site(bump, w, 131)
+    y = snap.y_near[np.abs(snap.y_near) >= w]
+    dx = np.concatenate([snap.dx, y])
     xg, wg = np.polynomial.legendre.leggauss(96)
     for frac in (-0.9, 0.0, 0.4):
-        d = np.concatenate([site.df, site.slope * y]) + frac * w
-        exact = site._inner(dx, d)
+        d = np.concatenate([df, slope * y]) + frac * w
+        exact = subsolution._inner(dx, d, w)
         z = d[:, None] - w * xg[None, :]
         oracle = (dx[:, None] / (dx[:, None] ** 2 + z**2) * wg[None, :]).sum(axis=1) / 2.0
         assert np.max(np.abs(exact - oracle) / np.abs(oracle)) <= 1e-13
@@ -80,19 +86,19 @@ def test_lambda_integral_matches_mpmath(bump, w):
         diff = anti(d + b + ww) - anti(d + b - ww) - anti(d + a + ww) + anti(d + a - ww)
         return float(mp.sign(x) * diff / (2 * ww))
 
-    site = subsolution._SiteVelocity(subsolution._Snapshot(bump, w, 10.0), 131)
+    snap, df, site_slope = _site(bump, w, 131)
     lam = subsolution._lambda_fractions(9) * w
     a = np.append(np.where(lam <= 0, -w, lam), -w)
     b = np.append(np.where(lam <= 0, lam, w), w)
-    far = np.arange(0, site.dx.size, 13)
-    near = np.union1d(np.arange(0, site.y_near.size, 31), np.argsort(np.abs(site.y_near))[:2])
-    assert np.min(np.abs(site.y_near[near])) < 4 * bump.h * 4.0**-8
-    assert np.any(site.dx[far] < 0) and np.any(site.y_near[near] < 0)
+    far = np.arange(0, snap.dx.size, 13)
+    near = np.union1d(np.arange(0, snap.y_near.size, 31), np.argsort(np.abs(snap.y_near))[:2])
+    assert np.min(np.abs(snap.y_near[near])) < 4 * bump.h * 4.0**-8
+    assert np.any(snap.dx[far] < 0) and np.any(snap.y_near[near] < 0)
     cases = []
     for shift in (0.0, w, -w):
-        for slope in (site.slope, 5.0, -5.0):
-            x = np.concatenate([site.dx[far], site.y_near[near]])
-            d = np.concatenate([site.df[far], slope * site.y_near[near]]) + shift
+        for slope in (site_slope, 5.0, -5.0):
+            x = np.concatenate([snap.dx[far], snap.y_near[near]])
+            d = np.concatenate([df[far], slope * snap.y_near[near]]) + shift
             got = kernel._lambda_integral(x[:, None], d[:, None], a, b, w)
             cases += [(got[i, k], x[i], d[i], a[k], b[k]) for i in range(x.size) for k in range(a.size)]
     rng = np.random.default_rng(int(-np.log10(w)))
@@ -106,6 +112,72 @@ def test_lambda_integral_matches_mpmath(bump, w):
     worst = max(abs(got - want) / abs(want)
                 for got, *args in cases for want in [oracle(*args)])
     assert worst <= 1e-12
+
+
+def _per_site_samples(f, w, c, sites, lams):
+    """Reference for :func:`subsolution.site_samples`: one site at a time, each
+    summing its own near cell at its own slope (no blocks, no slope table)."""
+    snap = subsolution._Snapshot(f, w, 10.0)
+    dtz = subsolution._default_dtz(f, w, 10.0)
+    lam_g = np.clip(lams, -(1 - subsolution.EDGE_CLAMP) * w, (1 - subsolution.EDGE_CLAMP) * w)
+    lower = lam_g <= 0
+    a = np.append(np.where(lower, -w, lam_g), -w)
+    b = np.append(np.where(lower, lam_g, w), w)
+    nfar = snap.dx.size
+    out = {"u": [], "m": [], "gamma": [], "uc2": []}
+    for j in sites:
+        back = (j - snap.offsets) % f.n
+        df, slope, g_back = f.values[j] - f.values[back], snap.g[j], snap.g[back]
+        x = np.concatenate([snap.dx, snap.y_near])[:, None]
+        d = np.concatenate([df, slope * snap.y_near])[:, None]
+        cols = np.concatenate([kernel._lambda_integral(x, d, a, b, w),
+                               subsolution._inner(x, d + lams, w)], axis=1)
+        far1, far2, farc = np.stack([snap.wts, snap.wts * g_back,
+                                     snap.wts * (slope - g_back)]) @ cols[:nfar]
+        jk = snap.near_wts @ cols[nfar:]
+        g0, g1, g2, g3, g4, g5 = snap.g_derivs[:, j]
+        nearc = g1 * jk[1] - g2 / 2 * jk[2] + g3 / 6 * jk[3] - g4 / 24 * jk[4] + g5 / 120 * jk[5]
+        u1, u2 = (far1 + jk[0]) / np.pi, (far2 + g0 * jk[0] - nearc) / np.pi
+        uc2 = -(farc + nearc) / np.pi
+        integrals = uc2[: a.size] - dtz[j] * (b - a)
+        half = np.where(lower, integrals[:-1], -integrals[:-1])
+        gamma = -(1 - c) / 2 + half / ((1 - (lam_g / w) ** 2) * w)
+        rho = lams / w
+        u = np.stack([u1[a.size:], u2[a.size:]], axis=1)
+        m = rho[:, None] * u - ((gamma + 0.5) * (1 - rho * rho))[:, None] * [0.0, 1.0]
+        for key, val in (("u", u), ("m", m), ("gamma", gamma), ("uc2", uc2[a.size:])):
+            out[key].append(val)
+    return {key: np.concatenate(val) for key, val in out.items()}
+
+
+def _assert_matches_per_site(f, w, sites):
+    lams = subsolution._lambda_fractions(9) * w
+    got = subsolution.site_samples(f, w, 0.7, sites, lams, 10.0)
+    ref = _per_site_samples(f, w, 0.7, sites, lams)
+    for key, want in ref.items():
+        assert np.max(np.abs(getattr(got, key) - want)) <= 1e-13, key
+
+
+@pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.1, 0.5])
+@pytest.mark.parametrize("amp", [0.1, 1.0, 3.0])
+def test_site_blocks_match_per_site_sums(w, amp):
+    # every site: the near cell from a slope table, far rows in blocks of
+    # sites; every 4th site across the bump: too many nodes for 14 sites,
+    # so each site's own slope
+    f = GridFunction1D.from_callable(lambda x: amp * np.exp(-(x**2)), 256, LENGTH)
+    g = subsolution._Snapshot(f, w, 10.0).g
+    assert evolution._slope_nodes(g, g.size - 1) is not None
+    _assert_matches_per_site(f, w, range(256))
+    sites = range(100, 156, 4)
+    assert evolution._slope_nodes(g[sites], len(sites) - 1) is None
+    _assert_matches_per_site(f, w, sites)
+
+
+def test_site_blocks_flat_take_one_node(flat):
+    sites = range(0, 128, 5)
+    g = subsolution._Snapshot(flat, EPS, 10.0).g[sites]
+    assert evolution._slope_nodes(g, g.size - 1)[2].size == 1
+    _assert_matches_per_site(flat, EPS, sites)
 
 
 def _composite_gl(a, b, panels):
