@@ -26,7 +26,12 @@ right-hand side stays smooth in t, preserving the RK4 order.  The far
 sum is pair symmetric: the kernel is exactly odd, so each pair of sites
 is evaluated once and its flux credited to both, and sites are evaluated
 in row blocks small enough to stay in L2, so the O(N M) work never
-builds an N x M array.
+builds an N x M array.  The far kernel is even and analytic in the mean
+slope too, so each call tabulates it per offset at Chebyshev points of
+the squared slope up to the largest one-cell slope (9 points for the
+criterion-08 data) and evaluates a polynomial per pair, with no
+transcendental; steeper data (one-cell slopes above about 0.4) take the
+closed form per pair.
 The mollifier is the exact Fourier multiplier of its discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
@@ -46,6 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.legendre import leggauss
 
 from .grid import GridFunction1D, NonFiniteError, spectral_derivative
@@ -89,6 +95,11 @@ _LOG_TOL = 37.0
 # table plus interpolation then cost 0.3-0.7 of the sites' own slopes at
 # n = 256-2048 and about 1.0 at n = 4096 (n / 6 already cost 1.1 at n = 2048)
 _SITES_PER_NODE = 8
+# the far kernel is a polynomial in the squared slope (see kernel_quadrature)
+# of at most this degree: timed on 2 vCPUs at n = 1024 and 2048, a call then
+# costs at most what the per-entry kernel does (degree 18: 1.01 and 0.92 of it,
+# degree 21: 1.08 and 1.03)
+_MAX_FAR_DEGREE = 18
 
 
 @dataclass(frozen=True)
@@ -304,27 +315,42 @@ def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarra
     return out
 
 
+def _chebyshev_degree(half: float, max_degree: int) -> int | None:
+    """Degree ``d = ceil(37 / log rho)`` for a slope range of half-width ``half``, or None.
+
+    0 for a constant slope.  None when ``half`` is not finite or ``d`` would
+    exceed ``max_degree``.
+    """
+    if not math.isfinite(half):
+        return None
+    if half == 0.0:
+        return 0
+    # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
+    # no overflow or cancellation at any finite half (inf once b / half is)
+    log_rho = math.asinh(_STRIP_SEMI_MINOR / half)
+    if not _LOG_TOL < log_rho * max_degree:  # ceil(tol / log rho) > max_degree
+        return None
+    return max(1, math.ceil(_LOG_TOL / log_rho))
+
+
 def _slope_nodes(slope: np.ndarray, max_nodes: int) -> tuple[float, float, np.ndarray] | None:
     """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
 
-    ``t_j = cos(j pi / d)``, j = 0..d, with ``d = ceil(37 / log rho)``
-    (one node, ``t = 0``, for a constant slope).  None, meaning the sites'
-    own slopes, when a slope is not finite or the nodes would number more
-    than ``max_nodes``.
+    ``t_j = cos(j pi / d)``, j = 0..d, with ``d`` from
+    :func:`_chebyshev_degree` (one node, ``t = 0``, for a constant slope).
+    None, meaning the sites' own slopes, when a slope is not finite or the
+    nodes would number more than ``max_nodes``.
     """
     lo, hi = float(np.min(slope)), float(np.max(slope))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return None
     # halves taken first, so a finite range never overflows
     mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    if half == 0.0:
-        return mid, half, np.zeros(1)
-    # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
-    # no overflow or cancellation at any finite half (inf once b / half is)
-    log_rho = math.asinh(_STRIP_SEMI_MINOR / half)
-    if not _LOG_TOL < log_rho * (max_nodes - 1):  # ceil(tol / log rho) + 1 > max_nodes
+    d = _chebyshev_degree(half, max_nodes - 1)
+    if d is None:
         return None
-    d = max(1, math.ceil(_LOG_TOL / log_rho))
+    if d == 0:
+        return mid, half, np.zeros(1)
     return mid, half, np.cos(np.pi * np.arange(d + 1) / d)
 
 
@@ -429,8 +455,8 @@ def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
     return sliding_window_view(ext, m_max - near + 1)[:n, ::-1]
 
 
-def _first_bad_site(f_values, f_back, dx, plan, width) -> int:
-    """First site whose two-sided row meets a non-finite kernel value.
+def _first_bad_site(f_values, f_back, dx, plan, width) -> int | None:
+    """First site whose two-sided row meets a non-finite kernel value, or None.
 
     Failure path only: the pair (i, i - k) lies on the rows of both sites,
     so every block is rescanned and both ends of each bad pair count.
@@ -445,7 +471,100 @@ def _first_bad_site(f_values, f_back, dx, plan, width) -> int:
         r, c = np.nonzero(~np.isfinite(kern))
         bad[start + r] = True
         bad[(start + r - plan.near - c) % n] = True
-    return int(np.argmax(bad))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@lru_cache(maxsize=32)
+def _chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev points ``t_j`` of the first kind and the maps from values there to monomials.
+
+    ``t_j = cos((2j + 1) pi / (2 degree + 2))``.  The first matrix takes the
+    values of a function at the ``t_j`` to the Chebyshev coefficients of its
+    interpolant (a discrete cosine transform), the second those to its
+    monomial coefficients in ``t``.  They are applied one after the other:
+    their product has entries of order ``(1 + sqrt 2)^degree`` that cancel,
+    and its own roundoff would not.
+    """
+    odd = 2 * np.arange(degree + 1) + 1
+    t = np.cos(odd * np.pi / (2 * degree + 2))
+    # T_k(t_j) = cos(pi m / (2 degree + 2)), m = k (2j + 1), with m reduced in
+    # integers to [0, degree + 1]: the three-term recurrence loses about k^2
+    # ulps near t = +-1, and a rounded k theta_j about k
+    m = np.outer(np.arange(degree + 1), odd) % (4 * degree + 4)
+    m = np.minimum(m, 4 * degree + 4 - m)
+    sign = np.where(m > degree + 1, -1.0, 1.0)
+    m = np.minimum(m, 2 * degree + 2 - m)
+    to_chebyshev = sign * np.cos(m * np.pi / (2 * degree + 2)) * (2.0 / (degree + 1))
+    to_chebyshev[0] *= 0.5
+    to_monomial = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        to_monomial[: k + 1, k] = cheb2poly(np.eye(k + 1)[k])
+    for arr in (t, to_chebyshev, to_monomial):
+        arr.flags.writeable = False
+    return t, to_chebyshev, to_monomial
+
+
+class _FarTable(NamedTuple):
+    """The weighted far kernel as a polynomial per offset (see :func:`_far_table`)."""
+
+    coef: np.ndarray  # (degree + 1, offsets): coefficients of t^0, t^1, ...
+    scale: np.ndarray  # per offset: t = (scale * u)^2 - 1
+
+
+def _far_table(f_values: np.ndarray, h: float, dx: np.ndarray, wts: np.ndarray,
+               width: float) -> _FarTable | None:
+    """``wts_k K(dx_k, u, width)`` as a polynomial in ``t = 2 (u / (A_max dx_k))^2 - 1``, or None.
+
+    ``A_max`` is the largest one-cell slope ``|f_i - f_{i-1}| / h``
+    (periodic), which bounds every mean slope ``u / dx_k`` of the far sum.
+    The degree in ``s = A^2`` is half the :func:`_chebyshev_degree` of
+    ``[-A_max, A_max]``, rounded up; the table is :func:`kernel_values` at
+    the Chebyshev points of ``s`` in ``[0, A_max^2]``.  None, meaning the
+    per-entry kernel, when ``A_max`` is not finite, the degree would exceed
+    ``_MAX_FAR_DEGREE``, or the table or its scales are not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_max = float(np.max(np.abs(np.diff(f_values, prepend=f_values[-1])))) / h
+    d = _chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE)
+    if d is None:
+        return None
+    t, to_chebyshev, to_monomial = _chebyshev_maps((d + 1) // 2)
+    table = kernel_values(dx, (a_max * np.sqrt(0.5 + 0.5 * t))[:, None] * dx, width)
+    coef = to_monomial @ (to_chebyshev @ table)
+    coef *= wts
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = math.sqrt(2.0) / (a_max * dx)  # unused at degree 0 (A_max = 0)
+    if not (np.all(np.isfinite(coef)) and (d == 0 or np.all(np.isfinite(scale)))):
+        return None
+    return _FarTable(coef, scale)
+
+
+def _far_polynomial(table: _FarTable, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The table's polynomial at the height differences ``u``, by Horner; in ``work[0]``.
+
+    ``work`` has shape ``(2,) + u.shape``; ``work[1]`` holds ``t``.
+    """
+    coef, out = table.coef, work[0]
+    if coef.shape[0] == 1:
+        out[...] = coef[0]
+        return out
+    t = np.multiply(u, table.scale, out=work[1])
+    t *= t
+    t -= 1.0
+    np.multiply(t, coef[-1], out=out)
+    for a in coef[-2:0:-1]:
+        out += a
+        out *= t
+    out += coef[0]
+    return out
+
+
+def _weighted_kernel(dx: np.ndarray, wts: np.ndarray, u: np.ndarray, width: float,
+                     work: np.ndarray) -> np.ndarray:
+    """``wts_k K(dx_k, u, width)`` entry by entry, from :func:`kernel_values`."""
+    kern = kernel_values(dx, u, width, work=work)
+    kern *= wts
+    return kern
 
 
 def kernel_quadrature(
@@ -465,6 +584,25 @@ def kernel_quadrature(
     row blocks; a block's fluxes are written into a skew buffer whose
     column sums are the sums over the back sites, so no N x M temporary
     is ever made.
+
+    The far kernel comes from one table per call (:func:`_far_table`).
+    Write ``u = A dx`` for an offset ``dx > 0``.  ``K(dx, A dx, w)`` is even
+    in A, and analytic in the strip ``|Im A| < 1`` by the argument of
+    :func:`nearfield_correction`, so the rule there gives the degree ``d``
+    of a Chebyshev interpolant on ``[-A_max, A_max]`` that is within
+    ``e^-37``; by evenness that interpolant is one of degree ``ceil(d / 2)``
+    in ``s = A^2`` on ``[0, A_max^2]``.  ``A_max = max |f_i - f_{i-1}| /
+    h`` bounds every mean slope ``(f_i - f_{i-k}) / (k h)``, which is an
+    average of k one-cell slopes; the range of the spectral slope does
+    not (a grid-scale ripple has none).  The table holds
+    :func:`kernel_values` at the ``ceil(d / 2) + 1`` Chebyshev points in s
+    for every offset (9 on the criterion-08 data), as monomial coefficients
+    in ``t = 2 s / A_max^2 - 1`` with the Gregory weights folded in, and a
+    block takes one Horner pass per entry: no transcendental, no edge or
+    corner mask.  When ``A_max`` is not finite or the degree would exceed
+    ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.4), the same loop takes
+    :func:`kernel_values` per entry; a non-finite value there names its
+    site.
     """
     n = f_values.size
     h = length / n
@@ -494,22 +632,27 @@ def kernel_quadrature(
     buf = np.empty(6 * rows * max(n_pos, n_near))
     far_work = buf[: 6 * rows * n_pos].reshape(6, rows, n_pos)
     near_work = buf[: 6 * rows * n_near].reshape(6, rows, n_near)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        blk = slice(start, stop)
-        with np.errstate(over="ignore"):  # the finiteness check below reports it
+    table = _far_table(f_values, h, dx, wts, width)
+    # a non-finite kernel value makes its row sum non-finite (0 * inf is NaN):
+    # the finiteness checks below read the sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            blk = slice(start, stop)
             u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
-        kern = kernel_values(dx, u, width, work=far_work[1:, : stop - start])
-        if not np.all(np.isfinite(kern)):
-            bad = _first_bad_site(f_values, f_back, dx, plan, width)
+            work = far_work[1:, : stop - start]
+            kern = (_far_polynomial(table, u, work) if table is not None
+                    else _weighted_kernel(dx, wts, u, width, work))
+            fl = flux[: stop - start]
+            np.subtract(g_values[blk, None], g_back[blk], out=fl)
+            fl *= kern
+            acc[m_max + start : m_max + stop] += fl.sum(axis=1)
+            span = stop - start + n_pos - 1
+            acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
+    if not np.all(np.isfinite(acc)):
+        bad = _first_bad_site(f_values, f_back, dx, plan, width)
+        if bad is not None:
             raise NonFiniteError(f"non-finite kernel value at site {bad}")
-        fl = flux[: stop - start]
-        np.subtract(g_values[blk, None], g_back[blk], out=fl)
-        fl *= kern
-        fl *= wts
-        acc[m_max + start : m_max + stop] += fl.sum(axis=1)
-        span = stop - start + n_pos - 1
-        acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
     # after the kernel check, which names the site of a non-finite height;
     # finite heights whose transform overflows leave the slopes non-finite
     finite = np.isfinite(slope) & np.isfinite(g_values)

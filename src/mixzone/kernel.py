@@ -308,7 +308,9 @@ def kernel_frozen(slope_a: float, y, eps: float):
 def muskat_limit(dx, delta_f):
     """The eps -> 0 limit ``(1/pi) dx / (dx^2 + delta_f^2)``.
 
-    Rescaled where the squares leave the float range.
+    Rescaled where the squares leave the float range; ``inf`` of the sign of
+    ``dx``, silently, where the limit itself does (``|dx|`` below about
+    ``1 / (pi max)``).
     """
     dx, u = np.broadcast_arrays(np.asarray(dx, dtype=float), np.asarray(delta_f, dtype=float))
     with np.errstate(over="ignore"):
@@ -320,7 +322,8 @@ def muskat_limit(dx, delta_f):
         return _maybe_scalar(np.asarray(dx / (np.pi * r2)))
     out = np.asarray(dx / (np.pi * np.where(fix, 1.0, r2)))
     a, b = dx[fix] / size[fix], u[fix] / size[fix]
-    out[fix] = a / (np.pi * (a * a + b * b)) / size[fix]
+    with np.errstate(over="ignore"):
+        out[fix] = a / (np.pi * (a * a + b * b)) / size[fix]
     return _maybe_scalar(out)
 
 

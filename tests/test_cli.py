@@ -349,22 +349,31 @@ def test_kernel_eval_far_field_prints_no_warnings():
     # far field, the strip-edge corner, the lam = lam' spike of the oracle's
     # integrand, a tiny |dx| against a huge |delta_f| (the Muskat value, not
     # 3 times it), widths whose square under- or overflows, and a |dx| at the
-    # corner so tiny that the strip integral's products leave the normal range
+    # corner so tiny that the strip integral's products leave the normal range,
+    # and a |dx| whose Muskat limit 1 / (pi dx) overflows
     points = (("1", "1e160", "0.1"), ("1e-9", "0.2", "0.1"), ("1e-4", "0", "0.1"),
               ("1e-200", "1e40", "1e-3"), ("1", "0.3", "1e-170"), ("1", "0.3", "1e150"),
               ("1", "0.3", "1e200"), ("1e-200", "0.2", "0.1"), ("1e-170", "0.2", "0.1"),
-              ("1e-300", "0.2", "0.1"), ("-1.27e-288", "7.17e-12", "3.58e-12"))
+              ("1e-300", "0.2", "0.1"), ("-1.27e-288", "7.17e-12", "3.58e-12"),
+              ("1e-320", "0", "0.1"))
     for dx, df, eps in points:
         argv = ["kernel-eval", f"--dx={dx}", f"--df={df}", f"--eps={eps}"]
         proc = _cli_process(argv)
         assert proc.returncode == 0 and proc.stderr == "", argv
         values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
-        assert len(values) == 3 and all(np.isfinite(values))
+        assert len(values) == 3 and all(np.isfinite(values[:2]))
         assert values[1] == pytest.approx(values[0], rel=1e-6, abs=1e-300)
-        if df == "1e160":  # the Muskat kernel 1/(pi 1e320) there (a subnormal)
-            assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160, rel=1e-3)
+        # the kernels here are subnormal: true relative checks, without
+        # pytest's default abs=1e-12 that any value below it would pass
+        if df == "1e160":  # the Muskat kernel 1/(pi 1e320) there, to a subnormal's digits
+            assert values[0] == values[2] == pytest.approx(1.0 / np.pi / 1e160 / 1e160,
+                                                           rel=1e-3, abs=0.0)
         if float(eps) < 1e-100 or float(df) > 1e8 * float(eps):  # the Muskat limit
-            assert values[0] == pytest.approx(values[2], rel=1e-13)
+            assert values[0] == pytest.approx(values[2], rel=1e-13, abs=0.0)
+        if dx == "1e-320":  # the r -> 0 limit 1 / (2 eps); the Muskat limit leaves the range
+            assert values[0] == 5.0 and values[2] == np.inf
+        else:
+            assert np.isfinite(values[2])
         if float(eps) > 1e100:  # the r -> 0 limit 1 / (2 eps)
             assert values[0] == pytest.approx(0.5 / float(eps), rel=1e-13)
 

@@ -141,13 +141,14 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
     assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [7]
 
 
-def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
-    # one nearfield_correction call per quadrature, whose kernel entries are
-    # the 144 near-cell nodes times the Chebyshev nodes of the slope range
-    n, trunc = 512, 10.0
-    plan = evolution._quadrature_plan(n, LENGTH / n, trunc)
-    f = bump(n, amp=0.3).values
-    slope = spectral_derivative(f, LENGTH)
+def _far_table_nodes(f):
+    """Chebyshev points of the far table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
+    a_max = np.max(np.abs(np.diff(f, prepend=f[-1]))) / (LENGTH / f.size)
+    return -(-evolution._chebyshev_degree(a_max, 10**6) // 2) + 1
+
+
+def _counted_quadrature(monkeypatch, f):
+    """Kernel entries per ``kernel_values`` call and the ``nearfield_correction`` calls."""
     entries, near_calls = [], []
     real_kernel, real_near = evolution.kernel_values, evolution.nearfield_correction
 
@@ -162,10 +163,61 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
 
     monkeypatch.setattr(evolution, "kernel_values", counting_kernel)
     monkeypatch.setattr(evolution, "nearfield_correction", counting_near)
-    evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, trunc)
-    nodes = _quadrature_nodes(slope)[2].size
-    assert len(near_calls) == 1 and 1 < nodes <= n // 8
-    assert sum(entries) == n * (plan.offsets.size // 2) + plan.near_y.size * nodes
+    evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, 10.0)
+    return entries, len(near_calls)
+
+
+def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
+    # one nearfield_correction call per quadrature, whose kernel entries are
+    # the 144 near-cell nodes times the Chebyshev nodes of the slope range;
+    # the far kernel is one table of its Chebyshev nodes in the squared
+    # slope per offset, or, for steep data, one entry per pair
+    n = 512
+    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    n_pos = plan.offsets.size // 2
+    f = bump(n, amp=0.3).values
+    entries, near_calls = _counted_quadrature(monkeypatch, f)
+    nodes = _quadrature_nodes(spectral_derivative(f, LENGTH))[2].size
+    far_nodes = _far_table_nodes(f)
+    assert near_calls == 1 and 1 < nodes <= n // 8 and 1 < far_nodes <= evolution._MAX_FAR_DEGREE + 1
+    assert sum(entries) == far_nodes * n_pos + plan.near_y.size * nodes
+    steep = bump(n, amp=0.6).values
+    entries, near_calls = _counted_quadrature(monkeypatch, steep)
+    nodes = _quadrature_nodes(spectral_derivative(steep, LENGTH))[2].size
+    assert near_calls == 1 and 1 < nodes <= n // 8 and _far_table_nodes(steep) > evolution._MAX_FAR_DEGREE + 1
+    assert sum(entries) == n * n_pos + plan.near_y.size * nodes
+
+
+def _rippled(n, a_max):
+    """A bump plus a grid-scale ripple, scaled so its largest one-cell slope is ``a_max``.
+
+    The ripple ``(-1)^i`` has no spectral slope, so the one-cell slopes
+    reach about three times the range of the spectral slope.
+    """
+    h = LENGTH / n
+    x = -LENGTH / 2 + h * np.arange(n)
+    base = np.exp(-(x**2)) + h * (-1.0) ** np.arange(n)
+    return base * (a_max * h / np.max(np.abs(np.diff(base, prepend=base[-1]))))
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("a_max", [0.0, 0.01, 0.086, 0.3, 0.4, 0.5, 3.0])
+def test_kernel_quadrature_far_table_matches_row_by_row_sum(n, a_max):
+    # the table path up to degree 18 in the squared slope (a_max = 0.4), the
+    # per-entry kernel beyond it (steep data); flat data are one node
+    f = _rippled(n, a_max) if a_max else np.full(n, 0.3)
+    h = LENGTH / n
+    plan = evolution._quadrature_plan(n, h, 10.0)
+    dx = plan.offsets[plan.offsets > 0] * h
+    g = spectral_derivative(bump(n).values, LENGTH)
+    for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+        table = evolution._far_table(f, h, dx, np.ones(dx.size), width)
+        assert (table is None) == (a_max > 0.4)
+        if a_max == 0.0:
+            assert table.coef.shape[0] == 1
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
+        ref = _row_by_row_quadrature(f, g, width, 10.0)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
 
 
 def _rows_per_block(n, trunc_radius):
