@@ -2,7 +2,7 @@
 
 Configuration is a JSON document with explicit defaults and strict key
 checking; simulation output is a deterministic set of plain-text files
-(`trace.csv`, per-time snapshots, `meta.json`).  Exit codes: 0 success,
+(`trace.csv`, per-step snapshots, `meta.json`).  Exit codes: 0 success,
 1 a scientific condition failed during the run, 2 configuration error
 (:class:`ConfigError`, or an invalid command-line argument).  Any other
 exception is a bug and surfaces with its traceback.
@@ -298,7 +298,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         snap = ["x,f"] + [
             f"{x:.17g},{v:.17g}" for x, v in zip(xs, state.f.values)
         ]
-        (snapdir / f"f_{state.t:.6f}.csv").write_text("\n".join(snap) + "\n")
+        (snapdir / f"f_{diag['step']:06d}.csv").write_text("\n".join(snap) + "\n")
     (outdir / "trace.csv").write_text("\n".join(lines) + "\n")
 
     meta = {

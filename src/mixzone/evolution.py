@@ -22,21 +22,32 @@ e^-37; when that would take more than an eighth as many nodes as sites,
 or a slope is not finite, they are summed at the sites' own slopes.  Without
 the near cell the quadrature is first order once the kernel width drops
 below the mesh; with it the scheme is second order in h and the
-right-hand side stays smooth in t, preserving the RK4 order.  The far
-sum is pair symmetric: the kernel is exactly odd, so each pair of sites
-is evaluated once and its flux credited to both, and sites are evaluated
-in row blocks small enough to stay in L2, so the O(N M) work never
-builds an N x M array.  The far kernel is even and analytic in the mean
-slope too, so each call tabulates it per offset at Chebyshev points of
-the squared slope up to the largest one-cell slope (9 points for the
-criterion-08 data) and evaluates a polynomial per pair, with no
-transcendental; steeper data (one-cell slopes above about 0.4) take the
-closed form per pair.
-The mollifier is the exact Fourier multiplier of its discrete stencil.
+right-hand side stays smooth in t, preserving the RK4 order.
+
+The far offsets split at ``dx = 8 osc``, ``osc = max f - min f``.  In the
+near band below it the sum is pair symmetric: the kernel is exactly odd,
+so each pair of sites is evaluated once and its flux credited to both,
+and sites are evaluated in row blocks small enough to stay in L2, so the
+work never builds an N x M array.  The far kernel is even and analytic in
+the mean slope A for ``|Im A| < 1``, so each call tabulates it per offset
+at Chebyshev points of the squared slope up to the largest one-cell slope
+(8 points for the criterion-08 data) and evaluates a polynomial per pair,
+with no transcendental; steeper data (one-cell slopes above about 0.74)
+take the closed form per pair.  Beyond the split, in the FFT band (taken
+when it holds at least 96 offsets: from n = 512 on the criterion-08
+data), every height difference is at most ``dx / 8``, so the kernel is a
+polynomial of degree at most 7 in ``sigma = ((f_i - f_{i-k}) / osc)^2``
+on ``[0, 1]``; its singularities lie at ``|sigma| >= 64``.  With the
+heights centred, the binomial expansion of that polynomial turns the
+band's O(N M) pair sum into ``2 (2D + 1)`` circular convolutions, taken
+by ``rfft`` and ``irfft``, whose roundoff is a few ulps of the band's
+absolute flux sum.  The mollifier is the exact Fourier multiplier of its
+discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
-the stage times.  A finiteness check that fails inside a stage, or in the
-stability probe before the first step, raises
+the stage times; from ``t_start > 1e-9`` the stability probe's velocity
+is the first stage of step 1.  A finiteness check that fails inside a
+stage, or in the stability probe before the first step, raises
 :class:`~mixzone.grid.NonFiniteError`; the stepper records the step and
 stage and truncates the trajectory, and lets every other error through.
 A step above the stability bound raises :class:`StabilityError`.
@@ -100,6 +111,22 @@ _SITES_PER_NODE = 8
 # costs at most what the per-entry kernel does (degree 18: 1.01 and 0.92 of it,
 # degree 21: 1.08 and 1.03)
 _MAX_FAR_DEGREE = 18
+# the far kernel's branch points lie on Im A = +-1 (see kernel_quadrature), so
+# its tables take the Bernstein ellipse of semi-minor axis 0.9, a margin below
+# the strip's 1: for one-cell slopes up to 0.74 the polynomials stayed within
+# 1.4e-15 of the largest kernel entry, as the near cell's 1/2 did, at n = 1024
+# and 2048 and widths 1e-10 to 0.5
+_FAR_SEMI_MINOR = 0.9
+# offsets of at least _BAND_SPAN height oscillations max f - min f form the FFT
+# band (see kernel_quadrature) when they number at least _MIN_BAND.  Timed on 2
+# vCPUs for bumps of amplitude 0.1 and 0.3 at w = 0.05, kernel_quadrature took,
+# with the band against without: 1.22 / 0.85 and 1.44 / 1.03 ms at 59 and 49
+# band offsets (n = 256), 1.53 / 1.63 and 1.79 / 2.18 ms at 118 and 98 (n =
+# 512), 5.3 / 15.1 and 7.0 / 18.4 ms at n = 2048.  Spans of 4, 6 and 8 were
+# within the timing noise of each other at n = 1024 and 2048 (12 was slower for
+# the 0.3 bump); 8 keeps the band's degree at 7
+_BAND_SPAN = 8.0
+_MIN_BAND = 96
 
 
 @dataclass(frozen=True)
@@ -273,9 +300,8 @@ def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     an uncanceled h^2 Euler-Maclaurin boundary term at the junction with
     the near cell (the integrand's slope there is ~g'/width, so the term
     even grows while the mesh is coarser than the kernel); the third-order
-    end correction removes it on both ends.  Rows per block are sized so
-    the skew buffer, ``rows x (rows + n_pos - 1)``, holds about
-    ``_BLOCK_ENTRIES`` entries.
+    end correction removes it on both ends.  Rows per block are
+    :func:`_block_rows` of the whole window.
     """
     m_max = trapezoid_reach(n, h, trunc_radius)
     near = 4 if m_max >= 10 else 2
@@ -292,11 +318,9 @@ def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     near_y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * xg).ravel()
     near_w = (0.5 * (hi - lo) * wg).ravel()
     moments = 2.0 * near_y[:, None] ** np.array([1, 3, 5]) * near_w[:, None]
-    b = pos.size - 1
-    rows = max(1, int((np.sqrt(b * b + 4.0 * _BLOCK_ENTRIES) - b) / 2))
     for arr in (offsets, weights, near_y, near_w, moments):
         arr.flags.writeable = False
-    return _Plan(offsets, weights, near, near_y, near_w, moments, min(rows, n))
+    return _Plan(offsets, weights, near, near_y, near_w, moments, _block_rows(pos.size, n))
 
 
 def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarray) -> np.ndarray:
@@ -315,11 +339,13 @@ def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarra
     return out
 
 
-def _chebyshev_degree(half: float, max_degree: int) -> int | None:
+def _chebyshev_degree(half: float, max_degree: int,
+                      semi_minor: float = _STRIP_SEMI_MINOR) -> int | None:
     """Degree ``d = ceil(37 / log rho)`` for a slope range of half-width ``half``, or None.
 
-    0 for a constant slope.  None when ``half`` is not finite or ``d`` would
-    exceed ``max_degree``.
+    ``rho`` is the parameter of the Bernstein ellipse about the range with
+    semi-minor axis ``semi_minor``.  0 for a constant slope.  None when
+    ``half`` is not finite or ``d`` would exceed ``max_degree``.
     """
     if not math.isfinite(half):
         return None
@@ -327,10 +353,21 @@ def _chebyshev_degree(half: float, max_degree: int) -> int | None:
         return 0
     # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
     # no overflow or cancellation at any finite half (inf once b / half is)
-    log_rho = math.asinh(_STRIP_SEMI_MINOR / half)
+    log_rho = math.asinh(semi_minor / half)
     if not _LOG_TOL < log_rho * max_degree:  # ceil(tol / log rho) > max_degree
         return None
     return max(1, math.ceil(_LOG_TOL / log_rho))
+
+
+def _far_degree(a_max: float) -> int | None:
+    """Degree in ``s = A^2`` of the far kernel on ``|A| <= a_max``, or None.
+
+    Half the :func:`_chebyshev_degree` of ``[-a_max, a_max]`` with the far
+    kernel's semi-minor axis, rounded up (the kernel is even in A); None
+    when that would exceed ``_MAX_FAR_DEGREE``.
+    """
+    d = _chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, _FAR_SEMI_MINOR)
+    return None if d is None else (d + 1) // 2
 
 
 def _slope_nodes(slope: np.ndarray, max_nodes: int) -> tuple[float, float, np.ndarray] | None:
@@ -448,20 +485,32 @@ def nearfield_correction(
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 
-def _back_windows(values: np.ndarray, m_max: int, near: int) -> np.ndarray:
-    """Read-only view ``w[i, c] = values[(i - near - c) % n]`` for c = 0..m_max - near."""
+def _back_windows(values: np.ndarray, reach: int, near: int) -> np.ndarray:
+    """Read-only view ``w[i, c] = values[(i - near - c) % n]`` for c = 0..reach - near."""
     n = values.size
-    ext = np.concatenate([values[-m_max:], values])
-    return sliding_window_view(ext, m_max - near + 1)[:n, ::-1]
+    ext = np.concatenate([values[-reach:], values])
+    return sliding_window_view(ext, reach - near + 1)[:n, ::-1]
 
 
-def _first_bad_site(f_values, f_back, dx, plan, width) -> int | None:
+def _block_rows(n_pos: int, n: int) -> int:
+    """Sites per row block of the pair-symmetric sum over ``n_pos`` offsets.
+
+    The skew buffer, ``rows x (rows + n_pos - 1)``, then holds about
+    ``_BLOCK_ENTRIES`` entries.
+    """
+    b = n_pos - 1
+    return min(n, max(1, int((np.sqrt(b * b + 4.0 * _BLOCK_ENTRIES) - b) / 2)))
+
+
+def _first_bad_site(f_values, dx, plan, width) -> int | None:
     """First site whose two-sided row meets a non-finite kernel value, or None.
 
     Failure path only: the pair (i, i - k) lies on the rows of both sites,
-    so every block is rescanned and both ends of each bad pair count.
+    so every block of the whole window is rescanned and both ends of each
+    bad pair count.
     """
     n = f_values.size
+    f_back = _back_windows(f_values, plan.offsets[-1], plan.near)
     bad = np.zeros(n, dtype=bool)
     for start in range(0, n, plan.rows):
         blk = slice(start, min(start + plan.rows, n))
@@ -504,6 +553,22 @@ def _chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, to_chebyshev, to_monomial
 
 
+def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np.ndarray,
+                        degree: int) -> np.ndarray | None:
+    """``wts_k K(dx_k, u, width)`` as monomials in ``t = 2 (u / u_top_k)^2 - 1``, or None.
+
+    One column per offset, one row per power of t: :func:`kernel_values` at
+    the ``degree + 1`` Chebyshev points of t in ``[-1, 1]`` (``|u| <=
+    u_top_k``), taken to monomials by :func:`_chebyshev_maps`.  None when a
+    coefficient is not finite.
+    """
+    t, to_chebyshev, to_monomial = _chebyshev_maps(degree)
+    table = kernel_values(dx, np.sqrt(0.5 + 0.5 * t)[:, None] * u_top, width)
+    coef = to_monomial @ (to_chebyshev @ table)
+    coef *= wts
+    return coef if np.all(np.isfinite(coef)) else None
+
+
 class _FarTable(NamedTuple):
     """The weighted far kernel as a polynomial per offset (see :func:`_far_table`)."""
 
@@ -517,24 +582,19 @@ def _far_table(f_values: np.ndarray, h: float, dx: np.ndarray, wts: np.ndarray,
 
     ``A_max`` is the largest one-cell slope ``|f_i - f_{i-1}| / h``
     (periodic), which bounds every mean slope ``u / dx_k`` of the far sum.
-    The degree in ``s = A^2`` is half the :func:`_chebyshev_degree` of
-    ``[-A_max, A_max]``, rounded up; the table is :func:`kernel_values` at
-    the Chebyshev points of ``s`` in ``[0, A_max^2]``.  None, meaning the
+    The degree is :func:`_far_degree` of ``A_max``.  None, meaning the
     per-entry kernel, when ``A_max`` is not finite, the degree would exceed
     ``_MAX_FAR_DEGREE``, or the table or its scales are not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a_max = float(np.max(np.abs(np.diff(f_values, prepend=f_values[-1])))) / h
-    d = _chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE)
-    if d is None:
+    degree = _far_degree(a_max)
+    if degree is None:
         return None
-    t, to_chebyshev, to_monomial = _chebyshev_maps((d + 1) // 2)
-    table = kernel_values(dx, (a_max * np.sqrt(0.5 + 0.5 * t))[:, None] * dx, width)
-    coef = to_monomial @ (to_chebyshev @ table)
-    coef *= wts
+    coef = _offset_polynomials(dx, wts, width, a_max * dx, degree)
     with np.errstate(over="ignore", divide="ignore"):
         scale = math.sqrt(2.0) / (a_max * dx)  # unused at degree 0 (A_max = 0)
-    if not (np.all(np.isfinite(coef)) and (d == 0 or np.all(np.isfinite(scale)))):
+    if coef is None or not (degree == 0 or np.all(np.isfinite(scale))):
         return None
     return _FarTable(coef, scale)
 
@@ -567,6 +627,86 @@ def _weighted_kernel(dx: np.ndarray, wts: np.ndarray, u: np.ndarray, width: floa
     return kern
 
 
+def _band_start(osc: float, h: float, plan: _Plan) -> int:
+    """Index of the first FFT-band offset among the plan's positive offsets.
+
+    The band holds the offsets ``dx_k >= _BAND_SPAN * osc``; the index is
+    the number of positive offsets (no band) when ``osc`` is not finite or
+    the band would hold fewer than ``_MIN_BAND`` offsets.
+    """
+    m_max, n_pos = int(plan.offsets[-1]), plan.offsets.size // 2
+    reach = _BAND_SPAN * osc / h
+    if not reach <= m_max - _MIN_BAND + 1:  # also when reach is NaN
+        return n_pos
+    return max(plan.near, math.ceil(reach)) - plan.near
+
+
+@lru_cache(maxsize=8)
+def _band_map(degree: int) -> np.ndarray:
+    """Monomial coefficients in ``t = v / 2 - 1`` to ``(2 l)!`` times those in ``v``, l = 0..degree.
+
+    Entry ``(l, m)`` is ``(2 l)! C(m, l) 2^-l (-1)^(m - l)``, from the
+    binomial expansion of ``t^m``.
+    """
+    out = np.array([[math.factorial(2 * l) * math.comb(m, l) * (-1.0) ** (m - l) / 2.0**l
+                     for m in range(degree + 1)] for l in range(degree + 1)])
+    out.flags.writeable = False
+    return out
+
+
+def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: np.ndarray,
+              wts: np.ndarray, width: float, osc: float) -> np.ndarray | None:
+    """Sum of the band's fluxes over both signs of its offsets ``pos``, at every site; or None.
+
+    The two-sided sum ``sum_k wts_k (g_i - g_{i-k}) K(dx_k, f_i - f_{i-k})``
+    over ``k = +-pos`` (see :func:`kernel_quadrature`) as circular
+    convolutions: the kernel per offset is a polynomial in ``v = (z_i -
+    z_{i-k})^2``, ``z = (f - mid) / (osc / 2)``, and the binomial expansion
+    of ``v^j`` splits every term into a power of ``z_i`` times a
+    convolution.  None when the table is not finite.
+    """
+    n = f_values.size
+    degree = _far_degree(osc / dx[0])
+    coef = _offset_polynomials(dx, wts, width, np.full(dx.size, osc), degree)
+    if coef is None:
+        return None
+    # (2 j)! times the coefficient of v^j, on an odd row: -k carries the
+    # flux that each pair credits to its back site
+    rows = np.zeros((degree + 1, n))
+    rows[:, pos] = _band_map(degree) @ coef
+    rows[:, n - pos] = -rows[:, pos]
+    rows = np.fft.rfft(rows)
+    z = np.zeros(n)
+    if osc > 0:
+        np.subtract(f_values, 0.5 * np.max(f_values) + 0.5 * np.min(f_values), out=z)
+        z /= osc
+        z *= 2.0
+    # g centred by a grid value, so a constant g is exactly zero
+    g_c = g_values - g_values[0]
+    # powers[p] = transforms of z^p / p! and z^p g_c / p!
+    power = np.stack([np.ones(n), g_c])
+    powers = np.empty((2 * degree + 1, 2, n // 2 + 1), dtype=complex)
+    for p in range(2 * degree + 1):
+        if p:
+            power *= z
+            power /= p
+        np.fft.rfft(power, out=powers[p])
+    # sum_q (-z)^q / q! (g_c X_q - Y_q) by Horner in q; X_q and Y_q sum
+    # the rows j >= q / 2 against the powers p = 2 j - q
+    minus_z = np.negative(z)
+    out = np.zeros(n)
+    for q in range(2 * degree, -1, -1):
+        j0 = (q + 1) // 2
+        xy = np.einsum("jw,jcw->cw", rows[j0:], powers[2 * j0 - q : 2 * degree - q + 1 : 2])
+        x, y = np.fft.irfft(xy, n=n)
+        out *= minus_z
+        out /= q + 1
+        x *= g_c
+        x -= y
+        out += x
+    return out
+
+
 def kernel_quadrature(
     f_values: np.ndarray,
     g_values: np.ndarray,
@@ -580,77 +720,116 @@ def kernel_quadrature(
     -K(dx, u)`` holds bitwise and the weights are mirror symmetric, so the
     flux ``wts_k (g_i - g_{i-k}) K(k h, f_i - f_{i-k})`` is the same term in
     the rows of both sites: it is summed into site i and into site i - k
-    (``k <= n//2 - 1``, so no pair is met twice).  Sites are streamed in
-    row blocks; a block's fluxes are written into a skew buffer whose
-    column sums are the sums over the back sites, so no N x M temporary
-    is ever made.
+    (``k <= n//2 - 1``, so no pair is met twice).
 
-    The far kernel comes from one table per call (:func:`_far_table`).
-    Write ``u = A dx`` for an offset ``dx > 0``.  ``K(dx, A dx, w)`` is even
-    in A, and analytic in the strip ``|Im A| < 1`` by the argument of
-    :func:`nearfield_correction`, so the rule there gives the degree ``d``
-    of a Chebyshev interpolant on ``[-A_max, A_max]`` that is within
-    ``e^-37``; by evenness that interpolant is one of degree ``ceil(d / 2)``
-    in ``s = A^2`` on ``[0, A_max^2]``.  ``A_max = max |f_i - f_{i-1}| /
-    h`` bounds every mean slope ``(f_i - f_{i-k}) / (k h)``, which is an
-    average of k one-cell slopes; the range of the spectral slope does
-    not (a grid-scale ripple has none).  The table holds
-    :func:`kernel_values` at the ``ceil(d / 2) + 1`` Chebyshev points in s
-    for every offset (9 on the criterion-08 data), as monomial coefficients
-    in ``t = 2 s / A_max^2 - 1`` with the Gregory weights folded in, and a
-    block takes one Horner pass per entry: no transcendental, no edge or
-    corner mask.  When ``A_max`` is not finite or the degree would exceed
-    ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.4), the same loop takes
-    :func:`kernel_values` per entry; a non-finite value there names its
-    site.
+    The trapezoid offsets split at ``dx_k >= c osc``, ``osc = max f - min
+    f`` and ``c = _BAND_SPAN``.  Beyond it, in the FFT band, every height
+    difference is at most ``dx_k / c``; the band is taken when it holds at
+    least ``_MIN_BAND`` offsets and ``osc`` is finite (not at n = 256 on
+    the default window).  The near band, the offsets below it (all of them
+    without the band), is streamed in row blocks sized to its width; a
+    block's fluxes are written into a skew buffer whose column sums are the
+    sums over the back sites, so no N x M temporary is ever made.
+
+    Both bands take the kernel from per-offset polynomials in the squared
+    slope, with the Gregory weights folded in (:func:`_offset_polynomials`).
+    Write ``u = A dx`` for an offset ``dx > 0``.  ``K(dx, A dx, w)`` is
+    even in A and analytic in the strip ``|Im A| < 1`` by the argument of
+    :func:`nearfield_correction`; its branch points lie on the strip's
+    edges (at ``Re A = 0`` and ``+-2w / dx``).  The Bernstein ellipse about
+    ``[-a, a]`` with semi-minor axis ``_FAR_SEMI_MINOR = 0.9`` lies inside
+    it, so degree ``d = ceil(37 / asinh(0.9 / a))`` interpolates within
+    about ``e^-37``, and by evenness degree ``ceil(d / 2)`` in ``s = A^2``
+    does (:func:`_far_degree`).
+
+    * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
+      every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
+      one-cell slopes; the range of the spectral slope does not (a
+      grid-scale ripple has none).  A block takes one Horner pass per entry
+      in ``t = 2 (u / (A_max dx))^2 - 1``: no transcendental, no edge or
+      corner mask.  When ``A_max`` is not finite or the degree would
+      exceed ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.74), the loop
+      takes :func:`kernel_values` per entry; a non-finite value there names
+      its site.
+    * FFT band: every offset is fitted over the whole range ``|u| <=
+      osc``, so ``a = osc / dx_k <= 1 / c`` and ``D`` is 7 or less.  With
+      the heights centred, ``z = (f - mid) / (osc / 2)`` in ``[-1, 1]``,
+      the kernel is a polynomial ``sum_j b_jk v^j`` in ``v = (z_i -
+      z_{i-k})^2``; expanding ``v^j`` binomially, with ``C(2j, q) = (2j)! /
+      (q! p!)``, ``p = 2j - q``, the band's sum at site i is ``sum_q
+      (-z_i)^q / q! (g_i X_q - Y_q)``, where ``X_q`` and ``Y_q`` are
+      circular convolutions of the rows ``(2j)! b_jk`` (odd in k: the
+      offset ``-k`` carries the back site's share) with ``z^p / p!`` and
+      ``z^p g / p!``.  That is one ``rfft`` of the ``D + 1`` rows and of
+      the ``2 (2D + 1)`` powers, plain products in frequency, and one
+      ``irfft`` pair per q (:func:`_fft_band`); g is centred by ``g_0``
+      first, so a constant g gives exactly 0.  Roundoff: with ``|z| <= 1``
+      each term of the expansion of ``b_jk v^j`` is at most ``4^j |b_jk|``
+      times ``2 max |g - g_0|``, and the kernel's singularities lie at
+      ``|v| >= 4 c^2 = 256``, so the coefficients ``4^j |b_jk|`` fall by
+      about ``c^2`` per degree and the expansion adds a few ulps of the
+      band's absolute flux sum; the transforms add ``O(log n)`` ulps of
+      it.  The band matched the per-entry sum to 7e-16 of the largest
+      result at n = 1024 and 2048.
     """
     n = f_values.size
     h = length / n
     plan = _quadrature_plan(n, h, trunc_radius)
-    m_max = plan.offsets[-1]
     n_pos = plan.offsets.size // 2
-    dx = plan.offsets[n_pos:] * h
+    pos = plan.offsets[n_pos:]
+    dx = pos * h
     wts = plan.weights[n_pos:]
     slope = spectral_derivative(f_values, length)
     g1 = spectral_derivative(g_values, length)
     g3 = spectral_derivative(g_values, length, 3)
     g5 = spectral_derivative(g_values, length, 5)
-    f_back = _back_windows(f_values, m_max, plan.near)
-    g_back = _back_windows(g_values, m_max, plan.near)
-    rows = plan.rows
-    # flux[r, c] is skew[r, r + n_pos - 1 - c]: column q of the skew buffer
-    # collects the fluxes bound for site start - m_max + q
-    skew = np.zeros((rows, rows + n_pos - 1))
-    step, item = skew.strides
-    flux = as_strided(skew, (rows, n_pos), (step + item, item))[:, ::-1]
-    # acc[p] accumulates site (p - m_max) % n
-    acc = np.zeros(n + m_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        osc = float(np.max(f_values) - np.min(f_values))
+    split = _band_start(osc, h, plan)
+    band = None
+    if split < n_pos:
+        band = _fft_band(f_values, g_values, pos[split:], dx[split:], wts[split:], width, osc)
+        if band is None:
+            split = n_pos
+    # the near band: offsets near..reach
+    reach = plan.near + split - 1
+    rows = _block_rows(split, n)
+    # acc[p] accumulates site (p - reach) % n
+    acc = np.zeros(n + reach)
     # the blocks' height differences and kernel temporaries, far then near,
     # in one buffer: no block allocates a full-size array, so the heap the
     # blocks reuse is neither returned to the system nor faulted in again
     n_near = plan.near_y.size
-    buf = np.empty(6 * rows * max(n_pos, n_near))
-    far_work = buf[: 6 * rows * n_pos].reshape(6, rows, n_pos)
-    near_work = buf[: 6 * rows * n_near].reshape(6, rows, n_near)
-    table = _far_table(f_values, h, dx, wts, width)
-    # a non-finite kernel value makes its row sum non-finite (0 * inf is NaN):
-    # the finiteness checks below read the sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            blk = slice(start, stop)
-            u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
-            work = far_work[1:, : stop - start]
-            kern = (_far_polynomial(table, u, work) if table is not None
-                    else _weighted_kernel(dx, wts, u, width, work))
-            fl = flux[: stop - start]
-            np.subtract(g_values[blk, None], g_back[blk], out=fl)
-            fl *= kern
-            acc[m_max + start : m_max + stop] += fl.sum(axis=1)
-            span = stop - start + n_pos - 1
-            acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
+    buf = np.empty(6 * max(rows * split, plan.rows * n_near))
+    near_work = buf[: 6 * plan.rows * n_near].reshape(6, plan.rows, n_near)
+    if split:
+        far_work = buf[: 6 * rows * split].reshape(6, rows, split)
+        f_back = _back_windows(f_values, reach, plan.near)
+        g_back = _back_windows(g_values, reach, plan.near)
+        # flux[r, c] is skew[r, r + split - 1 - c]: column q of the skew buffer
+        # collects the fluxes bound for site start - reach + q
+        skew = np.zeros((rows, rows + split - 1))
+        step, item = skew.strides
+        flux = as_strided(skew, (rows, split), (step + item, item))[:, ::-1]
+        table = _far_table(f_values, h, dx[:split], wts[:split], width)
+        # a non-finite kernel value makes its row sum non-finite (0 * inf is NaN):
+        # the finiteness checks below read the sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, rows):
+                stop = min(start + rows, n)
+                blk = slice(start, stop)
+                u = np.subtract(f_values[blk, None], f_back[blk], out=far_work[0, : stop - start])
+                work = far_work[1:, : stop - start]
+                kern = (_far_polynomial(table, u, work) if table is not None
+                        else _weighted_kernel(dx[:split], wts[:split], u, width, work))
+                fl = flux[: stop - start]
+                np.subtract(g_values[blk, None], g_back[blk], out=fl)
+                fl *= kern
+                acc[reach + start : reach + stop] += fl.sum(axis=1)
+                span = stop - start + split - 1
+                acc[start : start + span] += skew[: stop - start, :span].sum(axis=0)
     if not np.all(np.isfinite(acc)):
-        bad = _first_bad_site(f_values, f_back, dx, plan, width)
+        bad = _first_bad_site(f_values, dx, plan, width)
         if bad is not None:
             raise NonFiniteError(f"non-finite kernel value at site {bad}")
     # after the kernel check, which names the site of a non-finite height;
@@ -658,8 +837,10 @@ def kernel_quadrature(
     finite = np.isfinite(slope) & np.isfinite(g_values)
     if not finite.all():
         raise NonFiniteError(f"non-finite slope at site {int(np.argmin(finite))}")
-    out = acc[m_max:]
-    out[n - m_max :] += acc[:m_max]
+    out = acc[reach:]
+    out[n - reach :] += acc[:reach]
+    if band is not None:
+        out += band
     out += nearfield_correction(slope, g1, g3, g5, plan, width, near_work)
     return out
 
@@ -723,25 +904,29 @@ def step_count(t_start: float, t_end: float, dt: float) -> int:
 
 def stability_limit(
     f0: GridFunction1D, c: float, delta: float, kappa: float, t_start: float,
-    trunc_radius: float = DEFAULT_TRUNC_RADIUS,
+    trunc_radius: float = DEFAULT_TRUNC_RADIUS, out: np.ndarray | None = None,
 ) -> float:
     """Explicit step bound ``min(h^2/(2 kappa sigma), h / V_max)``.
 
     ``sigma`` is the maximum of the squared mollifier symbol (1 at the
-    zero mode) and ``V_max`` a measured bound from the initial velocity.
+    zero mode) and ``V_max`` a measured bound from the initial velocity,
+    the right-hand side at ``max(t_start, 1e-9)``; ``out``, when given,
+    receives that velocity.
     """
     h = f0.h
-    out = np.inf
+    limit = np.inf
     if kappa > 0:
         sigma = float(np.max(_fourier_multipliers(delta, h, f0.n)[2] ** 2))
-        out = h * h / (2.0 * kappa * sigma)
+        limit = h * h / (2.0 * kappa * sigma)
     probe = InterfaceState(f=f0, t=max(t_start, 1e-9), c=c, delta=delta, kappa=kappa)
     if probe.width > 0:
         v = rhs_regularized(probe, trunc_radius)
+        if out is not None:
+            out[...] = v.values
         v_max = float(np.max(np.abs(v.values)))
         if v_max > 0:
-            out = min(out, h / v_max)
-    return out
+            limit = min(limit, h / v_max)
+    return limit
 
 
 def integrate(
@@ -775,8 +960,10 @@ def integrate(
     if kappa == 0.0 and t_start <= 0.0:
         raise ValueError("kappa = 0 runs must start at t_start > 0")
     n_steps = step_count(t_start, t_end, dt)
+    # at t_start > 1e-9 the probe's velocity is the first stage of step 1
+    probe = np.empty(f0.n) if t_start > 1e-9 and c * t_start + kappa > 0 else None
     try:
-        limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius)
+        limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius, out=probe)
     except NonFiniteError as exc:
         # the initial state's velocity leaves the finite range: no step is taken
         traj = Trajectory()
@@ -791,9 +978,10 @@ def integrate(
         )
         return rhs_regularized(state, trunc_radius).values
 
-    def diagnose(state: InterfaceState) -> dict:
+    def diagnose(state: InterfaceState, step: int) -> dict:
         return {
             "t": state.t,
+            "step": step,
             "l2": state.f.l2_norm(),
             "h4": sobolev_norm(state.f, 4),
             "dinv_d5": apply_dinv(state.f.derivative(5), state.t).l2_norm(),
@@ -804,11 +992,11 @@ def integrate(
     vals = f0.values.copy()
     t = t_start
     state = InterfaceState(f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa)
-    traj.append(state, diagnose(state))
+    traj.append(state, diagnose(state, 0))
     for step in range(1, n_steps + 1):
-        k = []
+        k = [probe] if step == 1 and probe is not None else []
         try:
-            for stage, node in enumerate(_RK4_NODES, start=1):
+            for stage, node in enumerate(_RK4_NODES[len(k):], start=len(k) + 1):
                 k.append(rhs(vals + node * dt * k[-1] if k else vals, t + node * dt))
         except NonFiniteError as exc:
             # a stage left the finite range; truncate rather than crash
@@ -826,7 +1014,7 @@ def integrate(
             traj.fail(t, "norm blowup", step)
             break
         if step % output_every == 0 or step == n_steps:
-            traj.append(state, diagnose(state))
+            traj.append(state, diagnose(state, step))
     return traj
 
 

@@ -173,10 +173,21 @@ def test_snapshot_roundtrip_full_precision(tmp_path):
     fin = cli.initial_data(cfg)
     # the t = 0 snapshot is the initial data; 17 significant digits make the
     # text round-trip bit-exact for doubles
-    data = np.loadtxt(out / "snapshots" / "f_0.000000.csv", delimiter=",", skiprows=1)
+    data = np.loadtxt(out / "snapshots" / "f_000000.csv", delimiter=",", skiprows=1)
     assert data.shape == (cfg.n, 2)
     assert np.array_equal(data[:, 0], fin.x)
     assert np.array_equal(data[:, 1], fin.values)
+
+
+def test_snapshots_below_microsecond_spacing_keep_one_file_per_step(tmp_path):
+    # output times 2.5e-7 apart share their first six decimals; step indices do not
+    cfgpath = _zero_config(tmp_path, time={"dt": 2.5e-7, "t_end": 1e-6, "output_every": 1},
+                           initial={"family": "gaussian_bump", "amplitude": 0.05})
+    out = tmp_path / "run"
+    assert _run(["simulate", str(cfgpath), "--out", str(out)]) == 0
+    names = sorted(p.name for p in (out / "snapshots").iterdir())
+    assert names == [f"f_00000{k}.csv" for k in range(5)]
+    assert len((out / "trace.csv").read_text().splitlines()) == 6
 
 
 def test_simulate_resume_continues_identically(tmp_path):
@@ -192,7 +203,7 @@ def test_simulate_resume_continues_identically(tmp_path):
     out_a = tmp_path / "outa"
     assert _run(["simulate", str(cfg_a), "--out", str(out_a)]) == 0
 
-    mid = out_a / "snapshots" / "f_0.025000.csv"
+    mid = out_a / "snapshots" / "f_000002.csv"
     assert mid.exists()
     resumed = dict(base)
     resumed["time"] = {"dt": 0.0125, "t_end": 0.05, "t_start": 0.025, "output_every": 2}
@@ -202,8 +213,9 @@ def test_simulate_resume_continues_identically(tmp_path):
     out_b = tmp_path / "outb"
     assert _run(["simulate", str(cfg_b), "--out", str(out_b)]) == 0
 
-    fa = np.loadtxt(out_a / "snapshots" / "f_0.050000.csv", delimiter=",", skiprows=1)
-    fb = np.loadtxt(out_b / "snapshots" / "f_0.050000.csv", delimiter=",", skiprows=1)
+    # step 4 of the first run is step 2 of the resumed one, both at t = 0.05
+    fa = np.loadtxt(out_a / "snapshots" / "f_000004.csv", delimiter=",", skiprows=1)
+    fb = np.loadtxt(out_b / "snapshots" / "f_000002.csv", delimiter=",", skiprows=1)
     assert np.max(np.abs(fa[:, 1] - fb[:, 1])) <= 1e-14
 
 

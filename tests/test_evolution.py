@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -142,15 +143,22 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
 
 
 def _far_table_nodes(f):
-    """Chebyshev points of the far table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
+    """Chebyshev points of the near band's table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
     a_max = np.max(np.abs(np.diff(f, prepend=f[-1]))) / (LENGTH / f.size)
-    return -(-evolution._chebyshev_degree(a_max, 10**6) // 2) + 1
+    return -(-evolution._chebyshev_degree(a_max, 10**6, evolution._FAR_SEMI_MINOR) // 2) + 1
+
+
+def _band_start(f):
+    """Index of the first FFT-band offset for heights f on the default window."""
+    n = f.size
+    return evolution._band_start(float(np.ptp(f)), LENGTH / n, evolution._quadrature_plan(n, LENGTH / n, 10.0))
 
 
 def _counted_quadrature(monkeypatch, f):
-    """Kernel entries per ``kernel_values`` call and the ``nearfield_correction`` calls."""
-    entries, near_calls = [], []
-    real_kernel, real_near = evolution.kernel_values, evolution.nearfield_correction
+    """Kernel entries per ``kernel_values`` call, and the ``nearfield_correction`` and ``_fft_band`` calls."""
+    entries, near_calls, band_calls = [], [], []
+    real_kernel, real_near, real_band = (evolution.kernel_values, evolution.nearfield_correction,
+                                         evolution._fft_band)
 
     def counting_kernel(dx, delta_f, *args, **kwargs):
         out = real_kernel(dx, delta_f, *args, **kwargs)
@@ -161,31 +169,44 @@ def _counted_quadrature(monkeypatch, f):
         near_calls.append(1)
         return real_near(*args, **kwargs)
 
+    def counting_band(*args, **kwargs):
+        band_calls.append(1)
+        return real_band(*args, **kwargs)
+
     monkeypatch.setattr(evolution, "kernel_values", counting_kernel)
     monkeypatch.setattr(evolution, "nearfield_correction", counting_near)
+    monkeypatch.setattr(evolution, "_fft_band", counting_band)
     evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, 10.0)
-    return entries, len(near_calls)
+    return entries, len(near_calls), len(band_calls)
 
 
 def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     # one nearfield_correction call per quadrature, whose kernel entries are
     # the 144 near-cell nodes times the Chebyshev nodes of the slope range;
-    # the far kernel is one table of its Chebyshev nodes in the squared
-    # slope per offset, or, for steep data, one entry per pair
-    n = 512
-    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
-    n_pos = plan.offsets.size // 2
-    f = bump(n, amp=0.3).values
-    entries, near_calls = _counted_quadrature(monkeypatch, f)
-    nodes = _quadrature_nodes(spectral_derivative(f, LENGTH))[2].size
-    far_nodes = _far_table_nodes(f)
-    assert near_calls == 1 and 1 < nodes <= n // 8 and 1 < far_nodes <= evolution._MAX_FAR_DEGREE + 1
-    assert sum(entries) == far_nodes * n_pos + plan.near_y.size * nodes
-    steep = bump(n, amp=0.6).values
-    entries, near_calls = _counted_quadrature(monkeypatch, steep)
-    nodes = _quadrature_nodes(spectral_derivative(steep, LENGTH))[2].size
-    assert near_calls == 1 and 1 < nodes <= n // 8 and _far_table_nodes(steep) > evolution._MAX_FAR_DEGREE + 1
-    assert sum(entries) == n * n_pos + plan.near_y.size * nodes
+    # the near band is one table of its Chebyshev nodes in the squared slope
+    # per offset, or, for steep data, one entry per pair; the FFT band, when
+    # it holds at least _MIN_BAND offsets, is one _fft_band call whose table
+    # has D + 1 nodes per offset, D for the band's slope range osc / dx
+    for n, amp, band, steep in ((256, 0.3, False, False), (512, 0.3, True, False),
+                                (1024, 1.0, False, True), (2048, 1.0, True, True)):
+        h = LENGTH / n
+        plan = evolution._quadrature_plan(n, h, 10.0)
+        n_pos = plan.offsets.size // 2
+        f = bump(n, amp=amp).values
+        split = _band_start(f)
+        assert (split < n_pos) == band
+        entries, near_calls, band_calls = _counted_quadrature(monkeypatch, f)
+        nodes = _quadrature_nodes(spectral_derivative(f, LENGTH))[2].size
+        assert near_calls == 1 and 1 < nodes <= n // 8 and band_calls == int(band)
+        assert (_far_table_nodes(f) > evolution._MAX_FAR_DEGREE + 1) == steep
+        near_band = n * split if steep else _far_table_nodes(f) * split
+        fft_band = 0
+        if band:
+            degree = evolution._far_degree(np.ptp(f) / ((plan.near + split) * h))
+            assert 1 <= degree <= evolution._far_degree(1.0 / evolution._BAND_SPAN)
+            fft_band = (degree + 1) * (n_pos - split)
+        assert sum(entries) == fft_band + near_band + plan.near_y.size * nodes
+        monkeypatch.undo()
 
 
 def _rippled(n, a_max):
@@ -201,23 +222,46 @@ def _rippled(n, a_max):
 
 
 @pytest.mark.parametrize("n", [256, 2048])
-@pytest.mark.parametrize("a_max", [0.0, 0.01, 0.086, 0.3, 0.4, 0.5, 3.0])
+@pytest.mark.parametrize("a_max", [0.0, 0.01, 0.086, 0.3, 0.4, 0.5, 0.7, 3.0])
 def test_kernel_quadrature_far_table_matches_row_by_row_sum(n, a_max):
-    # the table path up to degree 18 in the squared slope (a_max = 0.4), the
-    # per-entry kernel beyond it (steep data); flat data are one node
+    # the table path up to degree 18 in the squared slope (a_max up to about
+    # 0.74), the per-entry kernel beyond it (steep data); flat data are one
+    # node; at n = 2048 the FFT band takes the offsets beyond 8 oscillations
     f = _rippled(n, a_max) if a_max else np.full(n, 0.3)
     h = LENGTH / n
     plan = evolution._quadrature_plan(n, h, 10.0)
     dx = plan.offsets[plan.offsets > 0] * h
     g = spectral_derivative(bump(n).values, LENGTH)
+    assert (_band_start(f) < dx.size) == (n == 2048 and a_max < 3.0)
     for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
         table = evolution._far_table(f, h, dx, np.ones(dx.size), width)
-        assert (table is None) == (a_max > 0.4)
+        assert (table is None) == (a_max > 0.74)
         if a_max == 0.0:
             assert table.coef.shape[0] == 1
         out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
         ref = _row_by_row_quadrature(f, g, width, 10.0)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("a_max", [0.01, 0.086, 0.125, 0.3, 0.4, 0.73])
+def test_far_degree_rule_matches_kernel_values(a_max):
+    # the far kernel's degree rule (semi-minor axis 0.9 in the strip |Im A| < 1)
+    # at one-cell slopes up to its cap and at the FFT band's 1/8: every entry
+    # within 1.5e-15 of the largest kernel value, where kernel_values' own
+    # rounding sits (the near cell's rule, semi-minor axis 1/2, reached 1.56e-15)
+    n = 2048
+    h = LENGTH / n
+    plan = evolution._quadrature_plan(n, h, 10.0)
+    dx = plan.offsets[plan.offsets > 0] * h
+    degree = evolution._far_degree(a_max)
+    assert degree <= evolution._MAX_FAR_DEGREE and evolution._far_degree(0.75) is None
+    u = np.linspace(-1.0, 1.0, 101)[:, None] * (a_max * dx)
+    for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+        coef = evolution._offset_polynomials(dx, np.ones(dx.size), width, a_max * dx, degree)
+        table = evolution._FarTable(coef, np.sqrt(2.0) / (a_max * dx))
+        got = evolution._far_polynomial(table, u, np.empty((2,) + u.shape))
+        want = kernel.kernel_values(dx, u, width)
+        assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want))
 
 
 def _rows_per_block(n, trunc_radius):
@@ -251,6 +295,63 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
         assert first >= _rows_per_block(n, trunc)  # not in the first block
         with pytest.raises(FloatingPointError, match=rf"at site {first}$"):
             evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, trunc)
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("amp", [0.1, 0.3, 1.0, 3.0])
+def test_kernel_quadrature_fft_band_matches_row_by_row_sum(n, amp):
+    # the band holds the offsets of at least 8 height oscillations when they
+    # number at least _MIN_BAND: bumps 0.1 and 0.3 at both sizes, 1 at 2048
+    f = bump(n, amp=amp).values
+    n_pos = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    assert (_band_start(f) < n_pos) == (amp < 1.0 or (amp == 1.0 and n == 2048))
+    g = spectral_derivative(f, LENGTH)
+    for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
+        ref = _row_by_row_quadrature(f, g, width, 10.0)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_kernel_quadrature_fft_band_of_rippled_and_flat_heights(n):
+    # a grid-scale ripple, and flat heights (osc = 0: the band is every
+    # offset and the near band is empty)
+    g = spectral_derivative(bump(n).values, LENGTH)
+    for f in (_rippled(n, 0.05), _rippled(n, 0.3), np.full(n, 0.3)):
+        split = _band_start(f)
+        assert split < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+        assert split == 0 or np.ptp(f) > 0.0
+        for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+            out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
+            ref = _row_by_row_quadrature(f, g, width, 10.0)
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def test_kernel_quadrature_fft_band_gives_exactly_zero_for_constant_g():
+    # g is centred by a grid value: 123.456 - mean(123.456, ...) is 3 * 2^-46,
+    # not 0 (and not a power of two, whose products would cancel exactly)
+    for n in (1024, 2048):
+        f = bump(n, amp=0.3).values
+        assert _band_start(f) < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+        g = np.full(n, 123.456)
+        assert math.frexp(g[0] - np.mean(g))[0] == 0.75
+        out = evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
+        assert np.all(out == 0.0)
+
+
+def test_kernel_quadrature_names_site_of_infinite_height_at_band_size():
+    # without the bad height these data would take the FFT band; an infinite
+    # height has no oscillation, so the whole row goes to the blocked loop
+    # and the site comes from _first_bad_site
+    n = 2048
+    f = bump(n).values.copy()
+    assert _band_start(f) < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    f[1500] = np.inf
+    offsets = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets
+    first = int(np.argmax(((np.arange(n)[:, None] - offsets) % n == 1500).any(axis=1)))
+    assert first == 1500 - offsets[-1]
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=rf"at site {first}$"):
+        evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -408,6 +509,38 @@ def test_integrate_snapshot_cadence_and_diagnostics():
     assert np.all(np.diff(times) > 0)
     for diag in traj.diagnostics:
         assert np.isfinite(diag["h4"]) and np.isfinite(diag["dinv_d5"])
+    assert [diag["step"] for diag in traj.diagnostics] == [0, 2, 4]
+
+
+@pytest.mark.parametrize("t_start, kappa, probes", [(1e-4, 0.0, 0), (0.0, 1e-3, 1)])
+def test_integrate_takes_the_stability_probe_as_the_first_stage(monkeypatch, t_start, kappa, probes):
+    # at t_start > 1e-9 the probe's velocity is bitwise stage 1 of step 1, so
+    # two steps take 8 right-hand sides; at t_start = 0 the probe runs at 1e-9
+    f = bump(256, amp=0.3)
+    dt = 0.0125
+    calls = []
+    real_rhs = evolution.rhs_regularized
+
+    def counting_rhs(state, *args, **kwargs):
+        calls.append(state.t)
+        return real_rhs(state, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "rhs_regularized", counting_rhs)
+    traj = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=kappa, dt=dt,
+                               t_end=t_start + 2 * dt, t_start=t_start)
+    monkeypatch.undo()
+    assert len(calls) == 8 + probes
+    # the first step, with all four stages evaluated
+    k, vals = [], f.values
+    for node in evolution._RK4_NODES:
+        state = InterfaceState(f=GridFunction1D(vals + node * dt * k[-1] if k else vals, LENGTH),
+                               t=t_start + node * dt, c=1.0, delta=4 * f.h, kappa=kappa)
+        k.append(evolution.rhs_regularized(state).values)
+    step1 = vals + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+    one = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=kappa, dt=dt,
+                              t_end=t_start + dt, t_start=t_start)
+    assert one.snapshots[-1].f.values.tobytes() == step1.tobytes()
+    assert traj.snapshots[1].f.values.tobytes() == step1.tobytes()
 
 
 def test_time_reversal_single_step():
