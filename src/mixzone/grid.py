@@ -10,6 +10,7 @@ Frequencies are measured in cycles per unit length, matching the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,6 +96,20 @@ class GridFunction1D:
         return float(self.values.mean())
 
 
+@lru_cache(maxsize=32)
+def derivative_symbols(n: int, length: float, orders: tuple[int, ...]) -> np.ndarray:
+    """Multipliers ``(2 pi i xi)^order`` on the rfft modes of n samples, one row per order.
+
+    Read-only.  A caller that takes several derivatives from one ``rfft``
+    multiplies by these rows, drops the Nyquist mode of the odd orders as
+    :func:`spectral_derivative` does, and takes one batched ``irfft``.
+    """
+    ik = 2j * np.pi * np.fft.rfftfreq(n, d=length / n)
+    out = np.stack([ik**order for order in orders])
+    out.flags.writeable = False
+    return out
+
+
 def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np.ndarray:
     """d^order/dx^order of periodic samples via the FFT.
 
@@ -104,9 +119,8 @@ def spectral_derivative(values: np.ndarray, length: float, order: int = 1) -> np
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    k = np.fft.rfftfreq(n, d=length / n)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.fft.rfft(values) * (2j * np.pi * k) ** order
+        coeffs = np.fft.rfft(values) * derivative_symbols(n, length, (order,))[0]
     if order % 2 == 1 and n % 2 == 0:
         coeffs[-1] = 0.0
     return np.fft.irfft(coeffs, n=n)

@@ -250,10 +250,13 @@ def kernel_quadrature_oracle(dx: float, delta_f: float, eps: float) -> float:
     piece's end nearest the spike, so that a piece far out keeps its width.
     The tent is taken over its height 2 eps, so no width underflows it.
     No floor on |dx|: at the strip-edge corner the kernel is O(dx log dx),
-    not ``sign(dx) / (2 eps)``, down to the smallest subnormal.  A
-    subnormal dx, which keeps few digits in products, is first scaled to
-    a normal one by the homogeneity ``K(s dx, s u, s eps) = K / s``, with
-    ``s`` a power of two (exact).
+    not ``sign(dx) / (2 eps)``, down to the smallest subnormal.  The
+    integrand is ``tent / hypot(|dx|, u)`` and ``|dx|`` multiplies the sum
+    once at the end (after the division by ``2 pi eps`` where the product
+    would be subnormal), so nothing inside the quadrature is subnormal
+    where ``|dx| / |u|`` is.  A subnormal dx, which keeps few digits in
+    products, is first scaled to a normal one by a power of two (exact);
+    the integral scales inversely, so the end product is unchanged.
     """
     from scipy.integrate import quad
 
@@ -261,11 +264,10 @@ def kernel_quadrature_oracle(dx: float, delta_f: float, eps: float) -> float:
         raise ValueError("eps must be positive")
     if dx == 0.0:
         return 0.0
+    e = 0
     if abs(dx) < _TINY and max(eps, abs(delta_f)) < 1e290:  # s <= 2^53 keeps them finite
         e = -1021 - math.frexp(dx)[1]
-        scaled = (math.ldexp(v, e) for v in (dx, delta_f, eps))
-        return math.ldexp(kernel_quadrature_oracle(*scaled), e)
-    ax, df, tent = abs(dx), abs(delta_f), 2.0 * eps
+    ax, df, tent = (math.ldexp(v, e) for v in (abs(dx), abs(delta_f), 2.0 * eps))
 
     def piece(v0: float, v1: float) -> float:
         start, step = (v0, 1.0) if df + v0 >= 0.0 else (v1, -1.0)
@@ -287,13 +289,17 @@ def kernel_quadrature_oracle(dx: float, delta_f: float, eps: float) -> float:
         def integrand(tau: float) -> float:
             sh, ch = np.sinh(0.5 * tau), np.cosh(0.5 * tau)
             grow = 2.0 * sh * (r0 * ch + p0 * sh)  # |u| - p0 = r0 sinh(tau) + p0 (cosh(tau) - 1)
-            return (head + rate * grow) * (ax / np.hypot(ax, p0 + grow))  # tent / cosh(tau)
+            hyp = np.hypot(ax, p0 + grow)  # hypot(|dx|, |u|)
+            return head / hyp + rate * (grow / hyp)  # tent / hyp; grow / hyp <= 1 keeps its digits
 
         return quad(integrand, 0.0, span, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
     cuts = sorted({-tent, max(-df, -tent), 0.0, tent})
     total = sum(piece(v0, v1) for v0, v1 in zip(cuts[:-1], cuts[1:]))
-    return float(np.sign(dx) * total / (2.0 * np.pi * eps))
+    # ax total = int tent / cosh(tau) over the pieces, at most pi, is scale-free
+    if ax * total >= _TINY:
+        return float(np.sign(dx) * (ax * total) / (2.0 * np.pi * eps))
+    return float(np.sign(dx) * ax * (total / (2.0 * np.pi * eps)))
 
 
 def kernel_frozen(slope_a: float, y, eps: float):

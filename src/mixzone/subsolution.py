@@ -48,7 +48,7 @@ import numpy as np
 
 from .evolution import (DEFAULT_TRUNC_RADIUS, _BLOCK_ENTRIES, Trajectory, _quadrature_plan,
                         _slope_interpolated, kernel_quadrature)
-from .grid import GridFunction1D, spectral_derivative
+from .grid import GridFunction1D, derivative_symbols, spectral_derivative
 from .kernel import _lambda_integral
 
 __all__ = [
@@ -78,13 +78,17 @@ class SiteSamples(NamedTuple):
 
 class _Snapshot:
     """Site-independent data of one snapshot: ``g = f'`` and its derivatives
-    0-5 (whole-grid FFTs), and the nodes of the evolution's quadrature plan."""
+    0-5 (one ``rfft`` of f, one batched ``irfft``), and the nodes of the
+    evolution's quadrature plan."""
 
     def __init__(self, f: GridFunction1D, width: float, trunc_radius: float):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
-        self.g = spectral_derivative(f.values, f.length)
-        self.g_derivs = np.stack([spectral_derivative(self.g, f.length, k) for k in range(6)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectra = np.fft.rfft(f.values) * derivative_symbols(f.n, f.length, (1, 2, 3, 4, 5, 6))
+        spectra[:, -1] = 0.0  # g = f' drops the Nyquist mode
+        self.g_derivs = np.fft.irfft(spectra, n=f.n)
+        self.g = self.g_derivs[0]
         plan = _quadrature_plan(f.n, f.h, trunc_radius)
         self.offsets = plan.offsets
         self.dx = self.offsets * f.h

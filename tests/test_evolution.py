@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,6 +375,86 @@ def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near
         out = evolution.kernel_quadrature(f, g, LENGTH, width, trunc)
         ref = _row_by_row_quadrature(f, g, width, trunc)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def _near_band_layout(n, f):
+    """Near-band offsets, chunk width and rows per block :func:`evolution.kernel_quadrature` takes."""
+    split = _band_start(f)
+    chunks = max(1, -(-split // math.isqrt(evolution._BLOCK_ENTRIES)))
+    cols = -(-split // chunks)
+    return split, cols, evolution._block_rows(cols, n)
+
+
+@pytest.mark.parametrize(
+    "n, amp, entries, band, split, cols, rows",
+    [
+        (256, 0.3, None, False, 61, 61, 256),  # one block: rows capped at n
+        (512, 0.3, None, True, 27, 27, 512),  # one block beside the FFT band
+        (256, 0.3, 3000, False, 61, 31, 96),  # ragged last block, chunks of 31 and 30
+        (1024, 0.1, 3000, True, 17, 17, 176),  # ragged last block beside the band
+        (1024, 0.022, None, True, 1, 1, 1024),  # one near offset: no padding
+        (1024, 0.022, 300, True, 1, 1, 300),  # one near offset, ragged last block
+        (1024, 1.0, None, False, 253, 127, 129),  # steep: two chunks, ragged last block
+        (2048, 1.0, None, True, 406, 102, 160),  # four chunks beside the band, ragged
+    ],
+)
+def test_kernel_quadrature_near_band_edges_match_row_by_row_sum(
+        monkeypatch, n, amp, entries, band, split, cols, rows):
+    # the near band's blocks against the row-by-row sum: a last block shorter
+    # than the others (its stale tail cleared), a single offset (split = 1),
+    # rows >= n, and offset chunks of unequal width, with and without the band
+    evolution._quadrature_plan(n, LENGTH / n, 10.0)  # cached before the block size changes
+    if entries is not None:
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", entries)
+    f = bump(n, amp=amp).values
+    n_pos = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    assert (_band_start(f) < n_pos) == band
+    assert _near_band_layout(n, f) == (split, cols, rows)
+    # g varies on the whole period, so every block carries fluxes
+    g = spectral_derivative(f, LENGTH) + 0.1 * np.sin(2.0 * np.pi * np.arange(n) / n)
+    for width in (1e-4, 0.05, 0.5):
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
+        ref = _row_by_row_quadrature(f, g, width, 10.0)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def test_barycentric_takes_node_rows_and_propagates_a_non_finite_row():
+    # t on the first, the last and an interior node takes that node's row
+    # exactly; elsewhere the interpolant of degree d; a NaN row reaches
+    # every t off the nodes and its own node, and no other node's row
+    d = 8
+    t_nodes = np.cos(np.pi * np.arange(d + 1) / d)
+    table = np.random.default_rng(4).standard_normal((d + 1, 3))
+    t = np.array([t_nodes[0], 0.3, t_nodes[-1], -0.77, t_nodes[3], t_nodes[5]])
+    got = evolution._barycentric(t_nodes, table, t)
+    assert np.array_equal(got[[0, 2, 4, 5]], table[[0, -1, 3, 5]])
+    fit = np.polynomial.polynomial.polyfit(t_nodes, table, d)
+    want = np.polynomial.polynomial.polyval(t[[1, 3]], fit).T
+    assert np.max(np.abs(got[[1, 3]] - want)) <= 1e-12 * np.max(np.abs(table))
+    table[5] = np.nan
+    got = evolution._barycentric(t_nodes, table, t)
+    assert np.array_equal(got[[0, 2, 4]], table[[0, -1, 3]])
+    assert np.all(np.isnan(got[[1, 3, 5]]))
+
+
+def test_kernel_quadrature_makes_no_sites_by_offsets_temporary():
+    # the traced peak of one call at N = 4096 stays below an eighth of one
+    # float64 array of N x M entries (M = 2042 window offsets), for data
+    # with the FFT band and for steep data that take every offset in the
+    # blocked loop, kernel entry by entry
+    n = 4096
+    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    bound = n * plan.offsets.size  # bytes: 8 N M / 8
+    for f in (bump(n).values, _rippled(n, 3.0)):
+        g = spectral_derivative(f, LENGTH)
+        evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)  # caches filled
+        tracemalloc.start()
+        try:
+            evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def _stencil_sum(values, weights):

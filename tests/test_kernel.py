@@ -56,6 +56,23 @@ def test_oracle_resolves_the_diagonal_spike():
         assert abs(kernel.kernel_quadrature_oracle(dx, df, 0.1) - closed) <= 1e-12 * abs(closed)
 
 
+def test_oracle_of_a_subnormal_kernel_keeps_its_digits():
+    # at the strip-edge corner with |dx| / eps below about 1e-308 the kernel
+    # itself is subnormal; the oracle integrates tent / hypot and multiplies
+    # by |dx| once, so it warns of nothing and rounds into the subnormal
+    # range once: within a relative 1e-10 of the closed form at 5.76e-312,
+    # and within two subnormal spacings at 2.92e-320 (5913.7 spacings by a
+    # 700-digit evaluation; the oracle gives 5914, the closed form 5912)
+    spacing = 5e-324
+    for dx, tol in ((1e-315, None), (5e-324, 2 * spacing), (-5e-324, 2 * spacing)):
+        closed = kernel.kernel_values(dx, 0.2, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel.kernel_quadrature_oracle(dx, 0.2, 0.1)
+        assert np.sign(got) == np.sign(dx)
+        assert abs(got - closed) <= (1e-10 * abs(closed) if tol is None else tol)
+
+
 def test_oracle_small_eps_limit():
     # eps = 0.01 at (dx, df) = (1, 0.2): the Muskat limit up to O(eps^2)
     v = kernel.kernel_quadrature_oracle(1.0, 0.2, 0.01)

@@ -3,7 +3,7 @@ import pytest
 from _table import run_check
 
 from mixzone import evolution, kernel, subsolution
-from mixzone.grid import GridFunction1D
+from mixzone.grid import GridFunction1D, spectral_derivative
 
 LENGTH = 40.0
 EPS = 0.05
@@ -21,6 +21,19 @@ def flat():
 
 def whole_period(f):
     return f.length / 2 - f.h
+
+
+def test_snapshot_derivatives_match_spectral_derivative(bump):
+    # g = f' and its derivatives 0-5 from one transform pair, against one
+    # spectral_derivative pair each: equal up to the roundoff of g, which
+    # order k amplifies by up to (2 pi xi_max)^k, about 20^k here
+    snap = subsolution._Snapshot(bump, 0.1, evolution.DEFAULT_TRUNC_RADIUS)
+    g = spectral_derivative(bump.values, bump.length)
+    want = np.stack([spectral_derivative(g, bump.length, k) for k in range(6)])
+    amplify = (np.pi * bump.n / bump.length) ** np.arange(6)
+    err = np.max(np.abs(snap.g_derivs - want), axis=1)
+    assert np.all(err <= 1e-15 * amplify * np.max(np.abs(g)))
+    assert np.array_equal(snap.g, snap.g_derivs[0])
 
 
 def test_flat_velocity_vanishes(flat):
