@@ -248,7 +248,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     Returns the process exit code: 0, or 1 when a subsolution condition
     (|gamma| >= 1/2 or a hull slack below the violation band) fails before
     t_end or the integration fails; the trajectory is written either way.
-    A ``dt`` above the stability bound is a :class:`ConfigError`, raised
+    A ``dt`` that exceeds the stability probe is a :class:`ConfigError`, raised
     before anything is written.
     """
     f0 = initial_data(cfg)
@@ -266,7 +266,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         )
     except evolution.StabilityError as exc:
         raise ConfigError(
-            f"time.dt = {exc.dt} exceeds the stability bound {exc.limit:.6g} of the initial data"
+            f"time.dt = {exc.dt} exceeds the stability probe {exc.limit:.6g} of the initial data"
         ) from exc
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"

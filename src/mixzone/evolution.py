@@ -9,40 +9,28 @@ with kernel half-width ``w = c*t + kappa``, optionally mollified on both
 sides of the integral and stabilized by a mollified ``kappa``-diffusion
 term.  One function, :func:`rhs_regularized`, computes this right-hand
 side; at ``delta = kappa = 0`` it is the unmollified averaged velocity.
-Spatial quadrature is the PV trapezoid over grid-aligned offsets
-with a Gauss-Legendre near cell: the cells around the singularity are
-integrated on fixed geometric panels against the odd Taylor expansion of
-the slope difference (frozen-slope kernel), and the trapezoid ends carry
-Gregory corrections.  That layout is built once per grid and window by
-``_quadrature_plan``, which the subsolution check reads too.  The
-frozen-slope moments are analytic in the slope, so each quadrature call
-evaluates them once, at Chebyshev points of its slope range (17 for the
-criterion-08 data), and interpolates them to every site to within
-e^-37; when that would take more than an eighth as many nodes as sites,
-or a slope is not finite, they are summed at the sites' own slopes.  Without
-the near cell the quadrature is first order once the kernel width drops
-below the mesh; with it the scheme is second order in h and the
-right-hand side stays smooth in t, preserving the RK4 order.
+Spatial quadrature is the PV trapezoid over grid-aligned offsets, with
+Gregory ends and a Gauss-Legendre near cell integrated on fixed geometric
+panels against the odd Taylor expansion of the slope difference
+(frozen-slope kernel); ``_quadrature_plan`` builds that layout once per
+grid and window, and the subsolution check reads it too.  Without the
+near cell the quadrature is first order once the kernel width drops below
+the mesh; with it the scheme is second order in h and the right-hand side
+stays smooth in t, preserving the RK4 order.  The frozen-slope moments
+are analytic in the slope, so each call tabulates them at Chebyshev points
+of its slope range (17 for the criterion-08 data) and interpolates them
+to every site within e^-37 by the slope interpolator of
+:mod:`mixzone.spectral`, which the weighted energy uses too
+(:func:`nearfield_correction`).
 
-The far offsets split at ``dx = 8 osc``, ``osc = max f - min f``.  In the
-near band below it the sum is pair symmetric: the kernel is exactly odd,
-so each pair of sites is evaluated once and its flux credited to both;
-blocks of pairs stay in L2 and a diagonal view sums the fluxes per back
-site, so the work never builds an N x M array.  The far kernel is even and analytic in
-the mean slope A for ``|Im A| < 1``, so each call tabulates it per offset
-at Chebyshev points of the squared slope up to the largest one-cell slope
-(8 points for the criterion-08 data) and evaluates a polynomial per pair,
-with no transcendental; steeper data (one-cell slopes above about 0.74)
-take the closed form per pair.  Beyond the split, in the FFT band (taken
-when it holds at least 96 offsets: from n = 512 on the criterion-08
-data), every height difference is at most ``dx / 8``, so the kernel is a
-polynomial of degree at most 7 in ``sigma = ((f_i - f_{i-k}) / osc)^2``
-on ``[0, 1]``; its singularities lie at ``|sigma| >= 64``.  With the
-heights centred, the binomial expansion of that polynomial turns the
-band's O(N M) pair sum into ``2 (2D + 1)`` circular convolutions, taken
-by ``rfft`` and ``irfft``, whose roundoff is a few ulps of the band's
-absolute flux sum.  The mollifier is the exact Fourier multiplier of its
-discrete stencil.
+The far offsets split at ``dx = 8 osc``, ``osc = max f - min f``
+(:func:`kernel_quadrature`).  Below it the sum is pair symmetric, in
+blocks that stay in L2, with the kernel a polynomial per offset in the
+squared slope (the closed form per pair for one-cell slopes above about
+0.74).  Beyond it, in the FFT band, the kernel is a polynomial of degree
+at most 7 in the squared height difference, so the band's O(N M) pair sum
+is ``2 (2D + 1)`` circular convolutions.  The mollifier is the exact
+Fourier multiplier of its discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
 the stage times; from ``t_start > 1e-9`` the stability probe's velocity
@@ -50,7 +38,7 @@ is the first stage of step 1.  A finiteness check that fails inside a
 stage, or in the stability probe before the first step, raises
 :class:`~mixzone.grid.NonFiniteError`; the stepper records the step and
 stage and truncates the trajectory, and lets every other error through.
-A step above the stability bound raises :class:`StabilityError`.
+A step that exceeds the stability probe raises :class:`StabilityError`.
 """
 
 from __future__ import annotations
@@ -65,9 +53,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.legendre import leggauss
 
-from .grid import GridFunction1D, NonFiniteError, derivative_symbols
+from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols
 from .kernel import kernel_values
-from .spectral import apply_dinv
+from .spectral import apply_dinv, chebyshev_degree, slope_interpolated
 
 __all__ = [
     "InterfaceState",
@@ -94,16 +82,8 @@ _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 # fewest trapezoid offsets a window may have: the smallest near cell (2
 # spacings) plus the Gregory ends of both sides (6)
 _MIN_REACH = 8
-# entries per block of the PV quadrature: each float64 temporary is at most 128
-# KiB and stays in L2.  Timed on 2 vCPUs (criterion-08 bump, n = 256-2048), 8k to
-# 32k were within the timing noise of each other; 4k took 1.2 times as long at 2048
-_BLOCK_ENTRIES = 16384
-# near-cell moments are interpolated in the slope (see nearfield_correction):
-# semi-minor axis of the Bernstein ellipse inside the strip |Im A| < 1 where
-# they are analytic, and minus the log of the interpolation tolerance e^-37
-_STRIP_SEMI_MINOR = 0.5
-_LOG_TOL = 37.0
-# Chebyshev nodes only when there are at most n / 8 of them: timed on 2 vCPUs
+# near-cell moments are interpolated in the slope (see nearfield_correction),
+# with Chebyshev nodes only when there are at most n / 8 of them: timed on 2 vCPUs
 # with n / 8 nodes, table plus interpolation cost 0.2-0.5 of the sites' own
 # slopes at n = 256-2048 and 1.2 at n = 4096
 _SITES_PER_NODE = 8
@@ -173,9 +153,6 @@ class Trajectory:
     # Step 0 is the stability probe of the initial state (no snapshots).
     failure_step: int | None = None
     failure_stage: int | None = None
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
 
     def append(self, state: InterfaceState, diag: dict):
         if self.snapshots and state.t <= self.snapshots[-1].t:
@@ -340,104 +317,15 @@ def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarra
     return out
 
 
-def _chebyshev_degree(half: float, max_degree: int,
-                      semi_minor: float = _STRIP_SEMI_MINOR) -> int | None:
-    """Degree ``d = ceil(37 / log rho)`` for a slope range of half-width ``half``, or None.
-
-    ``rho`` is the parameter of the Bernstein ellipse about the range with
-    semi-minor axis ``semi_minor``.  0 for a constant slope.  None when
-    ``half`` is not finite or ``d`` would exceed ``max_degree``.
-    """
-    if not math.isfinite(half):
-        return None
-    if half == 0.0:
-        return 0
-    # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
-    # no overflow or cancellation at any finite half (inf once b / half is)
-    log_rho = math.asinh(semi_minor / half)
-    if not _LOG_TOL < log_rho * max_degree:  # ceil(tol / log rho) > max_degree
-        return None
-    return max(1, math.ceil(_LOG_TOL / log_rho))
-
-
 def _far_degree(a_max: float) -> int | None:
     """Degree in ``s = A^2`` of the far kernel on ``|A| <= a_max``, or None.
 
-    Half the :func:`_chebyshev_degree` of ``[-a_max, a_max]`` with the far
+    Half the :func:`~mixzone.spectral.chebyshev_degree` of ``[-a_max, a_max]`` with the far
     kernel's semi-minor axis, rounded up (the kernel is even in A); None
     when that would exceed ``_MAX_FAR_DEGREE``.
     """
-    d = _chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, _FAR_SEMI_MINOR)
+    d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, _FAR_SEMI_MINOR)
     return None if d is None else (d + 1) // 2
-
-
-def _slope_nodes(slope: np.ndarray, max_nodes: int) -> tuple[float, float, np.ndarray] | None:
-    """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
-
-    ``t_j = cos(j pi / d)``, j = 0..d, with ``d`` from
-    :func:`_chebyshev_degree` (one node, ``t = 0``, for a constant slope).
-    None, meaning the sites' own slopes, when a slope is not finite or the
-    nodes would number more than ``max_nodes``.
-    """
-    lo, hi = float(np.min(slope)), float(np.max(slope))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    # halves taken first, so a finite range never overflows
-    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    d = _chebyshev_degree(half, max_nodes - 1)
-    if d is None:
-        return None
-    if d == 0:
-        return mid, half, np.zeros(1)
-    return mid, half, np.cos(np.pi * np.arange(d + 1) / d)
-
-
-def _barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows of ``table`` (values at the Chebyshev points ``t_nodes``) interpolated to ``t``.
-
-    The barycentric formula of the second kind (weights ``(-1)^j``, halved
-    at both ends), numerator and denominator from one product with
-    ``[table | 1]``; a ``t`` on a node, whose denominator is infinite, takes
-    that node's row.
-    """
-    weights = np.resize([1.0, -1.0], t_nodes.size)
-    weights[[0, -1]] *= 0.5
-    # one column per t, so every pass runs along t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.subtract(t, t_nodes[:, None])
-        np.divide(weights[:, None], c, out=c)
-        frac = np.vstack([table.T, np.ones(t_nodes.size)]) @ c
-        out = (frac[:-1] / frac[-1]).T
-    hit = np.flatnonzero(np.isinf(frac[-1]))
-    out[hit] = table[np.argmin(np.abs(t[hit, None] - t_nodes), axis=1)]
-    return out
-
-
-def _slope_interpolated(slope: np.ndarray, max_nodes: int, moments) -> np.ndarray:
-    """``moments(slope)``, taken from a table at the nodes of :func:`_slope_nodes`.
-
-    ``moments`` maps an array of slopes to one row (of any shape) per
-    slope.  It runs once, on the Chebyshev nodes of the slope range, and
-    the table is interpolated to every slope by :func:`_barycentric`, in
-    chunks of slopes whose temporaries hold about ``_BLOCK_ENTRIES``
-    entries; one node is broadcast.  Without nodes it runs on the slopes
-    themselves.
-    """
-    nodes = _slope_nodes(slope, max_nodes)
-    if nodes is None:
-        return moments(slope)
-    mid, half, t_nodes = nodes
-    table = moments(mid + half * t_nodes)
-    shape = (slope.size, *table.shape[1:])
-    if half == 0.0:
-        return np.broadcast_to(table, shape)
-    flat = table.reshape(t_nodes.size, -1)
-    chunk = max(1, _BLOCK_ENTRIES // t_nodes.size)
-    out = np.empty((slope.size, flat.shape[1]))
-    for start in range(0, slope.size, chunk):
-        blk = slice(start, start + chunk)
-        out[blk] = _barycentric(t_nodes, flat, (slope[blk] - mid) / half)
-    return out.reshape(shape)
 
 
 def nearfield_correction(
@@ -465,14 +353,12 @@ def nearfield_correction(
     ``y (1 - i A) - i c`` keep a positive real part while ``|Im A| < 1``,
     so no branch point is met and every moment (a finite sum over the
     nodes) is analytic in that strip.  The Bernstein ellipse about
-    ``[lo, hi]`` with semi-minor axis ``b = 1/2`` lies inside it; its
-    half-width is ``a = (hi - lo) / 2`` and its parameter ``rho = (b +
-    sqrt(a^2 + b^2)) / a``, so degree ``d = ceil(37 / log rho)`` makes
-    the interpolation error, of order ``rho^-d`` (Trefethen, ATAP, Thm
-    8.2), at most ``e^-37``: ``d + 1`` is 17 nodes for ``|A| <= 0.086``,
-    78 for ``[-1, 1]`` and 742 for ``[-10, 10]``.  The interpolation is
-    barycentric (Berrut & Trefethen, SIAM Review 46, 2004), in chunks of
-    sites whose temporaries are no larger than a row block's.
+    ``[lo, hi]`` with semi-minor axis ``b = 1/2`` lies inside it, so the
+    degree of :func:`~mixzone.spectral.chebyshev_degree` makes the
+    interpolation error at most ``e^-37``: ``d + 1`` is 17 nodes for
+    ``|A| <= 0.086``, 78 for ``[-1, 1]`` and 742 for ``[-10, 10]``.  The
+    interpolation is :func:`~mixzone.spectral.slope_interpolated`, the
+    lab's one slope interpolator, shared with the weighted energy.
 
     The one evaluator, :func:`_near_moments`, runs on the sites' own
     slopes instead (the interpolation is then the identity) when the
@@ -485,8 +371,8 @@ def nearfield_correction(
     """
     if work is None:
         work = np.empty((6, plan.rows, plan.near_y.size))
-    m = _slope_interpolated(slope, slope.size // _SITES_PER_NODE,
-                            lambda slopes: _near_moments(slopes, plan, width, work))
+    m = slope_interpolated(slope, slope.size // _SITES_PER_NODE,
+                           lambda slopes: _near_moments(slopes, plan, width, work))
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 
@@ -498,8 +384,8 @@ def _back_windows(values: np.ndarray, reach: int, near: int) -> np.ndarray:
 
 
 def _block_rows(width: int, n: int) -> int:
-    """Sites per block of ``width`` offsets: ``_BLOCK_ENTRIES`` entries, at most n sites."""
-    return min(n, max(1, _BLOCK_ENTRIES // max(1, width)))
+    """Sites per block of ``width`` offsets: ``BLOCK_ENTRIES`` entries, at most n sites."""
+    return min(n, max(1, BLOCK_ENTRIES // max(1, width)))
 
 
 def _first_bad_site(f_values, dx, plan, width) -> int | None:
@@ -619,14 +505,6 @@ def _far_polynomial(table: _FarTable, u: np.ndarray, work: np.ndarray) -> np.nda
     return out
 
 
-def _weighted_kernel(dx: np.ndarray, wts: np.ndarray, u: np.ndarray, width: float,
-                     work: np.ndarray) -> np.ndarray:
-    """``wts_k K(dx_k, u, width)`` entry by entry, from :func:`kernel_values`."""
-    kern = kernel_values(dx, u, width, work=work)
-    kern *= wts
-    return kern
-
-
 def _band_start(osc: float, h: float, plan: _Plan) -> int:
     """Index of the first FFT-band offset among the plan's positive offsets.
 
@@ -733,8 +611,8 @@ def kernel_quadrature(
     difference is at most ``dx_k / c``; the band is taken when it holds at
     least ``_MIN_BAND`` offsets and ``osc`` is finite (not at n = 256 on
     the default window).  The near band, the offsets below it (all of them
-    without the band), is streamed in blocks of ``_BLOCK_ENTRIES`` entries,
-    one row per offset (in chunks of at most ``sqrt(_BLOCK_ENTRIES)``) and
+    without the band), is streamed in blocks of ``BLOCK_ENTRIES`` entries,
+    one row per offset (in chunks of at most ``sqrt(BLOCK_ENTRIES)``) and
     one column per site.  A block's w rows of fluxes sit between ``w - 1``
     zeros on either side; the diagonal view that shifts row j left by j has
     column sums equal to the back-site sums, read from ``(rows + w) w``
@@ -744,12 +622,11 @@ def kernel_quadrature(
     slope, with the Gregory weights folded in (:func:`_offset_polynomials`).
     Write ``u = A dx`` for an offset ``dx > 0``.  ``K(dx, A dx, w)`` is
     even in A and analytic in the strip ``|Im A| < 1`` by the argument of
-    :func:`nearfield_correction`; its branch points lie on the strip's
-    edges (at ``Re A = 0`` and ``+-2w / dx``).  The Bernstein ellipse about
-    ``[-a, a]`` with semi-minor axis ``_FAR_SEMI_MINOR = 0.9`` lies inside
-    it, so degree ``d = ceil(37 / asinh(0.9 / a))`` interpolates within
-    about ``e^-37``, and by evenness degree ``ceil(d / 2)`` in ``s = A^2``
-    does (:func:`_far_degree`).
+    :func:`nearfield_correction`, with branch points on the strip's edges
+    (at ``Re A = 0`` and ``+-2w / dx``).  So on ``[-a, a]`` the degree of
+    :func:`~mixzone.spectral.chebyshev_degree` with semi-minor axis
+    ``_FAR_SEMI_MINOR = 0.9`` interpolates within about ``e^-37``, and by
+    evenness half of it in ``s = A^2`` does (:func:`_far_degree`).
 
     * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
       every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
@@ -797,9 +674,9 @@ def kernel_quadrature(
         band = _fft_band(f_values, g_values, pos[split:], dx[split:], wts[split:], width, osc)
         if band is None:
             split = n_pos
-    # the near band: offsets near..reach, in chunks of at most sqrt(_BLOCK_ENTRIES)
+    # the near band: offsets near..reach, in chunks of at most sqrt(BLOCK_ENTRIES)
     reach = plan.near + split - 1
-    chunks = max(1, -(-split // math.isqrt(_BLOCK_ENTRIES)))
+    chunks = max(1, -(-split // math.isqrt(BLOCK_ENTRIES)))
     cols = -(-split // chunks)
     rows = _block_rows(cols, n)
     # acc[p] accumulates site (p - reach) % n
@@ -832,9 +709,12 @@ def kernel_quadrature(
                     c = slice(c0, c0 + w)
                     work = buf[: 6 * w * m].reshape(6, w, m)
                     u = np.subtract(f_values[blk], f_back[c, blk], out=work[0])
-                    kern = (_weighted_kernel(dx[c, None], wts[c, None], u, width, work[1:])
-                            if table is None else _far_polynomial(  # its t over u
-                                _FarTable(table.coef[:, c], table.scale[c]), u, work[1::-1]))
+                    if table is None:  # the weighted kernel entry by entry
+                        kern = kernel_values(dx[c, None], u, width, work=work[1:])
+                        kern *= wts[c, None]
+                    else:  # the polynomial's t over u
+                        kern = _far_polynomial(_FarTable(table.coef[:, c], table.scale[c]),
+                                               u, work[1::-1])
                     fl = np.multiply(kern, np.subtract(g_values[blk], g_back[c, blk], out=u),
                                      out=pad[:w, cols - 1 : cols - 1 + m])
                     acc[reach + start : reach + stop] += fl.sum(axis=0)
@@ -898,10 +778,10 @@ def rhs_regularized(
 
 
 class StabilityError(ValueError):
-    """The time step exceeds the explicit stability bound of the initial state."""
+    """The time step exceeds the stability probe of the initial state."""
 
     def __init__(self, dt: float, limit: float):
-        super().__init__(f"dt = {dt} violates the stability bound {limit:.6g}")
+        super().__init__(f"dt = {dt} exceeds the stability probe {limit:.6g}")
         self.dt = dt
         self.limit = limit
 
@@ -970,8 +850,9 @@ def integrate(
     stage, if a norm blows up or a finiteness check of the right-hand side
     raises :class:`NonFiniteError`; any other exception propagates.  When
     the stability probe of ``f0`` raises it, the trajectory is empty and
-    flagged at step 0.  ``dt`` above the stability bound raises
-    :class:`StabilityError`.
+    flagged at step 0.  A ``dt`` that exceeds the stability probe raises
+    :class:`StabilityError`.  The H4 norm is taken once per step, for the
+    blow-up check and the diagnostics.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -998,12 +879,12 @@ def integrate(
         )
         return rhs_regularized(state, trunc_radius).values
 
-    def diagnose(state: InterfaceState, step: int) -> dict:
+    def diagnose(state: InterfaceState, step: int, h4: float) -> dict:
         return {
             "t": state.t,
             "step": step,
             "l2": state.f.l2_norm(),
-            "h4": sobolev_norm(state.f, 4),
+            "h4": h4,
             "dinv_d5": apply_dinv(state.f.derivative(5), state.t).l2_norm(),
             "max_abs_f": float(np.max(np.abs(state.f.values))),
         }
@@ -1012,7 +893,7 @@ def integrate(
     vals = f0.values.copy()
     t = t_start
     state = InterfaceState(f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa)
-    traj.append(state, diagnose(state, 0))
+    traj.append(state, diagnose(state, 0, sobolev_norm(state.f, 4)))
     for step in range(1, n_steps + 1):
         k = [probe] if step == 1 and probe is not None else []
         try:
@@ -1030,11 +911,12 @@ def integrate(
         state = InterfaceState(
             f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa
         )
-        if sobolev_norm(state.f, 4) > blowup_threshold:
+        h4 = sobolev_norm(state.f, 4)
+        if h4 > blowup_threshold:
             traj.fail(t, "norm blowup", step)
             break
         if step % output_every == 0 or step == n_steps:
-            traj.append(state, diagnose(state, step))
+            traj.append(state, diagnose(state, step, h4))
     return traj
 
 
@@ -1042,11 +924,13 @@ def sobolev_norm(f: GridFunction1D, k: int) -> float:
     """Spectral Sobolev norm ``(sum (1 + xi^2)^k |fhat|^2)^(1/2)``.
 
     Frequencies in cycles per unit length; at k = 0 this is the grid L2
-    norm (discrete Parseval).
+    norm (discrete Parseval).  From the ``rfft`` modes: each interior mode
+    stands for itself and its conjugate, DC and Nyquist for themselves.
     """
     if not 0 <= k <= 5:
         raise ValueError("order k must lie in [0, 5]")
-    coeffs = np.fft.fft(f.values)
-    xi = f.freqs()
-    weight = (1.0 + xi * xi) ** k
-    return float(np.sqrt(f.h / f.n * np.sum(weight * np.abs(coeffs) ** 2)))
+    coeffs = np.fft.rfft(f.values)
+    xi = np.fft.rfftfreq(f.n, d=f.h)
+    power = (1.0 + xi * xi) ** k * (coeffs.real**2 + coeffs.imag**2)
+    power[1:-1] *= 2.0  # n is even
+    return float(np.sqrt(f.h / f.n * np.sum(power)))

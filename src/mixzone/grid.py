@@ -14,6 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# entries per block of the lab's array passes (PV quadrature, subsolution sites,
+# slope interpolation): a float64 temporary of at most 128 KiB stays in L2.  On 2
+# vCPUs (criterion-08 bump, n = 256-2048) 8k to 32k timed within noise of each
+# other; 4k took 1.2 times as long at 2048
+BLOCK_ENTRIES = 16384
+
 
 class NonFiniteError(FloatingPointError, ValueError):
     """A value that must be finite is not: the state left the finite range.

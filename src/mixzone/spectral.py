@@ -19,6 +19,11 @@ absolute.  The symbols broadcast the slope against the frequencies, so
 a table over many slopes is one call.  The weighted energy
 ``|| mtilde Dinv F ||_L2`` and a randomized coercivity probe for it live
 here too.
+
+So does the lab's one slope interpolator: a quantity analytic in the
+slope on ``|Im A| < 1`` (``mtilde``, the near-cell moments) is tabulated
+at Chebyshev points of the slope range and interpolated barycentrically
+to within e^-37 (:func:`slope_interpolated`).
 """
 
 from __future__ import annotations
@@ -27,26 +32,21 @@ import math
 
 import numpy as np
 
-from .grid import GridFunction1D
+from .grid import BLOCK_ENTRIES, GridFunction1D
 
 __all__ = [
-    "k_hat",
-    "h_integrand",
-    "H_integral",
-    "h_values",
-    "symbol_m",
-    "symbol_mtilde",
-    "mtilde_table",
-    "mtilde_dinv_mode_sum",
-    "apply_dinv",
-    "apply_mtilde_dinv",
-    "coercivity_probe",
-    "energy",
+    "k_hat", "h_integrand", "H_integral", "h_values", "symbol_m", "symbol_mtilde",
+    "mtilde_table", "mtilde_dinv_mode_sum", "apply_dinv", "apply_mtilde_dinv",
+    "coercivity_probe", "energy", "chebyshev_degree", "slope_nodes", "barycentric",
+    "slope_interpolated",
 ]
 
 _SERIES_CUTOFF = 1e-3
-# Chebyshev slope nodes over which apply_mtilde_dinv interpolates the symbol
-_INTERP_NODES = 16
+# slope interpolation (see chebyshev_degree): semi-minor axis of the Bernstein
+# ellipse inside the strip |Im A| < 1 where the interpolated quantities are
+# analytic, and minus the log of the interpolation tolerance e^-37
+_STRIP_SEMI_MINOR = 0.5
+_LOG_TOL = 37.0
 # F(w) = sum_{j>=1} (-1)^(j+1) w^j / (j (j+1)!) for |w| <= _F_RADIUS, where 32
 # terms leave a remainder below 1e-20; beyond it the continued fraction of E1
 # at depth _E1_DEPTH (both measured against 40-digit mpmath: 5e-16 absolute
@@ -236,44 +236,151 @@ def apply_dinv(f: GridFunction1D, t: float) -> GridFunction1D:
     return f.with_values(np.fft.ifft(_damped_spectrum(f, t)).real)
 
 
-def _lagrange_weights(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Barycentric Lagrange evaluation weights, shape (len(x), len(nodes))."""
-    w = np.ones(nodes.size)
-    for p in range(nodes.size):
-        diffs = nodes[p] - np.delete(nodes, p)
-        w[p] = 1.0 / np.prod(diffs)
-    dx = x[:, None] - nodes[None, :]
-    exact = np.isclose(dx, 0.0)
-    dx_safe = np.where(exact, 1.0, dx)
-    terms = w[None, :] / dx_safe
-    out = terms / terms.sum(axis=1, keepdims=True)
-    out[exact.any(axis=1)] = exact[exact.any(axis=1)].astype(float)
+def chebyshev_degree(half: float, max_degree: float,
+                     semi_minor: float = _STRIP_SEMI_MINOR) -> int | None:
+    """Degree ``d = ceil(37 / log rho)`` for a slope range of half-width ``half``, or None.
+
+    ``rho`` is the parameter of the Bernstein ellipse about the range with
+    semi-minor axis ``semi_minor``: a function analytic and bounded inside
+    it is interpolated at ``d + 1`` Chebyshev points with an error of order
+    ``rho^-d`` (Trefethen, ATAP, Thm 8.2), at most ``e^-37``.  0 for a
+    constant slope.  None when ``half`` is not finite or ``d`` would exceed
+    ``max_degree``.
+    """
+    if not math.isfinite(half):
+        return None
+    if half == 0.0:
+        return 0
+    # rho = (b + sqrt(half^2 + b^2)) / half, so log rho = asinh(b / half):
+    # no overflow or cancellation at any finite half (inf once b / half is)
+    log_rho = math.asinh(semi_minor / half)
+    if not _LOG_TOL < log_rho * max_degree:  # ceil(tol / log rho) > max_degree
+        return None
+    return max(1, math.ceil(_LOG_TOL / log_rho))
+
+
+def slope_nodes(slope: np.ndarray,
+                max_nodes: float = math.inf) -> tuple[float, float, np.ndarray] | None:
+    """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
+
+    ``t_j = cos(j pi / d)``, j = 0..d, with ``d`` from
+    :func:`chebyshev_degree` (one node, ``t = 0``, for a constant slope).
+    None when a slope is not finite or the nodes would number more than
+    ``max_nodes``.
+    """
+    lo, hi = float(np.min(slope)), float(np.max(slope))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    # halves taken first, so a finite range never overflows
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    d = chebyshev_degree(half, max_nodes - 1)
+    if d is None:
+        return None
+    if d == 0:
+        return mid, half, np.zeros(1)
+    return mid, half, np.cos(np.pi * np.arange(d + 1) / d)
+
+
+def _node_terms(t_nodes: np.ndarray, t: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
+    """``w_p / (t - t_p)`` for the Chebyshev points ``t_p`` in ``nodes``: a row per node, a column per t.
+
+    ``w_p = (-1)^p``, halved at both ends: the barycentric weights of the
+    points ``cos(p pi / d)`` (Berrut & Trefethen, SIAM Review 46, 2004).
+    """
+    weights = np.resize([1.0, -1.0], t_nodes.size)
+    weights[[0, -1]] *= 0.5
+    c = np.subtract(t, t_nodes[nodes, None])
+    with np.errstate(divide="ignore"):
+        return np.divide(weights[nodes, None], c, out=c)
+
+
+def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` (values at the Chebyshev points ``t_nodes``) interpolated to ``t``.
+
+    The barycentric formula of the second kind, numerator and denominator
+    from one product of ``[table | 1]`` with :func:`_node_terms`; a ``t``
+    on a node, whose denominator is infinite, takes that node's row.
+    """
+    # one column per t, so every pass runs along t
+    c = _node_terms(t_nodes, t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.vstack([table.T, np.ones(t_nodes.size)]) @ c
+        out = (frac[:-1] / frac[-1]).T
+    hit = np.flatnonzero(np.isinf(frac[-1]))
+    out[hit] = table[np.argmin(np.abs(t[hit, None] - t_nodes), axis=1)]
     return out
+
+
+def slope_interpolated(slope: np.ndarray, max_nodes: float, moments) -> np.ndarray:
+    """``moments(slope)``, taken from a table at the nodes of :func:`slope_nodes`.
+
+    ``moments`` maps an array of slopes to one row (of any shape) per
+    slope.  It runs once, on the Chebyshev nodes of the slope range, and
+    the table is interpolated to every slope by :func:`barycentric`, in
+    chunks of slopes whose temporaries hold about ``BLOCK_ENTRIES``
+    entries; one node is broadcast.  Without nodes it runs on the slopes
+    themselves.
+    """
+    nodes = slope_nodes(slope, max_nodes)
+    if nodes is None:
+        return moments(slope)
+    mid, half, t_nodes = nodes
+    table = moments(mid + half * t_nodes)
+    shape = (slope.size, *table.shape[1:])
+    if half == 0.0:
+        return np.broadcast_to(table, shape)
+    flat = table.reshape(t_nodes.size, -1)
+    chunk = max(1, BLOCK_ENTRIES // t_nodes.size)
+    out = np.empty((slope.size, flat.shape[1]))
+    for start in range(0, slope.size, chunk):
+        blk = slice(start, start + chunk)
+        out[blk] = barycentric(t_nodes, flat, (slope[blk] - mid) / half)
+    return out.reshape(shape)
 
 
 def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
     """Apply the x-dependent operator ``mtilde(xi, A(x), t) Dinv``.
 
-    The per-site symbol is interpolated barycentrically over
-    ``_INTERP_NODES`` Chebyshev slope nodes: one (node, mode) symbol table
-    and one batch of inverse FFTs, one per node.  It agrees with the exact
-    mode sum :func:`mtilde_dinv_mode_sum` to better than 1e-8 (enforced in
-    tests).
+    For real A, ``H(s, A) = (F(w) + F(w*)) / 2`` with ``w = 4 pi s / (1 -
+    iA)``, ``w* = 4 pi s / (1 + iA)`` and F entire, so the symbol is
+    analytic on ``|Im A| < 1``.  Each node ``A_p`` of :func:`slope_nodes`
+    (17 for ``|A| <= 0.086``, 193 for ``|A| <= 2.57``) gives one field
+    ``F_p = irfft(rfft(f) / (1 + t xi) mtilde(xi, A_p, t))``, and site j
+    takes the barycentric formula on the diagonal, ``sum_p c_pj F_pj /
+    sum_p c_pj`` (:func:`_node_terms`); a site on a node takes its field.
+    The nodes are streamed in chunks of at most ``BLOCK_ENTRIES`` field
+    entries, so the memory is bounded at any slope.  Within 1e-12 of the
+    largest value of the exact mode sum :func:`mtilde_dinv_mode_sum`
+    (enforced in tests).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
-    freqs = f.freqs()
-    damped = _damped_spectrum(f, t)
-    a_min, a_max = float(slope.values.min()), float(slope.values.max())
-    if np.isclose(a_min, a_max):
-        vals = symbol_mtilde(freqs, 0.5 * (a_min + a_max), t)
-        return f.with_values(np.fft.ifft(damped * vals).real)
-    k = np.arange(_INTERP_NODES)
-    cheb = np.cos((2 * k + 1) * np.pi / (2 * _INTERP_NODES))
-    nodes = 0.5 * (a_min + a_max) + 0.5 * (a_max - a_min) * cheb
-    per_node = np.fft.ifft(damped * symbol_mtilde(freqs, nodes[:, None], t), axis=1).real
-    weights = _lagrange_weights(nodes, slope.values)
-    return f.with_values(np.einsum("jp,pj->j", weights, per_node))
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    xi = np.fft.rfftfreq(f.n, d=f.h)
+    damped = np.fft.rfft(f.values) / (1.0 + t * xi)
+    mid, half, t_nodes = slope_nodes(slope.values)  # grid values are finite
+
+    def fields(nodes: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(damped * symbol_mtilde(xi, nodes[:, None], t), n=f.n)
+
+    if half == 0.0:
+        return f.with_values(fields(np.array([mid]))[0])
+    t_sites = (slope.values - mid) / half
+    num, den, on_node = np.zeros(f.n), np.zeros(f.n), np.empty(f.n)
+    chunk = max(1, BLOCK_ENTRIES // f.n)
+    # a site on a node has an infinite term there: inf * 0 and inf / inf are NaN
+    with np.errstate(invalid="ignore"):
+        for start in range(0, t_nodes.size, chunk):
+            blk = slice(start, start + chunk)
+            per_node = fields(mid + half * t_nodes[blk])
+            c = _node_terms(t_nodes, t_sites, blk)
+            part = c.sum(axis=0)
+            den += part
+            num += np.einsum("pj,pj->j", c, per_node)
+            hit = np.flatnonzero(np.isinf(part))
+            on_node[hit] = per_node[np.argmin(np.abs(t_sites[hit] - t_nodes[blk, None]), axis=0), hit]
+        return f.with_values(np.where(np.isinf(den), on_node, num / den))
 
 
 def coercivity_probe(

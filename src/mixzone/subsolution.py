@@ -25,15 +25,16 @@ The modified velocity and the full velocity share their moment
 integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
-Sites are evaluated in blocks of about ``_BLOCK_ENTRIES`` (site, offset,
+Sites are evaluated in blocks of about ``BLOCK_ENTRIES`` (site, offset,
 column) values, a column being one lam interval or one lam, contracted
 by one batched matmul.  The singular cell depends on a site only through
 its slope A: for real ``y != 0``, ``inner(y, A y + lam)`` has its branch
 points at ``Im A = +-1`` whatever lam is, so its moments are analytic in
 the strip of the evolution's near-cell moments.  They are tabulated at
 the same Chebyshev nodes of the sites' slope range and interpolated to
-the sites (:func:`mixzone.evolution._slope_interpolated`); with as many
-nodes as sites, each site takes its own slope.
+the sites by the lab's one slope interpolator,
+:func:`mixzone.spectral.slope_interpolated`; with as many nodes as
+sites, each site takes its own slope.
 
 For a run of the regularized flow the strip half-width handed to these
 routines is the kernel half-width ``eps(t) + kappa`` of the evolution
@@ -46,10 +47,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import (DEFAULT_TRUNC_RADIUS, _BLOCK_ENTRIES, Trajectory, _quadrature_plan,
-                        _slope_interpolated, kernel_quadrature)
-from .grid import GridFunction1D, derivative_symbols, spectral_derivative
+from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
+from .grid import BLOCK_ENTRIES, GridFunction1D, derivative_symbols, spectral_derivative
 from .kernel import _lambda_integral
+from .spectral import slope_interpolated
 
 __all__ = [
     "SiteSamples", "site_samples", "hull_slacks", "choose_M",
@@ -124,9 +125,9 @@ def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
     """``block(rows)`` over consecutive slices ``rows`` of ``range(count)``, stacked.
 
     A slice has as many rows as fit ``(rows, nodes, columns)`` in
-    ``_BLOCK_ENTRIES`` entries, and at least one.
+    ``BLOCK_ENTRIES`` entries, and at least one.
     """
-    rows = max(1, _BLOCK_ENTRIES // (nodes * columns))
+    rows = max(1, BLOCK_ENTRIES // (nodes * columns))
     return np.concatenate([block(slice(i, i + rows)) for i in range(0, count, rows)])
 
 
@@ -196,7 +197,7 @@ def site_samples(
 
     far = _in_blocks(js.size, snap.dx.size, cols, far_block)
     # a table node costs what a site's own near cell does: fewer than one per site
-    jk = _slope_interpolated(snap.g[js], js.size - 1, near_moments)
+    jk = slope_interpolated(snap.g[js], js.size - 1, near_moments)
     u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)
     integrals = uc2[:, : a.size] - dtz[js, None] * (b - a)
     rho_g = lam_g / w

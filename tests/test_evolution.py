@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from _table import run_check
 
-from mixzone import evolution, kernel
+from mixzone import evolution, kernel, spectral
 from mixzone.evolution import InterfaceState, Trajectory
 from mixzone.grid import GridFunction1D, NonFiniteError, spectral_derivative
 
@@ -86,8 +86,8 @@ def _direct_near_moments(slope, plan, width):
 
 
 def _quadrature_nodes(slope):
-    """:func:`evolution._slope_nodes` with the cap :func:`evolution.kernel_quadrature` gives it."""
-    return evolution._slope_nodes(slope, slope.size // evolution._SITES_PER_NODE)
+    """:func:`spectral.slope_nodes` with the cap :func:`evolution.kernel_quadrature` gives it."""
+    return spectral.slope_nodes(slope, slope.size // evolution._SITES_PER_NODE)
 
 
 def _interpolated_near_moments(slope, plan, width):
@@ -146,7 +146,7 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
 def _far_table_nodes(f):
     """Chebyshev points of the near band's table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
     a_max = np.max(np.abs(np.diff(f, prepend=f[-1]))) / (LENGTH / f.size)
-    return -(-evolution._chebyshev_degree(a_max, 10**6, evolution._FAR_SEMI_MINOR) // 2) + 1
+    return -(-spectral.chebyshev_degree(a_max, 10**6, evolution._FAR_SEMI_MINOR) // 2) + 1
 
 
 def _band_start(f):
@@ -380,7 +380,7 @@ def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near
 def _near_band_layout(n, f):
     """Near-band offsets, chunk width and rows per block :func:`evolution.kernel_quadrature` takes."""
     split = _band_start(f)
-    chunks = max(1, -(-split // math.isqrt(evolution._BLOCK_ENTRIES)))
+    chunks = max(1, -(-split // math.isqrt(evolution.BLOCK_ENTRIES)))
     cols = -(-split // chunks)
     return split, cols, evolution._block_rows(cols, n)
 
@@ -405,7 +405,7 @@ def test_kernel_quadrature_near_band_edges_match_row_by_row_sum(
     # rows >= n, and offset chunks of unequal width, with and without the band
     evolution._quadrature_plan(n, LENGTH / n, 10.0)  # cached before the block size changes
     if entries is not None:
-        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(evolution, "BLOCK_ENTRIES", entries)
     f = bump(n, amp=amp).values
     n_pos = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
     assert (_band_start(f) < n_pos) == band
@@ -426,13 +426,13 @@ def test_barycentric_takes_node_rows_and_propagates_a_non_finite_row():
     t_nodes = np.cos(np.pi * np.arange(d + 1) / d)
     table = np.random.default_rng(4).standard_normal((d + 1, 3))
     t = np.array([t_nodes[0], 0.3, t_nodes[-1], -0.77, t_nodes[3], t_nodes[5]])
-    got = evolution._barycentric(t_nodes, table, t)
+    got = spectral.barycentric(t_nodes, table, t)
     assert np.array_equal(got[[0, 2, 4, 5]], table[[0, -1, 3, 5]])
     fit = np.polynomial.polynomial.polyfit(t_nodes, table, d)
     want = np.polynomial.polynomial.polyval(t[[1, 3]], fit).T
     assert np.max(np.abs(got[[1, 3]] - want)) <= 1e-12 * np.max(np.abs(table))
     table[5] = np.nan
-    got = evolution._barycentric(t_nodes, table, t)
+    got = spectral.barycentric(t_nodes, table, t)
     assert np.array_equal(got[[0, 2, 4]], table[[0, -1, 3]])
     assert np.all(np.isnan(got[[1, 3, 5]]))
 
@@ -585,7 +585,7 @@ def test_integrate_snapshot_cadence_and_diagnostics():
     traj = evolution.integrate(
         f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.05, output_every=2
     )
-    times = traj.times()
+    times = np.array([snap.t for snap in traj.snapshots])
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.05)
     assert np.all(np.diff(times) > 0)
     for diag in traj.diagnostics:

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import mixzone
 
@@ -11,3 +13,21 @@ def test_every_exported_name_resolves():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+# the only private names one module of the package may import from another
+PRIVATE_IMPORTS = {("evolution", "_quadrature_plan"), ("kernel", "_lambda_integral")}
+
+
+def test_no_module_imports_private_names_beyond_the_allowlist():
+    # every ``from .<module> import _<name>`` in the package's sources must be
+    # on PRIVATE_IMPORTS (dunders such as __version__ are public)
+    found = set()
+    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level or node.module.startswith("mixzone.")):
+                module = node.module.rpartition(".")[2]
+                found |= {(module, alias.name) for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")}
+    assert found <= PRIVATE_IMPORTS, f"private cross-module imports: {sorted(found - PRIVATE_IMPORTS)}"

@@ -121,8 +121,9 @@ def test_h_values_matches_mpmath():
 
 
 def test_symbol_broadcast_matches_one_slope_calls():
-    # the (slope, mode) table of apply_mtilde_dinv is one broadcast call;
-    # row for row it is the one-slope call, bit for bit
+    # each chunk of apply_mtilde_dinv's (node, mode) table is one broadcast
+    # call; row for row it is the one-slope call, bit for bit (checked here
+    # on 16 slopes of either sign)
     freqs = np.fft.fftfreq(256, d=40.0 / 256)
     k = np.arange(16)
     nodes = -0.5 + 2.5 * np.cos((2 * k + 1) * np.pi / 32)
@@ -241,3 +242,44 @@ def test_energy_properties(wave):
     )
     tiny = wave.with_values(np.full(wave.n, 1e-14))
     assert spectral.energy(tiny, slope, 0.4) <= 1e-20
+
+
+def _bump(n, amp, length=40.0):
+    return GridFunction1D.from_callable(lambda x: amp * np.exp(-(x**2)), n, length)
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+@pytest.mark.parametrize("amp", [0.1, 1.0, 3.0])  # largest slopes 0.086, 0.86, 2.57
+@pytest.mark.parametrize("n", [256, 1024])
+def test_apply_mtilde_dinv_matches_mode_sum_on_steep_bumps(n, amp, t):
+    # the slope interpolation takes as many nodes as the slope range needs,
+    # so steep data keep the digits of shallow data
+    f = _bump(n, amp)
+    slope = f.derivative()
+    ref = spectral.mtilde_dinv_mode_sum(f, slope, t).values
+    got = spectral.apply_mtilde_dinv(f, slope, t).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_apply_mtilde_dinv_site_on_a_node_takes_its_field():
+    # slope range [-1, 1]: the nodes are the 78 points cos(j pi / 77)
+    # themselves; sites on the two end nodes and on interior nodes of both
+    # node chunks (64 nodes per chunk at n = 256) take that node's field
+    n, t = 256, 0.4
+    f = _bump(n, 1.0)
+    f = f.with_values(f.values + 0.2 * np.sin(np.arange(n)))
+    t_nodes = spectral.slope_nodes(np.array([-1.0, 1.0]))[2]
+    assert t_nodes.size == 78
+    values = np.random.default_rng(7).uniform(-0.9, 0.9, n)
+    on_node = {0: -1.0, 10: 1.0, 50: t_nodes[5], 51: t_nodes[5], 200: t_nodes[70]}
+    for site, a in on_node.items():
+        values[site] = a
+    slope = GridFunction1D(values, f.length)
+    got = spectral.apply_mtilde_dinv(f, slope, t).values
+    xi = np.fft.rfftfreq(n, d=f.h)
+    damped = np.fft.rfft(f.values) / (1.0 + t * xi)
+    for site, a in on_node.items():
+        field = np.fft.irfft(damped * spectral.symbol_mtilde(xi, a, t), n=n)
+        assert got[site] == field[site]
+    ref = spectral.mtilde_dinv_mode_sum(f, slope, t).values
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

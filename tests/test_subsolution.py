@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from _table import run_check
 
-from mixzone import evolution, kernel, subsolution
+from mixzone import evolution, kernel, spectral, subsolution
 from mixzone.grid import GridFunction1D, spectral_derivative
 
 LENGTH = 40.0
@@ -179,17 +179,17 @@ def test_site_blocks_match_per_site_sums(w, amp):
     # so each site's own slope
     f = GridFunction1D.from_callable(lambda x: amp * np.exp(-(x**2)), 256, LENGTH)
     g = subsolution._Snapshot(f, w, 10.0).g
-    assert evolution._slope_nodes(g, g.size - 1) is not None
+    assert spectral.slope_nodes(g, g.size - 1) is not None
     _assert_matches_per_site(f, w, range(256))
     sites = range(100, 156, 4)
-    assert evolution._slope_nodes(g[sites], len(sites) - 1) is None
+    assert spectral.slope_nodes(g[sites], len(sites) - 1) is None
     _assert_matches_per_site(f, w, sites)
 
 
 def test_site_blocks_flat_take_one_node(flat):
     sites = range(0, 128, 5)
     g = subsolution._Snapshot(flat, EPS, 10.0).g[sites]
-    assert evolution._slope_nodes(g, g.size - 1)[2].size == 1
+    assert spectral.slope_nodes(g, g.size - 1)[2].size == 1
     _assert_matches_per_site(flat, EPS, sites)
 
 
