@@ -12,7 +12,7 @@ side; at ``delta = kappa = 0`` it is the unmollified averaged velocity.
 Spatial quadrature is the PV trapezoid over grid-aligned offsets, with
 Gregory ends and a Gauss-Legendre near cell integrated on fixed geometric
 panels against the odd Taylor expansion of the slope difference
-(frozen-slope kernel); ``_quadrature_plan`` builds that layout once per
+(frozen-slope kernel); ``quadrature_plan`` builds that layout once per
 grid and window, and the subsolution check reads it too.  Without the
 near cell the quadrature is first order once the kernel width drops below
 the mesh; with it the scheme is second order in h and the right-hand side
@@ -50,12 +50,11 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from numpy.polynomial.chebyshev import cheb2poly
 from numpy.polynomial.legendre import leggauss
 
 from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols
 from .kernel import kernel_values
-from .spectral import apply_dinv, chebyshev_degree, slope_interpolated
+from .spectral import apply_dinv, chebyshev_degree, chebyshev_maps, slope_interpolated
 
 __all__ = [
     "InterfaceState",
@@ -72,7 +71,9 @@ __all__ = [
     "stability_limit",
     "integrate",
     "sobolev_norm",
+    "quadrature_plan",
     "DEFAULT_TRUNC_RADIUS",
+    "FAR_SEMI_MINOR",
 ]
 
 DEFAULT_TRUNC_RADIUS = 10.0
@@ -96,8 +97,9 @@ _MAX_FAR_DEGREE = 18
 # its tables take the Bernstein ellipse of semi-minor axis 0.9, a margin below
 # the strip's 1: for one-cell slopes up to 0.74 the polynomials stayed within
 # 1.4e-15 of the largest kernel entry, as the near cell's 1/2 did, at n = 1024
-# and 2048 and widths 1e-10 to 0.5
-_FAR_SEMI_MINOR = 0.9
+# and 2048 and widths 1e-10 to 0.5.  The subsolution check's far rows, whose
+# transverse averages have their branch points there too, take it as well
+FAR_SEMI_MINOR = 0.9
 # offsets of at least _BAND_SPAN height oscillations max f - min f form the FFT
 # band (see kernel_quadrature) when they number at least _MIN_BAND.  Timed on 2
 # vCPUs for bumps of amplitude 0.1 and 0.3 at w = 0.05, kernel_quadrature took,
@@ -237,7 +239,7 @@ def mollify(f: GridFunction1D, delta: float) -> GridFunction1D:
 
 
 class _Plan(NamedTuple):
-    """Quadrature layout of one grid and window (see :func:`_quadrature_plan`)."""
+    """Quadrature layout of one grid and window (see :func:`quadrature_plan`)."""
 
     offsets: np.ndarray  # trapezoid offsets in grid spacings, both signs
     weights: np.ndarray  # Gregory end-corrected trapezoid weights times h
@@ -267,7 +269,7 @@ def trapezoid_reach(n: int, h: float, trunc_radius: float) -> int:
 
 
 @lru_cache(maxsize=16)
-def _quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
+def quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     """PV quadrature layout, shared with :mod:`mixzone.subsolution`; read-only.
 
     The near cell spans four spacings so the kernel core is always either
@@ -324,7 +326,7 @@ def _far_degree(a_max: float) -> int | None:
     kernel's semi-minor axis, rounded up (the kernel is even in A); None
     when that would exceed ``_MAX_FAR_DEGREE``.
     """
-    d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, _FAR_SEMI_MINOR)
+    d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, FAR_SEMI_MINOR)
     return None if d is None else (d + 1) // 2
 
 
@@ -409,46 +411,17 @@ def _first_bad_site(f_values, dx, plan, width) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-@lru_cache(maxsize=32)
-def _chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chebyshev points ``t_j`` of the first kind and the maps from values there to monomials.
-
-    ``t_j = cos((2j + 1) pi / (2 degree + 2))``.  The first matrix takes the
-    values of a function at the ``t_j`` to the Chebyshev coefficients of its
-    interpolant (a discrete cosine transform), the second those to its
-    monomial coefficients in ``t``.  They are applied one after the other:
-    their product has entries of order ``(1 + sqrt 2)^degree`` that cancel,
-    and its own roundoff would not.
-    """
-    odd = 2 * np.arange(degree + 1) + 1
-    t = np.cos(odd * np.pi / (2 * degree + 2))
-    # T_k(t_j) = cos(pi m / (2 degree + 2)), m = k (2j + 1), with m reduced in
-    # integers to [0, degree + 1]: the three-term recurrence loses about k^2
-    # ulps near t = +-1, and a rounded k theta_j about k
-    m = np.outer(np.arange(degree + 1), odd) % (4 * degree + 4)
-    m = np.minimum(m, 4 * degree + 4 - m)
-    sign = np.where(m > degree + 1, -1.0, 1.0)
-    m = np.minimum(m, 2 * degree + 2 - m)
-    to_chebyshev = sign * np.cos(m * np.pi / (2 * degree + 2)) * (2.0 / (degree + 1))
-    to_chebyshev[0] *= 0.5
-    to_monomial = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        to_monomial[: k + 1, k] = cheb2poly(np.eye(k + 1)[k])
-    for arr in (t, to_chebyshev, to_monomial):
-        arr.flags.writeable = False
-    return t, to_chebyshev, to_monomial
-
-
 def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np.ndarray,
                         degree: int) -> np.ndarray | None:
     """``wts_k K(dx_k, u, width)`` as monomials in ``t = 2 (u / u_top_k)^2 - 1``, or None.
 
     One column per offset, one row per power of t: :func:`kernel_values` at
     the ``degree + 1`` Chebyshev points of t in ``[-1, 1]`` (``|u| <=
-    u_top_k``), taken to monomials by :func:`_chebyshev_maps`.  None when a
-    coefficient is not finite.
+    u_top_k``), taken to monomials by
+    :func:`~mixzone.spectral.chebyshev_maps`.  None when a coefficient is
+    not finite.
     """
-    t, to_chebyshev, to_monomial = _chebyshev_maps(degree)
+    t, to_chebyshev, to_monomial = chebyshev_maps(degree)
     table = kernel_values(dx, np.sqrt(0.5 + 0.5 * t)[:, None] * u_top, width)
     coef = to_monomial @ (to_chebyshev @ table)
     coef *= wts
@@ -625,7 +598,7 @@ def kernel_quadrature(
     :func:`nearfield_correction`, with branch points on the strip's edges
     (at ``Re A = 0`` and ``+-2w / dx``).  So on ``[-a, a]`` the degree of
     :func:`~mixzone.spectral.chebyshev_degree` with semi-minor axis
-    ``_FAR_SEMI_MINOR = 0.9`` interpolates within about ``e^-37``, and by
+    ``FAR_SEMI_MINOR = 0.9`` interpolates within about ``e^-37``, and by
     evenness half of it in ``s = A^2`` does (:func:`_far_degree`).
 
     * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
@@ -661,7 +634,7 @@ def kernel_quadrature(
     """
     n = f_values.size
     h = length / n
-    plan = _quadrature_plan(n, h, trunc_radius)
+    plan = quadrature_plan(n, h, trunc_radius)
     n_pos = plan.offsets.size // 2
     pos = plan.offsets[n_pos:]
     dx = pos * h

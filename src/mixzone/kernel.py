@@ -21,7 +21,7 @@ principal ``arctan2`` branches are right for either sign of ``dx``.  The
 log1p argument itself cancels only near the strip-edge corner
 (``|delta_f|`` close to ``2 eps``, ``|dx|`` small against eps), where
 ``kernel_values`` takes the same second difference in the form of
-:func:`_lambda_integral`.  Together they are accurate to roundoff at
+:func:`lambda_integral`.  Together they are accurate to roundoff at
 every width (within 1e-13 relative of a 50-digit evaluation, ``eps =
 1e-10``, ``dx / eps`` down to 1e-12 and ``|dx|`` down to 1e-300 at the
 corner included).  Where ``eps^4`` or ``r^4`` would leave the float
@@ -31,13 +31,14 @@ cancel, ``kernel_values`` uses the kernel's homogeneity ``K(dx, u, eps)
 and ``sign(dx) / (2 eps)``; the tests cover widths from 1e-170 to 1e200.
 
 This module provides that closed form, an adaptive-quadrature oracle
-for it, the frozen-slope kernel ``K_A``, and the differentiated kernels
-``ktilde`` / ``ktilde_c`` together with their L1 statistics.  The
-differentiated kernels are folded the same way (one ``arctan2``, one
-``log1p``), so they too are accurate to roundoff at every width; the L1
-statistics evaluate them at t = 1 by scale invariance.  The oracle and
-the L1 statistics import scipy's ``quad`` when called; the closed forms
-need numpy only.
+for it, the lam integral of the transverse average that the subsolution
+check uses (:func:`lambda_integral`), the frozen-slope kernel ``K_A``,
+and the differentiated kernels ``ktilde`` / ``ktilde_c`` together with
+their L1 statistics.  The differentiated kernels are folded the same
+way (one ``arctan2``, one ``log1p``), so they too are accurate to
+roundoff at every width; the L1 statistics evaluate them at t = 1 by
+scale invariance.  The oracle and the L1 statistics import scipy's
+``quad`` when called; the closed forms need numpy only.
 
 Conventions adopted here (asserted by the test suite):
 
@@ -59,6 +60,7 @@ __all__ = [
     "kernel_quadrature_oracle",
     "kernel_frozen",
     "muskat_limit",
+    "lambda_integral",
     "ktilde",
     "ktilde_c",
     "ktilde_slope_derivative",
@@ -95,7 +97,7 @@ def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
     strip-edge corner (``|u|`` close to ``2 eps``, ``|dx|`` small against
     eps) the log1p argument ``1 + x = |z-|^2 |z+|^2 / r^4`` cancels;
     entries with ``1 + x < 1/2`` take the same second difference from
-    :func:`_lambda_integral`, which builds that small factor directly, at
+    :func:`lambda_integral`, which builds that small factor directly, at
     a width scaled into [1/2, 1) when eps is below 1/2.
 
     ``work``, a float array of shape ``(5,) + shape`` for the broadcast
@@ -152,7 +154,7 @@ def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
         dxb, ub = np.broadcast_arrays(dx, u)
         m, e = math.frexp(eps)
         w, e = (m, e) if e < 0 else (eps, 0)
-        strip = _lambda_integral(np.ldexp(dxb[corner], -e), np.ldexp(ub[corner], -e), -w, w, w)
+        strip = lambda_integral(np.ldexp(dxb[corner], -e), np.ldexp(ub[corner], -e), -w, w, w)
         out[corner] = np.ldexp(strip / (2.0 * np.pi * w), -e)
     return _maybe_scalar(out)
 
@@ -190,7 +192,7 @@ def _by_scale(dx: np.ndarray, u: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _lambda_integral(x, d, a, b, w: float) -> np.ndarray:
+def lambda_integral(x, d, a, b, w: float) -> np.ndarray:
     """``int_a^b inner(x, d + lam) dlam`` in closed form, for a <= b.
 
     ``inner(x, d)`` is the transverse average over ``[-w, w]`` of the

@@ -23,22 +23,26 @@ here too.
 So does the lab's one slope interpolator: a quantity analytic in the
 slope on ``|Im A| < 1`` (``mtilde``, the near-cell moments) is tabulated
 at Chebyshev points of the slope range and interpolated barycentrically
-to within e^-37 (:func:`slope_interpolated`).
+to within e^-37 (:func:`slope_interpolated`).  The same degree rule and
+the first-kind points of :func:`chebyshev_maps` give the per-offset
+tables of the PV far kernel and of the subsolution check's far rows.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import cheb2poly
 
 from .grid import BLOCK_ENTRIES, GridFunction1D
 
 __all__ = [
     "k_hat", "h_integrand", "H_integral", "h_values", "symbol_m", "symbol_mtilde",
     "mtilde_table", "mtilde_dinv_mode_sum", "apply_dinv", "apply_mtilde_dinv",
-    "coercivity_probe", "energy", "chebyshev_degree", "slope_nodes", "barycentric",
-    "slope_interpolated",
+    "coercivity_probe", "energy", "chebyshev_degree", "chebyshev_maps", "slope_nodes",
+    "barycentric", "slope_interpolated",
 ]
 
 _SERIES_CUTOFF = 1e-3
@@ -244,8 +248,9 @@ def chebyshev_degree(half: float, max_degree: float,
     semi-minor axis ``semi_minor``: a function analytic and bounded inside
     it is interpolated at ``d + 1`` Chebyshev points with an error of order
     ``rho^-d`` (Trefethen, ATAP, Thm 8.2), at most ``e^-37``.  0 for a
-    constant slope.  None when ``half`` is not finite or ``d`` would exceed
-    ``max_degree``.
+    constant slope.  None when ``half`` is not finite, ``d`` would exceed
+    ``max_degree`` or ``d`` is not a finite integer (``37 / log rho``
+    overflows once ``log rho`` is subnormal).
     """
     if not math.isfinite(half):
         return None
@@ -256,7 +261,39 @@ def chebyshev_degree(half: float, max_degree: float,
     log_rho = math.asinh(semi_minor / half)
     if not _LOG_TOL < log_rho * max_degree:  # ceil(tol / log rho) > max_degree
         return None
-    return max(1, math.ceil(_LOG_TOL / log_rho))
+    degree = _LOG_TOL / log_rho
+    return max(1, math.ceil(degree)) if math.isfinite(degree) else None
+
+
+@lru_cache(maxsize=32)
+def chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chebyshev points ``t_j`` of the first kind and the maps from values there to monomials.
+
+    ``t_j = cos((2j + 1) pi / (2 degree + 2))``, decreasing, with ``t_{degree
+    - j} = -t_j``.  The first matrix takes the values of a function at the
+    ``t_j`` to the Chebyshev coefficients of its interpolant (a discrete
+    cosine transform), the second those to its monomial coefficients in
+    ``t``.  They are applied one after the other: their product has entries
+    of order ``(1 + sqrt 2)^degree`` that cancel, and its own roundoff would
+    not.  Read-only.
+    """
+    odd = 2 * np.arange(degree + 1) + 1
+    t = np.cos(odd * np.pi / (2 * degree + 2))
+    # T_k(t_j) = cos(pi m / (2 degree + 2)), m = k (2j + 1), with m reduced in
+    # integers to [0, degree + 1]: the three-term recurrence loses about k^2
+    # ulps near t = +-1, and a rounded k theta_j about k
+    m = np.outer(np.arange(degree + 1), odd) % (4 * degree + 4)
+    m = np.minimum(m, 4 * degree + 4 - m)
+    sign = np.where(m > degree + 1, -1.0, 1.0)
+    m = np.minimum(m, 2 * degree + 2 - m)
+    to_chebyshev = sign * np.cos(m * np.pi / (2 * degree + 2)) * (2.0 / (degree + 1))
+    to_chebyshev[0] *= 0.5
+    to_monomial = np.zeros((degree + 1, degree + 1))
+    for k in range(degree + 1):
+        to_monomial[: k + 1, k] = cheb2poly(np.eye(k + 1)[k])
+    for arr in (t, to_chebyshev, to_monomial):
+        arr.flags.writeable = False
+    return t, to_chebyshev, to_monomial
 
 
 def slope_nodes(slope: np.ndarray,
@@ -298,16 +335,22 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
     """Rows of ``table`` (values at the Chebyshev points ``t_nodes``) interpolated to ``t``.
 
     The barycentric formula of the second kind, numerator and denominator
-    from one product of ``[table | 1]`` with :func:`_node_terms`; a ``t``
+    from one product of ``[table | 1]`` with :func:`_node_terms`, in chunks
+    of ``t`` whose node terms hold about ``BLOCK_ENTRIES`` entries; a ``t``
     on a node, whose denominator is infinite, takes that node's row.
     """
-    # one column per t, so every pass runs along t
-    c = _node_terms(t_nodes, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.vstack([table.T, np.ones(t_nodes.size)]) @ c
-        out = (frac[:-1] / frac[-1]).T
-    hit = np.flatnonzero(np.isinf(frac[-1]))
-    out[hit] = table[np.argmin(np.abs(t[hit, None] - t_nodes), axis=1)]
+    ext = np.vstack([table.T, np.ones(t_nodes.size)])
+    out = np.empty((t.size, table.shape[1]))
+    chunk = max(1, BLOCK_ENTRIES // t_nodes.size)
+    for start in range(0, t.size, chunk):
+        blk = t[start : start + chunk]
+        # one column per t, so every pass runs along t
+        c = _node_terms(t_nodes, blk)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = ext @ c
+            out[start : start + chunk] = (frac[:-1] / frac[-1]).T
+        hit = np.flatnonzero(np.isinf(frac[-1]))
+        out[start + hit] = table[np.argmin(np.abs(blk[hit, None] - t_nodes), axis=1)]
     return out
 
 
@@ -316,10 +359,8 @@ def slope_interpolated(slope: np.ndarray, max_nodes: float, moments) -> np.ndarr
 
     ``moments`` maps an array of slopes to one row (of any shape) per
     slope.  It runs once, on the Chebyshev nodes of the slope range, and
-    the table is interpolated to every slope by :func:`barycentric`, in
-    chunks of slopes whose temporaries hold about ``BLOCK_ENTRIES``
-    entries; one node is broadcast.  Without nodes it runs on the slopes
-    themselves.
+    the table is interpolated to every slope by :func:`barycentric`; one
+    node is broadcast.  Without nodes it runs on the slopes themselves.
     """
     nodes = slope_nodes(slope, max_nodes)
     if nodes is None:
@@ -330,12 +371,7 @@ def slope_interpolated(slope: np.ndarray, max_nodes: float, moments) -> np.ndarr
     if half == 0.0:
         return np.broadcast_to(table, shape)
     flat = table.reshape(t_nodes.size, -1)
-    chunk = max(1, BLOCK_ENTRIES // t_nodes.size)
-    out = np.empty((slope.size, flat.shape[1]))
-    for start in range(0, slope.size, chunk):
-        blk = slice(start, start + chunk)
-        out[blk] = barycentric(t_nodes, flat, (slope[blk] - mid) / half)
-    return out.reshape(shape)
+    return barycentric(t_nodes, flat, (slope - mid) / half).reshape(shape)
 
 
 def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
@@ -351,15 +387,20 @@ def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> Gri
     The nodes are streamed in chunks of at most ``BLOCK_ENTRIES`` field
     entries, so the memory is bounded at any slope.  Within 1e-12 of the
     largest value of the exact mode sum :func:`mtilde_dinv_mode_sum`
-    (enforced in tests).
+    (enforced in tests).  Raises ValueError, naming the slope range, when
+    that range takes no finite degree (slopes near the float limit).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    nodes = slope_nodes(slope.values)
+    if nodes is None:  # grid values are finite, but their range may take no finite degree
+        raise ValueError(f"slopes in [{slope.values.min():g}, {slope.values.max():g}] "
+                         "take no finite Chebyshev degree")
+    mid, half, t_nodes = nodes
     xi = np.fft.rfftfreq(f.n, d=f.h)
     damped = np.fft.rfft(f.values) / (1.0 + t * xi)
-    mid, half, t_nodes = slope_nodes(slope.values)  # grid values are finite
 
     def fields(nodes: np.ndarray) -> np.ndarray:
         return np.fft.irfft(damped * symbol_mtilde(xi, nodes[:, None], t), n=f.n)

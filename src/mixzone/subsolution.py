@@ -16,25 +16,41 @@ Quadrature layout (read from the plan :mod:`mixzone.evolution` builds,
 so the averaged velocity identity holds at quadrature accuracy): PV
 trapezoid over grid-aligned horizontal offsets with the singular cells
 integrated on geometric Gauss-Legendre panels.  The transverse average
-of the Poisson kernel is exact at every offset, regular or singular: one
-``arctan2`` per offset and lam.  The velocity is linear in that average,
-so integrals in lam (the zero-mean residual and gamma) apply the same
-weights to its exact lam integral, the folded mixed second difference
-:func:`mixzone.kernel._lambda_integral`; no lam quadrature is left.
-The modified velocity and the full velocity share their moment
-integrals, which makes the tangential identity
+``inner`` of the Poisson kernel is exact, one ``arctan2`` per entry.  The
+velocity is linear in it, so integrals in lam (the zero-mean residual
+and gamma) apply the same weights to its exact lam integral, the folded
+mixed second difference :func:`mixzone.kernel.lambda_integral`; no lam
+quadrature is left.  The modified velocity and the full velocity share
+their moment integrals, which makes the tangential identity
 ``u_c . dz_perp = u . dz_perp`` exact by construction.
 
-Sites are evaluated in blocks of about ``BLOCK_ENTRIES`` (site, offset,
-column) values, a column being one lam interval or one lam, contracted
-by one batched matmul.  The singular cell depends on a site only through
-its slope A: for real ``y != 0``, ``inner(y, A y + lam)`` has its branch
-points at ``Im A = +-1`` whatever lam is, so its moments are analytic in
-the strip of the evolution's near-cell moments.  They are tabulated at
-the same Chebyshev nodes of the sites' slope range and interpolated to
-the sites by the lab's one slope interpolator,
-:func:`mixzone.spectral.slope_interpolated`; with as many nodes as
-sites, each site takes its own slope.
+A column is one lam interval's integral or one lam's value.  ``inner``
+is odd in x and even in its height argument, so a column at ``(x, -d)``
+is its mirror column (``[a, b] -> [-b, -a]``, ``lam -> -lam``) at ``(x,
+d)``, and at ``(-x, d)`` it is minus itself at ``(x, d)``.  The columns
+are first closed under the mirror (the report's 9 symmetric lams add
+one interval, ``[0, w]``), and the mirrors then halve every table:
+
+* Far rows.  At an offset ``dx_k > 0`` each column is analytic in the
+  mean slope ``A = d / dx_k`` on ``|Im A| < 1`` (its branch points lie on
+  the strip's edges whatever lam is), and ``|A|`` is at most ``a_max``,
+  the largest one-cell slope.  So each offset takes one Chebyshev table
+  in A on ``[-a_max, a_max]``, at the degree rule of the evolution's far
+  kernel (semi-minor axis ``FAR_SEMI_MINOR``, error about e^-37),
+  evaluated at the nodes ``t >= 0`` only; the offset ``-k`` reads the
+  table of ``+k``.  The sites are contracted with the Chebyshev basis by
+  matmuls, in blocks of about ``BLOCK_ENTRIES`` entries.
+* The singular cell depends on a site only through its slope.  It is
+  summed over ``y > 0`` only (the ``y < 0`` half is its mirror),
+  tabulated on ``[-M, M]``, ``M`` the largest slope, at the nonnegative
+  nodes of :func:`mixzone.spectral.slope_nodes` (the strip of the
+  evolution's near-cell moments), and interpolated to the sites by
+  :func:`mixzone.spectral.barycentric`.
+
+A table is taken only while its nonnegative nodes do not outnumber the
+sites (a node costs what a site does) and its slope bound is finite;
+otherwise each site sums its own columns, in blocks of about
+``BLOCK_ENTRIES`` (site, offset, column) values.
 
 For a run of the regularized flow the strip half-width handed to these
 routines is the kernel half-width ``eps(t) + kappa`` of the evolution
@@ -47,10 +63,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, _quadrature_plan, kernel_quadrature
+from .evolution import (DEFAULT_TRUNC_RADIUS, FAR_SEMI_MINOR, Trajectory, kernel_quadrature,
+                        quadrature_plan)
 from .grid import BLOCK_ENTRIES, GridFunction1D, derivative_symbols, spectral_derivative
-from .kernel import _lambda_integral
-from .spectral import slope_interpolated
+from .kernel import lambda_integral
+from .spectral import barycentric, chebyshev_degree, chebyshev_maps, slope_nodes
 
 __all__ = [
     "SiteSamples", "site_samples", "hull_slacks", "choose_M",
@@ -59,6 +76,8 @@ __all__ = [
 
 EDGE_CLAMP = 1e-6
 SLACK_VIOLATION_BAND = 1e-5
+# (-1)^k for the near-cell moments J_k, k = 0..5
+_PARITY = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
 
 
 class SiteSamples(NamedTuple):
@@ -79,27 +98,60 @@ class SiteSamples(NamedTuple):
 
 class _Snapshot:
     """Site-independent data of one snapshot: ``g = f'`` and its derivatives
-    0-5 (one ``rfft`` of f, one batched ``irfft``), and the nodes of the
-    evolution's quadrature plan."""
+    0-5 (one ``rfft`` of f, one batched ``irfft``), the nodes of the
+    evolution's quadrature plan, and the largest one-cell slope."""
 
     def __init__(self, f: GridFunction1D, width: float, trunc_radius: float):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
         with np.errstate(over="ignore", invalid="ignore"):
             spectra = np.fft.rfft(f.values) * derivative_symbols(f.n, f.length, (1, 2, 3, 4, 5, 6))
+            # bounds every mean slope (f_j - f_{j-k}) / (k h) of the far rows
+            self.a_max = float(np.max(np.abs(np.diff(f.values, prepend=f.values[-1])))) / f.h
         spectra[:, -1] = 0.0  # g = f' drops the Nyquist mode
         self.g_derivs = np.fft.irfft(spectra, n=f.n)
         self.g = self.g_derivs[0]
-        plan = _quadrature_plan(f.n, f.h, trunc_radius)
+        plan = quadrature_plan(f.n, f.h, trunc_radius)
         self.offsets = plan.offsets
         self.dx = self.offsets * f.h
         self.wts = plan.weights
-        # singular-cell nodes (both signs)
-        ypos, wpos = plan.near_y, plan.near_w
-        self.y_near = np.concatenate([-ypos[::-1], ypos])
-        w_near = np.concatenate([wpos[::-1], wpos])
-        # row k: y^k times the near-cell weight, so near_wts @ inner gives J_k
-        self.near_wts = (self.y_near[:, None] ** np.arange(6)[None, :] * w_near[:, None]).T
+        # singular-cell nodes y > 0; row k: y^k times the weight, so near_wts @
+        # inner is the half cell's moment P_k
+        self.y_near = plan.near_y
+        self.near_wts = (plan.near_y[:, None] ** np.arange(6) * plan.near_w[:, None]).T
+
+
+class _Columns(NamedTuple):
+    """Lam intervals ``[a, b]`` then lams, a set closed under the mirror.
+
+    The mirror takes ``(a, b)`` to ``(-b, -a)`` and ``lam`` to ``-lam``;
+    ``mirror[c]`` is the index of column c's mirror image.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    lams: np.ndarray
+    mirror: np.ndarray
+
+
+def _closed_columns(a: np.ndarray, b: np.ndarray, lams: np.ndarray) -> tuple[_Columns, np.ndarray]:
+    """The mirror closure of the intervals ``[a_i, b_i]`` and ``lams``; the given columns' indices in it.
+
+    The given columns come first, in their order; a mirror image not among
+    them follows.  So the report's 9 symmetric lams add one interval, ``[0,
+    w]``, the mirror of ``[-w, 0]``; arbitrary lams at most double the set.
+    """
+    given = list(zip(a.tolist(), b.tolist()))
+    # dict keys keep their first order, and +0.0 and -0.0 are one key
+    closure = dict.fromkeys(given + [(-b, -a) for a, b in given])
+    intervals = {key: i for i, key in enumerate(closure)}
+    points = {lam: len(intervals) + i
+              for i, lam in enumerate(dict.fromkeys(lams.tolist() + (-lams).tolist()))}
+    mirror = [intervals[(-b, -a)] for a, b in intervals] + [points[-lam] for lam in points]
+    pick = [intervals[key] for key in given] + [points[lam] for lam in lams.tolist()]
+    ends = np.array(list(intervals)).reshape(-1, 2)
+    cols = _Columns(ends[:, 0], ends[:, 1], np.array(list(points)), np.array(mirror))
+    return cols, np.array(pick)
 
 
 def _inner(x: np.ndarray, d: np.ndarray, w: float) -> np.ndarray:
@@ -111,14 +163,15 @@ def _inner(x: np.ndarray, d: np.ndarray, w: float) -> np.ndarray:
     return np.arctan2(2.0 * w * x, x * x + (d - w) * (d + w)) / (2.0 * w)
 
 
-def _contract(wts, x, d, w: float, a, b, lams) -> np.ndarray:
-    """``wts @ columns`` over the nodes ``(x, d)`` of a block.
+def _column_values(x, d, w: float, cols: _Columns) -> np.ndarray:
+    """The columns at the nodes ``(x, d)``, on a new last axis.
 
     Column k of a node is ``int_a^b inner(x, d + lam) dlam`` over the k-th
-    interval, then ``inner(x, d + lam)`` at each of ``lams``.
+    interval, then ``inner(x, d + lam)`` at each lam.
     """
     x, d = x[..., None], d[..., None]
-    return wts @ np.concatenate([_lambda_integral(x, d, a, b, w), _inner(x, d + lams, w)], axis=-1)
+    return np.concatenate([lambda_integral(x, d, cols.a, cols.b, w),
+                           _inner(x, d + cols.lams, w)], axis=-1)
 
 
 def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
@@ -129,6 +182,120 @@ def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
     """
     rows = max(1, BLOCK_ENTRIES // (nodes * columns))
     return np.concatenate([block(slice(i, i + rows)) for i in range(0, count, rows)])
+
+
+def _far_degree(snap: _Snapshot, sites: int) -> int | None:
+    """Degree of the far rows' slope tables for ``sites`` sites, or None for the per-site sums.
+
+    :func:`~mixzone.spectral.chebyshev_degree` of ``[-a_max, a_max]`` with
+    the far semi-minor axis; None when ``a_max`` is not finite or the
+    table's ``degree // 2 + 1`` nodes ``t >= 0`` would outnumber the sites
+    (a node costs what a site does).
+    """
+    return chebyshev_degree(snap.a_max, 2 * sites - 1, FAR_SEMI_MINOR)
+
+
+def _far_table(snap: _Snapshot, w: float, cols: _Columns, degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the far columns in the mean slope, (degree + 1, offsets k > 0, columns).
+
+    Entry ``(m, k)`` holds the coefficient of ``T_m(A / a_max)`` in the
+    columns at ``x = dx_k``, ``d = A dx_k``.  The columns are evaluated at
+    the Chebyshev points ``t >= 0`` of :func:`~mixzone.spectral.chebyshev_maps`
+    only: ``inner`` is even in its height argument, so the point ``-t`` is
+    the point t with its columns mirrored.  Evaluated in blocks of offsets.
+    """
+    t, to_chebyshev, _ = chebyshev_maps(degree)
+    n_pos = snap.dx.size // 2
+    dx = snap.dx[n_pos:]
+    top = snap.a_max * t[: degree // 2 + 1]
+    half = _in_blocks(n_pos, top.size, cols.mirror.size, lambda rows: _column_values(
+        dx[rows, None], dx[rows, None] * top, w, cols))
+    # points t_{degree - j} = -t_j, j < (degree + 1) // 2, from the points t_j
+    values = np.concatenate([half, half[:, : (degree + 1) // 2][:, ::-1][..., cols.mirror]], axis=1)
+    return (to_chebyshev @ values.transpose(1, 0, 2).reshape(degree + 1, -1)).reshape(
+        degree + 1, n_pos, -1)
+
+
+def _far_rows(snap: _Snapshot, f_values: np.ndarray, js: np.ndarray, w: float, cols: _Columns,
+              degree: int | None) -> np.ndarray:
+    """The far sums ``wts @ columns`` of each site, times the rows ``(1, g_back, g_j - g_back)``.
+
+    One (3, columns) block per site.  With a ``degree`` the columns come
+    from :func:`_far_table`: ``inner`` is odd in x, so the offset ``-k`` at
+    height difference d is minus the offset ``+k`` at d, and every offset
+    reads the table of ``|k|`` at ``s = d / (a_max |dx|)``.  A block of
+    sites builds ``wts T_m(s)`` by the three-term recurrence, folds both
+    signs of each offset together and takes each row as one matmul with
+    the table.  Without a ``degree`` the columns are evaluated per site.
+    """
+    n, m = f_values.size, snap.dx.size
+    if degree is None:
+        def per_site(rows):
+            j = js[rows, None]
+            back = (j - snap.offsets) % n
+            g_back = snap.g[back]
+            wts = snap.wts * np.stack([np.ones_like(g_back), g_back, snap.g[j] - g_back], axis=1)
+            return wts @ _column_values(snap.dx, f_values[j] - f_values[back], w, cols)
+
+        return _in_blocks(js.size, m, cols.mirror.size, per_site)
+    table = _far_table(snap, w, cols, degree).reshape(-1, cols.mirror.size)
+    wts = snap.wts * np.sign(snap.dx)
+    scale = 1.0 / (snap.a_max * np.abs(snap.dx)) if degree else None  # a_max = 0 at degree 0
+
+    def fold(terms):
+        """(site, m, offset) terms, the offset -k added onto +k: one row per site."""
+        return (terms[..., m // 2 :] + terms[..., m // 2 - 1 :: -1]).reshape(terms.shape[0], -1)
+
+    def from_table(rows):
+        j = js[rows, None]
+        back = (j - snap.offsets) % n
+        # wts T_m(s) obeys the recurrence of T_m; one contiguous (site, offset) slab per m
+        basis = np.empty((degree + 1, *back.shape))
+        basis[0] = wts
+        if degree:
+            s = scale * (f_values[j] - f_values[back])
+            np.multiply(s, wts, out=basis[1])
+            two_s = 2.0 * s
+        for k in range(2, degree + 1):
+            np.multiply(two_s, basis[k - 1], out=basis[k])
+            basis[k] -= basis[k - 2]
+        by_site = basis.transpose(1, 0, 2)
+        g_back = snap.g[back][:, None]
+        return np.stack([fold(by_site) @ table, fold(by_site * g_back) @ table,
+                         fold(by_site * (snap.g[j, None] - g_back)) @ table], axis=1)
+
+    return _in_blocks(js.size, m, degree + 1, from_table)
+
+
+def _near_cell(snap: _Snapshot, slopes: np.ndarray, w: float, cols: _Columns) -> np.ndarray:
+    """The near-cell moments ``J_k = int y^k inner(y, slope y + lam)`` at each slope, k = 0..5.
+
+    Summed over ``y > 0`` only: the integrand at -y is minus the one at y
+    with its columns mirrored, so ``J_k[c] = P_k[c] - (-1)^k P_k[mirror c]``
+    for the half-cell moments P_k.  ``J_k`` is odd in the slope for even k
+    and even for odd k, so a table on the symmetric range ``[-M, M]``, ``M
+    = max |slope|``, is evaluated at its nonnegative nodes only and
+    interpolated by :func:`~mixzone.spectral.barycentric`.  Without the
+    table (its nonnegative nodes would outnumber the slopes, or a slope is
+    not finite) each slope takes its own half cell.
+    """
+    def moments(at):
+        half = _in_blocks(at.size, snap.y_near.size, cols.mirror.size, lambda rows: (
+            snap.near_wts @ _column_values(snap.y_near, at[rows, None] * snap.y_near, w, cols)))
+        return half - _PARITY * half[..., cols.mirror]
+
+    top = float(np.max(np.abs(slopes)))
+    nodes = slope_nodes(np.array([-top, top]), 2 * slopes.size)
+    if nodes is None:
+        return moments(slopes)
+    _, half, t = nodes
+    table = moments(half * t[: (t.size + 1) // 2])
+    if half == 0.0:
+        return np.broadcast_to(table, (slopes.size, *table.shape[1:]))
+    # nodes t_{d - j} = -t_j, j < t.size // 2, from the nodes t_j
+    table = np.concatenate([table, -_PARITY * table[: t.size // 2][::-1]])
+    out = barycentric(t, table.reshape(t.size, -1), slopes / half)
+    return out.reshape(slopes.size, *table.shape[1:])
 
 
 def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -172,32 +339,19 @@ def site_samples(
     """
     dtz = _default_dtz(f, width, trunc_radius)
     snap = _Snapshot(f, width, trunc_radius)
-    w, n = width, f.n
+    w = width
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(np.abs(lams) > w):
+    if not np.all(np.abs(lams) <= w):
         raise ValueError("|lam| must not exceed the strip half-width")
     lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
     lower = lam_g <= 0.0
     # half-strip intervals, then the full strip
     a = np.append(np.where(lower, -w, lam_g), -w)
     b = np.append(np.where(lower, lam_g, w), w)
-    cols = a.size + lams.size
-    js = np.asarray(s_indices, dtype=int).ravel() % n
-
-    def far_block(rows):
-        j = js[rows, None]
-        back = (j - snap.offsets) % n
-        g_back = snap.g[back]
-        wts = snap.wts * np.stack([np.ones_like(g_back), g_back, snap.g[j] - g_back], axis=1)
-        return _contract(wts, snap.dx, f.values[j] - f.values[back], w, a, b, lams)
-
-    def near_moments(slopes):
-        return _in_blocks(slopes.size, snap.y_near.size, cols, lambda rows: _contract(
-            snap.near_wts, snap.y_near, slopes[rows, None] * snap.y_near, w, a, b, lams))
-
-    far = _in_blocks(js.size, snap.dx.size, cols, far_block)
-    # a table node costs what a site's own near cell does: fewer than one per site
-    jk = slope_interpolated(snap.g[js], js.size - 1, near_moments)
+    cols, pick = _closed_columns(a, b, lams)
+    js = np.asarray(s_indices, dtype=int).ravel() % f.n
+    far = _far_rows(snap, f.values, js, w, cols, _far_degree(snap, js.size))[..., pick]
+    jk = _near_cell(snap, snap.g[js], w, cols)[..., pick]
     u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)
     integrals = uc2[:, : a.size] - dtz[js, None] * (b - a)
     rho_g = lam_g / w
@@ -263,6 +417,7 @@ def subsolution_report(
         if not width > 0:
             continue
         idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)
+        x = f.x
         lams = _lambda_fractions(n_lambda) * width
         samples = site_samples(f, width, state.c, idxs, lams, trunc_radius)
         m_bound = choose_M(samples.u)
@@ -277,7 +432,7 @@ def subsolution_report(
                 "m_bound": float(m_bound),
                 "zero_mean_residual": float(np.abs(samples.residual).max()),
                 "ok": bool(ok),
-                "s_sites": [float(f.x[j]) for j in idxs],
+                "s_sites": [float(x[j]) for j in idxs],
             }
         )
     return rows

@@ -66,7 +66,7 @@ def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
     """Unblocked reference: one site at a time, far trapezoid + near cell."""
     n = f_vals.size
     h = LENGTH / n
-    plan = evolution._quadrature_plan(n, h, trunc_radius)
+    plan = evolution.quadrature_plan(n, h, trunc_radius)
     offsets = plan.offsets
     far = np.empty(n)
     for i in range(n):
@@ -105,7 +105,7 @@ def _interpolated_near_moments(slope, plan, width):
     [(0.0, 0.0), (0.3, 0.3), (-0.01, 0.01), (-0.3, 0.0), (-1.0, 1.0), (2.0, 3.0), (-10.0, 10.0)],
 )
 def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
-    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
     slope = np.random.default_rng(3).uniform(lo, hi, n)
     slope[:2] = lo, hi
     if (lo, hi) == (-10.0, 10.0):  # 742 Chebyshev nodes: the sites' own slopes instead
@@ -129,7 +129,7 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
     # non-finite slope poisons the range: both take the sites' own slopes,
     # with the direct sum's values, a NaN only at the NaN site and no warning
     n = 256
-    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
     huge = np.resize([1e308, -1e308, 0.3, 1.7e308, -5.0], n)
     with_nan = np.linspace(-0.1, 0.1, n)
     with_nan[7] = np.nan
@@ -146,13 +146,13 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
 def _far_table_nodes(f):
     """Chebyshev points of the near band's table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
     a_max = np.max(np.abs(np.diff(f, prepend=f[-1]))) / (LENGTH / f.size)
-    return -(-spectral.chebyshev_degree(a_max, 10**6, evolution._FAR_SEMI_MINOR) // 2) + 1
+    return -(-spectral.chebyshev_degree(a_max, 10**6, evolution.FAR_SEMI_MINOR) // 2) + 1
 
 
 def _band_start(f):
     """Index of the first FFT-band offset for heights f on the default window."""
     n = f.size
-    return evolution._band_start(float(np.ptp(f)), LENGTH / n, evolution._quadrature_plan(n, LENGTH / n, 10.0))
+    return evolution._band_start(float(np.ptp(f)), LENGTH / n, evolution.quadrature_plan(n, LENGTH / n, 10.0))
 
 
 def _counted_quadrature(monkeypatch, f):
@@ -191,7 +191,7 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     for n, amp, band, steep in ((256, 0.3, False, False), (512, 0.3, True, False),
                                 (1024, 1.0, False, True), (2048, 1.0, True, True)):
         h = LENGTH / n
-        plan = evolution._quadrature_plan(n, h, 10.0)
+        plan = evolution.quadrature_plan(n, h, 10.0)
         n_pos = plan.offsets.size // 2
         f = bump(n, amp=amp).values
         split = _band_start(f)
@@ -230,7 +230,7 @@ def test_kernel_quadrature_far_table_matches_row_by_row_sum(n, a_max):
     # node; at n = 2048 the FFT band takes the offsets beyond 8 oscillations
     f = _rippled(n, a_max) if a_max else np.full(n, 0.3)
     h = LENGTH / n
-    plan = evolution._quadrature_plan(n, h, 10.0)
+    plan = evolution.quadrature_plan(n, h, 10.0)
     dx = plan.offsets[plan.offsets > 0] * h
     g = spectral_derivative(bump(n).values, LENGTH)
     assert (_band_start(f) < dx.size) == (n == 2048 and a_max < 3.0)
@@ -252,7 +252,7 @@ def test_far_degree_rule_matches_kernel_values(a_max):
     # rounding sits (the near cell's rule, semi-minor axis 1/2, reached 1.56e-15)
     n = 2048
     h = LENGTH / n
-    plan = evolution._quadrature_plan(n, h, 10.0)
+    plan = evolution.quadrature_plan(n, h, 10.0)
     dx = plan.offsets[plan.offsets > 0] * h
     degree = evolution._far_degree(a_max)
     assert degree <= evolution._MAX_FAR_DEGREE and evolution._far_degree(0.75) is None
@@ -266,7 +266,7 @@ def test_far_degree_rule_matches_kernel_values(a_max):
 
 
 def _rows_per_block(n, trunc_radius):
-    return evolution._quadrature_plan(n, LENGTH / n, trunc_radius).rows
+    return evolution.quadrature_plan(n, LENGTH / n, trunc_radius).rows
 
 
 def test_kernel_quadrature_blocks_match_row_by_row_sum():
@@ -285,7 +285,7 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
     n, trunc = 512, 10.0
     f = bump(n).values.copy()
     f[300] = np.inf
-    offsets = evolution._quadrature_plan(n, LENGTH / n, trunc).offsets
+    offsets = evolution.quadrature_plan(n, LENGTH / n, trunc).offsets
     with np.errstate(invalid="ignore"):
         # the first site whose row meets the bad height, found one row at a time
         first = next(
@@ -304,7 +304,7 @@ def test_kernel_quadrature_fft_band_matches_row_by_row_sum(n, amp):
     # the band holds the offsets of at least 8 height oscillations when they
     # number at least _MIN_BAND: bumps 0.1 and 0.3 at both sizes, 1 at 2048
     f = bump(n, amp=amp).values
-    n_pos = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    n_pos = evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
     assert (_band_start(f) < n_pos) == (amp < 1.0 or (amp == 1.0 and n == 2048))
     g = spectral_derivative(f, LENGTH)
     for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
@@ -320,7 +320,7 @@ def test_kernel_quadrature_fft_band_of_rippled_and_flat_heights(n):
     g = spectral_derivative(bump(n).values, LENGTH)
     for f in (_rippled(n, 0.05), _rippled(n, 0.3), np.full(n, 0.3)):
         split = _band_start(f)
-        assert split < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+        assert split < evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
         assert split == 0 or np.ptp(f) > 0.0
         for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
             out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
@@ -333,7 +333,7 @@ def test_kernel_quadrature_fft_band_gives_exactly_zero_for_constant_g():
     # not 0 (and not a power of two, whose products would cancel exactly)
     for n in (1024, 2048):
         f = bump(n, amp=0.3).values
-        assert _band_start(f) < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+        assert _band_start(f) < evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
         g = np.full(n, 123.456)
         assert math.frexp(g[0] - np.mean(g))[0] == 0.75
         out = evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
@@ -346,9 +346,9 @@ def test_kernel_quadrature_names_site_of_infinite_height_at_band_size():
     # and the site comes from _first_bad_site
     n = 2048
     f = bump(n).values.copy()
-    assert _band_start(f) < evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    assert _band_start(f) < evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
     f[1500] = np.inf
-    offsets = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets
+    offsets = evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets
     first = int(np.argmax(((np.arange(n)[:, None] - offsets) % n == 1500).any(axis=1)))
     assert first == 1500 - offsets[-1]
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match=rf"at site {first}$"):
@@ -364,7 +364,7 @@ def test_kernel_quadrature_names_site_of_infinite_height_at_band_size():
     ],
 )
 def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near, blocks):
-    plan = evolution._quadrature_plan(n, LENGTH / n, trunc)
+    plan = evolution.quadrature_plan(n, LENGTH / n, trunc)
     assert (plan.offsets[-1], plan.near) == (m_max, near)
     assert -(-n // _rows_per_block(n, trunc)) == blocks
     f = GridFunction1D.from_callable(
@@ -403,11 +403,11 @@ def test_kernel_quadrature_near_band_edges_match_row_by_row_sum(
     # the near band's blocks against the row-by-row sum: a last block shorter
     # than the others (its stale tail cleared), a single offset (split = 1),
     # rows >= n, and offset chunks of unequal width, with and without the band
-    evolution._quadrature_plan(n, LENGTH / n, 10.0)  # cached before the block size changes
+    evolution.quadrature_plan(n, LENGTH / n, 10.0)  # cached before the block size changes
     if entries is not None:
         monkeypatch.setattr(evolution, "BLOCK_ENTRIES", entries)
     f = bump(n, amp=amp).values
-    n_pos = evolution._quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    n_pos = evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
     assert (_band_start(f) < n_pos) == band
     assert _near_band_layout(n, f) == (split, cols, rows)
     # g varies on the whole period, so every block carries fluxes
@@ -443,7 +443,7 @@ def test_kernel_quadrature_makes_no_sites_by_offsets_temporary():
     # with the FFT band and for steep data that take every offset in the
     # blocked loop, kernel entry by entry
     n = 4096
-    plan = evolution._quadrature_plan(n, LENGTH / n, 10.0)
+    plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
     bound = n * plan.offsets.size  # bytes: 8 N M / 8
     for f in (bump(n).values, _rippled(n, 3.0)):
         g = spectral_derivative(f, LENGTH)

@@ -15,8 +15,8 @@ def test_every_exported_name_resolves():
         assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
 
 
-# the only private names one module of the package may import from another
-PRIVATE_IMPORTS = {("evolution", "_quadrature_plan"), ("kernel", "_lambda_integral")}
+# the only private names one module of the package may import from another: none
+PRIVATE_IMPORTS = set()
 
 
 def test_no_module_imports_private_names_beyond_the_allowlist():

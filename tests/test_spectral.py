@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from _table import run_check
@@ -283,3 +285,20 @@ def test_apply_mtilde_dinv_site_on_a_node_takes_its_field():
         assert got[site] == field[site]
     ref = spectral.mtilde_dinv_mode_sum(f, slope, t).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_chebyshev_degree_none_where_not_a_finite_integer():
+    # log rho = asinh(0.5 / 1e308) is subnormal, so 37 / log rho overflows;
+    # a range near the float limit takes no degree, however many nodes are allowed
+    assert spectral.chebyshev_degree(1e308, math.inf) is None
+    assert spectral.chebyshev_degree(1e308, math.inf, 0.9) is None
+    assert spectral.slope_nodes(np.array([-1e308, 1e308])) is None
+    assert spectral.chebyshev_degree(1.0, math.inf) == 77
+
+
+def test_apply_mtilde_dinv_names_a_slope_range_without_a_degree(wave):
+    values = np.zeros(wave.n)
+    values[[3, 7]] = [-1e308, 1e308]
+    slope = GridFunction1D(values, wave.length)
+    with pytest.raises(ValueError, match=r"\[-1e\+308, 1e\+308\]"):
+        spectral.apply_mtilde_dinv(wave, slope, 0.5)

@@ -60,6 +60,14 @@ def _site(f, w, j):
     return snap, f.values[j] - f.values[(j - snap.offsets) % f.n], snap.g[j]
 
 
+def _full_cell(f):
+    """The singular cell's nodes of both signs, with their moment rows y^k w, k = 0..5."""
+    plan = evolution.quadrature_plan(f.n, f.h, 10.0)
+    y = np.concatenate([-plan.near_y[::-1], plan.near_y])
+    w_near = np.concatenate([plan.near_w[::-1], plan.near_w])
+    return y, (y[:, None] ** np.arange(6) * w_near[:, None]).T
+
+
 @pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.5])
 def test_transverse_average_matches_gauss_legendre(bump, w):
     # closed form vs a 96-node Gauss-Legendre average over lam' in [-w, w],
@@ -100,19 +108,20 @@ def test_lambda_integral_matches_mpmath(bump, w):
         return float(mp.sign(x) * diff / (2 * ww))
 
     snap, df, site_slope = _site(bump, w, 131)
+    y_near = _full_cell(bump)[0]
     lam = subsolution._lambda_fractions(9) * w
     a = np.append(np.where(lam <= 0, -w, lam), -w)
     b = np.append(np.where(lam <= 0, lam, w), w)
     far = np.arange(0, snap.dx.size, 13)
-    near = np.union1d(np.arange(0, snap.y_near.size, 31), np.argsort(np.abs(snap.y_near))[:2])
-    assert np.min(np.abs(snap.y_near[near])) < 4 * bump.h * 4.0**-8
-    assert np.any(snap.dx[far] < 0) and np.any(snap.y_near[near] < 0)
+    near = np.union1d(np.arange(0, y_near.size, 31), np.argsort(np.abs(y_near))[:2])
+    assert np.min(np.abs(y_near[near])) < 4 * bump.h * 4.0**-8
+    assert np.any(snap.dx[far] < 0) and np.any(y_near[near] < 0)
     cases = []
     for shift in (0.0, w, -w):
         for slope in (site_slope, 5.0, -5.0):
-            x = np.concatenate([snap.dx[far], snap.y_near[near]])
-            d = np.concatenate([df[far], slope * snap.y_near[near]]) + shift
-            got = kernel._lambda_integral(x[:, None], d[:, None], a, b, w)
+            x = np.concatenate([snap.dx[far], y_near[near]])
+            d = np.concatenate([df[far], slope * y_near[near]]) + shift
+            got = kernel.lambda_integral(x[:, None], d[:, None], a, b, w)
             cases += [(got[i, k], x[i], d[i], a[k], b[k]) for i in range(x.size) for k in range(a.size)]
     rng = np.random.default_rng(int(-np.log10(w)))
     for _ in range(60):
@@ -120,7 +129,7 @@ def test_lambda_integral_matches_mpmath(bump, w):
         x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-7.5, 1.0)
         corner = rng.choice([a[k] - w, a[k] + w, b[k] - w, b[k] + w])
         d = -corner + rng.uniform(-3.0, 3.0) * abs(x) * 10.0 ** rng.uniform(-3.0, 0.0)
-        got = kernel._lambda_integral(np.array([[x]]), np.array([[d]]), a[k], b[k], w)
+        got = kernel.lambda_integral(np.array([[x]]), np.array([[d]]), a[k], b[k], w)
         cases.append((got[0, 0], x, d, a[k], b[k]))
     worst = max(abs(got - want) / abs(want)
                 for got, *args in cases for want in [oracle(*args)])
@@ -129,8 +138,10 @@ def test_lambda_integral_matches_mpmath(bump, w):
 
 def _per_site_samples(f, w, c, sites, lams):
     """Reference for :func:`subsolution.site_samples`: one site at a time, each
-    summing its own near cell at its own slope (no blocks, no slope table)."""
+    summing its own near cell of both signs at its own slope and its far
+    offsets directly (no blocks, no slope tables, no mirrors)."""
     snap = subsolution._Snapshot(f, w, 10.0)
+    y_near, near_wts = _full_cell(f)
     dtz = subsolution._default_dtz(f, w, 10.0)
     lam_g = np.clip(lams, -(1 - subsolution.EDGE_CLAMP) * w, (1 - subsolution.EDGE_CLAMP) * w)
     lower = lam_g <= 0
@@ -141,13 +152,13 @@ def _per_site_samples(f, w, c, sites, lams):
     for j in sites:
         back = (j - snap.offsets) % f.n
         df, slope, g_back = f.values[j] - f.values[back], snap.g[j], snap.g[back]
-        x = np.concatenate([snap.dx, snap.y_near])[:, None]
-        d = np.concatenate([df, slope * snap.y_near])[:, None]
-        cols = np.concatenate([kernel._lambda_integral(x, d, a, b, w),
+        x = np.concatenate([snap.dx, y_near])[:, None]
+        d = np.concatenate([df, slope * y_near])[:, None]
+        cols = np.concatenate([kernel.lambda_integral(x, d, a, b, w),
                                subsolution._inner(x, d + lams, w)], axis=1)
         far1, far2, farc = np.stack([snap.wts, snap.wts * g_back,
                                      snap.wts * (slope - g_back)]) @ cols[:nfar]
-        jk = snap.near_wts @ cols[nfar:]
+        jk = near_wts @ cols[nfar:]
         g0, g1, g2, g3, g4, g5 = snap.g_derivs[:, j]
         nearc = g1 * jk[1] - g2 / 2 * jk[2] + g3 / 6 * jk[3] - g4 / 24 * jk[4] + g5 / 120 * jk[5]
         u1, u2 = (far1 + jk[0]) / np.pi, (far2 + g0 * jk[0] - nearc) / np.pi
@@ -163,33 +174,140 @@ def _per_site_samples(f, w, c, sites, lams):
     return {key: np.concatenate(val) for key, val in out.items()}
 
 
-def _assert_matches_per_site(f, w, sites):
-    lams = subsolution._lambda_fractions(9) * w
+def _assert_matches_per_site(f, w, sites, lams=None):
+    lams = subsolution._lambda_fractions(9) * w if lams is None else np.asarray(lams)
     got = subsolution.site_samples(f, w, 0.7, sites, lams, 10.0)
     ref = _per_site_samples(f, w, 0.7, sites, lams)
     for key, want in ref.items():
         assert np.max(np.abs(getattr(got, key) - want)) <= 1e-13, key
 
 
-@pytest.mark.parametrize("w", [1e-6, 1e-4, 1e-2, 0.1, 0.5])
+def _tables(f, w, sites):
+    """Whether the far rows and the near cell of ``sites`` take slope tables."""
+    snap = subsolution._Snapshot(f, w, 10.0)
+    top = np.max(np.abs(snap.g[list(sites)]))
+    return (subsolution._far_degree(snap, len(sites)) is not None,
+            spectral.slope_nodes(np.array([-top, top]), 2 * len(sites)) is not None)
+
+
+@pytest.mark.parametrize("w", [1e-10, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
 @pytest.mark.parametrize("amp", [0.1, 1.0, 3.0])
 def test_site_blocks_match_per_site_sums(w, amp):
-    # every site: the near cell from a slope table, far rows in blocks of
-    # sites; every 4th site across the bump: too many nodes for 14 sites,
-    # so each site's own slope
+    # every site: far rows and near cell from slope tables; every 4th site
+    # across the bump: for the steep bumps too many nodes for 14 sites, so
+    # per-site sums
     f = GridFunction1D.from_callable(lambda x: amp * np.exp(-(x**2)), 256, LENGTH)
-    g = subsolution._Snapshot(f, w, 10.0).g
-    assert spectral.slope_nodes(g, g.size - 1) is not None
+    assert _tables(f, w, range(256)) == (True, True)
     _assert_matches_per_site(f, w, range(256))
     sites = range(100, 156, 4)
-    assert spectral.slope_nodes(g[sites], len(sites) - 1) is None
+    assert _tables(f, w, sites) == ((True, True) if amp == 0.1 else (False, False))
     _assert_matches_per_site(f, w, sites)
+
+
+@pytest.mark.parametrize("w", [1e-10, 1e-4, 0.1])
+def test_site_blocks_match_per_site_sums_with_grid_ripple(w):
+    # a ripple at the grid scale: g = f' drops the Nyquist mode, so the
+    # spectral slopes stay those of the bump, but the mean slopes of odd far
+    # offsets reach far beyond them; the far tables must span the one-cell
+    # slopes
+    bump = GridFunction1D.from_callable(lambda x: 0.1 * np.exp(-(x**2)), 256, LENGTH)
+    f = bump.with_values(bump.values + 0.05 * (-1.0) ** np.arange(256))
+    snap = subsolution._Snapshot(f, w, 10.0)
+    mean = np.abs(f.values[133] - f.values[128]) / (5 * f.h)
+    assert mean > 2.0 * np.max(np.abs(snap.g))
+    assert _tables(f, w, range(256)) == (True, True)
+    _assert_matches_per_site(f, w, range(256))
+
+
+@pytest.mark.parametrize("w", [1e-4, EPS])
+def test_site_blocks_asymmetric_lams(bump, w):
+    # one lam: its mirror closure doubles the columns, and only the given
+    # ones come back
+    _assert_matches_per_site(bump, w, range(256), [0.2 * w])
+    _assert_matches_per_site(bump, w, range(100, 156, 4), [0.2 * w, -0.7 * w, w])
+
+
+@pytest.mark.parametrize("w", [1e-10, 1e-6, 1e-2, 0.1, 0.5])
+def test_far_tables_match_direct_far_sums(bump, w):
+    # the far rows alone, from the per-offset tables and by the direct sum
+    # over every (site, offset, column)
+    snap = subsolution._Snapshot(bump, w, 10.0)
+    lams = subsolution._lambda_fractions(9) * w
+    a = np.append(np.where(lams <= 0, -w, lams), -w)
+    b = np.append(np.where(lams <= 0, lams, w), w)
+    cols, _ = subsolution._closed_columns(a, b, lams)
+    js = np.arange(bump.n)
+    degree = subsolution._far_degree(snap, js.size)
+    got = subsolution._far_rows(snap, bump.values, js, w, cols, degree)
+    want = subsolution._far_rows(snap, bump.values, js, w, cols, None)
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_closed_columns_mirror():
+    w = 0.5
+    lams = subsolution._lambda_fractions(9) * w
+    a = np.append(np.where(lams <= 0, -w, lams), -w)
+    b = np.append(np.where(lams <= 0, lams, w), w)
+    cols, pick = subsolution._closed_columns(a, b, lams)
+    # the report's symmetric lams: [0, w] joins [-w, 0]
+    assert cols.mirror.size == 20 and cols.a.size == 11
+    assert np.array_equal(cols.a[pick[:10]], a) and np.array_equal(cols.b[pick[:10]], b)
+    assert np.array_equal(cols.lams[pick[10:] - 11], lams)
+    assert np.array_equal(cols.a[cols.mirror[:11]], -cols.b)
+    assert np.array_equal(cols.lams[cols.mirror[11:] - 11], -cols.lams)
+    assert np.array_equal(cols.mirror[cols.mirror], np.arange(20))
+
+
+def _count_entries(monkeypatch, f):
+    """Far and near column entries evaluated from here on, by the size of |x| against the near cell."""
+    seen = {"far": 0, "near": 0}
+
+    def counted(fn):
+        def wrapper(x, *args):
+            out = fn(x, *args)
+            seen["far" if np.min(np.abs(x)) >= 4 * f.h else "near"] += out.size
+            return out
+        return wrapper
+
+    monkeypatch.setattr(subsolution, "lambda_integral", counted(subsolution.lambda_integral))
+    monkeypatch.setattr(subsolution, "_inner", counted(subsolution._inner))
+    return seen
+
+
+def test_report_entry_counts(monkeypatch, bump):
+    # the report's 32 sites and 9 lams (20 mirror-closed columns) on the 0.1
+    # bump: the far rows evaluate their table at the nodes t >= 0 only, the
+    # near cell its half cell at the nonnegative nodes of [-M, M]
+    state = evolution.InterfaceState(f=bump, t=EPS)
+    traj = evolution.Trajectory()
+    traj.append(state, {})
+    snap = subsolution._Snapshot(bump, EPS, 10.0)
+    n_pos = snap.offsets.size // 2
+    a_max = np.max(np.abs(np.diff(bump.values, prepend=bump.values[-1]))) / bump.h
+    degree = spectral.chebyshev_degree(a_max, np.inf, evolution.FAR_SEMI_MINOR)
+    sites = range(0, 256, 8)
+    top = np.max(np.abs(snap.g[sites]))
+    nodes = spectral.slope_nodes(np.array([-top, top]))[2].size
+    assert (degree, nodes) == (13, 14)
+    seen = _count_entries(monkeypatch, bump)
+    subsolution.subsolution_report(traj)
+    assert seen == {"far": (degree + 2) // 2 * n_pos * 20, "near": (nodes + 1) // 2 * 144 * 20}
+
+
+def test_steep_bump_few_sites_take_per_site_sums(monkeypatch):
+    f = GridFunction1D.from_callable(lambda x: 3.0 * np.exp(-(x**2)), 256, LENGTH)
+    sites = range(100, 156, 4)
+    seen = _count_entries(monkeypatch, f)
+    subsolution.site_samples(f, EPS, 1.0, sites, subsolution._lambda_fractions(9) * EPS, 10.0)
+    n_far = subsolution._Snapshot(f, EPS, 10.0).offsets.size
+    assert seen == {"far": 14 * n_far * 20, "near": 14 * 144 * 20}
 
 
 def test_site_blocks_flat_take_one_node(flat):
     sites = range(0, 128, 5)
-    g = subsolution._Snapshot(flat, EPS, 10.0).g[sites]
-    assert spectral.slope_nodes(g, g.size - 1)[2].size == 1
+    snap = subsolution._Snapshot(flat, EPS, 10.0)
+    assert subsolution._far_degree(snap, len(sites)) == 0
+    assert spectral.slope_nodes(np.zeros(2))[2].size == 1
     _assert_matches_per_site(flat, EPS, sites)
 
 
