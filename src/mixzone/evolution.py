@@ -23,14 +23,15 @@ to every site within e^-37 by the slope interpolator of
 :mod:`mixzone.spectral`, which the weighted energy uses too
 (:func:`nearfield_correction`).
 
-The far offsets split at ``dx = 8 osc``, ``osc = max f - min f``
-(:func:`kernel_quadrature`).  Below it the sum is pair symmetric, in
-blocks that stay in L2, with the kernel a polynomial per offset in the
-squared slope (the closed form per pair for one-cell slopes above about
-0.74).  Beyond it, in the FFT band, the kernel is a polynomial of degree
-at most 7 in the squared height difference, so the band's O(N M) pair sum
-is ``2 (2D + 1)`` circular convolutions.  The mollifier is the exact
-Fourier multiplier of its discrete stencil.
+The far offsets split at ``dx = osc``, ``osc = max f - min f``, or at ``8
+osc`` for one-cell slopes above 1/8 (:func:`kernel_quadrature`).  Below it
+the sum is pair symmetric, in blocks that stay in L2, with the kernel a
+polynomial per offset in the squared slope (the closed form per pair for
+one-cell slopes above about 0.74).  Beyond it, in the FFT band, the
+kernel is a polynomial of degree at most 7 in the squared height
+difference, so the band's O(N M) pair sum is ``2 (2D + 1)`` circular
+convolutions.  The mollifier is the exact Fourier multiplier of its
+discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
 the stage times; from ``t_start > 1e-9`` the stability probe's velocity
@@ -52,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from numpy.polynomial.legendre import leggauss
 
-from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols
+from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols, max_cell_slope
 from .kernel import kernel_values
 from .spectral import apply_dinv, chebyshev_degree, chebyshev_maps, slope_interpolated
 
@@ -100,14 +101,13 @@ _MAX_FAR_DEGREE = 18
 # and 2048 and widths 1e-10 to 0.5.  The subsolution check's far rows, whose
 # transverse averages have their branch points there too, take it as well
 FAR_SEMI_MINOR = 0.9
-# offsets of at least _BAND_SPAN height oscillations max f - min f form the FFT
-# band (see kernel_quadrature) when they number at least _MIN_BAND.  Timed on 2
-# vCPUs for bumps of amplitude 0.1 and 0.3 at w = 0.05, kernel_quadrature took,
-# with the band against without: 1.10 / 0.83 and 1.18 / 1.04 ms at 59 and 49
-# band offsets (n = 256), 1.51 / 2.02 and 1.62 / 2.23 ms at 118 and 98 (n =
-# 512), 4.0 / 19.3 and 7.8 / 21.0 ms at n = 2048.  Spans of 4, 6 and 8 were
-# within the timing noise of each other at n = 1024 and 2048 (12 was slower for
-# the 0.3 bump); 8 keeps the band's degree at 7
+# the FFT band (see _band_start) is taken when it holds at least _MIN_BAND
+# offsets.  Timed on 2 vCPUs at w = 0.05 (median of 41), kernel_quadrature took,
+# with the band against without, for bumps of amplitude 0.1 and 0.3 and a
+# one-period sine of 0.6: 1.14 / 1.03, 1.54 / 1.18 and 1.43 / 1.05 ms at 61, 49
+# and 57 band offsets (n = 256), 1.37 / 2.11, 2.00 / 2.44 and 1.78 / 2.13 ms at
+# 125, 98 and 113 (n = 512).  Spans of 4, 6 and 8 timed alike at n = 1024 and
+# 2048; 8 keeps the band's degree at 7
 _BAND_SPAN = 8.0
 _MIN_BAND = 96
 
@@ -435,18 +435,15 @@ class _FarTable(NamedTuple):
     scale: np.ndarray  # (offsets, 1): t = (scale * u)^2 - 1, u one row per offset
 
 
-def _far_table(f_values: np.ndarray, h: float, dx: np.ndarray, wts: np.ndarray,
-               width: float) -> _FarTable | None:
+def _far_table(a_max: float, dx: np.ndarray, wts: np.ndarray, width: float) -> _FarTable | None:
     """``wts_k K(dx_k, u, width)`` as a polynomial in ``t = 2 (u / (A_max dx_k))^2 - 1``, or None.
 
-    ``A_max`` is the largest one-cell slope ``|f_i - f_{i-1}| / h``
-    (periodic), which bounds every mean slope ``u / dx_k`` of the far sum.
+    ``A_max`` is the largest one-cell slope (:func:`~mixzone.grid.max_cell_slope`),
+    which bounds every mean slope ``u / dx_k`` of the far sum.
     The degree is :func:`_far_degree` of ``A_max``.  None, meaning the
     per-entry kernel, when ``A_max`` is not finite, the degree would exceed
     ``_MAX_FAR_DEGREE``, or the table or its scales are not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_max = float(np.max(np.abs(np.diff(f_values, prepend=f_values[-1])))) / h
     degree = _far_degree(a_max)
     if degree is None:
         return None
@@ -478,15 +475,16 @@ def _far_polynomial(table: _FarTable, u: np.ndarray, work: np.ndarray) -> np.nda
     return out
 
 
-def _band_start(osc: float, h: float, plan: _Plan) -> int:
+def _band_start(osc: float, a_max: float, h: float, plan: _Plan) -> int:
     """Index of the first FFT-band offset among the plan's positive offsets.
 
-    The band holds the offsets ``dx_k >= _BAND_SPAN * osc``; the index is
-    the number of positive offsets (no band) when ``osc`` is not finite or
-    the band would hold fewer than ``_MIN_BAND`` offsets.
+    The band holds the offsets ``dx_k >= osc``, or ``dx_k >= _BAND_SPAN *
+    osc`` when the largest one-cell slope ``a_max`` exceeds ``1 / _BAND_SPAN``;
+    the index is the number of positive offsets (no band) when ``osc`` is not
+    finite or the band would hold fewer than ``_MIN_BAND`` offsets.
     """
     m_max, n_pos = int(plan.offsets[-1]), plan.offsets.size // 2
-    reach = _BAND_SPAN * osc / h
+    reach = (1.0 if a_max <= 1.0 / _BAND_SPAN else _BAND_SPAN) * osc / h
     if not reach <= m_max - _MIN_BAND + 1:  # also when reach is NaN
         return n_pos
     return max(plan.near, math.ceil(reach)) - plan.near
@@ -506,7 +504,7 @@ def _band_map(degree: int) -> np.ndarray:
 
 
 def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: np.ndarray,
-              wts: np.ndarray, width: float, osc: float) -> np.ndarray | None:
+              wts: np.ndarray, width: float, osc: float, a_max: float) -> np.ndarray | None:
     """Sum of the band's fluxes over both signs of its offsets ``pos``, at every site; or None.
 
     The two-sided sum ``sum_k wts_k (g_i - g_{i-k}) K(dx_k, f_i - f_{i-k})``
@@ -514,17 +512,22 @@ def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: n
     convolutions: the kernel per offset is a polynomial in ``v = (z_i -
     z_{i-k})^2``, ``z = (f - mid) / (osc / 2)``, and the binomial expansion
     of ``v^j`` splits every term into a power of ``z_i`` times a
-    convolution.  None when the table is not finite.
+    convolution.  Offset k is fitted on ``|u| <= u_top_k``, ``a_max dx_k``
+    clipped to ``[osc / _BAND_SPAN, osc]``, so its row of ``v^l`` takes the
+    factor ``(osc / u_top_k)^(2 l)``.  None when the table is not finite.
     """
     n = f_values.size
-    degree = _far_degree(osc / dx[0])
-    coef = _offset_polynomials(dx, wts, width, np.full(dx.size, osc), degree)
+    u_top = np.clip(a_max * dx, osc / _BAND_SPAN, osc)
+    degree = _far_degree(u_top[0] / dx[0])  # u_top / dx falls with dx
+    coef = _offset_polynomials(dx, wts, width, u_top, degree)
     if coef is None:
         return None
     # (2 j)! times the coefficient of v^j, on an odd row: -k carries the
     # flux that each pair credits to its back site
     rows = np.zeros((degree + 1, n))
     rows[:, pos] = _band_map(degree) @ coef
+    if degree:  # u_top = 0 only at osc = 0, degree 0
+        rows[1:, pos] *= (osc / u_top) ** np.arange(2, 2 * degree + 1, 2)[:, None]
     rows[:, n - pos] = -rows[:, pos]
     # an odd row's transform is imaginary, i r_j; r_j, copied over the real
     # parts, acts on the real and imaginary parts of the powers' transforms
@@ -579,17 +582,18 @@ def kernel_quadrature(
     the rows of both sites: it is summed into site i and into site i - k
     (``k <= n//2 - 1``, so no pair is met twice).
 
-    The trapezoid offsets split at ``dx_k >= c osc``, ``osc = max f - min
-    f`` and ``c = _BAND_SPAN``.  Beyond it, in the FFT band, every height
+    The trapezoid offsets split at ``dx_k >= osc``, ``osc = max f - min f``, or
+    at ``dx_k >= c osc``, ``c = _BAND_SPAN``, when the largest one-cell slope
+    ``A_max`` exceeds ``1 / c``.  Beyond it, in the FFT band, every height
     difference is at most ``dx_k / c``; the band is taken when it holds at
-    least ``_MIN_BAND`` offsets and ``osc`` is finite (not at n = 256 on
-    the default window).  The near band, the offsets below it (all of them
-    without the band), is streamed in blocks of ``BLOCK_ENTRIES`` entries,
-    one row per offset (in chunks of at most ``sqrt(BLOCK_ENTRIES)``) and
-    one column per site.  A block's w rows of fluxes sit between ``w - 1``
-    zeros on either side; the diagonal view that shifts row j left by j has
-    column sums equal to the back-site sums, read from ``(rows + w) w``
-    entries, so no N x M temporary is ever made.
+    least ``_MIN_BAND`` offsets and ``osc`` is finite (not at n = 256 on the
+    default window).  The near band, the offsets below it (all of them without
+    the band), is streamed in blocks of ``BLOCK_ENTRIES`` entries, one row per
+    offset (in chunks of at most ``sqrt(BLOCK_ENTRIES)``) and one column per
+    site.  A block's w rows of fluxes sit between ``w - 1`` zeros on either
+    side; the diagonal view that shifts row j left by j has column sums equal
+    to the back-site sums, read from ``(rows + w) w`` entries, so no N x M
+    temporary is ever made.
 
     Both bands take the kernel from per-offset polynomials in the squared
     slope, with the Gregory weights folded in (:func:`_offset_polynomials`).
@@ -610,8 +614,9 @@ def kernel_quadrature(
       exceed ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.74), the loop
       takes :func:`kernel_values` per entry; a non-finite value there names
       its site.
-    * FFT band: every offset is fitted over the whole range ``|u| <=
-      osc``, so ``a = osc / dx_k <= 1 / c`` and ``D`` is 7 or less.  With
+    * FFT band: offset k is fitted over ``|u| <= u_top_k``, ``A_max dx_k``
+      clipped to ``[osc / c, osc]``, which holds its height differences, so
+      ``a = u_top_k / dx_k <= 1 / c`` and ``D`` is 7 or less.  With
       the heights centred, ``z = (f - mid) / (osc / 2)`` in ``[-1, 1]``,
       the kernel is a polynomial ``sum_j b_jk v^j`` in ``v = (z_i -
       z_{i-k})^2``; expanding ``v^j`` binomially, with ``C(2j, q) = (2j)! /
@@ -623,14 +628,15 @@ def kernel_quadrature(
       transform pair for the ``2D + 1`` powers of each input, and real
       products in frequency (an odd row's transform is imaginary)
       (:func:`_fft_band`); g is centred by ``g_0`` first, so a constant g
-      gives exactly 0.  Roundoff: with ``|z| <= 1``
-      each term of the expansion of ``b_jk v^j`` is at most ``4^j |b_jk|``
-      times ``2 max |g - g_0|``, and the kernel's singularities lie at
-      ``|v| >= 4 c^2 = 256``, so the coefficients ``4^j |b_jk|`` fall by
-      about ``c^2`` per degree and the expansion adds a few ulps of the
-      band's absolute flux sum; the transforms add ``O(log n)`` ulps of
-      it.  The band matched the per-entry sum to 7e-16 of the largest
-      result at n = 1024 and 2048.
+      gives exactly 0.  Roundoff: with ``|z| <= 1`` and the kernel ``sum_j
+      c_jk A^(2j)``, ``A = u / dx_k``, each term of the expansion is at most
+      ``|c_jk| (osc / dx_k)^(2j) <= |c_jk|`` times ``2 max |g - g_0|``, so it
+      adds a few ulps of the band's absolute flux sum, the transforms
+      ``O(log n)``.  The fit's own roundoff grows with the row factors
+      ``(osc / u_top_k)^(2j)``, which the floor ``osc / c`` caps at
+      ``c^(2j)`` (without it a one-period sine of amplitude 0.03 at n =
+      2048 was off by 1.5e-13).  The band matched the per-entry sum to
+      1.3e-15 of the largest result at n = 1024 and 2048.
     """
     n = f_values.size
     h = length / n
@@ -641,10 +647,12 @@ def kernel_quadrature(
     wts = plan.weights[n_pos:]
     with np.errstate(over="ignore", invalid="ignore"):
         osc = float(np.max(f_values) - np.min(f_values))
-    split = _band_start(osc, h, plan)
+    a_max = max_cell_slope(f_values, h)
+    split = _band_start(osc, a_max, h, plan)
     band = None
     if split < n_pos:
-        band = _fft_band(f_values, g_values, pos[split:], dx[split:], wts[split:], width, osc)
+        band = _fft_band(f_values, g_values, pos[split:], dx[split:], wts[split:], width, osc,
+                         a_max)
         if band is None:
             split = n_pos
     # the near band: offsets near..reach, in chunks of at most sqrt(BLOCK_ENTRIES)
@@ -668,7 +676,7 @@ def kernel_quadrature(
         # diag[j, q] = pad[j, cols - w + j + q] sums the fluxes bound for acc[back + q]
         pad = np.zeros((cols, rows + 2 * (cols - 1)))
         step, item = pad.strides
-        table = _far_table(f_values, h, dx[:split], wts[:split], width)
+        table = _far_table(a_max, dx[:split], wts[:split], width)
         # a non-finite kernel value makes its column sum non-finite (0 * inf is NaN):
         # the finiteness checks below read the sums
         with np.errstate(over="ignore", invalid="ignore"):

@@ -102,6 +102,15 @@ class GridFunction1D:
         return float(self.values.mean())
 
 
+def max_cell_slope(values: np.ndarray, h: float) -> float:
+    """Largest one-cell slope ``max |f_i - f_{i-1}| / h`` of periodic samples.
+
+    It bounds every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
+    one-cell slopes; silently not finite when a difference is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(np.diff(values, prepend=values[-1])))) / h
+
+
 @lru_cache(maxsize=32)
 def derivative_symbols(n: int, length: float, orders: tuple[int, ...]) -> np.ndarray:
     """Multipliers ``(2 pi i xi)^order`` on the rfft modes of n samples, one row per order.

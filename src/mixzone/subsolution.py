@@ -65,7 +65,8 @@ import numpy as np
 
 from .evolution import (DEFAULT_TRUNC_RADIUS, FAR_SEMI_MINOR, Trajectory, kernel_quadrature,
                         quadrature_plan)
-from .grid import BLOCK_ENTRIES, GridFunction1D, derivative_symbols, spectral_derivative
+from .grid import (BLOCK_ENTRIES, GridFunction1D, derivative_symbols, max_cell_slope,
+                   spectral_derivative)
 from .kernel import lambda_integral
 from .spectral import barycentric, chebyshev_degree, chebyshev_maps, slope_nodes
 
@@ -106,8 +107,8 @@ class _Snapshot:
             raise ValueError("strip half-width must be positive")
         with np.errstate(over="ignore", invalid="ignore"):
             spectra = np.fft.rfft(f.values) * derivative_symbols(f.n, f.length, (1, 2, 3, 4, 5, 6))
-            # bounds every mean slope (f_j - f_{j-k}) / (k h) of the far rows
-            self.a_max = float(np.max(np.abs(np.diff(f.values, prepend=f.values[-1])))) / f.h
+        # bounds every mean slope (f_j - f_{j-k}) / (k h) of the far rows
+        self.a_max = max_cell_slope(f.values, f.h)
         spectra[:, -1] = 0.0  # g = f' drops the Nyquist mode
         self.g_derivs = np.fft.irfft(spectra, n=f.n)
         self.g = self.g_derivs[0]
@@ -337,6 +338,9 @@ def site_samples(
     rho^2)`` factor harmless; it is taken a relative EDGE_CLAMP inside the
     strip, so ``|lam| = width`` gives rho = +-1 and ``m = rho u``.
     """
+    js = np.asarray(s_indices, dtype=int).ravel() % f.n
+    if not js.size:
+        raise ValueError("s_indices must name at least one site")
     dtz = _default_dtz(f, width, trunc_radius)
     snap = _Snapshot(f, width, trunc_radius)
     w = width
@@ -349,7 +353,6 @@ def site_samples(
     a = np.append(np.where(lower, -w, lam_g), -w)
     b = np.append(np.where(lower, lam_g, w), w)
     cols, pick = _closed_columns(a, b, lams)
-    js = np.asarray(s_indices, dtype=int).ravel() % f.n
     far = _far_rows(snap, f.values, js, w, cols, _far_degree(snap, js.size))[..., pick]
     jk = _near_cell(snap, snap.g[js], w, cols)[..., pick]
     u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)

@@ -143,16 +143,21 @@ def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
     assert np.flatnonzero(np.isnan(got).any(axis=1)).tolist() == [7]
 
 
+def _a_max(f):
+    """Largest one-cell slope ``max |f_i - f_{i-1}| / h`` of periodic heights on the default period."""
+    return float(np.max(np.abs(np.diff(f, prepend=f[-1])))) / (LENGTH / f.size)
+
+
 def _far_table_nodes(f):
     """Chebyshev points of the near band's table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
-    a_max = np.max(np.abs(np.diff(f, prepend=f[-1]))) / (LENGTH / f.size)
-    return -(-spectral.chebyshev_degree(a_max, 10**6, evolution.FAR_SEMI_MINOR) // 2) + 1
+    return -(-spectral.chebyshev_degree(_a_max(f), 10**6, evolution.FAR_SEMI_MINOR) // 2) + 1
 
 
 def _band_start(f):
     """Index of the first FFT-band offset for heights f on the default window."""
     n = f.size
-    return evolution._band_start(float(np.ptp(f)), LENGTH / n, evolution.quadrature_plan(n, LENGTH / n, 10.0))
+    plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
+    return evolution._band_start(float(np.ptp(f)), _a_max(f), LENGTH / n, plan)
 
 
 def _counted_quadrature(monkeypatch, f):
@@ -187,14 +192,18 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     # the near band is one table of its Chebyshev nodes in the squared slope
     # per offset, or, for steep data, one entry per pair; the FFT band, when
     # it holds at least _MIN_BAND offsets, is one _fft_band call whose table
-    # has D + 1 nodes per offset, D for the band's slope range osc / dx
-    for n, amp, band, steep in ((256, 0.3, False, False), (512, 0.3, True, False),
-                                (1024, 1.0, False, True), (2048, 1.0, True, True)):
+    # has D + 1 nodes per offset, D for the band's slope range, A_max clipped
+    # to [osc / (8 dx), osc / dx]; the 0.1 bump (A_max <= 1/8) starts it at dx
+    # >= osc, leaving 0 and 2 near-band offsets at n = 1024 and 2048, the
+    # others at dx >= 8 osc
+    for n, amp, band, steep, split in ((256, 0.3, False, False, 61), (512, 0.3, True, False, 27),
+                                       (1024, 0.1, True, False, 0), (2048, 0.1, True, False, 2),
+                                       (1024, 1.0, False, True, 253), (2048, 1.0, True, True, 406)):
         h = LENGTH / n
         plan = evolution.quadrature_plan(n, h, 10.0)
         n_pos = plan.offsets.size // 2
         f = bump(n, amp=amp).values
-        split = _band_start(f)
+        assert _band_start(f) == split
         assert (split < n_pos) == band
         entries, near_calls, band_calls = _counted_quadrature(monkeypatch, f)
         nodes = _quadrature_nodes(spectral_derivative(f, LENGTH))[2].size
@@ -203,7 +212,8 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
         near_band = n * split if steep else _far_table_nodes(f) * split
         fft_band = 0
         if band:
-            degree = evolution._far_degree(np.ptp(f) / ((plan.near + split) * h))
+            dx0, osc = (plan.near + split) * h, np.ptp(f)
+            degree = evolution._far_degree(min(max(_a_max(f), osc / (8.0 * dx0)), osc / dx0))
             assert 1 <= degree <= evolution._far_degree(1.0 / evolution._BAND_SPAN)
             fft_band = (degree + 1) * (n_pos - split)
         assert sum(entries) == fft_band + near_band + plan.near_y.size * nodes
@@ -235,7 +245,7 @@ def test_kernel_quadrature_far_table_matches_row_by_row_sum(n, a_max):
     g = spectral_derivative(bump(n).values, LENGTH)
     assert (_band_start(f) < dx.size) == (n == 2048 and a_max < 3.0)
     for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
-        table = evolution._far_table(f, h, dx, np.ones(dx.size), width)
+        table = evolution._far_table(_a_max(f), dx, np.ones(dx.size), width)
         assert (table is None) == (a_max > 0.74)
         if a_max == 0.0:
             assert table.coef.shape[0] == 1
@@ -328,6 +338,61 @@ def test_kernel_quadrature_fft_band_of_rippled_and_flat_heights(n):
             assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
 
 
+def _long_wave(n, kind):
+    """Gently sloped heights, ``A_max <= 1/8``, whose band starts at one height oscillation."""
+    x = -LENGTH / 2 + (LENGTH / n) * np.arange(n)
+    if kind.startswith("sine"):  # one period: A_max 0.0047, 0.094 and 0.124, osc 0.06, 1.2 and 1.58
+        return float(kind[4:]) * np.sin(2.0 * np.pi * x / LENGTH)
+    if kind == "two bumps":
+        return 0.1 * np.exp(-((x - 5.0) ** 2)) - 0.08 * np.exp(-((x + 6.0) ** 2) / 2.0)
+    # a packet of the first four modes under a width-4 envelope, fixed phases
+    waves = sum(np.cos(2.0 * np.pi * k * x / LENGTH + phase)
+                for k, phase in zip(range(1, 5), (0.3, 2.1, 4.0, 5.5)))
+    return 0.8 * np.exp(-((x / 4.0) ** 2)) * waves / 4.0
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+@pytest.mark.parametrize("kind", ["sine0.03", "sine0.6", "sine0.79", "two bumps", "packet"])
+def test_kernel_quadrature_band_from_one_oscillation_matches_row_by_row_sum(n, kind):
+    # A_max <= 1/8: the band starts at dx >= osc, below 8 osc, and offset k is
+    # fitted on |u| <= A_max dx_k clipped to [osc / 8, osc]; the 0.79 sine sits
+    # at the edge, and the 0.03 sine at n = 2048 was off by 1.5e-13 without
+    # the floor osc / 8 (degree 4 with row factors (osc / u_top)^(2 l) up to 2.7e4^l)
+    f = _long_wave(n, kind)
+    h = LENGTH / n
+    plan = evolution.quadrature_plan(n, h, 10.0)
+    split = _band_start(f)
+    assert _a_max(f) <= 1.0 / evolution._BAND_SPAN
+    start = (plan.near + split) * h
+    assert split < plan.offsets.size // 2 and start < evolution._BAND_SPAN * np.ptp(f)
+    assert start >= np.ptp(f) and (split == 0 or start - h < np.ptp(f))
+    g = spectral_derivative(f, LENGTH)
+    for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
+        out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
+        ref = _row_by_row_quadrature(f, g, width, 10.0)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+@pytest.mark.parametrize("n, amp", [(1024, 0.3), (2048, 0.3), (2048, 1.0)])
+def test_steep_band_keeps_the_full_range_fit(n, amp):
+    # A_max > 1/8: the band starts at 8 osc, where A_max dx_k exceeds osc on
+    # every band offset, so its rows are bit for bit those of the fit over the
+    # whole range |u| <= osc (an infinite A_max)
+    f = bump(n, amp=amp).values
+    h = LENGTH / n
+    plan = evolution.quadrature_plan(n, h, 10.0)
+    n_pos = plan.offsets.size // 2
+    osc = float(np.ptp(f))
+    split = _band_start(f)
+    assert _a_max(f) > 1.0 / evolution._BAND_SPAN and split < n_pos
+    assert split == math.ceil(evolution._BAND_SPAN * osc / h) - plan.near
+    pos = plan.offsets[n_pos + split:]
+    g = spectral_derivative(f, LENGTH)
+    band = [evolution._fft_band(f, g, pos, pos * h, plan.weights[n_pos + split:], 0.05, osc, a)
+            for a in (_a_max(f), np.inf)]
+    assert np.array_equal(band[0], band[1])
+
+
 def test_kernel_quadrature_fft_band_gives_exactly_zero_for_constant_g():
     # g is centred by a grid value: 123.456 - mean(123.456, ...) is 3 * 2^-46,
     # not 0 (and not a power of two, whose products would cancel exactly)
@@ -391,9 +456,9 @@ def _near_band_layout(n, f):
         (256, 0.3, None, False, 61, 61, 256),  # one block: rows capped at n
         (512, 0.3, None, True, 27, 27, 512),  # one block beside the FFT band
         (256, 0.3, 3000, False, 61, 31, 96),  # ragged last block, chunks of 31 and 30
-        (1024, 0.1, 3000, True, 17, 17, 176),  # ragged last block beside the band
-        (1024, 0.022, None, True, 1, 1, 1024),  # one near offset: no padding
-        (1024, 0.022, 300, True, 1, 1, 300),  # one near offset, ragged last block
+        (2048, 0.1, 3000, True, 2, 2, 1500),  # ragged last block beside the band
+        (2048, 0.09, None, True, 1, 1, 2048),  # one near offset: no padding
+        (2048, 0.09, 300, True, 1, 1, 300),  # one near offset, ragged last block
         (1024, 1.0, None, False, 253, 127, 129),  # steep: two chunks, ragged last block
         (2048, 1.0, None, True, 406, 102, 160),  # four chunks beside the band, ragged
     ],
@@ -440,12 +505,13 @@ def test_barycentric_takes_node_rows_and_propagates_a_non_finite_row():
 def test_kernel_quadrature_makes_no_sites_by_offsets_temporary():
     # the traced peak of one call at N = 4096 stays below an eighth of one
     # float64 array of N x M entries (M = 2042 window offsets), for data
-    # with the FFT band and for steep data that take every offset in the
-    # blocked loop, kernel entry by entry
+    # with the FFT band, for steep data that take every offset in the
+    # blocked loop, kernel entry by entry, and for a long-wave sine whose
+    # band starts at one oscillation (at 8 it would hold too few offsets)
     n = 4096
     plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
     bound = n * plan.offsets.size  # bytes: 8 N M / 8
-    for f in (bump(n).values, _rippled(n, 3.0)):
+    for f in (bump(n).values, _rippled(n, 3.0), _long_wave(n, "sine0.6")):
         g = spectral_derivative(f, LENGTH)
         evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)  # caches filled
         tracemalloc.start()

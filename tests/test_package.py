@@ -31,3 +31,18 @@ def test_no_module_imports_private_names_beyond_the_allowlist():
                 found |= {(module, alias.name) for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")}
     assert found <= PRIVATE_IMPORTS, f"private cross-module imports: {sorted(found - PRIVATE_IMPORTS)}"
+
+
+def test_no_module_reads_the_environment():
+    # no speed constant or path choice can be tuned from outside the code:
+    # no module under src/mixzone names os.environ or os.getenv, however imported
+    found = []
+    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                    node.value.id == "os" and node.attr in ("environ", "getenv")):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {alias.name}"
+                          for alias in node.names if alias.name in ("environ", "getenv")]
+    assert not found, f"environment reads: {found}"

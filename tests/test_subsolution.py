@@ -446,6 +446,14 @@ def test_report_flat_trajectory():
         assert row["ok"]
 
 
+def test_empty_site_list_is_rejected_by_name(bump):
+    with pytest.raises(ValueError, match="s_indices"):
+        subsolution.site_samples(bump, EPS, 1.0, [], [0.0])
+    traj = evolution.integrate(bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025)
+    with pytest.raises(ValueError, match="s_indices"):
+        subsolution.subsolution_report(traj, s_indices=[])
+
+
 def test_report_empty_trajectory():
     assert subsolution.subsolution_report(evolution.Trajectory()) == []
 
