@@ -28,9 +28,10 @@ osc`` for one-cell slopes above 1/8 (:func:`kernel_quadrature`).  Below it
 the sum is pair symmetric, in blocks that stay in L2, with the kernel a
 polynomial per offset in the squared slope (the closed form per pair for
 one-cell slopes above about 0.74).  Beyond it, in the FFT band, the
-kernel is a polynomial of degree at most 7 in the squared height
-difference, so the band's O(N M) pair sum is ``2 (2D + 1)`` circular
-convolutions.  The mollifier is the exact Fourier multiplier of its
+kernel is a polynomial of degree D <= 7 in the squared height difference,
+the least degree whose range floor ``osc 8^(-7/D)`` keeps the fit's row
+factors within ``8^14``, so the band's O(N M) pair sum is ``2 (2D + 1)``
+circular convolutions.  The mollifier is the exact Fourier multiplier of its
 discrete stencil.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
@@ -51,7 +52,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from numpy.polynomial.legendre import leggauss
 
 from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols, max_cell_slope
 from .kernel import kernel_values
@@ -78,7 +78,13 @@ __all__ = [
 ]
 
 DEFAULT_TRUNC_RADIUS = 10.0
-_GL16 = leggauss(16)
+# numpy's leggauss(16) bit for bit: the positive nodes and their weights, mirrored
+_GL16_HALF = np.array([
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]])
+_GL16 = np.concatenate([_GL16_HALF[:, ::-1] * [[-1.0], [1.0]], _GL16_HALF], axis=1)
 _NEAR_LEVELS = 8
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 # fewest trapezoid offsets a window may have: the smallest near cell (2
@@ -102,12 +108,13 @@ _MAX_FAR_DEGREE = 18
 # transverse averages have their branch points there too, take it as well
 FAR_SEMI_MINOR = 0.9
 # the FFT band (see _band_start) is taken when it holds at least _MIN_BAND
-# offsets.  Timed on 2 vCPUs at w = 0.05 (median of 41), kernel_quadrature took,
-# with the band against without, for bumps of amplitude 0.1 and 0.3 and a
-# one-period sine of 0.6: 1.14 / 1.03, 1.54 / 1.18 and 1.43 / 1.05 ms at 61, 49
-# and 57 band offsets (n = 256), 1.37 / 2.11, 2.00 / 2.44 and 1.78 / 2.13 ms at
-# 125, 98 and 113 (n = 512).  Spans of 4, 6 and 8 timed alike at n = 1024 and
-# 2048; 8 keeps the band's degree at 7
+# offsets.  Timed on 2 vCPUs at w = 0.05 (median of 41, two runs), kernel_quadrature
+# took, with the band against without, for bumps of amplitude 0.1 and 0.3 and a
+# one-period sine of 0.6: 1.09-1.15 / 1.10-1.13, 1.54-1.60 / 1.17-1.21 and
+# 1.43-1.45 / 1.05-1.07 ms at 61, 49 and 57 band offsets (n = 256), 1.38-1.41 /
+# 2.28-2.30, 2.03-2.05 / 2.59 and 1.87 / 2.31-2.33 ms at 125, 98 and 113 (n =
+# 512): the crossover lies between 61 and 98.  Spans of 4, 6 and 8 timed alike
+# at n = 1024 and 2048; 8 caps the band's degree at 7 and its row factors at 8^14
 _BAND_SPAN = 8.0
 _MIN_BAND = 96
 
@@ -505,7 +512,7 @@ def _band_map(degree: int) -> np.ndarray:
 
 def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: np.ndarray,
               wts: np.ndarray, width: float, osc: float, a_max: float) -> np.ndarray | None:
-    """Sum of the band's fluxes over both signs of its offsets ``pos``, at every site; or None.
+    """Sum of the band's fluxes over both signs of the contiguous offsets ``pos``; or None.
 
     The two-sided sum ``sum_k wts_k (g_i - g_{i-k}) K(dx_k, f_i - f_{i-k})``
     over ``k = +-pos`` (see :func:`kernel_quadrature`) as circular
@@ -513,22 +520,31 @@ def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: n
     z_{i-k})^2``, ``z = (f - mid) / (osc / 2)``, and the binomial expansion
     of ``v^j`` splits every term into a power of ``z_i`` times a
     convolution.  Offset k is fitted on ``|u| <= u_top_k``, ``a_max dx_k``
-    clipped to ``[osc / _BAND_SPAN, osc]``, so its row of ``v^l`` takes the
-    factor ``(osc / u_top_k)^(2 l)``.  None when the table is not finite.
+    clipped to ``[osc c^(-7 / D), osc]``, ``c = _BAND_SPAN``, at the least
+    degree D that this range needs at the first offset, so its row of ``v^l``
+    takes the factor ``(osc / u_top_k)^(2 l) <= c^14``.  None when the table
+    is not finite.
     """
-    n = f_values.size
-    u_top = np.clip(a_max * dx, osc / _BAND_SPAN, osc)
-    degree = _far_degree(u_top[0] / dx[0])  # u_top / dx falls with dx
+    n, lo, hi = f_values.size, int(pos[0]), int(pos[-1]) + 1
+    # the least degree D whose floor osc c^(-D7 / D), D7 = 7 the degree at slope
+    # 1 / c, leaves offset 0's range within D (u_top / dx falls with dx), searched
+    # up from the floor-free D; D = 0 only at osc = 0
+    d7, degree = _far_degree(1.0 / _BAND_SPAN), _far_degree(min(a_max, osc / dx[0]))
+    while True:
+        u_top = np.clip(a_max * dx, osc * _BAND_SPAN ** (-d7 / max(degree, 1)), osc)
+        if _far_degree(u_top[0] / dx[0]) <= degree:
+            break
+        degree += 1
     coef = _offset_polynomials(dx, wts, width, u_top, degree)
     if coef is None:
         return None
     # (2 j)! times the coefficient of v^j, on an odd row: -k carries the
     # flux that each pair credits to its back site
     rows = np.zeros((degree + 1, n))
-    rows[:, pos] = _band_map(degree) @ coef
-    if degree:  # u_top = 0 only at osc = 0, degree 0
-        rows[1:, pos] *= (osc / u_top) ** np.arange(2, 2 * degree + 1, 2)[:, None]
-    rows[:, n - pos] = -rows[:, pos]
+    rows[:, lo:hi] = _band_map(degree) @ coef
+    if degree:
+        rows[1:, lo:hi] *= (osc / u_top) ** np.arange(2, 2 * degree + 1, 2)[:, None]
+    rows[:, n - hi + 1 : n - lo + 1] = -rows[:, lo:hi][:, ::-1]
     # an odd row's transform is imaginary, i r_j; r_j, copied over the real
     # parts, acts on the real and imaginary parts of the powers' transforms
     rows = np.fft.rfft(rows).view(float)
@@ -544,7 +560,9 @@ def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: n
     # input, so only half the powers are ever held in real space
     powers, steps = np.empty((2 * degree + 1, n)), np.arange(1, 2 * degree + 1)[:, None]
     powers[0] = 1.0
-    np.cumprod(np.divide(z, steps, out=powers[1:]), axis=0, out=powers[1:])
+    np.divide(z, steps, out=powers[1:])
+    for p in range(2, 2 * degree + 1):  # a row at a time: cumprod(axis=0) strides by column
+        powers[p] *= powers[p - 1]
     spectra = np.empty((2 * degree + 1, 2, n // 2 + 1), dtype=complex)
     np.fft.rfft(powers, out=spectra[:, 0])
     powers *= g_c
@@ -561,7 +579,8 @@ def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: n
     # the (-z)^q / q!, q >= 1, take the memory of the X transforms once inverted
     xs = np.fft.irfft(spectra[:, 0], n=n, out=powers)
     terms = np.divide(np.negative(z), steps, out=parts[1:, 0, :n])
-    np.cumprod(terms, axis=0, out=terms)
+    for q in range(1, 2 * degree):
+        terms[q] *= terms[q - 1]
     sum_x = xs[-1] + np.einsum("qn,qn->n", terms, xs[-2::-1])
     ys = np.fft.irfft(spectra[:, 1], n=n, out=powers)
     return g_c * sum_x - (ys[-1] + np.einsum("qn,qn->n", terms, ys[-2::-1]))
@@ -615,8 +634,11 @@ def kernel_quadrature(
       takes :func:`kernel_values` per entry; a non-finite value there names
       its site.
     * FFT band: offset k is fitted over ``|u| <= u_top_k``, ``A_max dx_k``
-      clipped to ``[osc / c, osc]``, which holds its height differences, so
-      ``a = u_top_k / dx_k <= 1 / c`` and ``D`` is 7 or less.  With
+      clipped to ``[osc c^(-7 / D), osc]``, which holds its height
+      differences, so ``a = u_top_k / dx_k <= 1 / c``; D is the least degree
+      that covers the first offset's range under its own floor, from the
+      floor-free ``_far_degree(min(A_max, osc / dx_0))`` up to at most 7, the
+      degree at ``a = 1 / c`` (where the floor is ``osc / c``).  With
       the heights centred, ``z = (f - mid) / (osc / 2)`` in ``[-1, 1]``,
       the kernel is a polynomial ``sum_j b_jk v^j`` in ``v = (z_i -
       z_{i-k})^2``; expanding ``v^j`` binomially, with ``C(2j, q) = (2j)! /
@@ -633,10 +655,11 @@ def kernel_quadrature(
       ``|c_jk| (osc / dx_k)^(2j) <= |c_jk|`` times ``2 max |g - g_0|``, so it
       adds a few ulps of the band's absolute flux sum, the transforms
       ``O(log n)``.  The fit's own roundoff grows with the row factors
-      ``(osc / u_top_k)^(2j)``, which the floor ``osc / c`` caps at
-      ``c^(2j)`` (without it a one-period sine of amplitude 0.03 at n =
-      2048 was off by 1.5e-13).  The band matched the per-entry sum to
-      1.3e-15 of the largest result at n = 1024 and 2048.
+      ``(osc / u_top_k)^(2j)``, j <= D, which the floor caps at
+      ``c^(14 j / D) <= c^14`` at every degree (without a floor a
+      one-period sine of amplitude 0.03 at n = 2048 was off by 1.5e-13).
+      The band matched the per-entry sum to 1.3e-15 of the largest result
+      at n = 1024 and 2048.
     """
     n = f_values.size
     h = length / n

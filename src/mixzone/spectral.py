@@ -34,7 +34,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly
 
 from .grid import BLOCK_ENTRIES, GridFunction1D
 
@@ -288,9 +287,11 @@ def chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m = np.minimum(m, 2 * degree + 2 - m)
     to_chebyshev = sign * np.cos(m * np.pi / (2 * degree + 2)) * (2.0 / (degree + 1))
     to_chebyshev[0] *= 0.5
-    to_monomial = np.zeros((degree + 1, degree + 1))
-    for k in range(degree + 1):
-        to_monomial[: k + 1, k] = cheb2poly(np.eye(k + 1)[k])
+    # column k: the monomial coefficients of T_k, by T_k = 2 t T_(k-1) - T_(k-2)
+    to_monomial = np.eye(degree + 1)
+    for k in range(2, degree + 1):
+        to_monomial[1:, k] = 2.0 * to_monomial[:-1, k - 1]
+        to_monomial[:, k] -= to_monomial[:, k - 2]
     for arr in (t, to_chebyshev, to_monomial):
         arr.flags.writeable = False
     return t, to_chebyshev, to_monomial

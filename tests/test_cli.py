@@ -418,15 +418,16 @@ def test_flat_demo_subcommand(capsys):
 
 
 def test_simulate_imports_no_scipy(tmp_path):
-    # scipy serves the oracles, `verify` and the tests only: importing the
-    # CLI and running `simulate` on the defaults must not load it, nor the
-    # modules of the other commands
+    # scipy and numpy.polynomial serve the oracles, `verify` and the tests
+    # only: importing the CLI and running `simulate` on the defaults must not
+    # load them, nor the modules of the other commands
     (tmp_path / "empty.json").write_text("{}")
     code = (
         "import sys\n"
         "import mixzone.cli\n"
         "rc = mixzone.cli.main(['simulate', 'empty.json', '--out', 'run'])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                 or m.split('.')[:2] == ['numpy', 'polynomial']))\n"
         "print(sorted(m for m in ('mixzone.verify', 'mixzone.flatlab') if m in sys.modules))\n"
     )
     proc = _fresh_python(["-c", code], cwd=tmp_path)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from _table import run_check
 
-from mixzone import evolution, kernel, spectral
+from mixzone import cli, evolution, kernel, spectral
 from mixzone.evolution import InterfaceState, Trajectory
 from mixzone.grid import GridFunction1D, NonFiniteError, spectral_derivative
 
@@ -60,6 +61,14 @@ def test_kernel_quadrature_vanishes_for_constant_slope():
     g_vals = np.full(n, 0.3)
     out = evolution.kernel_quadrature(f_vals, g_vals, LENGTH, 0.05, 10.0)
     assert np.max(np.abs(out)) == 0.0
+
+
+def test_near_cell_rule_is_numpys_gauss_legendre():
+    # the plan's 16-node table, written out, is leggauss(16) bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    for got, want in zip(evolution._GL16, leggauss(16)):
+        assert np.array_equal(got, want)
 
 
 def _row_by_row_quadrature(f_vals, g_vals, width, trunc_radius):
@@ -192,10 +201,10 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     # the near band is one table of its Chebyshev nodes in the squared slope
     # per offset, or, for steep data, one entry per pair; the FFT band, when
     # it holds at least _MIN_BAND offsets, is one _fft_band call whose table
-    # has D + 1 nodes per offset, D for the band's slope range, A_max clipped
-    # to [osc / (8 dx), osc / dx]; the 0.1 bump (A_max <= 1/8) starts it at dx
-    # >= osc, leaving 0 and 2 near-band offsets at n = 1024 and 2048, the
-    # others at dx >= 8 osc
+    # has D + 1 nodes per offset, D = 7 on these bumps (see
+    # test_band_degree_follows_its_floor); the 0.1 bump (A_max <= 1/8) starts
+    # it at dx >= osc, leaving 0 and 2 near-band offsets at n = 1024 and 2048,
+    # the others at dx >= 8 osc
     for n, amp, band, steep, split in ((256, 0.3, False, False, 61), (512, 0.3, True, False, 27),
                                        (1024, 0.1, True, False, 0), (2048, 0.1, True, False, 2),
                                        (1024, 1.0, False, True, 253), (2048, 1.0, True, True, 406)):
@@ -210,14 +219,26 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
         assert near_calls == 1 and 1 < nodes <= n // 8 and band_calls == int(band)
         assert (_far_table_nodes(f) > evolution._MAX_FAR_DEGREE + 1) == steep
         near_band = n * split if steep else _far_table_nodes(f) * split
-        fft_band = 0
-        if band:
-            dx0, osc = (plan.near + split) * h, np.ptp(f)
-            degree = evolution._far_degree(min(max(_a_max(f), osc / (8.0 * dx0)), osc / dx0))
-            assert 1 <= degree <= evolution._far_degree(1.0 / evolution._BAND_SPAN)
-            fft_band = (degree + 1) * (n_pos - split)
+        fft_band = 8 * (n_pos - split) if band else 0
         assert sum(entries) == fft_band + near_band + plan.near_y.size * nodes
         monkeypatch.undo()
+
+
+def _band_fit(monkeypatch, f):
+    """Degree and per-offset ranges ``u_top`` of the FFT band's table in one quadrature."""
+    fits, real = [], evolution._offset_polynomials
+
+    def spy(dx, wts, width, u_top, degree):
+        fits.append((degree, u_top))
+        return real(dx, wts, width, u_top, degree)
+
+    monkeypatch.setattr(evolution, "_offset_polynomials", spy)
+    evolution.kernel_quadrature(f, spectral_derivative(f, LENGTH), LENGTH, 0.05, 10.0)
+    monkeypatch.undo()
+    # the band's table is made before the near band's
+    n_pos = evolution.quadrature_plan(f.size, LENGTH / f.size, 10.0).offsets.size // 2
+    assert fits[0][1].size == n_pos - _band_start(f)
+    return fits[0]
 
 
 def _rippled(n, a_max):
@@ -353,12 +374,15 @@ def _long_wave(n, kind):
 
 @pytest.mark.parametrize("n", [1024, 2048])
 @pytest.mark.parametrize("kind", ["sine0.03", "sine0.6", "sine0.79", "two bumps", "packet"])
-def test_kernel_quadrature_band_from_one_oscillation_matches_row_by_row_sum(n, kind):
+def test_kernel_quadrature_band_from_one_oscillation_matches_row_by_row_sum(monkeypatch, n, kind):
     # A_max <= 1/8: the band starts at dx >= osc, below 8 osc, and offset k is
-    # fitted on |u| <= A_max dx_k clipped to [osc / 8, osc]; the 0.79 sine sits
-    # at the edge, and the 0.03 sine at n = 2048 was off by 1.5e-13 without
-    # the floor osc / 8 (degree 4 with row factors (osc / u_top)^(2 l) up to 2.7e4^l)
+    # fitted on |u| <= A_max dx_k clipped to [osc 8^(-7/D), osc]; the 0.79 sine
+    # sits at the edge, and the 0.03 sine at n = 2048 was off by 1.5e-13
+    # without a floor (degree 4 with row factors (osc / u_top)^(2 l) up to
+    # 2.7e4^l); the floor keeps the largest, (osc / u_top)^(2D), within 8^14
     f = _long_wave(n, kind)
+    degree, u_top = _band_fit(monkeypatch, f)
+    assert (np.ptp(f) / np.min(u_top)) ** (2 * degree) <= evolution._BAND_SPAN ** 14
     h = LENGTH / n
     plan = evolution.quadrature_plan(n, h, 10.0)
     split = _band_start(f)
@@ -371,6 +395,28 @@ def test_kernel_quadrature_band_from_one_oscillation_matches_row_by_row_sum(n, k
         out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
         ref = _row_by_row_quadrature(f, g, width, 10.0)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
+
+
+def _packet(n, seed):
+    """The ``cosine_packet`` heights of ``mixzone simulate`` (amplitude 0.1, width 4, 4 modes)."""
+    config = {"grid": {"n": n}, "seed": seed,
+              "initial": {"family": "cosine_packet", "amplitude": 0.1, "width": 4.0, "modes": 4}}
+    return cli.initial_data(cli.parse_config(json.dumps(config))).values
+
+
+@pytest.mark.parametrize("kind, n, degree", [
+    ("packet5", 1024, 4), ("sine0.03", 1024, 4), ("sine0.03", 2048, 5),
+    ("bump0.1", 512, 7), ("bump0.1", 1024, 7), ("bump0.1", 2048, 7)])
+def test_band_degree_follows_its_floor(monkeypatch, kind, n, degree):
+    # the least degree D whose floor osc 8^(-7/D) leaves the first band offset
+    # within D: the seed-5 packet and the 0.03 sine need 4-5 where the fixed
+    # floor osc / 8 gave 5, 6 and 7; the 0.1 bump keeps 7 (the floor osc / 8)
+    if kind == "packet5":
+        f = _packet(n, 5)
+    else:
+        f = _long_wave(n, kind) if kind.startswith("sine") else bump(n, amp=0.1).values
+    assert _band_start(f) < evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    assert _band_fit(monkeypatch, f)[0] == degree
 
 
 @pytest.mark.parametrize("n, amp", [(1024, 0.3), (2048, 0.3), (2048, 1.0)])

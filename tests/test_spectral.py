@@ -296,6 +296,19 @@ def test_chebyshev_degree_none_where_not_a_finite_integer():
     assert spectral.chebyshev_degree(1.0, math.inf) == 77
 
 
+def test_chebyshev_monomial_map_matches_cheb2poly():
+    # the recurrence's integer entries are numpy.polynomial's conversion bit
+    # for bit, up to degrees beyond those the tables reach
+    from numpy.polynomial.chebyshev import cheb2poly
+
+    for degree in range(64):
+        to_monomial = spectral.chebyshev_maps(degree)[2]
+        for k in range(degree + 1):
+            want = np.zeros(degree + 1)
+            want[: k + 1] = cheb2poly(np.eye(k + 1)[k])
+            assert np.array_equal(to_monomial[:, k], want), (degree, k)
+
+
 def test_apply_mtilde_dinv_names_a_slope_range_without_a_degree(wave):
     values = np.zeros(wave.n)
     values[[3, 7]] = [-1e308, 1e308]
