@@ -17,11 +17,11 @@ grid and window, and the subsolution check reads it too.  Without the
 near cell the quadrature is first order once the kernel width drops below
 the mesh; with it the scheme is second order in h and the right-hand side
 stays smooth in t, preserving the RK4 order.  The frozen-slope moments
-are analytic in the slope, so each call tabulates them at Chebyshev points
-of its slope range (17 for the criterion-08 data) and interpolates them
-to every site within e^-37 by the slope interpolator of
-:mod:`mixzone.spectral`, which the weighted energy uses too
-(:func:`nearfield_correction`).
+are analytic and even in the slope, so each call tabulates them at the
+nonnegative Chebyshev points of ``[-M, M]``, M its largest slope (9 of
+17 for the criterion-08 data), and interpolates them to every site within
+e^-37 by the slope interpolator of :mod:`mixzone.spectral`, which the
+subsolution check's near cell uses too (:func:`nearfield_correction`).
 
 The far offsets split at ``dx = osc``, ``osc = max f - min f``, or at ``8
 osc`` for one-cell slopes above 1/8 (:func:`kernel_quadrature`).  Below it
@@ -32,7 +32,7 @@ kernel is a polynomial of degree D <= 7 in the squared height difference,
 the least degree whose range floor ``osc 8^(-7/D)`` keeps the fit's row
 factors within ``8^14``, so the band's O(N M) pair sum is ``2 (2D + 1)``
 circular convolutions.  The mollifier is the exact Fourier multiplier of its
-discrete stencil.
+discrete stencil, a theta sum in closed form.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
 the stage times; from ``t_start > 1e-9`` the stability probe's velocity
@@ -63,7 +63,6 @@ __all__ = [
     "StabilityError",
     "trapezoid_reach",
     "step_count",
-    "mollifier_weights",
     "mollifier_symbol",
     "mollify",
     "kernel_quadrature",
@@ -183,31 +182,24 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def mollifier_weights(delta: float, h: float) -> np.ndarray:
-    """Discrete mean-one Gaussian stencil of width delta on spacing h.
+def mollifier_symbol(delta: float, h: float, freqs: np.ndarray) -> np.ndarray:
+    """Exact Fourier symbol of the discrete mean-one Gaussian stencil of width delta on spacing h.
 
-    Gaussian with standard deviation delta/2, truncated at |x| <= 6*delta
-    (twelve standard deviations, so the truncated mass is far below
-    roundoff) and renormalized to unit sum; constants are preserved
-    exactly.
+    The stencil samples the Gaussian of standard deviation ``s = delta / 2``
+    at the offsets ``kh``, summing to 1.  By Poisson summation its symbol is
+    ``sum_j exp(-2 pi^2 s^2 (xi - j/h)^2)`` over its value at ``xi = 0``:
+    exactly 1 there and below 1 elsewhere.  With xi reduced mod ``1/h`` and
+    ``s >= h``, ``|j| <= 2`` leave out a relative e^-118: O(1) per mode.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     if delta < 2.0 * h:
         raise ValueError("mollifier width below 2h is unresolved on this grid")
-    m = int(np.floor(6.0 * delta / h))
-    k = np.arange(-m, m + 1)
-    std = 0.5 * delta
-    w = np.exp(-0.5 * (k * h / std) ** 2)
-    return w / w.sum()
-
-
-def mollifier_symbol(delta: float, h: float, freqs: np.ndarray) -> np.ndarray:
-    """Exact Fourier symbol of the discrete stencil at the given frequencies."""
-    w = mollifier_weights(delta, h)
-    m = (w.size - 1) // 2
-    k = np.arange(-m, m + 1)
-    return (w[None, :] * np.cos(2.0 * np.pi * np.outer(freqs, k * h))).sum(axis=1)
+    xi = np.asarray(freqs, dtype=float)
+    xi = xi - np.round(xi * h) / h
+    scale = 2.0 * (np.pi * 0.5 * delta) ** 2
+    images = np.arange(-2, 3)[:, None] / h
+    return np.exp(-scale * (xi - images) ** 2).sum(axis=0) / np.exp(-scale * images**2).sum()
 
 
 @lru_cache(maxsize=16)
@@ -218,10 +210,9 @@ def _fourier_multipliers(delta: float, h: float, n: int) -> tuple[np.ndarray, ..
     slope multiplier is ``2 pi i xi`` times the stencil symbol (its
     Nyquist term is imaginary, so ``irfft`` drops it as
     :func:`spectral_derivative` does); the diffusion multiplier is
-    ``(2 pi i xi)^2`` times the squared symbol.  The stencil
-    acts as the exact multiplier ``irfft(rfft(v) * symbol)``: the symbol is
-    a cosine sum over grid offsets, so a stencil wider than the grid
-    aliases onto it exactly as the periodic stencil sum does.
+    ``(2 pi i xi)^2`` times the squared symbol.  The stencil acts as the
+    exact multiplier ``irfft(rfft(v) * symbol)``, aliased as the periodic
+    stencil sum is.
     """
     xi = np.fft.rfftfreq(n, d=h)
     sym = mollifier_symbol(delta, h, xi) if delta > 0 else np.ones(xi.size)
@@ -354,25 +345,24 @@ def nearfield_correction(
     int_0^{near*h} y^k K(y, A y, w) dy`` are one product with the plan's
     moment table.
 
-    The moments are smooth in the one scalar A, so they are evaluated
-    once, at Chebyshev points of the slope range ``[lo, hi]``, and
-    interpolated to every site.  ``K(y, A y, w)`` is built from ``-Re(z
-    log z)`` at ``z = y (1 + i A) + i c``, ``c`` in ``{0, +-2w}``.  For
+    The moments are smooth and even in the one scalar A, so they are
+    evaluated once, at the nonnegative Chebyshev points of ``[-M, M]``, ``M
+    = max |A|``, and interpolated to every site.  ``K(y, A y, w)`` is built
+    from ``-Re(z log z)`` at ``z = y (1 + i A) + i c``, ``c`` in ``{0, +-2w}``.  For
     complex A and real ``y > 0`` both ``z`` and its conjugate partner
     ``y (1 - i A) - i c`` keep a positive real part while ``|Im A| < 1``,
     so no branch point is met and every moment (a finite sum over the
     nodes) is analytic in that strip.  The Bernstein ellipse about
-    ``[lo, hi]`` with semi-minor axis ``b = 1/2`` lies inside it, so the
+    ``[-M, M]`` with semi-minor axis ``b = 1/2`` lies inside it, so the
     degree of :func:`~mixzone.spectral.chebyshev_degree` makes the
-    interpolation error at most ``e^-37``: ``d + 1`` is 17 nodes for
-    ``|A| <= 0.086``, 78 for ``[-1, 1]`` and 742 for ``[-10, 10]``.  The
-    interpolation is :func:`~mixzone.spectral.slope_interpolated`, the
-    lab's one slope interpolator, shared with the weighted energy.
+    interpolation error at most ``e^-37``: 9 of 17 nodes evaluated for ``M
+    = 0.086``, 39 of 78 for ``M = 1``, 371 of 742 for ``M = 10``, by the
+    lab's one slope table :func:`~mixzone.spectral.slope_interpolated`.
 
     The one evaluator, :func:`_near_moments`, runs on the sites' own
     slopes instead (the interpolation is then the identity) when the
     nodes would number more than an eighth of the sites, or when a slope
-    is not finite.  A constant slope is one node, exact.
+    is not finite.  Zero slopes are one node, exact.
 
     :func:`kernel_quadrature` calls it once per call, with ``work``: a
     float array of shape ``(6, plan.rows, nodes)`` for the frozen height
@@ -381,7 +371,7 @@ def nearfield_correction(
     if work is None:
         work = np.empty((6, plan.rows, plan.near_y.size))
     m = slope_interpolated(slope, slope.size // _SITES_PER_NODE,
-                           lambda slopes: _near_moments(slopes, plan, width, work))
+                           lambda slopes: _near_moments(slopes, plan, width, work), 1.0)
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 
@@ -809,19 +799,18 @@ def stability_limit(
     f0: GridFunction1D, c: float, delta: float, kappa: float, t_start: float,
     trunc_radius: float = DEFAULT_TRUNC_RADIUS, out: np.ndarray | None = None,
 ) -> float:
-    """Measured step probe ``min(h^2/(2 kappa sigma), h / V_max)``; not a stability bound.
+    """Measured step probe ``min(h^2/(2 kappa), h / V_max)``; not a stability bound.
 
-    ``sigma`` is the largest squared mollifier symbol and ``V_max`` the
-    largest velocity at ``max(t_start, 1e-9)``, which ``out`` receives.  A
-    smaller step can blow up: at ``delta = 0`` (Python only), a 0.1 bump plus
+    The mollifier symbol is at most 1; ``V_max`` is the largest velocity at
+    ``max(t_start, 1e-9)``, which ``out`` receives.  A smaller step can
+    blow up: at ``delta = 0`` (Python only), a 0.1 bump plus
     ``0.05 cos(6 pi x / 40)``, N = 1024, c = 1, kappa = 0, ``t_start = 1e-4``
     gets 0.286, yet ``dt = 0.0125`` takes H4 from 0.287 to 5.3e5 in 3 steps.
     """
     h = f0.h
     limit = np.inf
     if kappa > 0:
-        sigma = float(np.max(_fourier_multipliers(delta, h, f0.n)[2] ** 2))
-        limit = h * h / (2.0 * kappa * sigma)
+        limit = h * h / (2.0 * kappa)
     probe = InterfaceState(f=f0, t=max(t_start, 1e-9), c=c, delta=delta, kappa=kappa)
     if probe.width > 0:
         v = rhs_regularized(probe, trunc_radius)

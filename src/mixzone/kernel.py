@@ -213,29 +213,53 @@ def lambda_integral(x, d, a, b, w: float) -> np.ndarray:
     mirror = np.abs(d + (b + w)) < np.abs(d + (a - w))
     d, a, b = np.where(mirror, -d, d), np.where(mirror, -b, a), np.where(mirror, -a, b)
     q, p1, p2, p12 = d + (a - w), d + (b - w), d + (a + w), d + (b + w)
-    del d, a, b  # dead from here on; freed, they cut the call's peak by 3 of ~17 full arrays
-    x2, s12 = x * x, s1 * s2
-    cross, den = x2 - p1 * p2, (x2 + p1 * p1) * (x2 + p2 * p2)
-    # 1 + zeta = z0 z12 conj(z1 z2) / den; ratio = |1 + zeta|^2 - 1, folded
-    theta = np.arctan2(-s12 * x * (p1 + p2), den + s12 * cross)
-    ratio = s12 * (2.0 * cross + s12) / den
-    logs = np.log1p(np.maximum(ratio, -0.5))
-    small = ratio < -0.5
-    if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
-        xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
-        re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
-        theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
-        r0, r12, dens = xs * xs + qs * qs, xs * xs + ps * ps, den[small]
-        arg = r0 * r12 / dens
-        # where |z0|^2 or the ratio is subnormal, log |z0| comes from |z0| itself
-        deep = np.minimum(r0, arg) < _TINY
-        lg = np.log(np.where(deep, 1.0, arg))
-        lg[deep] = 2.0 * np.log(np.hypot(xs[deep], qs[deep])) + np.log(r12[deep] / dens[deep])
-        logs[small] = lg
-    out = q * theta - 0.5 * x * logs
-    out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
-    out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
-    return out / s2
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = x * x
+        den = (x2 + p1 * p1) * (x2 + p2 * p2)
+        huge = np.isinf(den) & np.isfinite(x) & np.isfinite(q) & np.isfinite(p12)
+        if huge.any():
+            beyond = _beyond_range(*(np.broadcast_to(v, den.shape)[huge] for v in (x, d, a, b, w)))
+        del d, a, b  # dead from here on; freed, they cut the call's peak by 3 of ~17 full arrays
+        s12, cross = s1 * s2, x2 - p1 * p2
+        # 1 + zeta = z0 z12 conj(z1 z2) / den; ratio = |1 + zeta|^2 - 1, folded
+        theta = np.arctan2(-s12 * x * (p1 + p2), den + s12 * cross)
+        ratio = s12 * (2.0 * cross + s12) / den
+        logs = np.log1p(np.maximum(ratio, -0.5))
+        small = ratio < -0.5
+        if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
+            xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
+            re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
+            theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
+            r0, r12, dens = xs * xs + qs * qs, xs * xs + ps * ps, den[small]
+            arg = r0 * r12 / dens
+            # where |z0|^2 or the ratio is subnormal, log |z0| comes from |z0| itself
+            deep = np.minimum(r0, arg) < _TINY
+            lg = np.log(np.where(deep, 1.0, arg))
+            lg[deep] = 2.0 * np.log(np.hypot(xs[deep], qs[deep])) + np.log(r12[deep] / dens[deep])
+            logs[small] = lg
+        out = q * theta - 0.5 * x * logs
+        out += s1 * np.arctan2(s2 * x, x2 + p1 * p12)
+        out += s2 * np.arctan2(s1 * x, x2 + p2 * p12)
+        out /= s2
+    if huge.any():
+        out[huge] = beyond
+    return out
+
+
+def _beyond_range(x, d, a, b, w) -> np.ndarray:
+    """:func:`lambda_integral` where ``(x^2 + p^2)^2`` overflows, ``p`` a corner (``r`` above 1e77).
+
+    For half-widths below ``r / 1e8`` the far limit ``x (b - a) / r^2``, ``r = hypot(x, d + (a +
+    b)/2)``; otherwise the integral, homogeneous of degree 0, scaled by a power of two.
+    """
+    r = np.hypot(x, d + 0.5 * (a + b))
+    out = (b - a) * (x / r) / r
+    near = r < _FAR * np.maximum(w, 0.5 * (b - a))
+    if near.any():
+        x, d, a, b, w = (v[near] for v in (x, d, a, b, w))
+        e = np.frexp(np.maximum.reduce([np.abs(x), np.abs(d + (a - w)), np.abs(d + (b + w))]))[1]
+        out[near] = lambda_integral(*(np.ldexp(v, -e) for v in (x, d, a, b, w)))
+    return out
 
 
 def kernel_quadrature_oracle(dx: float, delta_f: float, eps: float) -> float:

@@ -20,12 +20,12 @@ a table over many slopes is one call.  The weighted energy
 ``|| mtilde Dinv F ||_L2`` and a randomized coercivity probe for it live
 here too.
 
-So does the lab's one slope interpolator: a quantity analytic in the
-slope on ``|Im A| < 1`` (``mtilde``, the near-cell moments) is tabulated
-at Chebyshev points of the slope range and interpolated barycentrically
-to within e^-37 (:func:`slope_interpolated`).  The same degree rule and
-the first-kind points of :func:`chebyshev_maps` give the per-offset
-tables of the PV far kernel and of the subsolution check's far rows.
+So does the lab's one slope table: a quantity analytic in the slope on
+``|Im A| < 1`` and even or odd in it (the near-cell moments) is taken at the
+Chebyshev points ``t >= 0`` of ``[-M, M]``, ``M = max |A|``, and interpolated
+to within e^-37 (:func:`slope_interpolated`); the weighted energy takes the same
+points in ``asinh A``.  The degree rule and :func:`chebyshev_maps` give the
+per-offset tables of the PV far kernel and of the subsolution check's far rows.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ _SERIES_CUTOFF = 1e-3
 # analytic, and minus the log of the interpolation tolerance e^-37
 _STRIP_SEMI_MINOR = 0.5
 _LOG_TOL = 37.0
+_TAU_SEMI_MINOR = math.pi / 6  # the energy's strip in tau = asinh A (see apply_mtilde_dinv)
 # F(w) = sum_{j>=1} (-1)^(j+1) w^j / (j (j+1)!) for |w| <= _F_RADIUS, where 32
 # terms leave a remainder below 1e-20; beyond it the continued fraction of E1
 # at depth _E1_DEPTH (both measured against 40-digit mpmath: 5e-16 absolute
@@ -176,13 +177,15 @@ def h_values(s, slope_a):
     ``(1 - iA) w = 4 pi s``, leaves ``H(s, A) = Re F(w)`` with ``w = 4 pi
     sigma (1 + iA) s`` (see the module docstring and :func:`_damping_f`).
     Within 1e-14 absolute of a 50-digit evaluation for s in [1e-9, 1e3] and
-    |A| <= 200; H(0, A) = 0.
+    |A| <= 200; H(0, A) = 0.  H is even in A, and evaluated at |A|, so the
+    symbols are even in the slope bit for bit.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("s must be nonnegative")
-    a = np.asarray(slope_a, dtype=float)
-    re = 4.0 * np.pi / (1.0 + a * a) * s
+    a = np.abs(np.asarray(slope_a, dtype=float))
+    with np.errstate(over="ignore"):  # 1 + A^2 = inf past |A| = 1.3e154: H = 0 to 1e-306 (1 + s^2)
+        re = 4.0 * np.pi / (1.0 + a * a) * s
     out = _damping_f(np.asarray(re + 1j * (a * re))).real
     return out if out.ndim else float(out)
 
@@ -297,39 +300,33 @@ def chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, to_chebyshev, to_monomial
 
 
-def slope_nodes(slope: np.ndarray,
-                max_nodes: float = math.inf) -> tuple[float, float, np.ndarray] | None:
-    """Chebyshev nodes ``mid + half * t_j`` of the slope range, or None.
+def slope_nodes(half: float, max_nodes: float = math.inf,
+                semi_minor: float = _STRIP_SEMI_MINOR) -> np.ndarray | None:
+    """Chebyshev points ``t_j = cos(j pi / d)``, j = 0..d, of :func:`chebyshev_degree` ``d``, or None.
 
-    ``t_j = cos(j pi / d)``, j = 0..d, with ``d`` from
-    :func:`chebyshev_degree` (one node, ``t = 0``, for a constant slope).
-    None when a slope is not finite or the nodes would number more than
-    ``max_nodes``.
+    Written ``sin((d - 2j) pi / (2d))``, so ``t_{d - j} = -t_j`` bit for
+    bit (one node, 0, at ``half = 0``).  None when ``half`` is not finite
+    or the nodes would number more than ``max_nodes``.
     """
-    lo, hi = float(np.min(slope)), float(np.max(slope))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    # halves taken first, so a finite range never overflows
-    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
-    d = chebyshev_degree(half, max_nodes - 1)
+    d = chebyshev_degree(half, max_nodes - 1, semi_minor)
     if d is None:
         return None
     if d == 0:
-        return mid, half, np.zeros(1)
-    return mid, half, np.cos(np.pi * np.arange(d + 1) / d)
+        return np.zeros(1)
+    return np.sin(np.pi * (d - 2 * np.arange(d + 1)) / (2 * d))
 
 
-def _node_terms(t_nodes: np.ndarray, t: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
-    """``w_p / (t - t_p)`` for the Chebyshev points ``t_p`` in ``nodes``: a row per node, a column per t.
+def _node_terms(t_nodes: np.ndarray, t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``w_p / (t - t_p)`` for the Chebyshev points ``t_p``, p in ``nodes``: a row per p, a column per t.
 
     ``w_p = (-1)^p``, halved at both ends: the barycentric weights of the
     points ``cos(p pi / d)`` (Berrut & Trefethen, SIAM Review 46, 2004).
     """
-    weights = np.resize([1.0, -1.0], t_nodes.size)
-    weights[[0, -1]] *= 0.5
+    weights = np.where(nodes % 2, -1.0, 1.0)
+    weights[(nodes == 0) | (nodes == t_nodes.size - 1)] *= 0.5
     c = np.subtract(t, t_nodes[nodes, None])
     with np.errstate(divide="ignore"):
-        return np.divide(weights[nodes, None], c, out=c)
+        return np.divide(weights[:, None], c, out=c)
 
 
 def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -346,7 +343,7 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
     for start in range(0, t.size, chunk):
         blk = t[start : start + chunk]
         # one column per t, so every pass runs along t
-        c = _node_terms(t_nodes, blk)
+        c = _node_terms(t_nodes, blk, np.arange(t_nodes.size))
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = ext @ c
             out[start : start + chunk] = (frac[:-1] / frac[-1]).T
@@ -355,73 +352,82 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
     return out
 
 
-def slope_interpolated(slope: np.ndarray, max_nodes: float, moments) -> np.ndarray:
-    """``moments(slope)``, taken from a table at the nodes of :func:`slope_nodes`.
+def slope_interpolated(slope: np.ndarray, max_nodes: float, moments, parity) -> np.ndarray:
+    """``moments(slope)``, taken from a table on ``[-M, M]``, ``M = max |slope|``.
 
     ``moments`` maps an array of slopes to one row (of any shape) per
-    slope.  It runs once, on the Chebyshev nodes of the slope range, and
-    the table is interpolated to every slope by :func:`barycentric`; one
-    node is broadcast.  Without nodes it runs on the slopes themselves.
+    slope, its row at ``-A`` being ``parity`` (signs that broadcast against
+    a row) times its row at A.  It runs once, on the nodes ``t >= 0`` of
+    :func:`slope_nodes`; the rows at ``-t`` are their mirrors, and
+    :func:`barycentric` takes the table to every slope.  One node is
+    broadcast.  Without nodes it runs on the slopes themselves.
     """
-    nodes = slope_nodes(slope, max_nodes)
-    if nodes is None:
+    top = float(np.max(np.abs(slope)))
+    t_nodes = slope_nodes(top, max_nodes)
+    if t_nodes is None:
         return moments(slope)
-    mid, half, t_nodes = nodes
-    table = moments(mid + half * t_nodes)
+    d = t_nodes.size - 1
+    table = moments(top * t_nodes[: d // 2 + 1])
     shape = (slope.size, *table.shape[1:])
-    if half == 0.0:
+    if d == 0:
         return np.broadcast_to(table, shape)
-    flat = table.reshape(t_nodes.size, -1)
-    return barycentric(t_nodes, flat, (slope - mid) / half).reshape(shape)
+    # the nodes t_{d - j} = -t_j, j < (d + 1) // 2, from the nodes t_j
+    table = np.concatenate([table, parity * table[: (d + 1) // 2][::-1]])
+    return barycentric(t_nodes, table.reshape(d + 1, -1), slope / top).reshape(shape)
 
 
 def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:
     """Apply the x-dependent operator ``mtilde(xi, A(x), t) Dinv``.
 
     For real A, ``H(s, A) = (F(w) + F(w*)) / 2`` with ``w = 4 pi s / (1 -
-    iA)``, ``w* = 4 pi s / (1 + iA)`` and F entire, so the symbol is
-    analytic on ``|Im A| < 1``.  Each node ``A_p`` of :func:`slope_nodes`
-    (17 for ``|A| <= 0.086``, 193 for ``|A| <= 2.57``) gives one field
-    ``F_p = irfft(rfft(f) / (1 + t xi) mtilde(xi, A_p, t))``, and site j
-    takes the barycentric formula on the diagonal, ``sum_p c_pj F_pj /
-    sum_p c_pj`` (:func:`_node_terms`); a site on a node takes its field.
-    The nodes are streamed in chunks of at most ``BLOCK_ENTRIES`` field
-    entries, so the memory is bounded at any slope.  Within 1e-12 of the
-    largest value of the exact mode sum :func:`mtilde_dinv_mode_sum`
-    (enforced in tests).  Raises ValueError, naming the slope range, when
-    that range takes no finite degree (slopes near the float limit).
+    iA)`` and F entire, so the symbol is singular only at ``A = +-i``,
+    ``tau = asinh A = +-i pi / 2``; on ``|Im tau| <= pi / 6``, ``|w| <= 8 pi
+    s`` as on ``|Im A| <= 1/2``.  So the nodes are the points ``t_p`` of
+    :func:`slope_nodes` for ``[-T, T]``, ``T = asinh max |A|``, semi-minor
+    axis ``pi / 6``, at slopes ``A_p = sinh(T t_p)``: 16 for ``|A| <=
+    0.086``, 121 for 2.55, 864 for 1e5.  Each node ``t_p >= 0`` gives one
+    field ``F_p = irfft(rfft(f) / (1 + t xi) mtilde(xi, A_p, t))``, also
+    that of ``-t_p`` (mtilde is even in A), and site j, at ``asinh(A_j) /
+    T``, takes the barycentric formula on the diagonal, ``sum_p c_pj F_pj
+    / sum_p c_pj`` (:func:`_node_terms`); a site on a node takes its
+    field.  Streamed in chunks of ``BLOCK_ENTRIES`` field entries; within
+    1e-12 of the largest value of :func:`mtilde_dinv_mode_sum` (tested).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    nodes = slope_nodes(slope.values)
-    if nodes is None:  # grid values are finite, but their range may take no finite degree
-        raise ValueError(f"slopes in [{slope.values.min():g}, {slope.values.max():g}] "
-                         "take no finite Chebyshev degree")
-    mid, half, t_nodes = nodes
+    t_sites = np.arcsinh(slope.values)
+    tau_max = float(np.max(np.abs(t_sites)))
+    t_nodes = slope_nodes(tau_max, semi_minor=_TAU_SEMI_MINOR)
     xi = np.fft.rfftfreq(f.n, d=f.h)
     damped = np.fft.rfft(f.values) / (1.0 + t * xi)
 
     def fields(nodes: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(damped * symbol_mtilde(xi, nodes[:, None], t), n=f.n)
+        with np.errstate(over="ignore"):  # sinh(asinh A) may round past the float limit
+            slopes = np.minimum(np.sinh(tau_max * nodes), np.finfo(float).max)
+        return np.fft.irfft(damped * symbol_mtilde(xi, slopes[:, None], t), n=f.n)
 
-    if half == 0.0:
-        return f.with_values(fields(np.array([mid]))[0])
-    t_sites = (slope.values - mid) / half
+    d = t_nodes.size - 1
+    if d == 0:
+        return f.with_values(fields(t_nodes)[0])
+    t_sites /= tau_max
     num, den, on_node = np.zeros(f.n), np.zeros(f.n), np.empty(f.n)
     chunk = max(1, BLOCK_ENTRIES // f.n)
     # a site on a node has an infinite term there: inf * 0 and inf / inf are NaN
     with np.errstate(invalid="ignore"):
-        for start in range(0, t_nodes.size, chunk):
-            blk = slice(start, start + chunk)
-            per_node = fields(mid + half * t_nodes[blk])
-            c = _node_terms(t_nodes, t_sites, blk)
+        for start in range(0, d // 2 + 1, chunk):
+            own = np.arange(start, min(start + chunk, d // 2 + 1))
+            per_node = fields(t_nodes[own])
+            c = _node_terms(t_nodes, t_sites, own)
+            # the node d - p, at -t_p, shares the field of p
+            mirrored = own[own < (d + 1) // 2]
+            c[: mirrored.size] += _node_terms(t_nodes, t_sites, d - mirrored)
             part = c.sum(axis=0)
             den += part
             num += np.einsum("pj,pj->j", c, per_node)
             hit = np.flatnonzero(np.isinf(part))
-            on_node[hit] = per_node[np.argmin(np.abs(t_sites[hit] - t_nodes[blk, None]), axis=0), hit]
+            on_node[hit] = per_node[np.argmin(np.abs(np.abs(t_sites[hit]) - t_nodes[own, None]), 0), hit]
         return f.with_values(np.where(np.isinf(den), on_node, num / den))
 
 

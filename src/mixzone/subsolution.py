@@ -41,11 +41,9 @@ one interval, ``[0, w]``), and the mirrors then halve every table:
   table of ``+k``.  The sites are contracted with the Chebyshev basis by
   matmuls, in blocks of about ``BLOCK_ENTRIES`` entries.
 * The singular cell depends on a site only through its slope.  It is
-  summed over ``y > 0`` only (the ``y < 0`` half is its mirror),
-  tabulated on ``[-M, M]``, ``M`` the largest slope, at the nonnegative
-  nodes of :func:`mixzone.spectral.slope_nodes` (the strip of the
-  evolution's near-cell moments), and interpolated to the sites by
-  :func:`mixzone.spectral.barycentric`.
+  summed over ``y > 0`` only (the ``y < 0`` half is its mirror), and
+  its columns, even or odd in the slope, take the evolution's slope
+  table :func:`mixzone.spectral.slope_interpolated`.
 
 A table is taken only while its nonnegative nodes do not outnumber the
 sites (a node costs what a site does) and its slope bound is finite;
@@ -68,7 +66,7 @@ from .evolution import (DEFAULT_TRUNC_RADIUS, FAR_SEMI_MINOR, Trajectory, kernel
 from .grid import (BLOCK_ENTRIES, GridFunction1D, derivative_symbols, max_cell_slope,
                    spectral_derivative)
 from .kernel import lambda_integral
-from .spectral import barycentric, chebyshev_degree, chebyshev_maps, slope_nodes
+from .spectral import chebyshev_degree, chebyshev_maps, slope_interpolated
 
 __all__ = [
     "SiteSamples", "site_samples", "hull_slacks", "choose_M",
@@ -271,32 +269,15 @@ def _far_rows(snap: _Snapshot, f_values: np.ndarray, js: np.ndarray, w: float, c
 def _near_cell(snap: _Snapshot, slopes: np.ndarray, w: float, cols: _Columns) -> np.ndarray:
     """The near-cell moments ``J_k = int y^k inner(y, slope y + lam)`` at each slope, k = 0..5.
 
-    Summed over ``y > 0`` only: the integrand at -y is minus the one at y
-    with its columns mirrored, so ``J_k[c] = P_k[c] - (-1)^k P_k[mirror c]``
-    for the half-cell moments P_k.  ``J_k`` is odd in the slope for even k
-    and even for odd k, so a table on the symmetric range ``[-M, M]``, ``M
-    = max |slope|``, is evaluated at its nonnegative nodes only and
-    interpolated by :func:`~mixzone.spectral.barycentric`.  Without the
-    table (its nonnegative nodes would outnumber the slopes, or a slope is
-    not finite) each slope takes its own half cell.
+    Summed over ``y > 0``: ``J_k[c] = P_k[c] - (-1)^k P_k[mirror c]`` for the half-cell moments
+    ``P_k``, and ``J_k(-A) = -(-1)^k J_k(A)`` mirrors the slope table, capped at 2 nodes a slope.
     """
     def moments(at):
         half = _in_blocks(at.size, snap.y_near.size, cols.mirror.size, lambda rows: (
             snap.near_wts @ _column_values(snap.y_near, at[rows, None] * snap.y_near, w, cols)))
         return half - _PARITY * half[..., cols.mirror]
 
-    top = float(np.max(np.abs(slopes)))
-    nodes = slope_nodes(np.array([-top, top]), 2 * slopes.size)
-    if nodes is None:
-        return moments(slopes)
-    _, half, t = nodes
-    table = moments(half * t[: (t.size + 1) // 2])
-    if half == 0.0:
-        return np.broadcast_to(table, (slopes.size, *table.shape[1:]))
-    # nodes t_{d - j} = -t_j, j < t.size // 2, from the nodes t_j
-    table = np.concatenate([table, -_PARITY * table[: t.size // 2][::-1]])
-    out = barycentric(t, table.reshape(t.size, -1), slopes / half)
-    return out.reshape(slopes.size, *table.shape[1:])
+    return slope_interpolated(slopes, 2 * slopes.size, moments, -_PARITY)
 
 
 def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np.ndarray, ...]:

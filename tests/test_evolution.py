@@ -39,6 +39,30 @@ def test_mollifier_rejects_unresolved_width():
         evolution.mollify(f, 1.5 * f.h)
 
 
+def test_mollifier_symbol_is_one_at_zero_and_below_elsewhere():
+    # the theta sum over its value at xi = 0: exactly 1 there, which the
+    # diffusion bound of stability_limit takes as the symbol's largest value
+    for n, length, ratio in ((64, 1e-3, 2.0), (256, 40.0, 4.0), (2048, 1e3, 40.0)):
+        h = length / n
+        sym = evolution.mollifier_symbol(ratio * h, h, np.fft.rfftfreq(n, d=h))
+        assert sym.max() == sym[0] == 1.0
+        assert np.all(sym[1:] < 1.0) and np.all(sym >= 0.0)
+
+
+def test_mollifier_symbol_memory_does_not_grow_with_the_width():
+    # delta = 0.05 on h = 1e-3 / 64 is a stencil of 38,401 points, whose
+    # cosine table over the 33 modes took 10 MB (a traced peak of 20 MB)
+    h = 1e-3 / 64
+    freqs = np.fft.rfftfreq(64, d=h)
+    tracemalloc.start()
+    try:
+        evolution.mollifier_symbol(0.05, h, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_mollifier_second_order_in_width():
     f = GridFunction1D.from_callable(lambda x: np.sin(2 * np.pi * x / LENGTH), 512, LENGTH)
     errs = []
@@ -95,8 +119,8 @@ def _direct_near_moments(slope, plan, width):
 
 
 def _quadrature_nodes(slope):
-    """:func:`spectral.slope_nodes` with the cap :func:`evolution.kernel_quadrature` gives it."""
-    return spectral.slope_nodes(slope, slope.size // evolution._SITES_PER_NODE)
+    """:func:`spectral.slope_nodes` of ``[-M, M]``, ``M = max |slope|``, with the quadrature's cap."""
+    return spectral.slope_nodes(float(np.max(np.abs(slope))), slope.size // evolution._SITES_PER_NODE)
 
 
 def _interpolated_near_moments(slope, plan, width):
@@ -125,12 +149,28 @@ def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
+def test_near_moments_are_even_in_the_slope():
+    # I_k(-A) = I_k(A): the table's rows at t < 0 mirror those at t > 0 with
+    # sign +1.  |A| <= 10 takes 742 nodes, so 8192 sites; the bound is the
+    # barycentric sums' roundoff (5e-15 to 8e-15 of each moment's largest
+    # value measured), and a mirror of sign -1 misses it by O(1)
+    n = 8192
+    plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
+    a = np.random.default_rng(11).uniform(-10.0, 10.0, n // 2)
+    a[0] = 10.0
+    slope = np.concatenate([a, -a])
+    assert _quadrature_nodes(slope).size == 742
+    for width in (1e-6, 0.5):
+        m = _interpolated_near_moments(slope, plan, width)
+        assert np.all(np.abs(m[n // 2 :] - m[: n // 2]) <= 1e-14 * np.max(np.abs(m), axis=0))
+
+
 def test_near_moments_node_counts():
-    # d = ceil(37 / asinh(b / a)), a the half-width of the slope range, b = 1/2
+    # d = ceil(37 / asinh(b / M)), M = max |A|, b = 1/2: the table lies on [-M, M]
     for (lo, hi), nodes in (((0.0, 0.0), 1), ((-0.086, 0.086), 17), ((-1.0, 1.0), 78),
-                            ((2.0, 3.0), 43)):
+                            ((2.0, 3.0), 225)):
         slope = np.linspace(lo, hi, 2048)
-        assert _quadrature_nodes(slope)[2].size == nodes
+        assert _quadrature_nodes(slope).size == nodes
 
 
 def test_near_moments_of_overflowing_and_non_finite_slopes_match_direct_sum():
@@ -197,7 +237,7 @@ def _counted_quadrature(monkeypatch, f):
 
 def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
     # one nearfield_correction call per quadrature, whose kernel entries are
-    # the 144 near-cell nodes times the Chebyshev nodes of the slope range;
+    # the 144 near-cell nodes times the nonnegative Chebyshev nodes of [-M, M];
     # the near band is one table of its Chebyshev nodes in the squared slope
     # per offset, or, for steep data, one entry per pair; the FFT band, when
     # it holds at least _MIN_BAND offsets, is one _fft_band call whose table
@@ -215,12 +255,12 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
         assert _band_start(f) == split
         assert (split < n_pos) == band
         entries, near_calls, band_calls = _counted_quadrature(monkeypatch, f)
-        nodes = _quadrature_nodes(spectral_derivative(f, LENGTH))[2].size
+        nodes = _quadrature_nodes(spectral_derivative(f, LENGTH)).size
         assert near_calls == 1 and 1 < nodes <= n // 8 and band_calls == int(band)
         assert (_far_table_nodes(f) > evolution._MAX_FAR_DEGREE + 1) == steep
         near_band = n * split if steep else _far_table_nodes(f) * split
         fft_band = 8 * (n_pos - split) if band else 0
-        assert sum(entries) == fft_band + near_band + plan.near_y.size * nodes
+        assert sum(entries) == fft_band + near_band + plan.near_y.size * ((nodes + 1) // 2)
         monkeypatch.undo()
 
 
@@ -581,7 +621,9 @@ def test_mollify_matches_direct_stencil_sum(n, delta):
     # (64, 8.0): 6 delta / h = 76, so the 153-point stencil wraps the grid
     rng = np.random.default_rng(2)
     f = GridFunction1D(rng.standard_normal(n), LENGTH)
-    want = _stencil_sum(f.values, evolution.mollifier_weights(delta, f.h))
+    m = int(6.0 * delta / f.h)
+    stencil = np.exp(-0.5 * (np.arange(-m, m + 1) * f.h / (0.5 * delta)) ** 2)
+    want = _stencil_sum(f.values, stencil / stencil.sum())
     out = evolution.mollify(f, delta).values
     assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -342,3 +342,31 @@ def test_ktilde_family_matches_mpmath(t):
                                         (kernel.ktilde_slope_derivative, False, True)):
                 want = oracle(a, y, centered, slope)
                 assert float(fn(a, y, t)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lambda_integral_beyond_the_float_range_of_its_denominator():
+    # past heights of about 1e77, (x^2 + p^2)^2 overflows: the far entries
+    # take x (b - a) / r^2, r = hypot(x, midpoint height), those whose
+    # widths are not small against r the integral scaled by a power of two;
+    # both without a warning
+    w = 0.05
+    heights = np.logspace(78, 300, 38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1.0, 1e-3, 1e3):
+            got = kernel.lambda_integral(x, heights, -w, w, w)
+            want = 2.0 * w * x / heights / heights
+            normal = want > 1e-290
+            assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
+            assert np.all(np.abs(got[~normal]) <= 1e-290)
+        for scale in (1.0, 1e-3):
+            x = scale * heights
+            got = kernel.lambda_integral(x, heights, -w, 0.3 * w, w)
+            want = 1.3 * w * (x / np.hypot(x, heights)) / np.hypot(x, heights)
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+        # widths of the heights' order: the integral is homogeneous of degree 0
+        x, d, a, b = np.array([1e100, -2e100, 3e-10]), np.full(3, 3e100), -1e100, 5e99
+        got = kernel.lambda_integral(x, d, a, b, 1e100)
+        c = 2.0**-400
+        want = kernel.lambda_integral(c * x, c * d, c * a, c * b, c * 1e100)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))

@@ -46,3 +46,23 @@ def test_no_module_reads_the_environment():
                 found += [f"{path.name}:{node.lineno} from os import {alias.name}"
                           for alias in node.names if alias.name in ("environ", "getenv")]
     assert not found, f"environment reads: {found}"
+
+
+def test_one_slope_interpolator():
+    # the Chebyshev nodes and the barycentric formula in the slope are
+    # spectral's alone: every other module takes its slope tables from
+    # spectral.slope_interpolated, so no second interpolator can grow
+    found = []
+    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("barycentric", "slope_nodes")]
+    assert not found, f"slope interpolation outside spectral: {found}"

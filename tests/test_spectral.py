@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,11 +252,11 @@ def _bump(n, amp, length=40.0):
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0])
-@pytest.mark.parametrize("amp", [0.1, 1.0, 3.0])  # largest slopes 0.086, 0.86, 2.57
+@pytest.mark.parametrize("amp", [0.1, 1.0, 3.0, 30.0, 1000.0])  # largest slopes 0.086 to 857
 @pytest.mark.parametrize("n", [256, 1024])
 def test_apply_mtilde_dinv_matches_mode_sum_on_steep_bumps(n, amp, t):
-    # the slope interpolation takes as many nodes as the slope range needs,
-    # so steep data keep the digits of shallow data
+    # the nodes in tau = asinh A are as many as the slope range needs, so
+    # steep data keep the digits of shallow data
     f = _bump(n, amp)
     slope = f.derivative()
     ref = spectral.mtilde_dinv_mode_sum(f, slope, t).values
@@ -263,28 +264,75 @@ def test_apply_mtilde_dinv_matches_mode_sum_on_steep_bumps(n, amp, t):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _tau_nodes(top):
+    """The weighted energy's Chebyshev points in ``tau = asinh A`` for ``|A| <= top``."""
+    return spectral.slope_nodes(float(np.arcsinh(top)), semi_minor=spectral._TAU_SEMI_MINOR)
+
+
 def test_apply_mtilde_dinv_site_on_a_node_takes_its_field():
-    # slope range [-1, 1]: the nodes are the 78 points cos(j pi / 77)
-    # themselves; sites on the two end nodes and on interior nodes of both
-    # node chunks (64 nodes per chunk at n = 256) take that node's field
-    n, t = 256, 0.4
+    # slopes up to 30: 292 nodes in tau, 146 of them (t >= 0) evaluated, in
+    # 3 chunks of 64 at n = 256; sites on both end nodes, and on nodes t > 0
+    # of every chunk and their mirrors t < 0, take that node's field, at
+    # the node slope sinh(T t_p), bit for bit
+    n, t, top = 256, 0.4, 30.0
     f = _bump(n, 1.0)
     f = f.with_values(f.values + 0.2 * np.sin(np.arange(n)))
-    t_nodes = spectral.slope_nodes(np.array([-1.0, 1.0]))[2]
-    assert t_nodes.size == 78
-    values = np.random.default_rng(7).uniform(-0.9, 0.9, n)
-    on_node = {0: -1.0, 10: 1.0, 50: t_nodes[5], 51: t_nodes[5], 200: t_nodes[70]}
-    for site, a in on_node.items():
-        values[site] = a
+    t_nodes = _tau_nodes(top)
+    d = t_nodes.size - 1
+    assert d == 291
+    values = np.random.default_rng(7).uniform(-25.0, 25.0, n)
+    values[[0, 10]] = -top, top
+    big = float(np.arcsinh(top))
+    # the interior nodes whose slope maps back onto them
+    nodes = [p for p in (5, 70, 71, 140, 145) if np.arcsinh(np.sinh(big * t_nodes[p])) / big == t_nodes[p]]
+    assert len(nodes) >= 3
+    on_node = {0: d, 10: 0}
+    for k, p in enumerate(nodes):
+        on_node[50 + 2 * k], on_node[51 + 2 * k] = p, d - p
+        values[50 + 2 * k] = np.sinh(big * t_nodes[p])
+        values[51 + 2 * k] = -values[50 + 2 * k]
     slope = GridFunction1D(values, f.length)
     got = spectral.apply_mtilde_dinv(f, slope, t).values
     xi = np.fft.rfftfreq(n, d=f.h)
     damped = np.fft.rfft(f.values) / (1.0 + t * xi)
-    for site, a in on_node.items():
-        field = np.fft.irfft(damped * spectral.symbol_mtilde(xi, a, t), n=n)
-        assert got[site] == field[site]
+    for site, p in on_node.items():
+        field = np.fft.irfft(damped * spectral.symbol_mtilde(xi, np.sinh(big * t_nodes[p]), t), n=n)
+        assert got[site] == field[site], (site, p)
     ref = spectral.mtilde_dinv_mode_sum(f, slope, t).values
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("amp", [0.1, 3.0, 1000.0])
+def test_mtilde_and_the_weighted_energy_are_even_in_the_slope(amp):
+    # mtilde is evaluated at |A|, so it is even bit for bit; the energy's
+    # node -t_p takes the field of t_p and its terms at -t are those at t,
+    # so it is even bit for bit too
+    xi = np.fft.fftfreq(256, d=40.0 / 256)
+    slopes = np.random.default_rng(13).uniform(-10.0, 10.0, 64)[:, None]
+    for t in (0.0, 0.1, 1.0):
+        assert np.array_equal(spectral.symbol_mtilde(xi, -slopes, t), spectral.symbol_mtilde(xi, slopes, t))
+        assert np.array_equal(spectral.symbol_m(xi, -slopes, t), spectral.symbol_m(xi, slopes, t))
+    f = _bump(256, amp)
+    f = f.with_values(f.values + 0.3 * np.sin(np.arange(256)))
+    slope = f.derivative()
+    for t in (0.1, 1.0):
+        got = spectral.apply_mtilde_dinv(f, slope, t).values
+        assert np.array_equal(spectral.apply_mtilde_dinv(f, slope.with_values(-slope.values), t).values, got)
+
+
+def test_apply_mtilde_dinv_node_count_is_logarithmic_in_the_slope(monkeypatch):
+    # d = ceil(37 / asinh((pi / 6) / asinh M)): at most 900 nodes up to |A| = 1e5,
+    # and the fields are taken at the (d + 2) // 2 nodes t >= 0 only
+    counts = [_tau_nodes(top).size for top in np.logspace(-3, 5, 33)]
+    assert counts == sorted(counts) and counts[-1] == 864 <= 900
+    assert [_tau_nodes(top).size for top in (0.086, 2.55, 25.5)] == [16, 121, 280]
+    rows, real = [], spectral.symbol_mtilde
+    monkeypatch.setattr(spectral, "symbol_mtilde",
+                        lambda xi, a, t: rows.append(np.size(a)) or real(xi, a, t))
+    f = _bump(256, 1.0)
+    values = np.linspace(-1e5, 1e5, 256)
+    spectral.apply_mtilde_dinv(f, GridFunction1D(values, f.length), 0.5)
+    assert sum(rows) == (864 + 1) // 2
 
 
 def test_chebyshev_degree_none_where_not_a_finite_integer():
@@ -292,7 +340,7 @@ def test_chebyshev_degree_none_where_not_a_finite_integer():
     # a range near the float limit takes no degree, however many nodes are allowed
     assert spectral.chebyshev_degree(1e308, math.inf) is None
     assert spectral.chebyshev_degree(1e308, math.inf, 0.9) is None
-    assert spectral.slope_nodes(np.array([-1e308, 1e308])) is None
+    assert spectral.slope_nodes(1e308) is None
     assert spectral.chebyshev_degree(1.0, math.inf) == 77
 
 
@@ -309,9 +357,29 @@ def test_chebyshev_monomial_map_matches_cheb2poly():
             assert np.array_equal(to_monomial[:, k], want), (degree, k)
 
 
-def test_apply_mtilde_dinv_names_a_slope_range_without_a_degree(wave):
-    values = np.zeros(wave.n)
-    values[[3, 7]] = [-1e308, 1e308]
-    slope = GridFunction1D(values, wave.length)
-    with pytest.raises(ValueError, match=r"\[-1e\+308, 1e\+308\]"):
-        spectral.apply_mtilde_dinv(wave, slope, 0.5)
+def test_apply_mtilde_dinv_is_finite_at_slopes_of_1e150(wave):
+    # 1e150 takes 24,457 nodes in tau (the slope itself would take none): a
+    # finite result, the mode sum's, and no warning; so does the float limit,
+    # where sinh(asinh A) rounds past it
+    assert _tau_nodes(1e150).size == 24457
+    for top in (1e150, np.finfo(float).max):
+        values = np.zeros(wave.n)
+        values[[3, 7]] = [-top, top]
+        slope = GridFunction1D(values, wave.length)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral.apply_mtilde_dinv(wave, slope, 0.5).values
+            ref = spectral.mtilde_dinv_mode_sum(wave, slope, 0.5).values
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_h_values_takes_any_finite_slope_without_a_warning():
+    # 1 + A^2 overflows past |A| = 1.3e154; H is then 0 to double precision
+    s = np.array([0.0, 1e-3, 1.0, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1e154, 1e155, 1e300, np.finfo(float).max):
+            got = spectral.h_values(s, a)
+            assert np.all((got >= 0.0) & (got <= 1e-300))
+            assert np.array_equal(spectral.symbol_mtilde(s, -a, 1.0), spectral.symbol_mtilde(s, a, 1.0))

@@ -187,7 +187,7 @@ def _tables(f, w, sites):
     snap = subsolution._Snapshot(f, w, 10.0)
     top = np.max(np.abs(snap.g[list(sites)]))
     return (subsolution._far_degree(snap, len(sites)) is not None,
-            spectral.slope_nodes(np.array([-top, top]), 2 * len(sites)) is not None)
+            spectral.slope_nodes(top, 2 * len(sites)) is not None)
 
 
 @pytest.mark.parametrize("w", [1e-10, 1e-6, 1e-4, 1e-2, 0.1, 0.5])
@@ -243,6 +243,26 @@ def test_far_tables_match_direct_far_sums(bump, w):
     assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("w", [1e-6, 0.5])
+def test_near_cell_has_the_parity_of_its_columns(bump, w):
+    # J_k(-A) = -(-1)^k J_k(A) column for column (the column mirror is folded
+    # into J_k): |A| <= 10 takes 742 nodes, so 400 slopes and their negatives;
+    # the bound is the barycentric sums' roundoff (4e-15 to 6e-15 of each
+    # column's largest value measured), and a mirror of the opposite sign
+    # misses it by O(1)
+    snap = subsolution._Snapshot(bump, w, 10.0)
+    lams = subsolution._lambda_fractions(9) * w
+    a = np.append(np.where(lams <= 0, -w, lams), -w)
+    b = np.append(np.where(lams <= 0, lams, w), w)
+    cols, _ = subsolution._closed_columns(a, b, lams)
+    slopes = np.random.default_rng(12).uniform(-10.0, 10.0, 400)
+    slopes[0] = 10.0
+    assert spectral.slope_nodes(10.0, 800).size == 742
+    jk = subsolution._near_cell(snap, np.concatenate([slopes, -slopes]), w, cols)
+    scale = np.max(np.abs(jk), axis=0)
+    assert np.all(np.abs(jk[400:] + subsolution._PARITY * jk[:400]) <= 1e-14 * scale)
+
+
 def test_closed_columns_mirror():
     w = 0.5
     lams = subsolution._lambda_fractions(9) * w
@@ -287,7 +307,7 @@ def test_report_entry_counts(monkeypatch, bump):
     degree = spectral.chebyshev_degree(a_max, np.inf, evolution.FAR_SEMI_MINOR)
     sites = range(0, 256, 8)
     top = np.max(np.abs(snap.g[sites]))
-    nodes = spectral.slope_nodes(np.array([-top, top]))[2].size
+    nodes = spectral.slope_nodes(top).size
     assert (degree, nodes) == (13, 14)
     seen = _count_entries(monkeypatch, bump)
     subsolution.subsolution_report(traj)
@@ -307,7 +327,7 @@ def test_site_blocks_flat_take_one_node(flat):
     sites = range(0, 128, 5)
     snap = subsolution._Snapshot(flat, EPS, 10.0)
     assert subsolution._far_degree(snap, len(sites)) == 0
-    assert spectral.slope_nodes(np.zeros(2))[2].size == 1
+    assert spectral.slope_nodes(0.0).size == 1
     _assert_matches_per_site(flat, EPS, sites)
 
 
