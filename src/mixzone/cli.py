@@ -182,6 +182,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("initial.path is required for the file family")
     if icfg["modes"] < 0:
         raise ConfigError("initial.modes must be nonnegative")
+    if family == "cosine_packet" and icfg["modes"] > n // 2:
+        # waves above the Nyquist frequency alias on the grid
+        raise ConfigError(f"initial.modes must be at most grid.n // 2 = {n // 2} for a packet")
+    if merged["seed"] < 0:
+        raise ConfigError("seed must be nonnegative")
     if family in ("gaussian_bump", "cosine_packet") and icfg["width"] == 0:
         raise ConfigError("initial.width must be nonzero")
     return RunConfig(
@@ -193,11 +198,69 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _packet_phases(seed: int, modes: int) -> list[float]:
+    """``numpy.random.default_rng(seed).uniform(0, 2 pi, modes)``, bit for bit.
+
+    In integer Python, so that ``simulate`` never imports ``numpy.random``,
+    which loads ``hashlib``, ``secrets`` and ``random`` with it and adds
+    about 6 MB of resident memory.  numpy's ``SeedSequence`` hashes
+    the seed's 32-bit words into a pool of four and draws PCG64's 128-bit
+    state and increment from it; PCG64 (O'Neill, 2014) steps a 128-bit LCG
+    and outputs its XSL-RR 128/64 permutation, whose top 53 bits over 2^53
+    make the uniform double.  ``seed`` must be nonnegative.
+    """
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    const, halves = 0x8B51F9DD, []
+    for i in range(8):  # generate_state(4, np.uint64), as 32-bit halves
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        halves.append(value ^ value >> 16)
+    u0, u1, u2, u3 = (halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2))
+    # pcg_setseq_128_srandom_r: state (u0, u1), stream (u2, u3)
+    inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+    state = ((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128
+    phases = []
+    for _ in range(modes):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        phases.append(2.0 * math.pi * ((x >> 11) * 2.0**-53))
+    return phases
+
+
 def initial_data(cfg: RunConfig) -> GridFunction1D:
     """Construct the initial interface height for a parsed configuration.
 
-    Raises :class:`ConfigError` when the table of the ``file`` family
-    cannot be read or holds heights that are not finite.
+    The ``cosine_packet`` phases are exactly
+    ``numpy.random.default_rng(seed).uniform(0, 2 pi, modes)``, computed by
+    :func:`_packet_phases` without importing ``numpy.random``.  Raises
+    :class:`ConfigError` when the table of the ``file`` family cannot be
+    read or holds heights that are not finite.
     """
     if cfg.family == "zero":
         return GridFunction1D.zeros(cfg.n, cfg.length)
@@ -208,8 +271,7 @@ def initial_data(cfg: RunConfig) -> GridFunction1D:
             cfg.length,
         )
     if cfg.family == "cosine_packet":
-        rng = np.random.default_rng(cfg.seed)
-        phases = rng.uniform(0.0, 2.0 * np.pi, cfg.modes)
+        phases = _packet_phases(cfg.seed, cfg.modes)
 
         def packet(x):
             envelope = np.exp(-(((x - cfg.center) / cfg.width) ** 2))
@@ -240,6 +302,12 @@ def initial_data(cfg: RunConfig) -> GridFunction1D:
 
 def _format_row(values) -> str:
     return ",".join(f"{v:.17g}" for v in values)
+
+
+def _snapshot_text(xs: np.ndarray, values: np.ndarray) -> str:
+    """The ``x,f`` table of a snapshot; Python floats format as numpy's do, only faster."""
+    rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), values.tolist()))
+    return "x,f\n" + rows
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> int:
@@ -294,11 +362,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
                 [state.t, diag["l2"], diag["h4"], en, max_gamma, min_slack, m_bound]
             )
         )
-        xs = state.f.x
-        snap = ["x,f"] + [
-            f"{x:.17g},{v:.17g}" for x, v in zip(xs, state.f.values)
-        ]
-        (snapdir / f"f_{diag['step']:06d}.csv").write_text("\n".join(snap) + "\n")
+        (snapdir / f"f_{diag['step']:06d}.csv").write_text(_snapshot_text(state.f.x, state.f.values))
     (outdir / "trace.csv").write_text("\n".join(lines) + "\n")
 
     meta = {

@@ -227,8 +227,8 @@ def lambda_integral(x, d, a, b, w: float) -> np.ndarray:
         logs = np.log1p(np.maximum(ratio, -0.5))
         small = ratio < -0.5
         if small.any():  # |1 + zeta| < 0.71: build it from its small factor z0 z12
-            xs, qs, ps = np.broadcast_to(x, q.shape)[small], q[small], p12[small]
-            re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * (p1 + p2)[small]
+            xs, qs, ps, psum = (np.broadcast_to(v, small.shape)[small] for v in (x, q, p12, p1 + p2))
+            re, im, cr, ci = xs * xs - qs * ps, xs * (qs + ps), cross[small], -xs * psum
             theta[small] = np.arctan2(re * ci + im * cr, re * cr - im * ci)
             r0, r12, dens = xs * xs + qs * qs, xs * xs + ps * ps, den[small]
             arg = r0 * r12 / dens

@@ -68,11 +68,38 @@ def test_parse_rejects_bad_family_and_missing_path():
         ('{"initial": {"modes": -1}}', "initial.modes"),
         ('{"initial": {"path": 5}}', "initial.path"),
         ('{"seed": null}', "seed"),
+        ('{"seed": -1}', "seed"),
+        ('{"grid": {"n": 64}, "initial": {"family": "cosine_packet", "modes": 33}}',
+         "initial.modes"),
     ],
 )
 def test_parse_rejects_malformed_value_with_path(doc, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         parse_config(doc)
+
+
+def test_packet_modes_bounded_by_the_grid_only():
+    # up to the Nyquist frequency, and only the packet uses modes
+    packet = '{"grid": {"n": 64}, "initial": {"family": "cosine_packet", "modes": %d}}'
+    assert parse_config(packet % 32).modes == 32
+    assert parse_config('{"grid": {"n": 64}, "initial": {"modes": 33}}').modes == 33
+
+
+def test_packet_phases_are_numpy_uniform_draws():
+    # bit for bit numpy's default_rng(seed).uniform(0, 2 pi, size): seeds of
+    # one 32-bit word (all 32 benchmark draws among them), of two, of three
+    # and of more words than the pool of four
+    for seed in [*range(64), 2**32 - 1, 2**32, 2**64 + 3, 10**22, 3**200]:
+        for size in range(10):
+            want = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size)
+            assert np.array(cli._packet_phases(seed, size)).tobytes() == want.tobytes()
+
+
+def test_snapshot_text_formats_as_numpy_scalars():
+    xs = np.array([-0.0, 5e-324, -1.7976931348623157e308, 0.1, 1e-310])
+    values = np.array([1.7976931348623157e308, -0.0, 5e-324, 1.0 / 3.0, -2.5e15])
+    want = "x,f\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, values))
+    assert cli._snapshot_text(xs, values) == want
 
 
 def _config_documents(st):
@@ -418,21 +445,26 @@ def test_flat_demo_subcommand(capsys):
 
 
 def test_simulate_imports_no_scipy(tmp_path):
-    # scipy and numpy.polynomial serve the oracles, `verify` and the tests
-    # only: importing the CLI and running `simulate` on the defaults must not
-    # load them, nor the modules of the other commands
+    # scipy, numpy.polynomial and numpy.random serve the oracles, `verify` and
+    # the tests only: importing the CLI and running `simulate` on the defaults
+    # and on a seeded packet must not load them, nor the modules of the other
+    # commands
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "packet.json").write_text(json.dumps(
+        {"grid": {"n": 64}, "time": {"t_end": 0.025}, "seed": 5,
+         "initial": {"family": "cosine_packet", "modes": 4}}))
     code = (
         "import sys\n"
         "import mixzone.cli\n"
-        "rc = mixzone.cli.main(['simulate', 'empty.json', '--out', 'run'])\n"
+        "rc = [mixzone.cli.main(['simulate', c, '--out', 'run'])\n"
+        "      for c in ('empty.json', 'packet.json')]\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "                 or m.split('.')[:2] == ['numpy', 'polynomial']))\n"
+        "                 or m.split('.')[:2] in (['numpy', 'polynomial'], ['numpy', 'random'])))\n"
         "print(sorted(m for m in ('mixzone.verify', 'mixzone.flatlab') if m in sys.modules))\n"
     )
     proc = _fresh_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "0 []"
+    assert proc.stdout.splitlines()[0] == "[0, 0] []"
     assert proc.stdout.splitlines()[1] == "[]"
 
 

@@ -370,3 +370,18 @@ def test_lambda_integral_beyond_the_float_range_of_its_denominator():
         c = 2.0**-400
         want = kernel.lambda_integral(c * x, c * d, c * a, c * b, c * 1e100)
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_lambda_integral_broadcasts_its_arguments():
+    # the entry at x = 3e-110 takes the small-|1 + zeta| branch, which picks
+    # its entries out of every argument at the full broadcast shape: scalar
+    # or lower-dimensional arguments give the bits of the full arrays
+    x = np.array([1.0, -2.0, 3e-110])
+    full = (x, np.full(3, 3.0), np.full(3, -1.0), np.full(3, 0.5), np.full(3, 1.0))
+    want = kernel.lambda_integral(*full)
+    for d, a, b in ((3.0, -1.0, 0.5), (full[1], -1.0, 0.5), (3.0, full[2], full[3])):
+        assert kernel.lambda_integral(x, d, a, b, 1.0).tobytes() == want.tobytes()
+    d = np.array([3.0, -0.7])
+    got = kernel.lambda_integral(x[:, None], d, -1.0, 0.5, 1.0)
+    want = kernel.lambda_integral(*np.broadcast_arrays(x[:, None], d, -1.0, 0.5, 1.0))
+    assert got.shape == (3, 2) and got.tobytes() == want.tobytes()
