@@ -159,8 +159,10 @@ def parse_config(text: str) -> RunConfig:
         evolution.step_count(t_start, t_end, dt)
     except ValueError as exc:
         raise ConfigError(f"time.dt does not divide time.t_end - time.t_start: {exc}") from exc
-    if kappa == 0.0 and t_start == 0.0:
-        raise ConfigError("time.t_start must be positive when physics.kappa = 0")
+    # the kernel width of the first snapshot, c t_start + kappa, the least of the run
+    if not c * t_start + kappa >= sys.float_info.min:
+        raise ConfigError("physics.c * time.t_start + physics.kappa, the initial kernel width, "
+                          f"must be at least {sys.float_info.min!r}")
     output_every = tcfg["output_every"]
     if not isinstance(output_every, int) or output_every < 1:
         raise ConfigError("time.output_every must be a positive integer")
@@ -339,29 +341,18 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
+    # every snapshot's kernel width is at least the parsed floor: one row each
     report = subsolution.subsolution_report(traj, trunc_radius=cfg.trunc_radius)
-    by_time = {row["t"]: row for row in report}
 
     failure_time = None
     lines = ["t,l2_norm,h4_norm,energy,max_gamma,min_slack,m_bound"]
-    for state, diag in zip(traj.snapshots, traj.diagnostics):
+    for state, diag, row in zip(traj.snapshots, traj.diagnostics, report, strict=True):
         slope = state.f.derivative()
         en = spectral.energy(state.f, slope, state.t)
-        row = by_time.get(state.t)
-        if row is None:
-            max_gamma, min_slack, m_bound, ok = np.nan, np.nan, np.nan, True
-        else:
-            max_gamma = row["max_gamma"]
-            min_slack = row["min_slack"]
-            m_bound = row["m_bound"]
-            ok = row["ok"]
-        if not ok and failure_time is None:
+        if not row["ok"] and failure_time is None:
             failure_time = state.t
-        lines.append(
-            _format_row(
-                [state.t, diag["l2"], diag["h4"], en, max_gamma, min_slack, m_bound]
-            )
-        )
+        lines.append(_format_row([state.t, diag["l2"], diag["h4"], en, row["max_gamma"],
+                                  row["min_slack"], row["m_bound"]]))
         (snapdir / f"f_{diag['step']:06d}.csv").write_text(_snapshot_text(state.f.x, state.f.values))
     (outdir / "trace.csv").write_text("\n".join(lines) + "\n")
 

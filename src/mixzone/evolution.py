@@ -25,17 +25,18 @@ subsolution check's near cell uses too (:func:`nearfield_correction`).
 
 The far offsets split at ``dx = osc``, ``osc = max f - min f``, or at ``8
 osc`` for one-cell slopes above 1/8 (:func:`kernel_quadrature`).  Below it
-the sum is pair symmetric, in blocks that stay in L2, with the kernel a
-polynomial per offset in the squared slope (the closed form per pair for
-one-cell slopes above about 0.74).  Beyond it, in the FFT band, the
-kernel is a polynomial of degree D <= 7 in the squared height difference,
-the least degree whose range floor ``osc 8^(-7/D)`` keeps the fit's row
-factors within ``8^14``, so the band's O(N M) pair sum is ``2 (2D + 1)``
-circular convolutions.  The mollifier is the exact Fourier multiplier of its
-discrete stencil, a theta sum in closed form.
+the sum is pair symmetric, in chunks of offsets across every site that
+stay in L2, with the kernel a polynomial per offset in the squared slope
+(the closed form per pair for one-cell slopes above about 0.74).  Beyond
+it, in the FFT band, the kernel is a polynomial of degree D <= 7 in the
+squared height difference, the least degree whose range floor ``osc
+8^(-7/D)`` keeps the fit's row factors within ``8^14``, so the band's O(N
+M) pair sum is ``2 (2D + 1)`` circular convolutions.  The mollifier is the
+exact Fourier multiplier of its discrete stencil, a theta sum in closed
+form.
 
 Time stepping is classical RK4 with ``eps(t) = c*t`` advanced exactly at
-the stage times; from ``t_start > 1e-9`` the stability probe's velocity
+the stage times; the stability probe runs at ``t_start`` and its velocity
 is the first stage of step 1.  A finiteness check that fails inside a
 stage, or in the stability probe before the first step, raises
 :class:`~mixzone.grid.NonFiniteError`; the stepper records the step and
@@ -53,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .grid import BLOCK_ENTRIES, GridFunction1D, NonFiniteError, derivative_symbols, max_cell_slope
+from .grid import GridFunction1D, NonFiniteError, block_rows, derivative_symbols, max_cell_slope
 from .kernel import kernel_values
 from .spectral import apply_dinv, chebyshev_degree, chebyshev_maps, slope_interpolated
 
@@ -245,7 +246,6 @@ class _Plan(NamedTuple):
     near_y: np.ndarray  # near-cell Gauss-Legendre nodes on (0, near*h]
     near_w: np.ndarray  # their weights
     moments: np.ndarray  # odd-moment table 2 (y, y^3, y^5) w
-    rows: int  # sites per row block of the near cell and of _first_bad_site
 
 
 _GREGORY_END = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
@@ -278,8 +278,8 @@ def quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     an uncanceled h^2 Euler-Maclaurin boundary term at the junction with
     the near cell (the integrand's slope there is ~g'/width, so the term
     even grows while the mesh is coarser than the kernel); the third-order
-    end correction removes it on both ends.  Rows per block are
-    :func:`_block_rows` of the near cell's nodes.
+    end correction removes it on both ends.  The plan holds layout
+    only; each blocked pass takes its rows from :func:`~mixzone.grid.block_rows`.
     """
     m_max = trapezoid_reach(n, h, trunc_radius)
     near = 4 if m_max >= 10 else 2
@@ -298,20 +298,21 @@ def quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     moments = 2.0 * near_y[:, None] ** np.array([1, 3, 5]) * near_w[:, None]
     for arr in (offsets, weights, near_y, near_w, moments):
         arr.flags.writeable = False
-    return _Plan(offsets, weights, near, near_y, near_w, moments, _block_rows(near_y.size, n))
+    return _Plan(offsets, weights, near, near_y, near_w, moments)
 
 
 def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarray) -> np.ndarray:
     """Frozen-slope moments ``2 int_0^{near*h} y^k K(y, A y, w) dy``, k = 1, 3, 5.
 
     One row ``(I1, I3, I5)`` per slope A, summed on the plan's near-cell
-    nodes in blocks of ``plan.rows`` slopes; ``work`` has shape ``(6,
-    plan.rows, nodes)``.
+    nodes in blocks of ``block_rows(nodes)`` slopes; ``work`` has shape
+    ``(6, block_rows(nodes), nodes)``.
     """
     y = plan.near_y
+    rows = block_rows(y.size)
     out = np.empty((slopes.size, 3))
-    for start in range(0, slopes.size, plan.rows):
-        stop = min(start + plan.rows, slopes.size)
+    for start in range(0, slopes.size, rows):
+        stop = min(start + rows, slopes.size)
         u = np.multiply(slopes[start:stop, None], y, out=work[0, : stop - start])
         out[start:stop] = kernel_values(y, u, width, work=work[1:, : stop - start]) @ plan.moments
     return out
@@ -365,11 +366,11 @@ def nearfield_correction(
     is not finite.  Zero slopes are one node, exact.
 
     :func:`kernel_quadrature` calls it once per call, with ``work``: a
-    float array of shape ``(6, plan.rows, nodes)`` for the frozen height
-    differences and the kernel's temporaries.
+    float array of shape ``(6, block_rows(nodes), nodes)`` for the frozen
+    height differences and the kernel's temporaries.
     """
     if work is None:
-        work = np.empty((6, plan.rows, plan.near_y.size))
+        work = np.empty((6, block_rows(plan.near_y.size), plan.near_y.size))
     m = slope_interpolated(slope, slope.size // _SITES_PER_NODE,
                            lambda slopes: _near_moments(slopes, plan, width, work), 1.0)
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
@@ -382,29 +383,25 @@ def _back_windows(values: np.ndarray, reach: int, near: int) -> np.ndarray:
     return sliding_window_view(ext, reach - near + 1)[:n, ::-1]
 
 
-def _block_rows(width: int, n: int) -> int:
-    """Sites per block of ``width`` offsets: ``BLOCK_ENTRIES`` entries, at most n sites."""
-    return min(n, max(1, BLOCK_ENTRIES // max(1, width)))
-
-
 def _first_bad_site(f_values, dx, plan, width) -> int | None:
     """First site whose two-sided row meets a non-finite kernel value, or None.
 
     Failure path only: the pair (i, i - k) lies on the rows of both sites,
-    so every block of the whole window is rescanned and both ends of each
-    bad pair count.
+    so the whole window is rescanned, in chunks of ``block_rows(n)``
+    offsets across every site, and both ends of each bad pair count.
     """
     n = f_values.size
-    f_back = _back_windows(f_values, plan.offsets[-1], plan.near)
+    f_back = _back_windows(f_values, plan.offsets[-1], plan.near).T  # row c: offset near + c
+    cols = block_rows(n)
     bad = np.zeros(n, dtype=bool)
-    for start in range(0, n, plan.rows):
-        blk = slice(start, min(start + plan.rows, n))
+    for c0 in range(0, dx.size, cols):
+        c = slice(c0, c0 + cols)
         with np.errstate(over="ignore"):  # an overflowing difference is a bad kernel value
-            u = f_values[blk, None] - f_back[blk]
-        kern = kernel_values(dx, u, width)
-        r, c = np.nonzero(~np.isfinite(kern))
-        bad[start + r] = True
-        bad[(start + r - plan.near - c) % n] = True
+            u = f_values - f_back[c]
+        kern = kernel_values(dx[c, None], u, width)
+        j, i = np.nonzero(~np.isfinite(kern))
+        bad[i] = True
+        bad[(i - plan.near - c0 - j) % n] = True
     return int(np.argmax(bad)) if bad.any() else None
 
 
@@ -597,12 +594,12 @@ def kernel_quadrature(
     difference is at most ``dx_k / c``; the band is taken when it holds at
     least ``_MIN_BAND`` offsets and ``osc`` is finite (not at n = 256 on the
     default window).  The near band, the offsets below it (all of them without
-    the band), is streamed in blocks of ``BLOCK_ENTRIES`` entries, one row per
-    offset (in chunks of at most ``sqrt(BLOCK_ENTRIES)``) and one column per
-    site.  A block's w rows of fluxes sit between ``w - 1`` zeros on either
-    side; the diagonal view that shifts row j left by j has column sums equal
-    to the back-site sums, read from ``(rows + w) w`` entries, so no N x M
-    temporary is ever made.
+    the band), is streamed in whole rows: chunks of ``cols = min(split,
+    block_rows(n))`` offsets, each across every site, so a chunk holds at
+    most ``BLOCK_ENTRIES`` entries, or one offset's n.  A chunk's w rows of
+    fluxes sit between ``cols - 1`` zeros on either side; the diagonal view
+    that shifts row j left by j has column sums equal to the back-site sums,
+    read from ``(n + w - 1) w`` entries, so no N x M temporary is ever made.
 
     Both bands take the kernel from per-offset polynomials in the squared
     slope, with the Gregory weights folded in (:func:`_offset_polynomials`).
@@ -617,7 +614,7 @@ def kernel_quadrature(
     * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
       every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
       one-cell slopes; the range of the spectral slope does not (a
-      grid-scale ripple has none).  A block takes one Horner pass per entry
+      grid-scale ripple has none).  A chunk takes one Horner pass per entry
       in ``t = 2 (u / (A_max dx))^2 - 1``: no transcendental, no edge or
       corner mask.  When ``A_max`` is not finite or the degree would
       exceed ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.74), the loop
@@ -668,53 +665,47 @@ def kernel_quadrature(
                          a_max)
         if band is None:
             split = n_pos
-    # the near band: offsets near..reach, in chunks of at most sqrt(BLOCK_ENTRIES)
+    # the near band: offsets near..reach, in chunks of cols offsets across every site
     reach = plan.near + split - 1
-    chunks = max(1, -(-split // math.isqrt(BLOCK_ENTRIES)))
-    cols = -(-split // chunks)
-    rows = _block_rows(cols, n)
+    cols = min(split, block_rows(n))
     # acc[p] accumulates site (p - reach) % n
     acc = np.zeros(n + reach)
-    # the blocks' height differences and kernel temporaries, far then near,
-    # in one buffer: no block allocates a full-size array, so the heap the
-    # blocks reuse is neither returned to the system nor faulted in again
+    # the chunks' height differences and kernel temporaries, far then near,
+    # in one buffer: no chunk allocates a full-size array, so the heap the
+    # chunks reuse is neither returned to the system nor faulted in again
     n_near = plan.near_y.size
-    buf = np.empty(6 * max(rows * cols, plan.rows * n_near))
-    near_work = buf[: 6 * plan.rows * n_near].reshape(6, plan.rows, n_near)
+    near_rows = block_rows(n_near)
+    buf = np.empty(6 * max(cols * n, near_rows * n_near))
+    near_work = buf[: 6 * near_rows * n_near].reshape(6, near_rows, n_near)
     if split:
         f_back = _back_windows(f_values, reach, plan.near).T  # row c: offset near + c
         g_back = _back_windows(g_values, reach, plan.near).T
-        # pad[j, cols - 1 + r] is the flux of site start + r and offset near + c0 + j,
-        # between cols - 1 zeros on either side: for a chunk of w offsets, column q of
+        # pad[j, cols - 1 + i] is the flux of site i and offset near + c0 + j, between
+        # cols - 1 zeros on either side: for a chunk of w offsets, column q of
         # diag[j, q] = pad[j, cols - w + j + q] sums the fluxes bound for acc[back + q]
-        pad = np.zeros((cols, rows + 2 * (cols - 1)))
+        pad = np.zeros((cols, n + 2 * (cols - 1)))
         step, item = pad.strides
         table = _far_table(a_max, dx[:split], wts[:split], width)
         # a non-finite kernel value makes its column sum non-finite (0 * inf is NaN):
         # the finiteness checks below read the sums
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, rows):
-                stop = min(start + rows, n)
-                blk, m = slice(start, stop), stop - start
-                if m < rows:  # the last block: clear the previous block's tail
-                    pad[:, cols - 1 + m :] = 0.0
-                for c0 in range(0, split, cols):
-                    w = min(cols, split - c0)
-                    c = slice(c0, c0 + w)
-                    work = buf[: 6 * w * m].reshape(6, w, m)
-                    u = np.subtract(f_values[blk], f_back[c, blk], out=work[0])
-                    if table is None:  # the weighted kernel entry by entry
-                        kern = kernel_values(dx[c, None], u, width, work=work[1:])
-                        kern *= wts[c, None]
-                    else:  # the polynomial's t over u
-                        kern = _far_polynomial(_FarTable(table.coef[:, c], table.scale[c]),
-                                               u, work[1::-1])
-                    fl = np.multiply(kern, np.subtract(g_values[blk], g_back[c, blk], out=u),
-                                     out=pad[:w, cols - 1 : cols - 1 + m])
-                    acc[reach + start : reach + stop] += fl.sum(axis=0)
-                    diag = as_strided(pad[:, cols - w :], (w, m + w - 1), (step + item, item))
-                    back = start + split - w - c0
-                    acc[back : back + m + w - 1] += diag.sum(axis=0)
+            for c0 in range(0, split, cols):
+                w = min(cols, split - c0)
+                c = slice(c0, c0 + w)
+                work = buf[: 6 * w * n].reshape(6, w, n)
+                u = np.subtract(f_values, f_back[c], out=work[0])
+                if table is None:  # the weighted kernel entry by entry
+                    kern = kernel_values(dx[c, None], u, width, work=work[1:])
+                    kern *= wts[c, None]
+                else:  # the polynomial's t over u
+                    kern = _far_polynomial(_FarTable(table.coef[:, c], table.scale[c]),
+                                           u, work[1::-1])
+                fl = np.multiply(kern, np.subtract(g_values, g_back[c], out=u),
+                                 out=pad[:w, cols - 1 : cols - 1 + n])
+                acc[reach:] += fl.sum(axis=0)
+                diag = as_strided(pad[:, cols - w :], (w, n + w - 1), (step + item, item))
+                back = split - w - c0
+                acc[back : back + n + w - 1] += diag.sum(axis=0)
     # slope, g', g''' and g^(5) from one transform pair; odd orders drop Nyquist
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = np.fft.rfft(np.stack([f_values, g_values]))[[0, 1, 1, 1]]
@@ -802,16 +793,17 @@ def stability_limit(
     """Measured step probe ``min(h^2/(2 kappa), h / V_max)``; not a stability bound.
 
     The mollifier symbol is at most 1; ``V_max`` is the largest velocity at
-    ``max(t_start, 1e-9)``, which ``out`` receives.  A smaller step can
-    blow up: at ``delta = 0`` (Python only), a 0.1 bump plus
-    ``0.05 cos(6 pi x / 40)``, N = 1024, c = 1, kappa = 0, ``t_start = 1e-4``
-    gets 0.286, yet ``dt = 0.0125`` takes H4 from 0.287 to 5.3e5 in 3 steps.
+    ``t_start``, which ``out`` receives, taken when the kernel width ``c
+    t_start + kappa`` is positive.  A smaller step can blow up: at ``delta
+    = 0`` (Python only), a 0.1 bump plus ``0.05 cos(6 pi x / 40)``, N =
+    1024, c = 1, kappa = 0, ``t_start = 1e-4`` gets 0.286, yet ``dt =
+    0.0125`` takes H4 from 0.287 to 5.3e5 in 3 steps.
     """
     h = f0.h
     limit = np.inf
     if kappa > 0:
         limit = h * h / (2.0 * kappa)
-    probe = InterfaceState(f=f0, t=max(t_start, 1e-9), c=c, delta=delta, kappa=kappa)
+    probe = InterfaceState(f=f0, t=t_start, c=c, delta=delta, kappa=kappa)
     if probe.width > 0:
         v = rhs_regularized(probe, trunc_radius)
         if out is not None:
@@ -841,9 +833,10 @@ def integrate(
     states) with L2 / H4 norms and the damped fifth-derivative norm.
     The trajectory is truncated and flagged, with the step and the RK4
     stage, if a norm blows up or a finiteness check of the right-hand side
-    raises :class:`NonFiniteError`; any other exception propagates.  When
-    the stability probe of ``f0`` raises it, the trajectory is empty and
-    flagged at step 0.  A ``dt`` that exceeds the stability probe raises
+    raises :class:`NonFiniteError`; any other exception propagates.  The
+    stability probe of ``f0`` runs at ``t_start``, and its velocity is the
+    first stage of step 1; when the probe raises it, the trajectory is empty
+    and flagged at step 0.  A ``dt`` that exceeds the stability probe raises
     :class:`StabilityError`.  The H4 norm is taken once per step, for the
     blow-up check and the diagnostics.
     """
@@ -854,8 +847,8 @@ def integrate(
     if kappa == 0.0 and t_start <= 0.0:
         raise ValueError("kappa = 0 runs must start at t_start > 0")
     n_steps = step_count(t_start, t_end, dt)
-    # at t_start > 1e-9 the probe's velocity is the first stage of step 1
-    probe = np.empty(f0.n) if t_start > 1e-9 and c * t_start + kappa > 0 else None
+    # the probe's velocity, at t_start, is the first stage of step 1
+    probe = np.empty(f0.n) if c * t_start + kappa > 0 else None
     try:
         limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius, out=probe)
     except NonFiniteError as exc:
@@ -879,7 +872,6 @@ def integrate(
             "l2": state.f.l2_norm(),
             "h4": h4,
             "dinv_d5": apply_dinv(state.f.derivative(5), state.t).l2_norm(),
-            "max_abs_f": float(np.max(np.abs(state.f.values))),
         }
 
     traj = Trajectory()

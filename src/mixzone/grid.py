@@ -14,11 +14,17 @@ from functools import lru_cache
 
 import numpy as np
 
-# entries per block of the lab's array passes (PV quadrature, subsolution sites,
-# slope interpolation): a float64 temporary of at most 128 KiB stays in L2.  On 2
+# entries per block of the lab's array passes (PV near band, near-cell moments,
+# subsolution sites, slope interpolation, weighted energy), read through
+# block_rows only: a float64 temporary of at most 128 KiB stays in L2.  On 2
 # vCPUs (criterion-08 bump, n = 256-2048) 8k to 32k timed within noise of each
 # other; 4k took 1.2 times as long at 2048
 BLOCK_ENTRIES = 16384
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` entries per block: ``BLOCK_ENTRIES // width``, and at least one."""
+    return max(1, BLOCK_ENTRIES // width)
 
 
 class NonFiniteError(FloatingPointError, ValueError):

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import BLOCK_ENTRIES, GridFunction1D
+from .grid import GridFunction1D, block_rows
 
 __all__ = [
     "k_hat", "h_integrand", "H_integral", "h_values", "symbol_m", "symbol_mtilde",
@@ -339,7 +339,7 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
     """
     ext = np.vstack([table.T, np.ones(t_nodes.size)])
     out = np.empty((t.size, table.shape[1]))
-    chunk = max(1, BLOCK_ENTRIES // t_nodes.size)
+    chunk = block_rows(t_nodes.size)
     for start in range(0, t.size, chunk):
         blk = t[start : start + chunk]
         # one column per t, so every pass runs along t
@@ -413,7 +413,7 @@ def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> Gri
         return f.with_values(fields(t_nodes)[0])
     t_sites /= tau_max
     num, den, on_node = np.zeros(f.n), np.zeros(f.n), np.empty(f.n)
-    chunk = max(1, BLOCK_ENTRIES // f.n)
+    chunk = block_rows(f.n)
     # a site on a node has an infinite term there: inf * 0 and inf / inf are NaN
     with np.errstate(invalid="ignore"):
         for start in range(0, d // 2 + 1, chunk):

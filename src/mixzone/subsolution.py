@@ -63,7 +63,7 @@ import numpy as np
 
 from .evolution import (DEFAULT_TRUNC_RADIUS, FAR_SEMI_MINOR, Trajectory, kernel_quadrature,
                         quadrature_plan)
-from .grid import (BLOCK_ENTRIES, GridFunction1D, derivative_symbols, max_cell_slope,
+from .grid import (GridFunction1D, block_rows, derivative_symbols, max_cell_slope,
                    spectral_derivative)
 from .kernel import lambda_integral
 from .spectral import chebyshev_degree, chebyshev_maps, slope_interpolated
@@ -176,10 +176,11 @@ def _column_values(x, d, w: float, cols: _Columns) -> np.ndarray:
 def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
     """``block(rows)`` over consecutive slices ``rows`` of ``range(count)``, stacked.
 
-    A slice has as many rows as fit ``(rows, nodes, columns)`` in
-    ``BLOCK_ENTRIES`` entries, and at least one.
+    A slice has :func:`~mixzone.grid.block_rows` of ``nodes * columns``
+    rows: as many as fit ``(rows, nodes, columns)`` in ``BLOCK_ENTRIES``
+    entries, and at least one.
     """
-    rows = max(1, BLOCK_ENTRIES // (nodes * columns))
+    rows = block_rows(nodes * columns)
     return np.concatenate([block(slice(i, i + rows)) for i in range(0, count, rows)])
 
 

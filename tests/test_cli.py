@@ -71,6 +71,11 @@ def test_parse_rejects_bad_family_and_missing_path():
         ('{"seed": -1}', "seed"),
         ('{"grid": {"n": 64}, "initial": {"family": "cosine_packet", "modes": 33}}',
          "initial.modes"),
+        # subnormal initial kernel widths, c t_start + kappa below the normal floor
+        ('{"grid": {"n": 64}, "physics": {"kappa": 0.0}, "time": {"dt": 0.0125, '
+         '"t_start": 1e-320, "t_end": 0.0125000000000001}}', "time.t_start"),
+        ('{"grid": {"n": 64}, "physics": {"kappa": 1e-320}, "time": {"dt": 0.0125, '
+         '"t_end": 0.0125}}', "physics.kappa"),
     ],
 )
 def test_parse_rejects_malformed_value_with_path(doc, key):
@@ -309,7 +314,7 @@ def test_simulate_records_integration_failure_step_and_stage(tmp_path, monkeypat
 
     def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
         calls.append(state.t)
-        if len(calls) == 1 + 4 + 2:  # the stability probe, step 1, then step 2 stage 2
+        if len(calls) == 1 + 3 + 2:  # the probe (step 1 stage 1), step 1, then step 2 stage 2
             raise NonFiniteError("non-finite kernel value at site 3")
         return real(state, trunc_radius)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from _table import run_check
 
-from mixzone import cli, evolution, kernel, spectral
+from mixzone import cli, evolution, grid, kernel, spectral
 from mixzone.evolution import InterfaceState, Trajectory
 from mixzone.grid import GridFunction1D, NonFiniteError, spectral_derivative
 
@@ -336,15 +336,19 @@ def test_far_degree_rule_matches_kernel_values(a_max):
         assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want))
 
 
-def _rows_per_block(n, trunc_radius):
-    return evolution.quadrature_plan(n, LENGTH / n, trunc_radius).rows
+def _near_chunks(n, f):
+    """Near-band offsets and offsets per chunk that :func:`evolution.kernel_quadrature` takes."""
+    split = _band_start(f)
+    return split, min(split, grid.block_rows(n))
 
 
-def test_kernel_quadrature_blocks_match_row_by_row_sum():
+def test_kernel_quadrature_blocks_match_row_by_row_sum(monkeypatch):
+    # chunks of ten offsets across all 512 sites: several chunks, the last ragged
     n, trunc = 512, 10.0
-    rows = _rows_per_block(n, trunc)
-    assert rows < n and n % rows != 0  # several blocks, the last one ragged
+    monkeypatch.setattr(grid, "BLOCK_ENTRIES", 10 * n)
     f = bump(n, amp=0.3).values
+    split, cols = _near_chunks(n, f)
+    assert split > cols and split % cols != 0
     g = spectral_derivative(f, LENGTH)
     for width in (1e-4, 0.05, 0.5):
         out = evolution.kernel_quadrature(f, g, LENGTH, width, trunc)
@@ -364,7 +368,11 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
             if not np.all(np.isfinite(kernel.kernel_values(
                 offsets * LENGTH / n, f[i] - f[(i - offsets) % n], 0.05)))
         )
-        assert first >= _rows_per_block(n, trunc)  # not in the first block
+        # the back end of the pair at the window's last offset, which the
+        # rescan meets in its last chunk of offsets, not its first
+        plan = evolution.quadrature_plan(n, LENGTH / n, trunc)
+        assert first == 300 - offsets[-1]
+        assert offsets[-1] - plan.near >= grid.block_rows(n)
         with pytest.raises(FloatingPointError, match=rf"at site {first}$"):
             evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, trunc)
 
@@ -511,57 +519,57 @@ def test_kernel_quadrature_names_site_of_infinite_height_at_band_size():
     [
         (128, LENGTH / 2, 63, 4, 2),  # m_max = n//2 - 1: back sites wrap to the far side
         (128, 2.5, 8, 2, 2),  # the near = 2 small-window branch
-        (64, 10.0, 16, 4, 1),  # one block covers the whole grid
+        (64, 10.0, 16, 4, 1),  # one near-cell block covers the whole grid
     ],
 )
 def test_kernel_quadrature_pair_edges_match_row_by_row_sum(n, trunc, m_max, near, blocks):
+    # windows too short for the FFT band: every positive offset is in one
+    # near-band chunk across all sites.  Too few sites for a slope table, so
+    # the near cell's moments run on the sites' own slopes, in blocks of
+    # block_rows(nodes) sites
     plan = evolution.quadrature_plan(n, LENGTH / n, trunc)
     assert (plan.offsets[-1], plan.near) == (m_max, near)
-    assert -(-n // _rows_per_block(n, trunc)) == blocks
+    assert -(-n // grid.block_rows(plan.near_y.size)) == blocks
     f = GridFunction1D.from_callable(
         lambda x: 0.3 * np.exp(-(x**2)) + 0.1 * np.sin(2 * np.pi * x / LENGTH), n, LENGTH
     ).values
-    g = spectral_derivative(f, LENGTH)
+    split = evolution._band_start(float(np.ptp(f)), _a_max(f), LENGTH / n, plan)
+    assert split == plan.offsets.size // 2 <= grid.block_rows(n)
+    g = spectral_derivative(f, LENGTH)  # also the slope
+    assert spectral.slope_nodes(np.max(np.abs(g)), n // evolution._SITES_PER_NODE) is None
     for width in (1e-4, 0.05, 0.5):
         out = evolution.kernel_quadrature(f, g, LENGTH, width, trunc)
         ref = _row_by_row_quadrature(f, g, width, trunc)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
 
 
-def _near_band_layout(n, f):
-    """Near-band offsets, chunk width and rows per block :func:`evolution.kernel_quadrature` takes."""
-    split = _band_start(f)
-    chunks = max(1, -(-split // math.isqrt(evolution.BLOCK_ENTRIES)))
-    cols = -(-split // chunks)
-    return split, cols, evolution._block_rows(cols, n)
-
-
 @pytest.mark.parametrize(
-    "n, amp, entries, band, split, cols, rows",
+    "n, amp, entries, band, split, cols",
     [
-        (256, 0.3, None, False, 61, 61, 256),  # one block: rows capped at n
-        (512, 0.3, None, True, 27, 27, 512),  # one block beside the FFT band
-        (256, 0.3, 3000, False, 61, 31, 96),  # ragged last block, chunks of 31 and 30
-        (2048, 0.1, 3000, True, 2, 2, 1500),  # ragged last block beside the band
-        (2048, 0.09, None, True, 1, 1, 2048),  # one near offset: no padding
-        (2048, 0.09, 300, True, 1, 1, 300),  # one near offset, ragged last block
-        (1024, 1.0, None, False, 253, 127, 129),  # steep: two chunks, ragged last block
-        (2048, 1.0, None, True, 406, 102, 160),  # four chunks beside the band, ragged
+        (256, 0.3, None, False, 61, 61),  # one chunk
+        (512, 0.3, None, True, 27, 27),  # one chunk beside the FFT band
+        (256, 0.3, 3000, False, 61, 11),  # ragged last chunk: five of 11, one of 6
+        (256, 0.3, 200, False, 61, 1),  # one offset per chunk: BLOCK_ENTRIES below n
+        (2048, 0.1, 3000, True, 2, 1),  # one offset per chunk beside the band
+        (2048, 0.09, None, True, 1, 1),  # one near offset (split = 1): no padding
+        (2048, 0.09, 300, True, 1, 1),  # one near offset, BLOCK_ENTRIES below n
+        (1024, 1.0, None, False, 253, 16),  # steep: 16 chunks, the last of 13
+        (2048, 1.0, None, True, 406, 8),  # steep beside the band: 51 chunks, the last of 6
     ],
 )
 def test_kernel_quadrature_near_band_edges_match_row_by_row_sum(
-        monkeypatch, n, amp, entries, band, split, cols, rows):
-    # the near band's blocks against the row-by-row sum: a last block shorter
-    # than the others (its stale tail cleared), a single offset (split = 1),
-    # rows >= n, and offset chunks of unequal width, with and without the band
-    evolution.quadrature_plan(n, LENGTH / n, 10.0)  # cached before the block size changes
+        monkeypatch, n, amp, entries, band, split, cols):
+    # the near band's chunks of offsets across all sites against the row-by-row
+    # sum: one chunk, a last chunk narrower than the others (the pad's stale
+    # rows unread), one offset per chunk, a single offset (split = 1), with
+    # and without the band
     if entries is not None:
-        monkeypatch.setattr(evolution, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(grid, "BLOCK_ENTRIES", entries)
     f = bump(n, amp=amp).values
     n_pos = evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
     assert (_band_start(f) < n_pos) == band
-    assert _near_band_layout(n, f) == (split, cols, rows)
-    # g varies on the whole period, so every block carries fluxes
+    assert _near_chunks(n, f) == (split, cols)
+    # g varies on the whole period, so every site carries fluxes
     g = spectral_derivative(f, LENGTH) + 0.1 * np.sin(2.0 * np.pi * np.arange(n) / n)
     for width in (1e-4, 0.05, 0.5):
         out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
@@ -747,10 +755,10 @@ def test_integrate_snapshot_cadence_and_diagnostics():
     assert [diag["step"] for diag in traj.diagnostics] == [0, 2, 4]
 
 
-@pytest.mark.parametrize("t_start, kappa, probes", [(1e-4, 0.0, 0), (0.0, 1e-3, 1)])
+@pytest.mark.parametrize("t_start, kappa, probes", [(1e-4, 0.0, 0), (0.0, 1e-3, 0)])
 def test_integrate_takes_the_stability_probe_as_the_first_stage(monkeypatch, t_start, kappa, probes):
-    # at t_start > 1e-9 the probe's velocity is bitwise stage 1 of step 1, so
-    # two steps take 8 right-hand sides; at t_start = 0 the probe runs at 1e-9
+    # the probe runs at t_start and its velocity is bitwise stage 1 of step 1,
+    # so two steps take 8 right-hand sides and no extra probe, from t_start = 0 too
     f = bump(256, amp=0.3)
     dt = 0.0125
     calls = []
@@ -817,7 +825,8 @@ def test_blowup_flag_truncates_trajectory():
 
 def _failing_rhs(monkeypatch, call, exc):
     """Make the ``call``-th rhs evaluation raise ``exc`` (call 1 is the
-    stability probe, then four per RK4 step)."""
+    stability probe, which is stage 1 of step 1, then three more for step 1
+    and four per later RK4 step)."""
     real = evolution.rhs_regularized
     calls = []
 
@@ -832,7 +841,7 @@ def _failing_rhs(monkeypatch, call, exc):
 
 def test_integrate_records_failing_step_and_stage(monkeypatch):
     f = bump(128)
-    _failing_rhs(monkeypatch, 1 + 4 + 3, NonFiniteError("non-finite kernel value at site 7"))
+    _failing_rhs(monkeypatch, 1 + 3 + 3, NonFiniteError("non-finite kernel value at site 7"))
     traj = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.05)
     assert traj.failed
     assert (traj.failure_step, traj.failure_stage) == (2, 3)

@@ -48,21 +48,33 @@ def test_no_module_reads_the_environment():
     assert not found, f"environment reads: {found}"
 
 
+def _names_outside(module: str, names: tuple[str, ...]) -> list[str]:
+    """Each identifier, attribute or imported name in ``names`` in the package's other modules."""
+    found = []
+    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
+        if path.name == module:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                named = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in named if name in names]
+    return found
+
+
 def test_one_slope_interpolator():
     # the Chebyshev nodes and the barycentric formula in the slope are
     # spectral's alone: every other module takes its slope tables from
     # spectral.slope_interpolated, so no second interpolator can grow
-    found = []
-    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
-        if path.name == "spectral.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, (ast.Name, ast.Attribute)):
-                names = [node.id if isinstance(node, ast.Name) else node.attr]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name in ("barycentric", "slope_nodes")]
+    found = _names_outside("spectral.py", ("barycentric", "slope_nodes"))
     assert not found, f"slope interpolation outside spectral: {found}"
+
+
+def test_one_block_size_rule():
+    # BLOCK_ENTRIES is grid's alone: every blocked pass takes its rows from
+    # grid.block_rows, so no module grows a second block-size rule
+    found = _names_outside("grid.py", ("BLOCK_ENTRIES",))
+    assert not found, f"block sizes outside grid: {found}"
