@@ -47,6 +47,7 @@ A step that exceeds the stability probe raises :class:`StabilityError`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -54,7 +55,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .grid import GridFunction1D, NonFiniteError, block_rows, derivative_symbols, max_cell_slope
+from .grid import (GridFunction1D, NonFiniteError, block_rows, derivative_symbols, max_cell_slope,
+                   root_sum)
 from .kernel import kernel_values
 from .spectral import apply_dinv, chebyshev_degree, chebyshev_maps, slope_interpolated
 
@@ -121,7 +123,7 @@ _MIN_BAND = 96
 
 @dataclass(frozen=True)
 class InterfaceState:
-    """Full state of the regularized interface evolution."""
+    """Full state of the regularized interface evolution; its kernel width is a normal float."""
 
     f: GridFunction1D
     t: float
@@ -136,6 +138,9 @@ class InterfaceState:
             raise ValueError("growth rate c must lie in (0, 2)")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
+        if not self.width >= sys.float_info.min:
+            raise ValueError(f"kernel width c * t + kappa = {self.width!r} must be at least "
+                             f"{sys.float_info.min!r}")
 
     @property
     def eps(self) -> float:
@@ -383,28 +388,6 @@ def _back_windows(values: np.ndarray, reach: int, near: int) -> np.ndarray:
     return sliding_window_view(ext, reach - near + 1)[:n, ::-1]
 
 
-def _first_bad_site(f_values, dx, plan, width) -> int | None:
-    """First site whose two-sided row meets a non-finite kernel value, or None.
-
-    Failure path only: the pair (i, i - k) lies on the rows of both sites,
-    so the whole window is rescanned, in chunks of ``block_rows(n)``
-    offsets across every site, and both ends of each bad pair count.
-    """
-    n = f_values.size
-    f_back = _back_windows(f_values, plan.offsets[-1], plan.near).T  # row c: offset near + c
-    cols = block_rows(n)
-    bad = np.zeros(n, dtype=bool)
-    for c0 in range(0, dx.size, cols):
-        c = slice(c0, c0 + cols)
-        with np.errstate(over="ignore"):  # an overflowing difference is a bad kernel value
-            u = f_values - f_back[c]
-        kern = kernel_values(dx[c, None], u, width)
-        j, i = np.nonzero(~np.isfinite(kern))
-        bad[i] = True
-        bad[(i - plan.near - c0 - j) % n] = True
-    return int(np.argmax(bad)) if bad.any() else None
-
-
 def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np.ndarray,
                         degree: int) -> np.ndarray | None:
     """``wts_k K(dx_k, u, width)`` as monomials in ``t = 2 (u / u_top_k)^2 - 1``, or None.
@@ -422,43 +405,21 @@ def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np
     return coef if np.all(np.isfinite(coef)) else None
 
 
-class _FarTable(NamedTuple):
-    """The weighted far kernel as a polynomial per offset (see :func:`_far_table`)."""
+def _far_polynomial(coef: np.ndarray, scale: np.ndarray, u: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """``sum_m coef[m] t^m``, ``t = (scale u)^2 - 1``, by Horner; in ``work[0]``.
 
-    coef: np.ndarray  # (degree + 1, offsets, 1): coefficients of t^0, t^1, ...
-    scale: np.ndarray  # (offsets, 1): t = (scale * u)^2 - 1, u one row per offset
-
-
-def _far_table(a_max: float, dx: np.ndarray, wts: np.ndarray, width: float) -> _FarTable | None:
-    """``wts_k K(dx_k, u, width)`` as a polynomial in ``t = 2 (u / (A_max dx_k))^2 - 1``, or None.
-
-    ``A_max`` is the largest one-cell slope (:func:`~mixzone.grid.max_cell_slope`),
-    which bounds every mean slope ``u / dx_k`` of the far sum.
-    The degree is :func:`_far_degree` of ``A_max``.  None, meaning the
-    per-entry kernel, when ``A_max`` is not finite, the degree would exceed
-    ``_MAX_FAR_DEGREE``, or the table or its scales are not finite.
+    ``coef`` holds the monomial coefficients of :func:`_offset_polynomials`,
+    one row per power of t, and ``scale`` is ``sqrt(2) / u_top``, each
+    broadcast against the height differences ``u``; ``scale`` is not read
+    at degree 0.  ``work`` has shape ``(2,) + u.shape``; ``work[1]`` holds
+    ``t`` and may be ``u`` itself.
     """
-    degree = _far_degree(a_max)
-    if degree is None:
-        return None
-    coef = _offset_polynomials(dx, wts, width, a_max * dx, degree)
-    with np.errstate(over="ignore", divide="ignore"):
-        scale = math.sqrt(2.0) / (a_max * dx)  # unused at degree 0 (A_max = 0)
-    if coef is None or not (degree == 0 or np.all(np.isfinite(scale))):
-        return None
-    return _FarTable(coef[..., None], scale[:, None])
-
-
-def _far_polynomial(table: _FarTable, u: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The table's polynomial at the height differences ``u``, by Horner; in ``work[0]``.
-
-    ``work`` has shape ``(2,) + u.shape``; ``work[1]`` holds ``t`` and may be ``u`` itself.
-    """
-    coef, out = table.coef, work[0]
+    out = work[0]
     if coef.shape[0] == 1:
         out[...] = coef[0]
         return out
-    t = np.multiply(u, table.scale, out=work[1])
+    t = np.multiply(u, scale, out=work[1])
     t *= t
     t -= 1.0
     np.multiply(t, coef[-1], out=out)
@@ -618,8 +579,8 @@ def kernel_quadrature(
       in ``t = 2 (u / (A_max dx))^2 - 1``: no transcendental, no edge or
       corner mask.  When ``A_max`` is not finite or the degree would
       exceed ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.74), the loop
-      takes :func:`kernel_values` per entry; a non-finite value there names
-      its site.
+      takes :func:`kernel_values` per entry, the only kernel that can be
+      non-finite; the chunk marks the sites of such a pair, named after the loop.
     * FFT band: offset k is fitted over ``|u| <= u_top_k``, ``A_max dx_k``
       clipped to ``[osc c^(-7 / D), osc]``, which holds its height
       differences, so ``a = u_top_k / dx_k <= 1 / c``; D is the least degree
@@ -685,37 +646,45 @@ def kernel_quadrature(
         # diag[j, q] = pad[j, cols - w + j + q] sums the fluxes bound for acc[back + q]
         pad = np.zeros((cols, n + 2 * (cols - 1)))
         step, item = pad.strides
-        table = _far_table(a_max, dx[:split], wts[:split], width)
-        # a non-finite kernel value makes its column sum non-finite (0 * inf is NaN):
-        # the finiteness checks below read the sums
+        # the weighted kernel per offset in t = (scale u)^2 - 1, or entry by entry (coef None)
+        degree = _far_degree(a_max)
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = math.sqrt(2.0) / (a_max * dx[:split, None])  # unused at degree 0
+        coef = None
+        if degree == 0 or degree and np.all(np.isfinite(scale)):
+            coef = _offset_polynomials(dx[:split], wts[:split], width, a_max * dx[:split], degree)
+        # both sites of each pair with a non-finite kernel value, which its column sum shows
+        bad = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for c0 in range(0, split, cols):
                 w = min(cols, split - c0)
                 c = slice(c0, c0 + w)
                 work = buf[: 6 * w * n].reshape(6, w, n)
                 u = np.subtract(f_values, f_back[c], out=work[0])
-                if table is None:  # the weighted kernel entry by entry
+                if coef is None:  # the weighted kernel entry by entry
                     kern = kernel_values(dx[c, None], u, width, work=work[1:])
                     kern *= wts[c, None]
                 else:  # the polynomial's t over u
-                    kern = _far_polynomial(_FarTable(table.coef[:, c], table.scale[c]),
-                                           u, work[1::-1])
+                    kern = _far_polynomial(coef[:, c, None], scale[c], u, work[1::-1])
                 fl = np.multiply(kern, np.subtract(g_values, g_back[c], out=u),
                                  out=pad[:w, cols - 1 : cols - 1 + n])
-                acc[reach:] += fl.sum(axis=0)
+                sums = fl.sum(axis=0)
+                if not np.all(np.isfinite(sums)):
+                    j, i = np.nonzero(~np.isfinite(kern))
+                    bad[i] = True
+                    bad[(i - plan.near - c0 - j) % n] = True
+                acc[reach:] += sums
                 diag = as_strided(pad[:, cols - w :], (w, n + w - 1), (step + item, item))
                 back = split - w - c0
                 acc[back : back + n + w - 1] += diag.sum(axis=0)
+        if bad.any():
+            raise NonFiniteError(f"non-finite kernel value at site {int(np.argmax(bad))}")
     # slope, g', g''' and g^(5) from one transform pair; odd orders drop Nyquist
     with np.errstate(over="ignore", invalid="ignore"):
         spectra = np.fft.rfft(np.stack([f_values, g_values]))[[0, 1, 1, 1]]
         spectra *= derivative_symbols(n, length, (1, 1, 3, 5))
     spectra[:, -1] = 0.0
     slope, g1, g3, g5 = np.fft.irfft(spectra, n=n)
-    if not np.all(np.isfinite(acc)):
-        bad = _first_bad_site(f_values, dx, plan, width)
-        if bad is not None:
-            raise NonFiniteError(f"non-finite kernel value at site {bad}")
     # after the kernel check, which names the site of a non-finite height;
     # finite heights whose transform overflows leave the slopes non-finite
     finite = np.isfinite(slope) & np.isfinite(g_values)
@@ -741,8 +710,6 @@ def rhs_regularized(
     exactly.  The mollified slope and the diffusion term come from one
     ``rfft`` of f; the velocity is mollified by one more transform pair.
     """
-    if not state.width > 0:
-        raise ValueError("kernel width eps + kappa must be positive")
     f = state.f
     slope, diffusion, sym = _fourier_multipliers(state.delta, f.h, f.n)
     # heights near the float64 limit overflow the transform; the finiteness
@@ -793,9 +760,9 @@ def stability_limit(
     """Measured step probe ``min(h^2/(2 kappa), h / V_max)``; not a stability bound.
 
     The mollifier symbol is at most 1; ``V_max`` is the largest velocity at
-    ``t_start``, which ``out`` receives, taken when the kernel width ``c
-    t_start + kappa`` is positive.  A smaller step can blow up: at ``delta
-    = 0`` (Python only), a 0.1 bump plus ``0.05 cos(6 pi x / 40)``, N =
+    ``t_start``, which ``out`` receives (ValueError when the kernel width
+    there is subnormal).  A smaller step can blow up: at ``delta = 0``
+    (Python only), a 0.1 bump plus ``0.05 cos(6 pi x / 40)``, N =
     1024, c = 1, kappa = 0, ``t_start = 1e-4`` gets 0.286, yet ``dt =
     0.0125`` takes H4 from 0.287 to 5.3e5 in 3 steps.
     """
@@ -803,14 +770,13 @@ def stability_limit(
     limit = np.inf
     if kappa > 0:
         limit = h * h / (2.0 * kappa)
-    probe = InterfaceState(f=f0, t=t_start, c=c, delta=delta, kappa=kappa)
-    if probe.width > 0:
-        v = rhs_regularized(probe, trunc_radius)
-        if out is not None:
-            out[...] = v.values
-        v_max = float(np.max(np.abs(v.values)))
-        if v_max > 0:
-            limit = min(limit, h / v_max)
+    v = rhs_regularized(InterfaceState(f=f0, t=t_start, c=c, delta=delta, kappa=kappa),
+                        trunc_radius)
+    if out is not None:
+        out[...] = v.values
+    v_max = float(np.max(np.abs(v.values)))
+    if v_max > 0:
+        limit = min(limit, h / v_max)
     return limit
 
 
@@ -837,18 +803,17 @@ def integrate(
     stability probe of ``f0`` runs at ``t_start``, and its velocity is the
     first stage of step 1; when the probe raises it, the trajectory is empty
     and flagged at step 0.  A ``dt`` that exceeds the stability probe raises
-    :class:`StabilityError`.  The H4 norm is taken once per step, for the
-    blow-up check and the diagnostics.
+    :class:`StabilityError`, and a subnormal initial kernel width ValueError.
+    The H4 norm is taken once per step, for the blow-up check and the
+    diagnostics.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if output_every < 1:
         raise ValueError("output_every must be at least 1")
-    if kappa == 0.0 and t_start <= 0.0:
-        raise ValueError("kappa = 0 runs must start at t_start > 0")
     n_steps = step_count(t_start, t_end, dt)
     # the probe's velocity, at t_start, is the first stage of step 1
-    probe = np.empty(f0.n) if c * t_start + kappa > 0 else None
+    probe = np.empty(f0.n)
     try:
         limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius, out=probe)
     except NonFiniteError as exc:
@@ -880,7 +845,7 @@ def integrate(
     state = InterfaceState(f=GridFunction1D(vals, f0.length), t=t, c=c, delta=delta, kappa=kappa)
     traj.append(state, diagnose(state, 0, sobolev_norm(state.f, 4)))
     for step in range(1, n_steps + 1):
-        k = [probe] if step == 1 and probe is not None else []
+        k = [probe] if step == 1 else []
         try:
             for stage, node in enumerate(_RK4_NODES[len(k):], start=len(k) + 1):
                 k.append(rhs(vals + node * dt * k[-1] if k else vals, t + node * dt))
@@ -914,8 +879,12 @@ def sobolev_norm(f: GridFunction1D, k: int) -> float:
     """
     if not 0 <= k <= 5:
         raise ValueError("order k must lie in [0, 5]")
-    coeffs = np.fft.rfft(f.values)
     xi = np.fft.rfftfreq(f.n, d=f.h)
-    power = (1.0 + xi * xi) ** k * (coeffs.real**2 + coeffs.imag**2)
-    power[1:-1] *= 2.0  # n is even
-    return float(np.sqrt(f.h / f.n * np.sum(power)))
+
+    def squares(values: np.ndarray) -> float:
+        coeffs = np.fft.rfft(values)
+        power = (1.0 + xi * xi) ** k * (coeffs.real**2 + coeffs.imag**2)
+        power[1:-1] *= 2.0  # n is even
+        return f.h / f.n * np.sum(power)
+
+    return root_sum(f.values, squares)

@@ -102,10 +102,20 @@ class GridFunction1D:
 
     def l2_norm(self) -> float:
         """Grid approximation of the continuum L2 norm, ``sqrt(h * sum f^2)``."""
-        return float(np.sqrt(self.h * np.sum(self.values**2)))
+        return root_sum(self.values, lambda values: self.h * np.sum(values**2))
 
     def mean(self) -> float:
         return float(self.values.mean())
+
+
+def root_sum(values: np.ndarray, squares) -> float:
+    """``sqrt(squares(values))``; ``m sqrt(squares(values / m))``, m = max |values|, on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = squares(values)
+    if np.isfinite(total):
+        return float(np.sqrt(total))
+    top = float(np.max(np.abs(values)))
+    return top * float(np.sqrt(squares(values / top)))
 
 
 def max_cell_slope(values: np.ndarray, h: float) -> float:

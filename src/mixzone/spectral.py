@@ -462,5 +462,7 @@ def coercivity_probe(
 
 
 def energy(f: GridFunction1D, slope: GridFunction1D, t: float) -> float:
-    """Weighted energy ``|| mtilde Dinv f ||_L2^2``; zero iff f vanishes."""
-    return apply_mtilde_dinv(f, slope, t).l2_norm() ** 2
+    """Weighted energy ``|| mtilde Dinv f ||_L2^2``; zero iff f vanishes, inf past the float range."""
+    norm = apply_mtilde_dinv(f, slope, t).l2_norm()
+    # ** keeps its bits below 1e154; past the float range it raises OverflowError, * gives inf
+    return norm**2 if norm < 1e154 else norm * norm

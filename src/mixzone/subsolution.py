@@ -184,17 +184,6 @@ def _in_blocks(count: int, nodes: int, columns: int, block) -> np.ndarray:
     return np.concatenate([block(slice(i, i + rows)) for i in range(0, count, rows)])
 
 
-def _far_degree(snap: _Snapshot, sites: int) -> int | None:
-    """Degree of the far rows' slope tables for ``sites`` sites, or None for the per-site sums.
-
-    :func:`~mixzone.spectral.chebyshev_degree` of ``[-a_max, a_max]`` with
-    the far semi-minor axis; None when ``a_max`` is not finite or the
-    table's ``degree // 2 + 1`` nodes ``t >= 0`` would outnumber the sites
-    (a node costs what a site does).
-    """
-    return chebyshev_degree(snap.a_max, 2 * sites - 1, FAR_SEMI_MINOR)
-
-
 def _far_table(snap: _Snapshot, w: float, cols: _Columns, degree: int) -> np.ndarray:
     """Chebyshev coefficients of the far columns in the mean slope, (degree + 1, offsets k > 0, columns).
 
@@ -335,7 +324,10 @@ def site_samples(
     a = np.append(np.where(lower, -w, lam_g), -w)
     b = np.append(np.where(lower, lam_g, w), w)
     cols, pick = _closed_columns(a, b, lams)
-    far = _far_rows(snap, f.values, js, w, cols, _far_degree(snap, js.size))[..., pick]
+    # the far rows' table degree, None (per-site sums) when a_max is not finite or
+    # its degree // 2 + 1 nodes t >= 0 would outnumber the sites (a node costs what a site does)
+    far = _far_rows(snap, f.values, js, w, cols,
+                    chebyshev_degree(snap.a_max, 2 * js.size - 1, FAR_SEMI_MINOR))[..., pick]
     jk = _near_cell(snap, snap.g[js], w, cols)[..., pick]
     u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)
     integrals = uc2[:, : a.size] - dtz[js, None] * (b - a)
@@ -390,17 +382,15 @@ def subsolution_report(
 ) -> list[dict]:
     """Per-snapshot record of max|gamma|, hull slacks, M and the identity.
 
-    Sites default to every ``n // 32``-th grid node.  Each row flags
-    whether the subsolution conditions hold; the first failing time
-    (|gamma| >= 1/2 or a slack below the violation band) is marked on the
-    row.
+    Sites default to every ``n // 32``-th grid node.  One row per
+    snapshot; its ``ok`` flags whether the subsolution conditions hold
+    (``|gamma| < 1/2`` and no slack below the violation band).  The
+    caller finds the first failing time from the rows.
     """
     rows = []
     for state in trajectory.snapshots:
         f = state.f
         width = state.width
-        if not width > 0:
-            continue
         idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)
         x = f.x
         lams = _lambda_fractions(n_lambda) * width

@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -530,6 +533,105 @@ def test_simulate_overflowing_transform_fails_silently_at_step_0(tmp_path):
     meta = json.loads((out / "meta.json").read_text())
     assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
     assert meta["integration_failure"] == "non-finite state: non-finite slope at site 0"
+
+
+def _no_constant(name):
+    raise ValueError(f"meta.json holds {name}, which is not JSON")
+
+
+def test_simulate_overflowing_norms_write_finite_metadata(tmp_path):
+    # finite heights of 2.7e137 on a 5e-4 bump: the squares of the diagnostic
+    # norms overflow, but the norms do not (final_dinv_d5 is about 1.9e153), so
+    # nothing is printed and meta.json holds no Infinity
+    doc = {"grid": {"n": 128, "length": 0.1},
+           "time": {"dt": 1e-4, "t_start": 1e-124, "t_end": 4.000000000000001e-4,
+                    "output_every": 3},
+           "physics": {"c": 0.017, "kappa": 4e-140, "delta": 391.0},
+           "quadrature": {"trunc_radius": 0.035},
+           "initial": {"amplitude": 2.7e137, "width": 5e-4}}
+    cfgpath = tmp_path / "config.json"
+    cfgpath.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
+    assert proc.returncode == 1 and proc.stderr == ""
+    meta = json.loads((out / "meta.json").read_text(), parse_constant=_no_constant)
+    assert 1e153 < meta["measured"]["final_dinv_d5"] < 1e154
+
+
+def _simulate_documents(st):
+    """``simulate`` configurations across the range it accepts, and past its edges.
+
+    n in {64, 128, 256}, 1-6 steps, lengths 1e-3 to 1e4, amplitudes to 1e150;
+    ``t_start`` and ``kappa`` are 0 or down to 1e-320 of the length, the step
+    and the window are drawn against the grid, so some fail the parser's checks.
+    """
+    def log_uniform(lo, hi):
+        """``m 10^e``, e an integer in [lo, hi), m in [1, 10); hypothesis' floats favour their bounds."""
+        return st.tuples(st.integers(lo, hi - 1), st.floats(1.0, 10.0, exclude_max=True)).map(
+            lambda p: p[1] * 10.0 ** p[0])
+
+    def fraction(lo, hi):
+        return st.integers(round(1000 * lo), round(1000 * hi)).map(lambda k: k / 1000)
+
+    @st.composite
+    def documents(draw):
+        n = draw(st.sampled_from([64, 128, 256]))
+        length = draw(log_uniform(-3, 4))
+        dt = draw(log_uniform(-4, 0)) * length / n
+        # t_start = 0, kappa = 0 or neither; a positive one down to 1e-320 of the length
+        zero = draw(st.sampled_from(["t_start", "kappa", None]))
+        t_start, kappa = (0.0 if name == zero else draw(log_uniform(-320, -2)) * length
+                          for name in ("t_start", "kappa"))
+        physics = {"c": draw(fraction(0.001, 1.999)), "kappa": kappa}
+        if draw(st.booleans()):
+            physics["delta"] = draw(fraction(2.0, 16.0)) * length / n
+        amplitude = draw(log_uniform(-10, 150))
+        return {
+            "grid": {"n": n, "length": length},
+            "time": {"dt": dt, "t_start": t_start, "t_end": t_start + draw(st.integers(1, 6)) * dt,
+                     "output_every": draw(st.integers(1, 4))},
+            "physics": physics,
+            "quadrature": {"trunc_radius": draw(fraction(0.1, 1.0)) * length / 2},
+            "initial": {"family": draw(st.sampled_from(["gaussian_bump", "cosine_packet", "zero"])),
+                        "amplitude": draw(st.sampled_from([1.0, -1.0])) * amplitude,
+                        "width": draw(log_uniform(-3, 0)) * length,
+                        "center": draw(fraction(-0.5, 0.5)) * length,
+                        "modes": draw(st.integers(0, 8))},
+            "seed": draw(st.integers(0, 2**64)),
+        }
+
+    return documents()
+
+
+def _simulate_once(doc):
+    """``simulate`` on ``doc`` in-process, warnings as errors.
+
+    Asserts exit 0 or 1 with one trace row and one snapshot file per
+    snapshot and a ``meta.json`` that loads, or exit 2 by a ConfigError
+    with nothing written; any other exception escapes.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgpath, out, err = Path(tmp) / "config.json", Path(tmp) / "run", io.StringIO()
+        cfgpath.write_text(json.dumps(doc))
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", str(cfgpath), "--out", str(out)])
+        if code == 2:
+            assert err.getvalue().startswith("configuration error: ") and not out.exists()
+            return
+        assert code in (0, 1) and err.getvalue() == ""
+        meta = json.loads((out / "meta.json").read_text())
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == meta["snapshots"] == len(list((out / "snapshots").iterdir()))
+
+
+def test_simulate_over_accepted_configurations_exits_0_1_or_2():
+    # every run either writes its run directory (exit 0 or 1) or stops at a
+    # ConfigError (exit 2); no warning is printed and no other exception escapes
+    hypothesis = pytest.importorskip("hypothesis")
+    settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
+                                   database=None)
+    settings(hypothesis.given(_simulate_documents(hypothesis.strategies))(_simulate_once))()
 
 
 @pytest.mark.parametrize(

@@ -305,11 +305,13 @@ def test_kernel_quadrature_far_table_matches_row_by_row_sum(n, a_max):
     dx = plan.offsets[plan.offsets > 0] * h
     g = spectral_derivative(bump(n).values, LENGTH)
     assert (_band_start(f) < dx.size) == (n == 2048 and a_max < 3.0)
+    degree = evolution._far_degree(_a_max(f))
+    assert (degree is None) == (a_max > 0.74)
     for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
-        table = evolution._far_table(_a_max(f), dx, np.ones(dx.size), width)
-        assert (table is None) == (a_max > 0.74)
-        if a_max == 0.0:
-            assert table.coef.shape[0] == 1
+        if degree is not None:
+            coef = evolution._offset_polynomials(dx, np.ones(dx.size), width, _a_max(f) * dx,
+                                                 degree)
+            assert coef is not None and (coef.shape[0] == 1) == (a_max == 0.0)
         out = evolution.kernel_quadrature(f, g, LENGTH, width, 10.0)
         ref = _row_by_row_quadrature(f, g, width, 10.0)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(out))
@@ -330,8 +332,8 @@ def test_far_degree_rule_matches_kernel_values(a_max):
     u = np.linspace(-1.0, 1.0, 101)[:, None] * (a_max * dx)
     for width in (1e-10, 1e-6, 1e-3, 0.05, 0.5):
         coef = evolution._offset_polynomials(dx, np.ones(dx.size), width, a_max * dx, degree)
-        table = evolution._FarTable(coef, np.sqrt(2.0) / (a_max * dx))
-        got = evolution._far_polynomial(table, u, np.empty((2,) + u.shape))
+        got = evolution._far_polynomial(coef, np.sqrt(2.0) / (a_max * dx), u,
+                                        np.empty((2,) + u.shape))
         want = kernel.kernel_values(dx, u, width)
         assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want))
 
@@ -375,6 +377,21 @@ def test_kernel_quadrature_names_global_site_of_bad_kernel():
         assert offsets[-1] - plan.near >= grid.block_rows(n)
         with pytest.raises(FloatingPointError, match=rf"at site {first}$"):
             evolution.kernel_quadrature(f, np.zeros(n), LENGTH, 0.05, trunc)
+
+
+@pytest.mark.parametrize("amp", [0.1, 3.0])
+def test_kernel_quadrature_names_slope_site_of_bad_g(amp):
+    # finite heights and a NaN in g: every flux of site 100 is NaN, but no
+    # kernel value is, so the slope check names the site, on the polynomial
+    # table (0.1 bump) and on the per-entry kernel (3 bump) alike
+    n = 256
+    f = bump(n, amp=amp).values
+    assert (evolution._far_degree(_a_max(f)) is None) == (amp == 3.0)
+    assert _band_start(f) == evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
+    g = spectral_derivative(f, LENGTH)
+    g[100] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^non-finite slope at site 100$"):
+        evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
 
 
 @pytest.mark.parametrize("n", [1024, 2048])
@@ -502,7 +519,7 @@ def test_kernel_quadrature_fft_band_gives_exactly_zero_for_constant_g():
 def test_kernel_quadrature_names_site_of_infinite_height_at_band_size():
     # without the bad height these data would take the FFT band; an infinite
     # height has no oscillation, so the whole row goes to the blocked loop
-    # and the site comes from _first_bad_site
+    # and the loop names the sites of its non-finite kernel values
     n = 2048
     f = bump(n).values.copy()
     assert _band_start(f) < evolution.quadrature_plan(n, LENGTH / n, 10.0).offsets.size // 2
@@ -732,6 +749,24 @@ def test_integrate_requires_positive_start_without_kappa():
     f = bump(128)
     with pytest.raises(ValueError):
         evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=0.0, dt=0.01, t_end=0.05)
+
+
+@pytest.mark.parametrize("kappa, t_start", [(1e-320, 0.0), (0.0, 1e-320)])
+def test_integrate_rejects_subnormal_kernel_width(monkeypatch, kappa, t_start):
+    # the width floor is InterfaceState's, as parse_config's: a subnormal
+    # initial width c t_start + kappa stops the run before any right-hand side
+    f = bump(64)
+    calls = []
+    real_rhs = evolution.rhs_regularized
+    monkeypatch.setattr(evolution, "rhs_regularized",
+                        lambda *args, **kwargs: calls.append(1) or real_rhs(*args, **kwargs))
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="kernel width"):
+        warnings.simplefilter("error")
+        evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=kappa, dt=0.0125, t_end=0.0125,
+                            t_start=t_start)
+    assert calls == []
+    with pytest.raises(ValueError, match="kernel width"):
+        InterfaceState(f=f, t=t_start, c=1.0, kappa=kappa)
 
 
 def test_integrate_zero_data_stays_zero():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -78,3 +79,17 @@ def test_one_block_size_rule():
     # grid.block_rows, so no module grows a second block-size rule
     found = _names_outside("grid.py", ("BLOCK_ENTRIES",))
     assert not found, f"block sizes outside grid: {found}"
+
+
+def test_bench_tracer_targets_resolve():
+    # the benchmark's --trace wraps each (module, function) of its TARGETS by
+    # name and imports each of its MODULES; a name deleted from the package
+    # would make Tracer.install raise, so every one must resolve
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {name: importlib.import_module(f"mixzone.{name}") for name in tracer.MODULES}
+    missing = [f"{module}.{name}" for module, name, _ in tracer.TARGETS
+               if not callable(getattr(modules.get(module), name, None))]
+    assert not missing, f"tracer targets missing from mixzone: {missing}"

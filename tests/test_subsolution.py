@@ -182,11 +182,16 @@ def _assert_matches_per_site(f, w, sites, lams=None):
         assert np.max(np.abs(getattr(got, key) - want)) <= 1e-13, key
 
 
+def _far_degree(snap, sites):
+    """Degree of the far rows' tables for ``sites`` sites, as :func:`subsolution.site_samples` takes it."""
+    return spectral.chebyshev_degree(snap.a_max, 2 * sites - 1, evolution.FAR_SEMI_MINOR)
+
+
 def _tables(f, w, sites):
     """Whether the far rows and the near cell of ``sites`` take slope tables."""
     snap = subsolution._Snapshot(f, w, 10.0)
     top = np.max(np.abs(snap.g[list(sites)]))
-    return (subsolution._far_degree(snap, len(sites)) is not None,
+    return (_far_degree(snap, len(sites)) is not None,
             spectral.slope_nodes(top, 2 * len(sites)) is not None)
 
 
@@ -237,7 +242,7 @@ def test_far_tables_match_direct_far_sums(bump, w):
     b = np.append(np.where(lams <= 0, lams, w), w)
     cols, _ = subsolution._closed_columns(a, b, lams)
     js = np.arange(bump.n)
-    degree = subsolution._far_degree(snap, js.size)
+    degree = _far_degree(snap, js.size)
     got = subsolution._far_rows(snap, bump.values, js, w, cols, degree)
     want = subsolution._far_rows(snap, bump.values, js, w, cols, None)
     assert np.max(np.abs(got - want)) <= 1e-14
@@ -326,7 +331,7 @@ def test_steep_bump_few_sites_take_per_site_sums(monkeypatch):
 def test_site_blocks_flat_take_one_node(flat):
     sites = range(0, 128, 5)
     snap = subsolution._Snapshot(flat, EPS, 10.0)
-    assert subsolution._far_degree(snap, len(sites)) == 0
+    assert _far_degree(snap, len(sites)) == 0
     assert spectral.slope_nodes(0.0).size == 1
     _assert_matches_per_site(flat, EPS, sites)
 
