@@ -312,10 +312,14 @@ def site_samples(
     js = np.asarray(s_indices, dtype=int).ravel() % f.n
     if not js.size:
         raise ValueError("s_indices must name at least one site")
-    dtz = _default_dtz(f, width, trunc_radius)
-    snap = _Snapshot(f, width, trunc_radius)
-    w = width
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    # in units of 2^e, L / 2^e in [32, 64) unless the heights would overflow or the
+    # width leave the normal range; exact, so runs 2^k apart sample alike bit for bit
+    e = max(np.frexp(f.length)[1] - 6, np.frexp(np.max(np.abs(f.values)))[1] - 1023)
+    e = min(e, np.frexp(width)[1] + 1021)
+    f = GridFunction1D(np.ldexp(f.values, -e), np.ldexp(f.length, -e))
+    w, trunc_radius, lams = (np.ldexp(v, -e) for v in (width, trunc_radius, np.atleast_1d(lams)))
+    dtz = _default_dtz(f, w, trunc_radius)
+    snap = _Snapshot(f, w, trunc_radius)
     if not np.all(np.abs(lams) <= w):
         raise ValueError("|lam| must not exceed the strip half-width")
     lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
@@ -338,7 +342,7 @@ def site_samples(
     u = np.stack([u1[:, a.size:], u2[:, a.size:]], axis=-1).reshape(-1, 2)
     m = rho[:, None] * u
     m[:, 1] -= (gamma + 0.5) * (1.0 - rho * rho)
-    return SiteSamples(rho, u, m, gamma, uc2[:, a.size:].ravel(), integrals[:, -1])
+    return SiteSamples(rho, u, m, gamma, uc2[:, a.size:].ravel(), np.ldexp(integrals[:, -1], e))
 
 
 def hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:

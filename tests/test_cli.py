@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import json
@@ -391,8 +392,21 @@ def _cli_process(argv):
     return _fresh_python(["-m", "mixzone.cli", *argv])
 
 
+_EVAL_EACH = """
+import contextlib, io, json, sys
+from mixzone import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([cli.main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
 def test_kernel_eval_far_field_prints_no_warnings():
-    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr; the
+    # one fresh interpreter with warnings as errors, so each point's numpy
+    # RuntimeWarnings would end its command with a traceback on stderr; the
     # far field, the strip-edge corner, the lam = lam' spike of the oracle's
     # integrand, a tiny |dx| against a huge |delta_f| (the Muskat value, not
     # 3 times it), widths whose square under- or overflows, and a |dx| at the
@@ -403,11 +417,14 @@ def test_kernel_eval_far_field_prints_no_warnings():
               ("1", "0.3", "1e200"), ("1e-200", "0.2", "0.1"), ("1e-170", "0.2", "0.1"),
               ("1e-300", "0.2", "0.1"), ("-1.27e-288", "7.17e-12", "3.58e-12"),
               ("1e-320", "0", "0.1"))
-    for dx, df, eps in points:
-        argv = ["kernel-eval", f"--dx={dx}", f"--df={df}", f"--eps={eps}"]
-        proc = _cli_process(argv)
-        assert proc.returncode == 0 and proc.stderr == "", argv
-        values = [float(line.split("=")[1]) for line in proc.stdout.splitlines()]
+    argvs = [["kernel-eval", f"--dx={dx}", f"--df={df}", f"--eps={eps}"] for dx, df, eps in points]
+    proc = _fresh_python(["-W", "error", "-c", _EVAL_EACH, json.dumps(argvs)])
+    assert proc.returncode == 0 and proc.stderr == ""
+    runs = json.loads(proc.stdout)
+    assert len(runs) == len(points)
+    for (dx, df, eps), argv, (code, stdout) in zip(points, argvs, runs):
+        assert code == 0, argv
+        values = [float(line.split("=")[1]) for line in stdout.splitlines()]
         assert len(values) == 3 and all(np.isfinite(values[:2]))
         assert values[1] == pytest.approx(values[0], rel=1e-6, abs=1e-300)
         # the kernels here are subnormal: true relative checks, without
@@ -487,7 +504,8 @@ def _table_file(path, heights):
 )
 def test_simulate_config_error_exits_2_without_traceback(tmp_path, case, key):
     # each is a configuration error, reported on one line with its key, and
-    # nothing is written
+    # nothing is written; in-process with warnings as errors, so a warning or
+    # any other exception escapes
     if case == "stability":  # h^2 / (2 kappa) = 0.39 < dt
         extra = {"time": {"dt": 0.5, "t_end": 1.0}, "physics": {"kappa": 0.5},
                  "quadrature": {"trunc_radius": 10.0}}
@@ -496,10 +514,11 @@ def test_simulate_config_error_exits_2_without_traceback(tmp_path, case, key):
     else:
         _table_file(tmp_path / "f.csv", [0.0] * 10 + [float("nan")] + [0.0] * 53)
         extra = {"initial": {"family": "file", "path": str(tmp_path / "f.csv")}}
-    cfgpath = _zero_config(tmp_path, **extra)
-    proc = _cli_process(["simulate", str(cfgpath), "--out", str(tmp_path / "run")])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(f"configuration error: {key}") and "Traceback" not in proc.stderr
+    cfgpath, err = _zero_config(tmp_path, **extra), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", str(cfgpath), "--out", str(tmp_path / "run")])
+    assert code == 2 and err.getvalue().startswith(f"configuration error: {key}")
     assert not (tmp_path / "run").exists()
 
 
@@ -509,9 +528,8 @@ def test_simulate_overflowing_initial_velocity_is_an_integration_failure(tmp_pat
     # overflows on the way (transforms, height differences) print nothing
     _table_file(tmp_path / "f.csv", [1e308, -1e308] * 32)
     cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
+    assert _simulate_in(tmp_path, json.loads(cfgpath.read_text())) == 1
     out = tmp_path / "run"
-    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
-    assert proc.returncode == 1 and proc.stderr == ""
     meta = json.loads((out / "meta.json").read_text())
     assert meta["integration_failed"] is True and meta["snapshots"] == 0
     assert (meta["integration_failure_step"], meta["integration_failure_stage"]) == (0, None)
@@ -527,10 +545,8 @@ def test_simulate_overflowing_transform_fails_silently_at_step_0(tmp_path):
     x = -20.0 + 40.0 / 64 * np.arange(64)
     _table_file(tmp_path / "f.csv", (1e307 + 1e306 * np.exp(-(x**2))).tolist())
     cfgpath = _zero_config(tmp_path, initial={"family": "file", "path": str(tmp_path / "f.csv")})
-    out = tmp_path / "run"
-    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
-    assert proc.returncode == 1 and proc.stderr == ""
-    meta = json.loads((out / "meta.json").read_text())
+    assert _simulate_in(tmp_path, json.loads(cfgpath.read_text())) == 1
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
     assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
     assert meta["integration_failure"] == "non-finite state: non-finite slope at site 0"
 
@@ -549,12 +565,8 @@ def test_simulate_overflowing_norms_write_finite_metadata(tmp_path):
            "physics": {"c": 0.017, "kappa": 4e-140, "delta": 391.0},
            "quadrature": {"trunc_radius": 0.035},
            "initial": {"amplitude": 2.7e137, "width": 5e-4}}
-    cfgpath = tmp_path / "config.json"
-    cfgpath.write_text(json.dumps(doc))
-    out = tmp_path / "run"
-    proc = _cli_process(["simulate", str(cfgpath), "--out", str(out)])
-    assert proc.returncode == 1 and proc.stderr == ""
-    meta = json.loads((out / "meta.json").read_text(), parse_constant=_no_constant)
+    assert _simulate_in(tmp_path, doc) == 1
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text(), parse_constant=_no_constant)
     assert 1e153 < meta["measured"]["final_dinv_d5"] < 1e154
 
 
@@ -603,49 +615,133 @@ def _simulate_documents(st):
     return documents()
 
 
-def _simulate_once(doc):
-    """``simulate`` on ``doc`` in-process, warnings as errors.
+# every length and time of a configuration, which f(x, t) -> s f(x / s, t / s) scales by s
+_SCALED_KEYS = (("grid", "length"), ("time", "dt"), ("time", "t_start"), ("time", "t_end"),
+                ("physics", "kappa"), ("physics", "delta"), ("quadrature", "trunc_radius"),
+                ("initial", "amplitude"), ("initial", "width"), ("initial", "center"))
+
+# the default configuration with its lengths and times spelled out
+_DEFAULT_DOC = {"grid": {"length": 40.0}, "time": {"dt": 0.0125, "t_end": 0.1},
+                "physics": {"kappa": 1e-3}, "quadrature": {"trunc_radius": 10.0},
+                "initial": {"amplitude": 0.1, "width": 1.0}}
+
+
+def _scaled(doc, s):
+    """``doc`` with every length and time it sets multiplied by ``s``."""
+    twin = copy.deepcopy(doc)
+    for section, key in _SCALED_KEYS:
+        if key in twin.get(section, {}):
+            twin[section][key] *= s
+    return twin
+
+
+def _simulate_in(tmp, doc):
+    """Exit code of ``simulate`` on ``doc`` in-process into ``tmp / "run"``, warnings as errors.
 
     Asserts exit 0 or 1 with one trace row and one snapshot file per
     snapshot and a ``meta.json`` that loads, or exit 2 by a ConfigError
     with nothing written; any other exception escapes.
     """
+    tmp.mkdir(exist_ok=True)
+    cfgpath, out, err = tmp / "config.json", tmp / "run", io.StringIO()
+    cfgpath.write_text(json.dumps(doc))
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["simulate", str(cfgpath), "--out", str(out)])
+    if code == 2:
+        assert err.getvalue().startswith("configuration error: ") and not out.exists()
+        return code
+    assert code in (0, 1) and err.getvalue() == ""
+    meta = json.loads((out / "meta.json").read_text())
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == meta["snapshots"] == len(list((out / "snapshots").iterdir()))
+    return code
+
+
+def _simulate_once(doc):
+    """:func:`_simulate_in` on ``doc`` and, when it parses, on its ``2^-16`` twin,
+    which must exit alike: no verdict depends on the unit of length.
+
+    The one exception is the end of the float range: a twin whose initial
+    kernel width ``c t_start + kappa`` is subnormal must be refused (exit 2).
+    """
     with tempfile.TemporaryDirectory() as tmp:
-        cfgpath, out, err = Path(tmp) / "config.json", Path(tmp) / "run", io.StringIO()
-        cfgpath.write_text(json.dumps(doc))
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = cli.main(["simulate", str(cfgpath), "--out", str(out)])
-        if code == 2:
-            assert err.getvalue().startswith("configuration error: ") and not out.exists()
-            return
-        assert code in (0, 1) and err.getvalue() == ""
-        meta = json.loads((out / "meta.json").read_text())
-        rows = (out / "trace.csv").read_text().splitlines()[1:]
-        assert len(rows) == meta["snapshots"] == len(list((out / "snapshots").iterdir()))
+        code = _simulate_in(Path(tmp) / "base", doc)
+        if code != 2:
+            twin = _scaled(doc, 2.0**-16)
+            width = twin["physics"]["c"] * twin["time"]["t_start"] + twin["physics"]["kappa"]
+            expected = code if width >= sys.float_info.min else 2
+            assert _simulate_in(Path(tmp) / "twin", twin) == expected
 
 
 def test_simulate_over_accepted_configurations_exits_0_1_or_2():
     # every run either writes its run directory (exit 0 or 1) or stops at a
-    # ConfigError (exit 2); no warning is printed and no other exception escapes
+    # ConfigError (exit 2); no warning is printed and no other exception
+    # escapes, and a run's 2^-16 twin ends with the same exit code
     hypothesis = pytest.importorskip("hypothesis")
     settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
                                    database=None)
     settings(hypothesis.given(_simulate_documents(hypothesis.strategies))(_simulate_once))()
 
 
+def _snapshot_heights(path):
+    return np.array([float(row.split(",")[1]) for row in path.read_text().splitlines()[1:]])
+
+
+def test_simulate_commutes_with_scaling_by_powers_of_two(tmp_path):
+    # the scheme is exact under f(x, t) -> 2^k f(x / 2^k, t / 2^k): the
+    # default run scaled by 2^k exits as it does, with the same subsolution
+    # columns and every snapshot 2^k times its own, bit for bit
+    assert _simulate_in(tmp_path / "base", _DEFAULT_DOC) == 0
+    base = tmp_path / "base" / "run"
+    trace = [row.split(",")[4:] for row in (base / "trace.csv").read_text().splitlines()]
+    snaps = sorted(p.name for p in (base / "snapshots").iterdir())
+    for k in (-100, -30, -14, 16, 30, 100):
+        tmp = tmp_path / f"k{k}"
+        assert _simulate_in(tmp, _scaled(_DEFAULT_DOC, 2.0**k)) == 0, k
+        rows = (tmp / "run" / "trace.csv").read_text().splitlines()
+        assert [row.split(",")[4:] for row in rows] == trace, k
+        assert sorted(p.name for p in (tmp / "run" / "snapshots").iterdir()) == snaps
+        for name in snaps:
+            f = _snapshot_heights(tmp / "run" / "snapshots" / name)
+            f_base = _snapshot_heights(base / "snapshots" / name)
+            assert f.tobytes() == (2.0**k * f_base).tobytes(), (k, name)
+
+
+def test_simulate_overflowing_near_cell_derivatives_name_a_site(tmp_path):
+    # 1e290 cos(2 pi 31 x / L) at L = 1e-3: the heights and the mollified slope
+    # g are finite, but the near cell's derivatives of g overflow; the
+    # quadrature names a site, and nothing is printed
+    length = 1e-3
+    x = -length / 2 + length / 64 * np.arange(64)
+    heights = 1e290 * np.cos(2 * np.pi * 31 * x / length)
+    (tmp_path / "f.csv").write_text(
+        "x,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), heights.tolist())))
+    doc = {"grid": {"n": 64, "length": length}, "time": {"dt": 1e-300, "t_end": 1e-300},
+           "physics": {"kappa": 1e-6}, "quadrature": {"trunc_radius": length / 2},
+           "initial": {"family": "file", "path": str(tmp_path / "f.csv")}}
+    assert _simulate_in(tmp_path, doc) == 1
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
+    assert meta["integration_failure"].startswith(
+        "non-finite state: non-finite derivative of the slope at site ")
+
+
 @pytest.mark.parametrize(
     "doc, key",
     [
         ('{"time": {"dt": 0.03}}', "time.dt"),
+        (json.dumps(_scaled({**_DEFAULT_DOC, "time": {"dt": 0.03, "t_end": 0.1}}, 2.0**-40)),
+         "time.dt"),
         ('{"grid": {"n": 64}, "physics": {"c": 0.01}, "quadrature": {"trunc_radius": 4.0}}',
          "quadrature.trunc_radius"),
         ('{"initial": {"width": 0}}', "initial.width"),
     ],
 )
 def test_parse_rejects_what_the_run_would_reject(doc, key):
-    # a step count that is not an integer, a window too small for the near
-    # cell, and a zero bump width (0/0 at the centre) are configuration errors
+    # a step count that is not an integer, in any unit of time, a window too
+    # small for the near cell, and a zero bump width (0/0 at the centre) are
+    # configuration errors
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         parse_config(doc)
 

@@ -848,16 +848,6 @@ def test_time_reversal_single_step():
     assert errs[1] <= errs[0] / 16.0
 
 
-def test_blowup_flag_truncates_trajectory():
-    f = bump(128)
-    traj = evolution.integrate(
-        f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.1,
-        blowup_threshold=1e-12,
-    )
-    assert traj.failed and traj.failure_reason == "norm blowup"
-    assert traj.failure_time is not None and traj.failure_time <= 0.1
-
-
 def _failing_rhs(monkeypatch, call, exc):
     """Make the ``call``-th rhs evaluation raise ``exc`` (call 1 is the
     stability probe, which is stage 1 of step 1, then three more for step 1
@@ -874,6 +864,32 @@ def _failing_rhs(monkeypatch, call, exc):
     monkeypatch.setattr(evolution, "rhs_regularized", rhs)
 
 
+def _overflowing_step_2(monkeypatch):
+    """Every stage of step 2 (rhs calls 5 to 8) returns the largest float:
+    each stage's state stays finite, but the RK4 update of step 2 overflows."""
+    real = evolution.rhs_regularized
+    calls = []
+
+    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+        calls.append(state.t)
+        if 5 <= len(calls) <= 8:
+            return state.f.with_values(np.full(state.f.n, np.finfo(float).max))
+        return real(state, trunc_radius)
+
+    monkeypatch.setattr(evolution, "rhs_regularized", rhs)
+
+
+def test_blowup_flag_truncates_trajectory(monkeypatch):
+    f = bump(128)
+    _overflowing_step_2(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.1)
+    assert traj.failed and traj.failure_reason == "non-finite state: grid values must be finite"
+    assert traj.failure_time == pytest.approx(0.025)
+    assert [s.t for s in traj.snapshots] == [0.0, 0.0125]
+
+
 def test_integrate_records_failing_step_and_stage(monkeypatch):
     f = bump(128)
     _failing_rhs(monkeypatch, 1 + 3 + 3, NonFiniteError("non-finite kernel value at site 7"))
@@ -885,13 +901,12 @@ def test_integrate_records_failing_step_and_stage(monkeypatch):
     assert len(traj.snapshots) == 2
 
 
-def test_integrate_records_step_of_norm_blowup():
+def test_integrate_records_step_of_norm_blowup(monkeypatch):
+    # an overflowing update is recorded at its step, with no stage
     f = bump(128)
-    traj = evolution.integrate(
-        f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.1,
-        blowup_threshold=1e-12,
-    )
-    assert (traj.failure_step, traj.failure_stage) == (1, None)
+    _overflowing_step_2(monkeypatch)
+    traj = evolution.integrate(f, c=1.0, delta=4 * f.h, kappa=1e-3, dt=0.0125, t_end=0.1)
+    assert (traj.failure_step, traj.failure_stage) == (2, None)
 
 
 def test_integrate_propagates_errors_that_are_not_non_finite(monkeypatch):
