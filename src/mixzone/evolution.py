@@ -18,8 +18,8 @@ near cell the quadrature is first order once the kernel width drops below
 the mesh; with it the scheme is second order in h and the right-hand side
 stays smooth in t, preserving the RK4 order.  The frozen-slope moments
 are analytic and even in the slope, so each call tabulates them at the
-nonnegative Chebyshev points of ``[-M, M]``, M its largest slope (9 of
-17 for the criterion-08 data), and interpolates them to every site within
+nonnegative Chebyshev points of ``[-M, M]``, M its largest slope (7 of
+14 for the criterion-08 data), and interpolates them to every site within
 e^-37 by the slope interpolator of :mod:`mixzone.spectral`, which the
 subsolution check's near cell uses too (:func:`nearfield_correction`).
 
@@ -77,7 +77,6 @@ __all__ = [
     "sobolev_norm",
     "quadrature_plan",
     "DEFAULT_TRUNC_RADIUS",
-    "FAR_SEMI_MINOR",
 ]
 
 DEFAULT_TRUNC_RADIUS = 10.0
@@ -103,13 +102,6 @@ _SITES_PER_NODE = 8
 # costs about what the per-entry kernel does (degree 16: 1.04 and 0.92 of it,
 # degree 18: 1.03 and 1.06, degree 20: 1.01 and 1.03; fastest of 30 each)
 _MAX_FAR_DEGREE = 18
-# the far kernel's branch points lie on Im A = +-1 (see kernel_quadrature), so
-# its tables take the Bernstein ellipse of semi-minor axis 0.9, a margin below
-# the strip's 1: for one-cell slopes up to 0.74 the polynomials stayed within
-# 1.4e-15 of the largest kernel entry, as the near cell's 1/2 did, at n = 1024
-# and 2048 and widths 1e-10 to 0.5.  The subsolution check's far rows, whose
-# transverse averages have their branch points there too, take it as well
-FAR_SEMI_MINOR = 0.9
 # the FFT band (see _band_start) is taken when it holds at least _MIN_BAND
 # offsets.  Timed on 2 vCPUs at w = 0.05 (median of 41, two runs), kernel_quadrature
 # took, with the band against without, for bumps of amplitude 0.1 and 0.3 and a
@@ -327,11 +319,11 @@ def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarra
 def _far_degree(a_max: float) -> int | None:
     """Degree in ``s = A^2`` of the far kernel on ``|A| <= a_max``, or None.
 
-    Half the :func:`~mixzone.spectral.chebyshev_degree` of ``[-a_max, a_max]`` with the far
-    kernel's semi-minor axis, rounded up (the kernel is even in A); None
-    when that would exceed ``_MAX_FAR_DEGREE``.
+    Half the :func:`~mixzone.spectral.chebyshev_degree` of ``[-a_max, a_max]``,
+    rounded up (the kernel is even in A); None when that would exceed
+    ``_MAX_FAR_DEGREE``.
     """
-    d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE, FAR_SEMI_MINOR)
+    d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE)
     return None if d is None else (d + 1) // 2
 
 
@@ -360,10 +352,10 @@ def nearfield_correction(
     ``y (1 - i A) - i c`` keep a positive real part while ``|Im A| < 1``,
     so no branch point is met and every moment (a finite sum over the
     nodes) is analytic in that strip.  The Bernstein ellipse about
-    ``[-M, M]`` with semi-minor axis ``b = 1/2`` lies inside it, so the
+    ``[-M, M]`` with semi-minor axis ``b = 0.9`` lies inside it, so the
     degree of :func:`~mixzone.spectral.chebyshev_degree` makes the
-    interpolation error at most ``e^-37``: 9 of 17 nodes evaluated for ``M
-    = 0.086``, 39 of 78 for ``M = 1``, 371 of 742 for ``M = 10``, by the
+    interpolation error at most ``e^-37``: 7 of 14 nodes evaluated for ``M
+    = 0.086``, 24 of 47 for ``M = 1``, 207 of 413 for ``M = 10``, by the
     lab's one slope table :func:`~mixzone.spectral.slope_interpolated`.
 
     The one evaluator, :func:`_near_moments`, runs on the sites' own
@@ -569,8 +561,8 @@ def kernel_quadrature(
     even in A and analytic in the strip ``|Im A| < 1`` by the argument of
     :func:`nearfield_correction`, with branch points on the strip's edges
     (at ``Re A = 0`` and ``+-2w / dx``).  So on ``[-a, a]`` the degree of
-    :func:`~mixzone.spectral.chebyshev_degree` with semi-minor axis
-    ``FAR_SEMI_MINOR = 0.9`` interpolates within about ``e^-37``, and by
+    :func:`~mixzone.spectral.chebyshev_degree` (the slope tables' one
+    semi-minor axis, 0.9) interpolates within about ``e^-37``, and by
     evenness half of it in ``s = A^2`` does (:func:`_far_degree`).
 
     * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
@@ -866,20 +858,30 @@ def integrate(
 
 
 def sobolev_norm(f: GridFunction1D, k: int) -> float:
-    """Spectral Sobolev norm ``(sum (1 + xi^2)^k |fhat|^2)^(1/2)``.
+    """Spectral Sobolev norm ``(sum (1 + xi^2)^k |fhat|^2)^(1/2)``; inf past the float range.
 
     Frequencies in cycles per unit length; at k = 0 this is the grid L2
     norm (discrete Parseval).  From the ``rfft`` modes: each interior mode
     stands for itself and its conjugate, DC and Nyquist for themselves.
+    Where the weighted sum overflows even with the values scaled
+    (:func:`~mixzone.grid.root_sum`), as the weights do at short lengths,
+    the largest weight ``(1 + xi_max^2)^k`` is factored out too; a sum
+    that does not overflow keeps its bits.
     """
     if not 0 <= k <= 5:
         raise ValueError("order k must lie in [0, 5]")
     xi = np.fft.rfftfreq(f.n, d=f.h)
+    weight = 1.0 + xi * xi
 
-    def squares(values: np.ndarray) -> float:
+    def squares(values: np.ndarray, top: float = 1.0) -> float:
         coeffs = np.fft.rfft(values)
-        power = (1.0 + xi * xi) ** k * (coeffs.real**2 + coeffs.imag**2)
+        power = (weight / top) ** k * (coeffs.real**2 + coeffs.imag**2)
         power[1:-1] *= 2.0  # n is even
         return f.h / f.n * np.sum(power)
 
-    return root_sum(f.values, squares)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = root_sum(f.values, squares)
+        if np.isfinite(norm):
+            return norm
+        top = weight[-1]  # the Nyquist mode's, the largest
+        return float(np.sqrt(top) ** k * root_sum(f.values, lambda values: squares(values, top)))

@@ -23,9 +23,10 @@ here too.
 So does the lab's one slope table: a quantity analytic in the slope on
 ``|Im A| < 1`` and even or odd in it (the near-cell moments) is taken at the
 Chebyshev points ``t >= 0`` of ``[-M, M]``, ``M = max |A|``, and interpolated
-to within e^-37 (:func:`slope_interpolated`); the weighted energy takes the same
-points in ``asinh A``.  The degree rule and :func:`chebyshev_maps` give the
-per-offset tables of the PV far kernel and of the subsolution check's far rows.
+to within e^-37 (:func:`slope_interpolated`; 14 nodes for M = 0.086, 47 for 1,
+413 for 10); the weighted energy takes the same points in ``asinh A``.  The
+degree rule and :func:`chebyshev_maps` give the per-offset tables of the PV
+far kernel and of the subsolution check's far rows.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ __all__ = [
 
 _SERIES_CUTOFF = 1e-3
 # slope interpolation (see chebyshev_degree): semi-minor axis of the Bernstein
-# ellipse inside the strip |Im A| < 1 where the interpolated quantities are
-# analytic, and minus the log of the interpolation tolerance e^-37
-_STRIP_SEMI_MINOR = 0.5
+# ellipse inside the strip |Im A| < 1 where every slope table is analytic, a
+# margin below 1 (near moments and far kernel measured within 3.4e-15 and
+# 1.4e-15 of their largest values), and minus the log of the tolerance e^-37
+_STRIP_SEMI_MINOR = 0.9
 _LOG_TOL = 37.0
 _TAU_SEMI_MINOR = math.pi / 6  # the energy's strip in tau = asinh A (see apply_mtilde_dinv)
 # F(w) = sum_{j>=1} (-1)^(j+1) w^j / (j (j+1)!) for |w| <= _F_RADIUS, where 32
@@ -390,8 +392,12 @@ def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> Gri
     that of ``-t_p`` (mtilde is even in A), and site j, at ``asinh(A_j) /
     T``, takes the barycentric formula on the diagonal, ``sum_p c_pj F_pj
     / sum_p c_pj`` (:func:`_node_terms`); a site on a node takes its
-    field.  Streamed in chunks of ``BLOCK_ENTRIES`` field entries; within
-    1e-12 of the largest value of :func:`mtilde_dinv_mode_sum` (tested).
+    field.  When those fields (``d // 2 + 1``) would outnumber the sites,
+    each site takes the field at its own slope instead, as the check's
+    slope tables do: at most one field a site (n = 256 reaches the cap at
+    |A| of about 690).  Streamed in chunks of ``BLOCK_ENTRIES`` field
+    entries; within 1e-12 of the largest value of
+    :func:`mtilde_dinv_mode_sum` (tested).
     """
     if f.n != slope.n or f.length != slope.length:
         raise ValueError("field and slope must share a grid")
@@ -399,26 +405,32 @@ def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> Gri
         raise ValueError("t must be nonnegative")
     t_sites = np.arcsinh(slope.values)
     tau_max = float(np.max(np.abs(t_sites)))
-    t_nodes = slope_nodes(tau_max, semi_minor=_TAU_SEMI_MINOR)
+    t_nodes = slope_nodes(tau_max, 2 * f.n, _TAU_SEMI_MINOR)
     xi = np.fft.rfftfreq(f.n, d=f.h)
     damped = np.fft.rfft(f.values) / (1.0 + t * xi)
 
-    def fields(nodes: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # sinh(asinh A) may round past the float limit
-            slopes = np.minimum(np.sinh(tau_max * nodes), np.finfo(float).max)
+    def fields(slopes: np.ndarray) -> np.ndarray:
         return np.fft.irfft(damped * symbol_mtilde(xi, slopes[:, None], t), n=f.n)
 
+    chunk = block_rows(f.n)
+    if t_nodes is None:  # each site takes the field at its own slope
+        out = np.empty(f.n)
+        for start in range(0, f.n, chunk):
+            own = np.arange(start, min(start + chunk, f.n))
+            out[own] = fields(slope.values[own])[np.arange(own.size), own]
+        return f.with_values(out)
     d = t_nodes.size - 1
+    with np.errstate(over="ignore"):  # sinh(asinh A) may round past the float limit
+        node_slopes = np.minimum(np.sinh(tau_max * t_nodes[: d // 2 + 1]), np.finfo(float).max)
     if d == 0:
-        return f.with_values(fields(t_nodes)[0])
+        return f.with_values(fields(node_slopes)[0])
     t_sites /= tau_max
     num, den, on_node = np.zeros(f.n), np.zeros(f.n), np.empty(f.n)
-    chunk = block_rows(f.n)
     # a site on a node has an infinite term there: inf * 0 and inf / inf are NaN
     with np.errstate(invalid="ignore"):
         for start in range(0, d // 2 + 1, chunk):
             own = np.arange(start, min(start + chunk, d // 2 + 1))
-            per_node = fields(t_nodes[own])
+            per_node = fields(node_slopes[own])
             c = _node_terms(t_nodes, t_sites, own)
             # the node d - p, at -t_p, shares the field of p
             mirrored = own[own < (d + 1) // 2]

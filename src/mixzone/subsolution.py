@@ -35,15 +35,16 @@ one interval, ``[0, w]``), and the mirrors then halve every table:
   mean slope ``A = d / dx_k`` on ``|Im A| < 1`` (its branch points lie on
   the strip's edges whatever lam is), and ``|A|`` is at most ``a_max``,
   the largest one-cell slope.  So each offset takes one Chebyshev table
-  in A on ``[-a_max, a_max]``, at the degree rule of the evolution's far
-  kernel (semi-minor axis ``FAR_SEMI_MINOR``, error about e^-37),
+  in A on ``[-a_max, a_max]``, at the degree rule of every slope table
+  (:func:`mixzone.spectral.chebyshev_degree`, error about e^-37),
   evaluated at the nodes ``t >= 0`` only; the offset ``-k`` reads the
   table of ``+k``.  The sites are contracted with the Chebyshev basis by
   matmuls, in blocks of about ``BLOCK_ENTRIES`` entries.
 * The singular cell depends on a site only through its slope.  It is
   summed over ``y > 0`` only (the ``y < 0`` half is its mirror), and
   its columns, even or odd in the slope, take the evolution's slope
-  table :func:`mixzone.spectral.slope_interpolated`.
+  table :func:`mixzone.spectral.slope_interpolated` (the report's 32
+  sites on the default bump: 12 nodes, 6 of them evaluated).
 
 A table is taken only while its nonnegative nodes do not outnumber the
 sites (a node costs what a site does) and its slope bound is finite;
@@ -61,8 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import (DEFAULT_TRUNC_RADIUS, FAR_SEMI_MINOR, Trajectory, kernel_quadrature,
-                        quadrature_plan)
+from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, kernel_quadrature, quadrature_plan
 from .grid import (GridFunction1D, block_rows, derivative_symbols, max_cell_slope,
                    spectral_derivative)
 from .kernel import lambda_integral
@@ -287,7 +287,15 @@ def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np
 
 
 def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float) -> np.ndarray:
-    """Instantaneous interface velocity: the evolution right-hand side."""
+    """Unmollified averaged velocity ``-int (Delta g) K_w dy`` at strip half-width ``width``.
+
+    The check reads it at the run's width ``c t + kappa``, with no mollifier
+    and no diffusion.  :func:`~mixzone.evolution.rhs_regularized` at ``delta
+    = kappa = 0`` gives it at width ``c t`` only: an
+    :class:`~mixzone.evolution.InterfaceState` ties ``kappa`` both to the
+    width and to the diffusion term, so for ``kappa > 0`` no state of the
+    run, at its own t and kappa, gives this velocity.
+    """
     g = spectral_derivative(f.values, f.length)
     return -kernel_quadrature(f.values, g, f.length, width, trunc_radius)
 
@@ -302,7 +310,7 @@ def site_samples(
 ) -> SiteSamples:
     """The relaxed state at each grid site in ``s_indices`` and offset in ``lams``.
 
-    ``dtz`` is the instantaneous evolution right-hand side at each site.
+    ``dtz`` is the unmollified averaged velocity at half-width ``width`` at each site.
     gamma at lam <= 0 integrates the imbalance ``(u_c - dtz).dz_perp`` up
     from the lower edge, at lam > 0 down from the upper edge (the
     full-strip integral, the residual, vanishes), which keeps the ``1/(1 -
@@ -318,10 +326,10 @@ def site_samples(
     e = min(e, np.frexp(width)[1] + 1021)
     f = GridFunction1D(np.ldexp(f.values, -e), np.ldexp(f.length, -e))
     w, trunc_radius, lams = (np.ldexp(v, -e) for v in (width, trunc_radius, np.atleast_1d(lams)))
-    dtz = _default_dtz(f, w, trunc_radius)
-    snap = _Snapshot(f, w, trunc_radius)
     if not np.all(np.abs(lams) <= w):
         raise ValueError("|lam| must not exceed the strip half-width")
+    dtz = _default_dtz(f, w, trunc_radius)
+    snap = _Snapshot(f, w, trunc_radius)
     lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
     lower = lam_g <= 0.0
     # half-strip intervals, then the full strip
@@ -331,7 +339,7 @@ def site_samples(
     # the far rows' table degree, None (per-site sums) when a_max is not finite or
     # its degree // 2 + 1 nodes t >= 0 would outnumber the sites (a node costs what a site does)
     far = _far_rows(snap, f.values, js, w, cols,
-                    chebyshev_degree(snap.a_max, 2 * js.size - 1, FAR_SEMI_MINOR))[..., pick]
+                    chebyshev_degree(snap.a_max, 2 * js.size - 1))[..., pick]
     jk = _near_cell(snap, snap.g[js], w, cols)[..., pick]
     u1, u2, uc2 = _assemble(far, jk, snap.g_derivs[:, js].T)
     integrals = uc2[:, : a.size] - dtz[js, None] * (b - a)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixzone import cli, verify
+from mixzone import cli, spectral, verify
 from mixzone.cli import ConfigError, RunConfig, parse_config
 
 
@@ -674,14 +674,34 @@ def _simulate_once(doc):
             assert _simulate_in(Path(tmp) / "twin", twin) == expected
 
 
-def test_simulate_over_accepted_configurations_exits_0_1_or_2():
+def _energy_fields(monkeypatch):
+    """``[fields, sites]`` of each weighted-energy call from here on, by the slope rows of its symbols."""
+    calls, real_apply, real_symbol = [], spectral.apply_mtilde_dinv, spectral.symbol_mtilde
+
+    def symbol(xi, slope, t):
+        calls[-1][0] += np.size(slope)
+        return real_symbol(xi, slope, t)
+
+    def apply(f, slope, t):
+        calls.append([0, f.n])
+        return real_apply(f, slope, t)
+
+    monkeypatch.setattr(spectral, "symbol_mtilde", symbol)
+    monkeypatch.setattr(spectral, "apply_mtilde_dinv", apply)
+    return calls
+
+
+def test_simulate_over_accepted_configurations_exits_0_1_or_2(monkeypatch):
     # every run either writes its run directory (exit 0 or 1) or stops at a
     # ConfigError (exit 2); no warning is printed and no other exception
-    # escapes, and a run's 2^-16 twin ends with the same exit code
+    # escapes, and a run's 2^-16 twin ends with the same exit code; no
+    # weighted energy takes more fields than the grid has sites
     hypothesis = pytest.importorskip("hypothesis")
     settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
                                    database=None)
+    calls = _energy_fields(monkeypatch)
     settings(hypothesis.given(_simulate_documents(hypothesis.strategies))(_simulate_once))()
+    assert calls and all(fields <= sites for fields, sites in calls), max(calls)
 
 
 def _snapshot_heights(path):
@@ -706,6 +726,47 @@ def test_simulate_commutes_with_scaling_by_powers_of_two(tmp_path):
             f = _snapshot_heights(tmp / "run" / "snapshots" / name)
             f_base = _snapshot_heights(base / "snapshots" / name)
             assert f.tobytes() == (2.0**k * f_base).tobytes(), (k, name)
+
+
+def _trace_columns(run):
+    """The columns of ``run / "trace.csv"`` by name, as float arrays."""
+    header, *rows = (run / "trace.csv").read_text().splitlines()
+    values = np.array([[float(cell) for cell in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), values.T))
+
+
+def test_simulate_commutes_with_scaling_by_other_units(tmp_path):
+    # lam f(x / lam, t / lam) for lam not a power of two: the scaled inputs
+    # round, so the run agrees with lam = 1 to roundoff (measured for lam from
+    # 1e-3 to 1e4: snapshots / lam within 6.8e-16 of their largest value,
+    # max_gamma within 1.4e-13 absolute, min_slack within 2.2e-16, m_bound
+    # within 5.9e-14 relative); h4_norm, whose weight (1 + xi^2)^4 has units,
+    # is left out
+    assert _simulate_in(tmp_path / "base", _DEFAULT_DOC) == 0
+    base = tmp_path / "base" / "run"
+    want = _trace_columns(base)
+    snaps = sorted(p.name for p in (base / "snapshots").iterdir())
+    for lam in (1e-3, 1e4):
+        tmp = tmp_path / f"lam{lam:g}"
+        assert _simulate_in(tmp, _scaled(_DEFAULT_DOC, lam)) == 0, lam
+        got = _trace_columns(tmp / "run")
+        assert np.max(np.abs(got["max_gamma"] - want["max_gamma"])) <= 1e-12, lam
+        assert np.max(np.abs(got["min_slack"] - want["min_slack"])) <= 1e-14, lam
+        assert np.max(np.abs(got["m_bound"] / want["m_bound"] - 1.0)) <= 1e-12, lam
+        assert sorted(p.name for p in (tmp / "run" / "snapshots").iterdir()) == snaps
+        for name in snaps:
+            f = _snapshot_heights(tmp / "run" / "snapshots" / name) / lam
+            f_base = _snapshot_heights(base / "snapshots" / name)
+            assert np.max(np.abs(f - f_base)) <= 1e-14 * np.max(np.abs(f_base)), (lam, name)
+
+
+def test_simulate_at_a_length_of_2_to_the_minus_150_keeps_finite_norms(tmp_path):
+    # the default run scaled by 2^-150: the H4 weights (1 + xi^2)^4 leave the
+    # float range, and sobolev_norm factors out the largest of them, so no
+    # warning is printed and every h4_norm is finite
+    assert _simulate_in(tmp_path, _scaled(_DEFAULT_DOC, 2.0**-150)) == 0
+    h4 = _trace_columns(tmp_path / "run")["h4_norm"]
+    assert h4.size and np.all(np.isfinite(h4) & (h4 > 0.0))
 
 
 def test_simulate_overflowing_near_cell_derivatives_name_a_site(tmp_path):

@@ -141,7 +141,7 @@ def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
     plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
     slope = np.random.default_rng(3).uniform(lo, hi, n)
     slope[:2] = lo, hi
-    if (lo, hi) == (-10.0, 10.0):  # 742 Chebyshev nodes: the sites' own slopes instead
+    if (lo, hi) == (-10.0, 10.0):  # 413 Chebyshev nodes: the sites' own slopes instead
         assert _quadrature_nodes(slope) is None
     for width in (1e-10, 1e-6, 1e-3, 0.1, 0.5):
         ref = _direct_near_moments(slope, plan, width)
@@ -151,13 +151,13 @@ def test_near_moments_interpolated_in_the_slope_match_direct_sum(n, lo, hi):
 
 def test_near_moments_are_even_in_the_slope():
     # I_k(-A) = I_k(A): the table's rows at t < 0 mirror those at t > 0 with
-    # sign +1.  |A| <= 10 takes 742 nodes, so 8192 sites; the bound is the
-    # barycentric sums' roundoff (5e-15 to 8e-15 of each moment's largest
+    # sign +1.  |A| <= 18 takes 742 nodes, so 8192 sites; the bound is the
+    # barycentric sums' roundoff (4e-15 to 7e-15 of each moment's largest
     # value measured), and a mirror of sign -1 misses it by O(1)
     n = 8192
     plan = evolution.quadrature_plan(n, LENGTH / n, 10.0)
-    a = np.random.default_rng(11).uniform(-10.0, 10.0, n // 2)
-    a[0] = 10.0
+    a = np.random.default_rng(11).uniform(-18.0, 18.0, n // 2)
+    a[0] = 18.0
     slope = np.concatenate([a, -a])
     assert _quadrature_nodes(slope).size == 742
     for width in (1e-6, 0.5):
@@ -166,9 +166,9 @@ def test_near_moments_are_even_in_the_slope():
 
 
 def test_near_moments_node_counts():
-    # d = ceil(37 / asinh(b / M)), M = max |A|, b = 1/2: the table lies on [-M, M]
-    for (lo, hi), nodes in (((0.0, 0.0), 1), ((-0.086, 0.086), 17), ((-1.0, 1.0), 78),
-                            ((2.0, 3.0), 225)):
+    # d = ceil(37 / asinh(b / M)), M = max |A|, b = 0.9: the table lies on [-M, M]
+    for (lo, hi), nodes in (((0.0, 0.0), 1), ((-0.086, 0.086), 14), ((-1.0, 1.0), 47),
+                            ((2.0, 3.0), 127)):
         slope = np.linspace(lo, hi, 2048)
         assert _quadrature_nodes(slope).size == nodes
 
@@ -199,7 +199,7 @@ def _a_max(f):
 
 def _far_table_nodes(f):
     """Chebyshev points of the near band's table: ``ceil(d / 2) + 1`` for the one-cell slope range."""
-    return -(-spectral.chebyshev_degree(_a_max(f), 10**6, evolution.FAR_SEMI_MINOR) // 2) + 1
+    return -(-spectral.chebyshev_degree(_a_max(f), 10**6) // 2) + 1
 
 
 def _band_start(f):

@@ -74,6 +74,32 @@ def test_one_slope_interpolator():
     assert not found, f"slope interpolation outside spectral: {found}"
 
 
+def test_one_slope_ellipse():
+    # the Bernstein ellipse of the slope tables is spectral's alone: no other
+    # module names a *SEMI_MINOR constant or passes chebyshev_degree or
+    # slope_nodes a semi-minor axis (their third argument), so every table in
+    # the slope takes one degree rule
+    found = []
+    for path in sorted(Path(mixzone.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = []
+            if isinstance(node, ast.ImportFrom):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                named = [node.id if isinstance(node, ast.Name) else node.attr]
+            found += [f"{path.name}:{node.lineno} {name}" for name in named
+                      if name.endswith("SEMI_MINOR")]
+            if isinstance(node, ast.Call):
+                func = node.func.id if isinstance(node.func, ast.Name) else getattr(
+                    node.func, "attr", None)
+                if func in ("chebyshev_degree", "slope_nodes") and (
+                        len(node.args) > 2 or any(kw.arg == "semi_minor" for kw in node.keywords)):
+                    found.append(f"{path.name}:{node.lineno} {func} with an axis")
+    assert not found, f"slope-table axes outside spectral: {found}"
+
+
 def test_one_block_size_rule():
     # BLOCK_ENTRIES is grid's alone: every blocked pass takes its rows from
     # grid.block_rows, so no module grows a second block-size rule

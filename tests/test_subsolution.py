@@ -49,9 +49,14 @@ def test_flat_velocity_translation_invariant(flat):
     assert u[0, 0] == pytest.approx(u[1, 0], abs=1e-15)
 
 
-def test_velocity_rejects_outside_strip(bump):
-    with pytest.raises(ValueError):
-        subsolution.site_samples(bump, EPS, 1.0, [128], [2 * EPS])
+def test_velocity_rejects_outside_strip(bump, monkeypatch):
+    # the lams are checked before the whole-grid quadrature of dtz runs
+    calls = []
+    monkeypatch.setattr(subsolution, "kernel_quadrature", lambda *args: calls.append(args))
+    for lams in ([2 * EPS], [0.0, -1.5 * EPS], [np.nan]):
+        with pytest.raises(ValueError, match="half-width"):
+            subsolution.site_samples(bump, EPS, 1.0, [128], lams)
+    assert not calls
 
 
 def _site(f, w, j):
@@ -184,7 +189,7 @@ def _assert_matches_per_site(f, w, sites, lams=None):
 
 def _far_degree(snap, sites):
     """Degree of the far rows' tables for ``sites`` sites, as :func:`subsolution.site_samples` takes it."""
-    return spectral.chebyshev_degree(snap.a_max, 2 * sites - 1, evolution.FAR_SEMI_MINOR)
+    return spectral.chebyshev_degree(snap.a_max, 2 * sites - 1)
 
 
 def _tables(f, w, sites):
@@ -251,8 +256,8 @@ def test_far_tables_match_direct_far_sums(bump, w):
 @pytest.mark.parametrize("w", [1e-6, 0.5])
 def test_near_cell_has_the_parity_of_its_columns(bump, w):
     # J_k(-A) = -(-1)^k J_k(A) column for column (the column mirror is folded
-    # into J_k): |A| <= 10 takes 742 nodes, so 400 slopes and their negatives;
-    # the bound is the barycentric sums' roundoff (4e-15 to 6e-15 of each
+    # into J_k): |A| <= 18 takes 742 nodes, so 400 slopes and their negatives;
+    # the bound is the barycentric sums' roundoff (1e-15 to 4e-15 of each
     # column's largest value measured), and a mirror of the opposite sign
     # misses it by O(1)
     snap = subsolution._Snapshot(bump, w, 10.0)
@@ -260,9 +265,9 @@ def test_near_cell_has_the_parity_of_its_columns(bump, w):
     a = np.append(np.where(lams <= 0, -w, lams), -w)
     b = np.append(np.where(lams <= 0, lams, w), w)
     cols, _ = subsolution._closed_columns(a, b, lams)
-    slopes = np.random.default_rng(12).uniform(-10.0, 10.0, 400)
-    slopes[0] = 10.0
-    assert spectral.slope_nodes(10.0, 800).size == 742
+    slopes = np.random.default_rng(12).uniform(-18.0, 18.0, 400)
+    slopes[0] = 18.0
+    assert spectral.slope_nodes(18.0, 800).size == 742
     jk = subsolution._near_cell(snap, np.concatenate([slopes, -slopes]), w, cols)
     scale = np.max(np.abs(jk), axis=0)
     assert np.all(np.abs(jk[400:] + subsolution._PARITY * jk[:400]) <= 1e-14 * scale)
@@ -309,11 +314,11 @@ def test_report_entry_counts(monkeypatch, bump):
     snap = subsolution._Snapshot(bump, EPS, 10.0)
     n_pos = snap.offsets.size // 2
     a_max = np.max(np.abs(np.diff(bump.values, prepend=bump.values[-1]))) / bump.h
-    degree = spectral.chebyshev_degree(a_max, np.inf, evolution.FAR_SEMI_MINOR)
+    degree = spectral.chebyshev_degree(a_max, np.inf)
     sites = range(0, 256, 8)
     top = np.max(np.abs(snap.g[sites]))
     nodes = spectral.slope_nodes(top).size
-    assert (degree, nodes) == (13, 14)
+    assert (degree, nodes) == (13, 12)
     seen = _count_entries(monkeypatch, bump)
     subsolution.subsolution_report(traj)
     assert seen == {"far": (degree + 2) // 2 * n_pos * 20, "near": (nodes + 1) // 2 * 144 * 20}
