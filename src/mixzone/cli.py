@@ -356,6 +356,9 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         (snapdir / f"f_{diag['step']:06d}.csv").write_text(_snapshot_text(state.f.x, state.f.values))
     (outdir / "trace.csv").write_text("\n".join(lines) + "\n")
 
+    def figure(value):  # JSON has no infinity: a figure past the float range is null
+        return value if value is None or math.isfinite(value) else None
+
     meta = {
         "version": __version__,
         "config": cfg.as_dict(),
@@ -367,15 +370,16 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         "integration_failure_stage": traj.failure_stage,
         "subsolution_failure_time": failure_time,
         "measured": {
-            "final_h4": traj.diagnostics[-1]["h4"] if traj.diagnostics else None,
-            "final_dinv_d5": traj.diagnostics[-1]["dinv_d5"] if traj.diagnostics else None,
-            "m_bound": None if not report else report[-1]["m_bound"],
-            "max_zero_mean_residual": (
+            "final_h4": figure(traj.diagnostics[-1]["h4"] if traj.diagnostics else None),
+            "final_dinv_d5": figure(traj.diagnostics[-1]["dinv_d5"] if traj.diagnostics else None),
+            "m_bound": figure(None if not report else report[-1]["m_bound"]),
+            "max_zero_mean_residual": figure(
                 None if not report else max(r["zero_mean_residual"] for r in report)
             ),
         },
     }
-    (outdir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)
+    (outdir / "meta.json").write_text(text + "\n")
     return 1 if (failure_time is not None or traj.failed) else 0
 
 

@@ -17,11 +17,18 @@ grid and window, and the subsolution check reads it too.  Without the
 near cell the quadrature is first order once the kernel width drops below
 the mesh; with it the scheme is second order in h and the right-hand side
 stays smooth in t, preserving the RK4 order.  The frozen-slope moments
-are analytic and even in the slope, so each call tabulates them at the
-nonnegative Chebyshev points of ``[-M, M]``, M its largest slope (7 of
-14 for the criterion-08 data), and interpolates them to every site within
-e^-37 by the slope interpolator of :mod:`mixzone.spectral`, which the
-subsolution check's near cell uses too (:func:`nearfield_correction`).
+are analytic and even in the slope, so they are tabulated at the
+nonnegative Chebyshev points of the degree d that M, the largest slope,
+needs (7 of 14 for the criterion-08 data), and interpolated to every site
+within e^-37 by the slope interpolator of :mod:`mixzone.spectral`, which
+the subsolution check's near cell uses too (:func:`nearfield_correction`).
+
+Each slope table lies on the widest range of its degree
+(:func:`~mixzone.spectral.chebyshev_half`), so it depends on the grid,
+window, kernel width and degree only, and is kept for the last width.
+RK4 stage times are ``t_start + (step - 1 + node) dt``, so the stages
+that share a width run in a row.  Lengths are taken in units of ``2^e``
+(:func:`~mixzone.grid.unit_exponent`).
 
 The far offsets split at ``dx = osc``, ``osc = max f - min f``, or at ``8
 osc`` for one-cell slopes above 1/8 (:func:`kernel_quadrature`).  Below it
@@ -54,12 +61,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .grid import (GridFunction1D, NonFiniteError, block_rows, derivative_symbols, max_cell_slope,
-                   root_sum)
+                   root_sum, unit_exponent)
 from .kernel import kernel_values
-from .spectral import apply_dinv, chebyshev_degree, chebyshev_maps, slope_interpolated
+from .spectral import (apply_dinv, chebyshev_degree, chebyshev_half, chebyshev_maps,
+                       slope_interpolated, table_slopes)
 
 __all__ = [
     "InterfaceState",
@@ -238,6 +245,7 @@ def mollify(f: GridFunction1D, delta: float) -> GridFunction1D:
 class _Plan(NamedTuple):
     """Quadrature layout of one grid and window (see :func:`quadrature_plan`)."""
 
+    grid: tuple  # (n, h, trunc_radius), the key of its tables
     offsets: np.ndarray  # trapezoid offsets in grid spacings, both signs
     weights: np.ndarray  # Gregory end-corrected trapezoid weights times h
     near: int  # near-cell half-width in grid spacings
@@ -296,23 +304,34 @@ def quadrature_plan(n: int, h: float, trunc_radius: float) -> _Plan:
     moments = 2.0 * near_y[:, None] ** np.array([1, 3, 5]) * near_w[:, None]
     for arr in (offsets, weights, near_y, near_w, moments):
         arr.flags.writeable = False
-    return _Plan(offsets, weights, near, near_y, near_w, moments)
+    return _Plan((n, h, trunc_radius), offsets, weights, near, near_y, near_w, moments)
 
 
-def _near_moments(slopes: np.ndarray, plan: _Plan, width: float, work: np.ndarray) -> np.ndarray:
+def _near_moments(slopes: np.ndarray, plan: _Plan, width: float,
+                  work: np.ndarray | None = None) -> np.ndarray:
     """Frozen-slope moments ``2 int_0^{near*h} y^k K(y, A y, w) dy``, k = 1, 3, 5.
 
     One row ``(I1, I3, I5)`` per slope A, summed on the plan's near-cell
-    nodes in blocks of ``block_rows(nodes)`` slopes; ``work`` has shape
-    ``(6, block_rows(nodes), nodes)``.
+    nodes in blocks of ``work.shape[1]`` slopes; ``work`` has shape
+    ``(6, rows, nodes)``, by default ``rows = min(block_rows(nodes), slopes)``.
     """
     y = plan.near_y
-    rows = block_rows(y.size)
+    if work is None:
+        work = np.empty((6, min(block_rows(y.size), slopes.size), y.size))
+    rows = work.shape[1]
     out = np.empty((slopes.size, 3))
     for start in range(0, slopes.size, rows):
         stop = min(start + rows, slopes.size)
         u = np.multiply(slopes[start:stop, None], y, out=work[0, : stop - start])
         out[start:stop] = kernel_values(y, u, width, work=work[1:, : stop - start]) @ plan.moments
+    return out
+
+
+@lru_cache(maxsize=1)
+def _near_table(n: int, h: float, trunc_radius: float, width: float, degree: int) -> np.ndarray:
+    """:func:`_near_moments` at the ``table_slopes`` of ``degree``; read-only."""
+    out = _near_moments(table_slopes(degree), quadrature_plan(n, h, trunc_radius), width)
+    out.flags.writeable = False
     return out
 
 
@@ -325,6 +344,10 @@ def _far_degree(a_max: float) -> int | None:
     """
     d = chebyshev_degree(a_max, 2 * _MAX_FAR_DEGREE)
     return None if d is None else (d + 1) // 2
+
+
+# the FFT band's largest degree, that of one-cell slopes up to 1 / _BAND_SPAN
+_BAND_DEGREE = _far_degree(1.0 / _BAND_SPAN)
 
 
 def nearfield_correction(
@@ -345,8 +368,9 @@ def nearfield_correction(
     moment table.
 
     The moments are smooth and even in the one scalar A, so they are
-    evaluated once, at the nonnegative Chebyshev points of ``[-M, M]``, ``M
-    = max |A|``, and interpolated to every site.  ``K(y, A y, w)`` is built
+    evaluated at the nonnegative Chebyshev points of the widest range of
+    the degree that ``M = max |A|`` needs, once per kernel width
+    (:func:`_near_table`), and interpolated to every site.  ``K(y, A y, w)`` is built
     from ``-Re(z log z)`` at ``z = y (1 + i A) + i c``, ``c`` in ``{0, +-2w}``.  For
     complex A and real ``y > 0`` both ``z`` and its conjugate partner
     ``y (1 - i A) - i c`` keep a positive real part while ``|Im A| < 1``,
@@ -367,18 +391,19 @@ def nearfield_correction(
     float array of shape ``(6, block_rows(nodes), nodes)`` for the frozen
     height differences and the kernel's temporaries.
     """
-    if work is None:
-        work = np.empty((6, block_rows(plan.near_y.size), plan.near_y.size))
     m = slope_interpolated(slope, slope.size // _SITES_PER_NODE,
-                           lambda slopes: _near_moments(slopes, plan, width, work), 1.0)
+                           lambda slopes: _near_moments(slopes, plan, width, work),
+                           lambda degree: _near_table(*plan.grid, width, degree), 1.0)
     return g1 * m[:, 0] + g3 / 6.0 * m[:, 1] + g5 / 120.0 * m[:, 2]
 
 
 def _back_windows(values: np.ndarray, reach: int, near: int) -> np.ndarray:
-    """Read-only view ``w[i, c] = values[(i - near - c) % n]`` for c = 0..reach - near."""
-    n = values.size
+    """Read-only view ``w[c, i] = values[(i - near - c) % n]`` for c = 0..reach - near."""
     ext = np.concatenate([values[-reach:], values])
-    return sliding_window_view(ext, reach - near + 1)[:n, ::-1]
+    out = np.ndarray((reach - near + 1, values.size), ext.dtype, ext, (reach - near) * ext.itemsize,
+                     (-ext.itemsize, ext.itemsize))
+    out.flags.writeable = False
+    return out
 
 
 def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np.ndarray,
@@ -395,7 +420,28 @@ def _offset_polynomials(dx: np.ndarray, wts: np.ndarray, width: float, u_top: np
     table = kernel_values(dx, np.sqrt(0.5 + 0.5 * t)[:, None] * u_top, width)
     coef = to_monomial @ (to_chebyshev @ table)
     coef *= wts
-    return coef if np.all(np.isfinite(coef)) else None
+    return coef if np.isfinite(coef).all() else None
+
+
+@lru_cache(maxsize=1)
+def _near_band_table(n: int, h: float, trunc_radius: float, width: float, degree: int,
+                     split: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The near band's :func:`_offset_polynomials` on ``|u| <= a dx``, ``a = chebyshev_half(2 D)``.
+
+    With ``scale = sqrt(2) / (a dx)``, unread at degree 0; or None.  Read-only.
+    """
+    plan = quadrature_plan(n, h, trunc_radius)
+    n_pos = plan.offsets.size // 2
+    dx = plan.offsets[n_pos : n_pos + split] * h
+    u_top = chebyshev_half(2 * degree) * dx
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = math.sqrt(2.0) / u_top[:, None]
+    coef = _offset_polynomials(dx, plan.weights[n_pos : n_pos + split], width, u_top, degree)
+    if coef is None or degree and not np.isfinite(scale).all():
+        return None
+    for arr in (coef, scale):
+        arr.flags.writeable = False
+    return coef, scale
 
 
 def _far_polynomial(coef: np.ndarray, scale: np.ndarray, u: np.ndarray,
@@ -451,34 +497,38 @@ def _band_map(degree: int) -> np.ndarray:
     return out
 
 
-def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: np.ndarray,
-              wts: np.ndarray, width: float, osc: float, a_max: float) -> np.ndarray | None:
-    """Sum of the band's fluxes over both signs of the contiguous offsets ``pos``; or None.
+def _band_top(dx, osc: float, degree: int):
+    """The FFT band's fit range: ``chebyshev_half(2 D) dx`` clipped to ``[osc c^(-7 / D), osc]``."""
+    floor = osc * _BAND_SPAN ** (-_BAND_DEGREE / max(degree, 1))
+    return np.minimum(np.maximum(chebyshev_half(2 * degree) * dx, floor), osc)
 
-    The two-sided sum ``sum_k wts_k (g_i - g_{i-k}) K(dx_k, f_i - f_{i-k})``
-    over ``k = +-pos`` (see :func:`kernel_quadrature`) as circular
-    convolutions: the kernel per offset is a polynomial in ``v = (z_i -
-    z_{i-k})^2``, ``z = (f - mid) / (osc / 2)``, and the binomial expansion
-    of ``v^j`` splits every term into a power of ``z_i`` times a
-    convolution.  Offset k is fitted on ``|u| <= u_top_k``, ``a_max dx_k``
-    clipped to ``[osc c^(-7 / D), osc]``, ``c = _BAND_SPAN``, at the least
-    degree D that this range needs at the first offset, so its row of ``v^l``
-    takes the factor ``(osc / u_top_k)^(2 l) <= c^14``.  None when the table
-    is not finite.
+
+def _band_key(osc: float, a_max: float, dx0: float) -> tuple[int, float]:
+    """The FFT band's ``osc`` rounded up and degree D, the least whose :func:`_band_top` holds ``dx0``.
+
+    Searched up from ``_far_degree(min(a_max, osc / dx0))``: every range holds its heights.
     """
-    n, lo, hi = f_values.size, int(pos[0]), int(pos[-1]) + 1
-    # the least degree D whose floor osc c^(-D7 / D), D7 = 7 the degree at slope
-    # 1 / c, leaves offset 0's range within D (u_top / dx falls with dx), searched
-    # up from the floor-free D; D = 0 only at osc = 0
-    d7, degree = _far_degree(1.0 / _BAND_SPAN), _far_degree(min(a_max, osc / dx[0]))
-    while True:
-        u_top = np.clip(a_max * dx, osc * _BAND_SPAN ** (-d7 / max(degree, 1)), osc)
-        if _far_degree(u_top[0] / dx[0]) <= degree:
-            break
+    m, e = math.frexp(osc)
+    top = math.ldexp(math.ceil(16.0 * m), e - 4)  # four significant bits, at most 9/8 of osc
+    degree = _far_degree(min(a_max, osc / dx0))
+    while _far_degree(_band_top(dx0, top, degree) / dx0) > degree:
         degree += 1
-    coef = _offset_polynomials(dx, wts, width, u_top, degree)
+    return degree, top
+
+
+@lru_cache(maxsize=1)
+def _band_rows(n: int, h: float, trunc_radius: float, width: float, degree: int, osc: float,
+               split: int) -> np.ndarray | None:
+    """The row spectra :func:`_fft_band` convolves with, for offsets from ``split``; or None.  Read-only."""
+    plan = quadrature_plan(n, h, trunc_radius)
+    n_pos = plan.offsets.size // 2
+    pos = plan.offsets[n_pos + split :]
+    dx = pos * h
+    u_top = _band_top(dx, osc, degree)
+    coef = _offset_polynomials(dx, plan.weights[n_pos + split :], width, u_top, degree)
     if coef is None:
         return None
+    lo, hi = int(pos[0]), int(pos[-1]) + 1
     # (2 j)! times the coefficient of v^j, on an odd row: -k carries the
     # flux that each pair credits to its back site
     rows = np.zeros((degree + 1, n))
@@ -490,9 +540,26 @@ def _fft_band(f_values: np.ndarray, g_values: np.ndarray, pos: np.ndarray, dx: n
     # parts, acts on the real and imaginary parts of the powers' transforms
     rows = np.fft.rfft(rows).view(float)
     rows[:, ::2] = rows[:, 1::2]
+    rows.flags.writeable = False
+    return rows
+
+
+def _fft_band(f_values: np.ndarray, g_values: np.ndarray, rows: np.ndarray,
+              osc: float) -> np.ndarray:
+    """Sum of the band's fluxes over both signs of its offsets, from its table ``rows``.
+
+    The two-sided sum ``sum_k wts_k (g_i - g_{i-k}) K(dx_k, f_i - f_{i-k})``
+    over the band (see :func:`kernel_quadrature`) as circular convolutions:
+    the kernel per offset is a polynomial in ``v = (z_i - z_{i-k})^2``, ``z
+    = (f - mid) / (osc / 2)``, and the binomial expansion of ``v^j`` splits
+    every term into a power of ``z_i`` times a convolution of
+    :func:`_band_rows` with a power of z.  ``osc`` is the table's, at
+    least ``max f - min f``, so ``|z| <= 1``.
+    """
+    n, degree = f_values.size, rows.shape[0] - 1
     z = np.zeros(n)
     if osc > 0:
-        np.subtract(f_values, 0.5 * np.max(f_values) + 0.5 * np.min(f_values), out=z)
+        np.subtract(f_values, 0.5 * f_values.max() + 0.5 * f_values.min(), out=z)
         z /= osc
         z *= 2.0
     # g centred by a grid value, so a constant g is exactly zero
@@ -568,15 +635,16 @@ def kernel_quadrature(
     * Near band: ``a = A_max = max |f_i - f_{i-1}| / h``, which bounds
       every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
       one-cell slopes; the range of the spectral slope does not (a
-      grid-scale ripple has none).  A chunk takes one Horner pass per entry
-      in ``t = 2 (u / (A_max dx))^2 - 1``: no transcendental, no edge or
-      corner mask.  When ``A_max`` is not finite or the degree would
+      grid-scale ripple has none).  The fit lies on the widest range of
+      its degree D, ``a_2D = chebyshev_half(2 D) >= A_max``, and a chunk
+      takes one Horner pass per entry in ``t = 2 (u / (a_2D dx))^2 - 1``: no
+      transcendental, no edge or corner mask.  When ``A_max`` is not finite or the degree would
       exceed ``_MAX_FAR_DEGREE`` (``A_max`` above about 0.74), the loop
       takes :func:`kernel_values` per entry, the only kernel that can be
       non-finite; the chunk marks the sites of such a pair, named after the loop.
-    * FFT band: offset k is fitted over ``|u| <= u_top_k``, ``A_max dx_k``
-      clipped to ``[osc c^(-7 / D), osc]``, which holds its height
-      differences, so ``a = u_top_k / dx_k <= 1 / c``; D is the least degree
+    * FFT band: ``osc`` is rounded up to four bits, and offset k is fitted
+      over ``|u| <= u_top_k``, ``a_2D dx_k`` clipped to ``[osc c^(-7 / D),
+      osc]``, which holds its height differences; D is the least degree
       that covers the first offset's range under its own floor, from the
       floor-free ``_far_degree(min(A_max, osc / dx_0))`` up to at most 7, the
       degree at ``a = 1 / c`` (where the floor is ``osc / c``).  With
@@ -603,22 +671,29 @@ def kernel_quadrature(
       at n = 1024 and 2048.
     """
     n = f_values.size
+    top, bottom = float(f_values.max()), float(f_values.min())
+    # in units of 2^e (see unit_exponent): the velocity is dimensionless, and
+    # the exact scaling leaves it as it is
+    e = unit_exponent(length, max(abs(top), abs(bottom)), width)
+    if e:
+        f_values = np.ldexp(f_values, -e)
+        top, bottom, length, width, trunc_radius = (
+            math.ldexp(v, -e) for v in (top, bottom, length, width, trunc_radius))
+    osc = top - bottom
     h = length / n
     plan = quadrature_plan(n, h, trunc_radius)
     n_pos = plan.offsets.size // 2
-    pos = plan.offsets[n_pos:]
-    dx = pos * h
-    wts = plan.weights[n_pos:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        osc = float(np.max(f_values) - np.min(f_values))
+    dx = plan.offsets[n_pos:] * h
     a_max = max_cell_slope(f_values, h)
     split = _band_start(osc, a_max, h, plan)
     band = None
     if split < n_pos:
-        band = _fft_band(f_values, g_values, pos[split:], dx[split:], wts[split:], width, osc,
-                         a_max)
-        if band is None:
+        degree, osc = _band_key(osc, a_max, dx[split])
+        rows = _band_rows(n, h, trunc_radius, width, degree, osc, split)
+        if rows is None:
             split = n_pos
+        else:
+            band = _fft_band(f_values, g_values, rows, osc)
     # the near band: offsets near..reach, in chunks of cols offsets across every site
     reach = plan.near + split - 1
     cols = min(split, block_rows(n))
@@ -632,20 +707,18 @@ def kernel_quadrature(
     buf = np.empty(6 * max(cols * n, near_rows * n_near))
     near_work = buf[: 6 * near_rows * n_near].reshape(6, near_rows, n_near)
     if split:
-        f_back = _back_windows(f_values, reach, plan.near).T  # row c: offset near + c
-        g_back = _back_windows(g_values, reach, plan.near).T
+        wts = plan.weights[n_pos:]
+        f_back = _back_windows(f_values, reach, plan.near)  # row c: offset near + c
+        g_back = _back_windows(g_values, reach, plan.near)
         # pad[j, cols - 1 + i] is the flux of site i and offset near + c0 + j, between
         # cols - 1 zeros on either side: for a chunk of w offsets, column q of
         # diag[j, q] = pad[j, cols - w + j + q] sums the fluxes bound for acc[back + q]
         pad = np.zeros((cols, n + 2 * (cols - 1)))
         step, item = pad.strides
-        # the weighted kernel per offset in t = (scale u)^2 - 1, or entry by entry (coef None)
+        # the weighted kernel per offset in t = (scale u)^2 - 1, or entry by entry (None)
         degree = _far_degree(a_max)
-        with np.errstate(over="ignore", divide="ignore"):
-            scale = math.sqrt(2.0) / (a_max * dx[:split, None])  # unused at degree 0
-        coef = None
-        if degree == 0 or degree and np.all(np.isfinite(scale)):
-            coef = _offset_polynomials(dx[:split], wts[:split], width, a_max * dx[:split], degree)
+        table = None if degree is None else _near_band_table(n, h, trunc_radius, width, degree,
+                                                             split)
         # both sites of each pair with a non-finite kernel value, which its column sum shows
         bad = np.zeros(n, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -654,27 +727,27 @@ def kernel_quadrature(
                 c = slice(c0, c0 + w)
                 work = buf[: 6 * w * n].reshape(6, w, n)
                 u = np.subtract(f_values, f_back[c], out=work[0])
-                if coef is None:  # the weighted kernel entry by entry
+                if table is None:  # the weighted kernel entry by entry
                     kern = kernel_values(dx[c, None], u, width, work=work[1:])
                     kern *= wts[c, None]
                 else:  # the polynomial's t over u
-                    kern = _far_polynomial(coef[:, c, None], scale[c], u, work[1::-1])
+                    kern = _far_polynomial(table[0][:, c, None], table[1][c], u, work[1::-1])
                 fl = np.multiply(kern, np.subtract(g_values, g_back[c], out=u),
                                  out=pad[:w, cols - 1 : cols - 1 + n])
                 sums = fl.sum(axis=0)
-                if not np.all(np.isfinite(sums)):
-                    j, i = np.nonzero(~np.isfinite(kern))
+                if not np.isfinite(sums).all():
+                    j, i = (~np.isfinite(kern)).nonzero()
                     bad[i] = True
                     bad[(i - plan.near - c0 - j) % n] = True
                 acc[reach:] += sums
-                diag = as_strided(pad[:, cols - w :], (w, n + w - 1), (step + item, item))
+                diag = np.ndarray((w, n + w - 1), float, pad, (cols - w) * item, (step + item, item))
                 back = split - w - c0
                 acc[back : back + n + w - 1] += diag.sum(axis=0)
         if bad.any():
-            raise NonFiniteError(f"non-finite kernel value at site {int(np.argmax(bad))}")
+            raise NonFiniteError(f"non-finite kernel value at site {int(bad.argmax())}")
     # slope, g', g''' and g^(5) from one transform pair; odd orders drop Nyquist
     with np.errstate(over="ignore", invalid="ignore"):
-        spectra = np.fft.rfft(np.stack([f_values, g_values]))[[0, 1, 1, 1]]
+        spectra = np.fft.rfft(np.array([f_values, g_values]))[[0, 1, 1, 1]]
         spectra *= derivative_symbols(n, length, (1, 1, 3, 5))
         spectra[:, -1] = 0.0
         slope, g1, g3, g5 = rows = np.fft.irfft(spectra, n=n)
@@ -684,7 +757,7 @@ def kernel_quadrature(
     if finite.all():
         finite, what = np.isfinite(rows[1:]).all(axis=0), "derivative of the slope"
     if not finite.all():
-        raise NonFiniteError(f"non-finite {what} at site {int(np.argmin(finite))}")
+        raise NonFiniteError(f"non-finite {what} at site {int(finite.argmin())}")
     out = acc[reach:]
     out[n - reach :] += acc[:reach]
     if band is not None:
@@ -828,7 +901,7 @@ def integrate(
             "step": step,
             "l2": state.f.l2_norm(),
             "h4": sobolev_norm(state.f, 4),
-            "dinv_d5": apply_dinv(state.f.derivative(5), state.t).l2_norm(),
+            "dinv_d5": _dinv_d5_norm(state.f, state.t),
         }
 
     traj = Trajectory()
@@ -840,7 +913,8 @@ def integrate(
         k = [probe] if step == 1 else []
         try:
             for stage, node in enumerate(_RK4_NODES[len(k):], start=len(k) + 1):
-                stage_state = state_at(vals + node * dt * k[-1] if k else vals, t + node * dt)
+                stage_state = state_at(vals + node * dt * k[-1] if k else vals,
+                                       t_start + (step - 1 + node) * dt)
                 k.append(rhs_regularized(stage_state, trunc_radius).values)
             stage = None
             t = t_start + step * dt
@@ -855,6 +929,19 @@ def integrate(
         if step % output_every == 0 or step == n_steps:
             traj.append(state, diagnose(state, step))
     return traj
+
+
+def _dinv_d5_norm(f: GridFunction1D, t: float) -> float:
+    """``|| Dinv f^(5) ||_L2`` at time t, taken in units of ``2^e``; inf past the float range."""
+    e = unit_exponent(f.length, float(np.abs(f.values).max()))
+    scaled = GridFunction1D(np.ldexp(f.values, -e), math.ldexp(f.length, -e))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            norm = apply_dinv(scaled.derivative(5), math.ldexp(t, -e)).l2_norm()
+        except NonFiniteError:
+            return math.inf
+        # f^(5) scales as 2^-4e, sqrt(h) as 2^(e/2)
+        return float(np.ldexp(norm * math.sqrt(2.0 ** (e % 2)), e // 2 - 4 * e))
 
 
 def sobolev_norm(f: GridFunction1D, k: int) -> float:

@@ -9,6 +9,7 @@ Frequencies are measured in cycles per unit length, matching the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +66,7 @@ class GridFunction1D:
             raise ValueError(f"grid size must be a power of two >= 64, got {vals.size}")
         if not self.length > 0:
             raise ValueError("domain length must be positive")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteError("grid values must be finite")
 
     @property
@@ -124,7 +125,18 @@ def max_cell_slope(values: np.ndarray, h: float) -> float:
     It bounds every mean slope ``(f_i - f_{i-k}) / (k h)``, an average of k
     one-cell slopes; silently not finite when a difference is not."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(np.diff(values, prepend=values[-1])))) / h
+        # a NaN survives Python's max only as its first argument
+        return max(float(np.abs(values[1:] - values[:-1]).max()),
+                   abs(float(values[0] - values[-1]))) / h
+
+
+def unit_exponent(length: float, top: float, width: float = math.inf) -> int:
+    """Exponent e of the unit ``2^e`` of the quadratures, ``L / 2^e`` in [32, 64).
+
+    Unless heights up to ``top`` would overflow or ``width`` leave the normal range.
+    """
+    e = max(math.frexp(length)[1] - 6, math.frexp(top)[1] - 1023)
+    return min(e, math.frexp(width)[1] + 1021)
 
 
 @lru_cache(maxsize=32)

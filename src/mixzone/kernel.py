@@ -108,13 +108,13 @@ def kernel_values(dx, delta_f, eps: float, work: np.ndarray | None = None):
     dx = np.asarray(dx, dtype=float)
     u = np.asarray(delta_f, dtype=float)
     zero = dx == 0.0
-    if np.any(zero):
+    if zero.any():
         safe = kernel_values(np.where(zero, 1.0, dx), u, eps)
         return _maybe_scalar(np.where(zero, 0.0, safe))
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         return _maybe_scalar(_by_scale(*np.broadcast_arrays(dx, u), eps))
     if work is None:
-        work = np.empty((5,) + np.broadcast_shapes(dx.shape, u.shape))
+        work = np.empty((5,) + np.broadcast(dx, u).shape)
     out, diff, r2, r4, tmp = (work[k, ...] for k in range(5))  # 0-d views for scalars
     w2 = eps * eps
     # edge and corner entries are evaluated too, and replaced below

@@ -22,9 +22,10 @@ here too.
 
 So does the lab's one slope table: a quantity analytic in the slope on
 ``|Im A| < 1`` and even or odd in it (the near-cell moments) is taken at the
-Chebyshev points ``t >= 0`` of ``[-M, M]``, ``M = max |A|``, and interpolated
+Chebyshev points ``t >= 0`` of the degree d that ``M = max |A|`` needs, on
+its widest range ``[-a_d, a_d]`` (:func:`chebyshev_half`), and interpolated
 to within e^-37 (:func:`slope_interpolated`; 14 nodes for M = 0.086, 47 for 1,
-413 for 10); the weighted energy takes the same points in ``asinh A``.  The
+413 for 10); the weighted energy takes the points of ``[-M, M]`` in ``asinh A``.  The
 degree rule and :func:`chebyshev_maps` give the per-offset tables of the PV
 far kernel and of the subsolution check's far rows.
 """
@@ -41,8 +42,8 @@ from .grid import GridFunction1D, block_rows
 __all__ = [
     "k_hat", "h_integrand", "H_integral", "h_values", "symbol_m", "symbol_mtilde",
     "mtilde_table", "mtilde_dinv_mode_sum", "apply_dinv", "apply_mtilde_dinv",
-    "coercivity_probe", "energy", "chebyshev_degree", "chebyshev_maps", "slope_nodes",
-    "barycentric", "slope_interpolated",
+    "coercivity_probe", "energy", "chebyshev_degree", "chebyshev_half", "chebyshev_maps",
+    "slope_nodes", "table_slopes", "barycentric", "slope_interpolated",
 ]
 
 _SERIES_CUTOFF = 1e-3
@@ -302,20 +303,44 @@ def chebyshev_maps(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, to_chebyshev, to_monomial
 
 
+@lru_cache(maxsize=64)
+def chebyshev_half(degree: int) -> float:
+    """The widest half-width of :func:`chebyshev_degree` ``degree``: ``b / sinh(37 / degree)``.
+
+    ``b`` is the strip's axis.  Nudged down an ulp where roundoff would give
+    ``degree + 1``; 0 at degree 0.
+    """
+    if degree == 0:
+        return 0.0
+    half = _STRIP_SEMI_MINOR / math.sinh(_LOG_TOL / degree)
+    while chebyshev_degree(half, math.inf) > degree:
+        half = math.nextafter(half, 0.0)
+    return half
+
+
+@lru_cache(maxsize=64)
+def _points(degree: int) -> np.ndarray:
+    """The points ``t_j = cos(j pi / d)`` of :func:`slope_nodes`; read-only."""
+    t = np.sin(np.pi * (degree - 2 * np.arange(degree + 1)) / (2 * degree)) if degree else np.zeros(1)
+    t.flags.writeable = False
+    return t
+
+
 def slope_nodes(half: float, max_nodes: float = math.inf,
                 semi_minor: float = _STRIP_SEMI_MINOR) -> np.ndarray | None:
     """Chebyshev points ``t_j = cos(j pi / d)``, j = 0..d, of :func:`chebyshev_degree` ``d``, or None.
 
     Written ``sin((d - 2j) pi / (2d))``, so ``t_{d - j} = -t_j`` bit for
     bit (one node, 0, at ``half = 0``).  None when ``half`` is not finite
-    or the nodes would number more than ``max_nodes``.
+    or the nodes would number more than ``max_nodes``.  Read-only.
     """
     d = chebyshev_degree(half, max_nodes - 1, semi_minor)
-    if d is None:
-        return None
-    if d == 0:
-        return np.zeros(1)
-    return np.sin(np.pi * (d - 2 * np.arange(d + 1)) / (2 * d))
+    return None if d is None else _points(d)
+
+
+def table_slopes(degree: int) -> np.ndarray:
+    """The slopes ``chebyshev_half(d) t_j`` of the nodes ``t_j >= 0`` (j <= d // 2) of degree d."""
+    return chebyshev_half(degree) * _points(degree)[: degree // 2 + 1]
 
 
 def _node_terms(t_nodes: np.ndarray, t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -339,7 +364,7 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
     of ``t`` whose node terms hold about ``BLOCK_ENTRIES`` entries; a ``t``
     on a node, whose denominator is infinite, takes that node's row.
     """
-    ext = np.vstack([table.T, np.ones(t_nodes.size)])
+    ext = np.concatenate([table.T, np.ones((1, t_nodes.size))])
     out = np.empty((t.size, table.shape[1]))
     chunk = block_rows(t_nodes.size)
     for start in range(0, t.size, chunk):
@@ -349,33 +374,32 @@ def barycentric(t_nodes: np.ndarray, table: np.ndarray, t: np.ndarray) -> np.nda
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = ext @ c
             out[start : start + chunk] = (frac[:-1] / frac[-1]).T
-        hit = np.flatnonzero(np.isinf(frac[-1]))
-        out[start + hit] = table[np.argmin(np.abs(blk[hit, None] - t_nodes), axis=1)]
+        hit = np.isinf(frac[-1]).nonzero()[0]
+        out[start + hit] = table[np.abs(blk[hit, None] - t_nodes).argmin(axis=1)]
     return out
 
 
-def slope_interpolated(slope: np.ndarray, max_nodes: float, moments, parity) -> np.ndarray:
-    """``moments(slope)``, taken from a table on ``[-M, M]``, ``M = max |slope|``.
+def slope_interpolated(slope: np.ndarray, max_nodes: float, moments, table, parity) -> np.ndarray:
+    """``moments(slope)``, taken from a table on ``[-a, a]``, ``a = chebyshev_half(d)``.
 
     ``moments`` maps an array of slopes to one row (of any shape) per
     slope, its row at ``-A`` being ``parity`` (signs that broadcast against
-    a row) times its row at A.  It runs once, on the nodes ``t >= 0`` of
-    :func:`slope_nodes`; the rows at ``-t`` are their mirrors, and
+    a row) times its row at A.  d is the degree of ``max |slope|``, and
+    ``table(d)`` is ``moments`` at :func:`table_slopes` ``(d)``, so a caller
+    may keep it per degree.  The rows at ``-t`` are their mirrors, and
     :func:`barycentric` takes the table to every slope.  One node is
-    broadcast.  Without nodes it runs on the slopes themselves.
+    broadcast.  Without nodes ``moments`` runs on the slopes themselves.
     """
-    top = float(np.max(np.abs(slope)))
-    t_nodes = slope_nodes(top, max_nodes)
-    if t_nodes is None:
+    d = chebyshev_degree(float(np.abs(slope).max()), max_nodes - 1)
+    if d is None:
         return moments(slope)
-    d = t_nodes.size - 1
-    table = moments(top * t_nodes[: d // 2 + 1])
-    shape = (slope.size, *table.shape[1:])
+    rows = table(d)
+    shape = (slope.size, *rows.shape[1:])
     if d == 0:
-        return np.broadcast_to(table, shape)
+        return np.broadcast_to(rows, shape)
     # the nodes t_{d - j} = -t_j, j < (d + 1) // 2, from the nodes t_j
-    table = np.concatenate([table, parity * table[: (d + 1) // 2][::-1]])
-    return barycentric(t_nodes, table.reshape(d + 1, -1), slope / top).reshape(shape)
+    rows = np.concatenate([rows, parity * rows[: (d + 1) // 2][::-1]])
+    return barycentric(_points(d), rows.reshape(d + 1, -1), slope / chebyshev_half(d)).reshape(shape)
 
 
 def apply_mtilde_dinv(f: GridFunction1D, slope: GridFunction1D, t: float) -> GridFunction1D:

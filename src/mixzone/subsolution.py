@@ -58,15 +58,16 @@ actually computed, so all consistency identities refer to one kernel.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, kernel_quadrature, quadrature_plan
-from .grid import (GridFunction1D, block_rows, derivative_symbols, max_cell_slope,
-                   spectral_derivative)
+from .grid import (GridFunction1D, NonFiniteError, block_rows, derivative_symbols,
+                   max_cell_slope, spectral_derivative, unit_exponent)
 from .kernel import lambda_integral
-from .spectral import chebyshev_degree, chebyshev_maps, slope_interpolated
+from .spectral import chebyshev_degree, chebyshev_maps, slope_interpolated, table_slopes
 
 __all__ = [
     "SiteSamples", "site_samples", "hull_slacks", "choose_M",
@@ -157,9 +158,11 @@ def _inner(x: np.ndarray, d: np.ndarray, w: float) -> np.ndarray:
     """Exact transverse average of the Poisson kernel ``x/(x^2 + (d - lam')^2)``.
 
     ``(arctan((d + w)/x) - arctan((d - w)/x)) / (2w)`` folded into one
-    ``arctan2``, valid for either sign of x without a branch fix-up.
+    ``arctan2``, valid for either sign of x without a branch fix-up.  Where
+    ``(d - w)(d + w)`` overflows, its infinity gives the exact limit 0.
     """
-    return np.arctan2(2.0 * w * x, x * x + (d - w) * (d + w)) / (2.0 * w)
+    with np.errstate(over="ignore"):
+        return np.arctan2(2.0 * w * x, x * x + (d - w) * (d + w)) / (2.0 * w)
 
 
 def _column_values(x, d, w: float, cols: _Columns) -> np.ndarray:
@@ -267,7 +270,8 @@ def _near_cell(snap: _Snapshot, slopes: np.ndarray, w: float, cols: _Columns) ->
             snap.near_wts @ _column_values(snap.y_near, at[rows, None] * snap.y_near, w, cols)))
         return half - _PARITY * half[..., cols.mirror]
 
-    return slope_interpolated(slopes, 2 * slopes.size, moments, -_PARITY)
+    return slope_interpolated(slopes, 2 * slopes.size, moments,
+                              lambda degree: moments(table_slopes(degree)), -_PARITY)
 
 
 def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -320,10 +324,8 @@ def site_samples(
     js = np.asarray(s_indices, dtype=int).ravel() % f.n
     if not js.size:
         raise ValueError("s_indices must name at least one site")
-    # in units of 2^e, L / 2^e in [32, 64) unless the heights would overflow or the
-    # width leave the normal range; exact, so runs 2^k apart sample alike bit for bit
-    e = max(np.frexp(f.length)[1] - 6, np.frexp(np.max(np.abs(f.values)))[1] - 1023)
-    e = min(e, np.frexp(width)[1] + 1021)
+    # in units of 2^e, as the quadrature computes; runs 2^k apart sample alike bit for bit
+    e = unit_exponent(f.length, float(np.abs(f.values).max()), width)
     f = GridFunction1D(np.ldexp(f.values, -e), np.ldexp(f.length, -e))
     w, trunc_radius, lams = (np.ldexp(v, -e) for v in (width, trunc_radius, np.atleast_1d(lams)))
     if not np.all(np.abs(lams) <= w):
@@ -357,20 +359,27 @@ def hull_slacks(rho, u, m, m_bound: float) -> np.ndarray:
     """Signed slacks of the four relaxation inequalities, one row per sample.
 
     ``rho`` has shape (n,), ``u`` and ``m`` shape (n, 2); column k is
-    slack k + 1, positive where the inequality holds strictly.
+    slack k + 1, positive where the inequality holds strictly.  Lengths are
+    ``hypot``s and slack 2 is ``(M - |v|)(M + |v|) - (1 - rho^2)``, so no
+    velocity below M overflows; past the float range slack 2 is +inf.
     """
     if not m_bound > 1.0:
         raise ValueError("the velocity bound M must exceed 1")
     r = rho[:, None]
     one = 1.0 - rho * rho
     e2 = np.array([0.0, 1.0])
-    norm = np.linalg.norm
-    return np.stack([
-        0.5 * one - norm(m - r * u + 0.5 * one[:, None] * e2, axis=1),
-        m_bound**2 - one - np.sum((2.0 * u + r * e2) ** 2, axis=1),
-        0.5 * m_bound * (1.0 - rho) - norm(m - u - 0.5 * (1.0 - r) * e2, axis=1),
-        0.5 * m_bound * (1.0 + rho) - norm(m + u + 0.5 * (1.0 + r) * e2, axis=1),
-    ], axis=1)
+
+    def norm(v):
+        return np.hypot(v[:, 0], v[:, 1])
+
+    v = norm(2.0 * u + r * e2)
+    with np.errstate(over="ignore"):
+        return np.stack([
+            0.5 * one - norm(m - r * u + 0.5 * one[:, None] * e2),
+            (m_bound - v) * (m_bound + v) - one,
+            0.5 * m_bound * (1.0 - rho) - norm(m - u - 0.5 * (1.0 - r) * e2),
+            0.5 * m_bound * (1.0 + rho) - norm(m + u + 0.5 * (1.0 + r) * e2),
+        ], axis=1)
 
 
 def choose_M(u_samples) -> float:
@@ -378,7 +387,7 @@ def choose_M(u_samples) -> float:
     u = np.asarray(u_samples, dtype=float)
     if u.size == 0:
         raise ValueError("u_samples must be nonempty")
-    speeds = np.linalg.norm(u.reshape(-1, 2), axis=1) if u.ndim > 1 else np.abs(u)
+    speeds = np.hypot(*u.reshape(-1, 2).T) if u.ndim > 1 else np.abs(u)
     return 8.0 * (float(speeds.max()) + 1.0) * (1.0 + 1e-6)
 
 
@@ -397,7 +406,10 @@ def subsolution_report(
     Sites default to every ``n // 32``-th grid node.  One row per
     snapshot; its ``ok`` flags whether the subsolution conditions hold
     (``|gamma| < 1/2`` and no slack below the violation band).  The
-    caller finds the first failing time from the rows.
+    caller finds the first failing time from the rows.  A snapshot whose
+    samples leave the float range (:class:`~mixzone.grid.NonFiniteError`,
+    say a derivative of the unmollified slope) is not checked: its figures
+    are NaN, and it fails.
     """
     rows = []
     for state in trajectory.snapshots:
@@ -406,10 +418,15 @@ def subsolution_report(
         idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)
         x = f.x
         lams = _lambda_fractions(n_lambda) * width
-        samples = site_samples(f, width, state.c, idxs, lams, trunc_radius)
-        m_bound = choose_M(samples.u)
-        min_slack = float(hull_slacks(samples.rho, samples.u, samples.m, m_bound).min())
-        max_gamma = float(np.abs(samples.gamma).max())
+        try:
+            samples = site_samples(f, width, state.c, idxs, lams, trunc_radius)
+        except NonFiniteError:
+            m_bound = min_slack = max_gamma = residual = math.nan
+        else:
+            m_bound = choose_M(samples.u)
+            min_slack = float(hull_slacks(samples.rho, samples.u, samples.m, m_bound).min())
+            max_gamma = float(np.abs(samples.gamma).max())
+            residual = float(np.abs(samples.residual).max())
         ok = max_gamma < 0.5 and min_slack >= -SLACK_VIOLATION_BAND
         rows.append(
             {
@@ -417,7 +434,7 @@ def subsolution_report(
                 "max_gamma": max_gamma,
                 "min_slack": min_slack,
                 "m_bound": float(m_bound),
-                "zero_mean_residual": float(np.abs(samples.residual).max()),
+                "zero_mean_residual": residual,
                 "ok": bool(ok),
                 "s_sites": [float(x[j]) for j in idxs],
             }

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixzone import cli, spectral, verify
+from conftest import clear_memos
+
+from mixzone import cli, evolution, spectral, subsolution, verify
 from mixzone.cli import ConfigError, RunConfig, parse_config
 
 
@@ -691,17 +693,66 @@ def _energy_fields(monkeypatch):
     return calls
 
 
+def _kernel_work(monkeypatch):
+    """``[entries, bound]`` of each quadrature call from here on, by its ``kernel_values`` calls.
+
+    ``bound`` is what the per-entry path evaluates: ``n`` times the positive
+    offsets plus the near-cell nodes.
+    """
+    calls, real_quadrature, real_kernel = [], evolution.kernel_quadrature, evolution.kernel_values
+
+    def kernel(*args, **kwargs):
+        out = real_kernel(*args, **kwargs)
+        calls[-1][0] += np.size(out)
+        return out
+
+    def quadrature(f_values, g_values, length, width, trunc_radius):
+        n = f_values.size
+        plan = evolution.quadrature_plan(n, length / n, trunc_radius)
+        calls.append([0, n * (plan.offsets.size // 2 + plan.near_y.size)])
+        return real_quadrature(f_values, g_values, length, width, trunc_radius)
+
+    monkeypatch.setattr(evolution, "kernel_values", kernel)
+    for module in (evolution, subsolution):
+        monkeypatch.setattr(module, "kernel_quadrature", quadrature)
+    return calls
+
+
 def test_simulate_over_accepted_configurations_exits_0_1_or_2(monkeypatch):
     # every run either writes its run directory (exit 0 or 1) or stops at a
     # ConfigError (exit 2); no warning is printed and no other exception
     # escapes, and a run's 2^-16 twin ends with the same exit code; no
-    # weighted energy takes more fields than the grid has sites
+    # weighted energy takes more fields than the grid has sites, and no
+    # quadrature evaluates more kernel entries than its per-entry path
     hypothesis = pytest.importorskip("hypothesis")
     settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
                                    database=None)
-    calls = _energy_fields(monkeypatch)
+    calls, work = _energy_fields(monkeypatch), _kernel_work(monkeypatch)
     settings(hypothesis.given(_simulate_documents(hypothesis.strategies))(_simulate_once))()
     assert calls and all(fields <= sites for fields, sites in calls), max(calls)
+    assert work and all(entries <= bound for entries, bound in work), max(work)
+
+
+def test_simulate_writes_the_same_bytes_from_cold_tables(tmp_path, monkeypatch):
+    # the per-width tables depend on their key only: the default run with
+    # every memo emptied before each quadrature call writes the same files
+    # as with the memos kept, byte for byte
+    (tmp_path / "empty.json").write_text("{}")
+    assert cli.main(["simulate", str(tmp_path / "empty.json"), "--out", str(tmp_path / "warm")]) == 0
+    real = evolution.kernel_quadrature
+
+    def cold(*args):
+        clear_memos()
+        return real(*args)
+
+    for module in (evolution, subsolution):
+        monkeypatch.setattr(module, "kernel_quadrature", cold)
+    assert cli.main(["simulate", str(tmp_path / "empty.json"), "--out", str(tmp_path / "cold")]) == 0
+    files = sorted(p.relative_to(tmp_path / "warm") for p in (tmp_path / "warm").rglob("*.*"))
+    assert len(files) == 7
+    assert sorted(p.relative_to(tmp_path / "cold") for p in (tmp_path / "cold").rglob("*.*")) == files
+    for name in files:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
 
 
 def _snapshot_heights(path):
@@ -711,12 +762,14 @@ def _snapshot_heights(path):
 def test_simulate_commutes_with_scaling_by_powers_of_two(tmp_path):
     # the scheme is exact under f(x, t) -> 2^k f(x / 2^k, t / 2^k): the
     # default run scaled by 2^k exits as it does, with the same subsolution
-    # columns and every snapshot 2^k times its own, bit for bit
+    # columns and every snapshot 2^k times its own, bit for bit; up to 2^-250
+    # and from 2^175, where the near cell's fifth derivative and its table of
+    # y^5 left the float range before the quadrature computed in units of 2^e
     assert _simulate_in(tmp_path / "base", _DEFAULT_DOC) == 0
     base = tmp_path / "base" / "run"
     trace = [row.split(",")[4:] for row in (base / "trace.csv").read_text().splitlines()]
     snaps = sorted(p.name for p in (base / "snapshots").iterdir())
-    for k in (-100, -30, -14, 16, 30, 100):
+    for k in (-250, -210, -100, -30, -14, 16, 30, 100, 175, 200):
         tmp = tmp_path / f"k{k}"
         assert _simulate_in(tmp, _scaled(_DEFAULT_DOC, 2.0**k)) == 0, k
         rows = (tmp / "run" / "trace.csv").read_text().splitlines()
@@ -769,20 +822,43 @@ def test_simulate_at_a_length_of_2_to_the_minus_150_keeps_finite_norms(tmp_path)
     assert h4.size and np.all(np.isfinite(h4) & (h4 > 0.0))
 
 
-def test_simulate_overflowing_near_cell_derivatives_name_a_site(tmp_path):
-    # 1e290 cos(2 pi 31 x / L) at L = 1e-3: the heights and the mollified slope
-    # g are finite, but the near cell's derivatives of g overflow; the
-    # quadrature names a site, and nothing is printed
-    length = 1e-3
+def _cosine_document(tmp_path, amplitude, modes, length, **physics):
+    """One cosine of ``modes`` periods, ``amplitude`` high, as a 64-node file table, one 1e-300 step."""
     x = -length / 2 + length / 64 * np.arange(64)
-    heights = 1e290 * np.cos(2 * np.pi * 31 * x / length)
-    (tmp_path / "f.csv").write_text(
-        "x,f\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), heights.tolist())))
-    doc = {"grid": {"n": 64, "length": length}, "time": {"dt": 1e-300, "t_end": 1e-300},
-           "physics": {"kappa": 1e-6}, "quadrature": {"trunc_radius": length / 2},
-           "initial": {"family": "file", "path": str(tmp_path / "f.csv")}}
+    _table_file(tmp_path / "f.csv", (amplitude * np.cos(2 * np.pi * modes * x / length)).tolist())
+    return {"grid": {"n": 64, "length": length}, "time": {"dt": 1e-300, "t_end": 1e-300},
+            "physics": {"kappa": 1e-6, **physics}, "quadrature": {"trunc_radius": length / 2},
+            "initial": {"family": "file", "path": str(tmp_path / "f.csv")}}
+
+
+@pytest.mark.parametrize("amplitude", [1e290, 1e300])
+def test_simulate_steep_cosine_at_a_short_length_writes_finite_metadata(tmp_path, amplitude):
+    # A cos(2 pi 31 x / L) at L = 1e-3: in the quadrature's unit, L / 2^e in
+    # [32, 64), the near cell's derivatives of the mollified slope stay
+    # finite, so the run integrates, and the check fails at t = 0 with
+    # nothing printed and no Infinity or NaN in meta.json.  At 1e290 the
+    # check's velocities reach about 3e293, past the square root of the
+    # float range; at 1e300 the sixth derivative of the heights, which the
+    # check's unmollified quadrature takes, overflows, and the snapshot is
+    # not checked (m_bound null).  Figures past the float range are null.
+    doc = _cosine_document(tmp_path, amplitude, 31, 1e-3)
     assert _simulate_in(tmp_path, doc) == 1
-    meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text(), parse_constant=_no_constant)
+    assert (meta["integration_failed"], meta["snapshots"]) == (False, 2)
+    assert meta["subsolution_failure_time"] == 0.0
+    assert meta["measured"]["final_dinv_d5"] is None
+    m_bound = meta["measured"]["m_bound"]
+    assert 1e293 < m_bound < 1e308 if amplitude == 1e290 else m_bound is None
+
+
+def test_simulate_overflowing_near_cell_derivatives_name_a_site(tmp_path):
+    # 1.2e305 cos(2 pi 16 x / L) at L = 40, delta = 2h: the heights, their
+    # slope and the mollified slope g are finite, but the near cell's fifth
+    # derivative of g overflows; the quadrature names a site, and nothing is
+    # printed
+    doc = _cosine_document(tmp_path, 1.2e305, 16, 40.0, delta=2 * 40.0 / 64)
+    assert _simulate_in(tmp_path, doc) == 1
+    meta = json.loads((tmp_path / "run" / "meta.json").read_text(), parse_constant=_no_constant)
     assert (meta["integration_failure_step"], meta["snapshots"]) == (0, 0)
     assert meta["integration_failure"].startswith(
         "non-finite state: non-finite derivative of the slope at site ")

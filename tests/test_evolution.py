@@ -264,6 +264,51 @@ def test_kernel_quadrature_takes_the_near_cell_once_per_call(monkeypatch):
         monkeypatch.undo()
 
 
+# the per-width table memos of the rhs: near cell, near band, FFT band
+_WIDTH_TABLES = (evolution._near_table, evolution._near_band_table, evolution._band_rows)
+
+
+@pytest.mark.parametrize("n, amp, used", [
+    (2048, 0.1, (True, True, True)),  # FFT band and a near band of two offsets
+    (256, 0.3, (True, True, False)),  # the near band's polynomials only
+    (1024, 1.0, (True, False, False)),  # steep: the near band entry by entry
+])
+def test_kernel_quadrature_is_the_same_from_cold_and_warm_tables(n, amp, used):
+    # a table depends on its key only: heights that share the key read the
+    # tables another's call built, and get the bits of a cold call
+    f, other = bump(n, amp=amp).values, bump(n, amp=amp * (1.0 + 1e-9)).values
+    g = spectral_derivative(f, LENGTH)
+    cold = evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
+    for memo in _WIDTH_TABLES:
+        memo.cache_clear()
+    evolution.kernel_quadrature(other, spectral_derivative(other, LENGTH), LENGTH, 0.05, 10.0)
+    assert tuple(memo.cache_info().misses == 1 for memo in _WIDTH_TABLES) == used
+    warm = evolution.kernel_quadrature(f, g, LENGTH, 0.05, 10.0)
+    assert tuple(memo.cache_info().hits == 1 for memo in _WIDTH_TABLES) == used
+    assert warm.tobytes() == cold.tobytes()
+
+
+def test_integrate_builds_tables_once_per_kernel_width(monkeypatch):
+    # the default run, n = 256 and 8 RK4 steps, meets 1 + 2 * 8 kernel widths:
+    # stages 2 and 3 share t + dt / 2, and stage 4 shares t + dt with the next
+    # step's stage 1, bit for bit; each width takes one near-band and one
+    # near-cell table, where one per stage took 2 * 4 * 8 = 64 calls
+    cfg = cli.parse_config("{}")
+    calls = []
+    real = evolution.kernel_values
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "kernel_values", counting)
+    traj = evolution.integrate(cli.initial_data(cfg), c=cfg.c, delta=cfg.delta, kappa=cfg.kappa,
+                               dt=cfg.dt, t_end=cfg.t_end, t_start=cfg.t_start,
+                               trunc_radius=cfg.trunc_radius)
+    assert cfg.n == 256 and not traj.failed and traj.diagnostics[-1]["step"] == 8
+    assert len(calls) == 2 * (1 + 2 * 8)
+
+
 def _band_fit(monkeypatch, f):
     """Degree and per-offset ranges ``u_top`` of the FFT band's table in one quadrature."""
     fits, real = [], evolution._offset_polynomials
@@ -486,9 +531,9 @@ def test_band_degree_follows_its_floor(monkeypatch, kind, n, degree):
 
 @pytest.mark.parametrize("n, amp", [(1024, 0.3), (2048, 0.3), (2048, 1.0)])
 def test_steep_band_keeps_the_full_range_fit(n, amp):
-    # A_max > 1/8: the band starts at 8 osc, where A_max dx_k exceeds osc on
-    # every band offset, so its rows are bit for bit those of the fit over the
-    # whole range |u| <= osc (an infinite A_max)
+    # A_max > 1/8: the band starts at 8 osc, where osc / dx_0 <= 1/8 < A_max,
+    # so its degree and rounded osc, the key of its table, are those of an
+    # infinite A_max (the fit over the whole range |u| <= osc)
     f = bump(n, amp=amp).values
     h = LENGTH / n
     plan = evolution.quadrature_plan(n, h, 10.0)
@@ -497,11 +542,8 @@ def test_steep_band_keeps_the_full_range_fit(n, amp):
     split = _band_start(f)
     assert _a_max(f) > 1.0 / evolution._BAND_SPAN and split < n_pos
     assert split == math.ceil(evolution._BAND_SPAN * osc / h) - plan.near
-    pos = plan.offsets[n_pos + split:]
-    g = spectral_derivative(f, LENGTH)
-    band = [evolution._fft_band(f, g, pos, pos * h, plan.weights[n_pos + split:], 0.05, osc, a)
-            for a in (_a_max(f), np.inf)]
-    assert np.array_equal(band[0], band[1])
+    dx0 = plan.offsets[n_pos + split] * h
+    assert evolution._band_key(osc, _a_max(f), dx0) == evolution._band_key(osc, np.inf, dx0)
 
 
 def test_kernel_quadrature_fft_band_gives_exactly_zero_for_constant_g():

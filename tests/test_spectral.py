@@ -347,6 +347,18 @@ def test_chebyshev_degree_none_where_not_a_finite_integer():
     assert spectral.chebyshev_degree(1.0, math.inf) == 46
 
 
+def test_chebyshev_half_is_the_widest_range_of_its_degree():
+    # a_d = b / sinh(37 / d) inverts the degree rule: every degree up to the
+    # caps (36 for the near band, n / 8 nodes for the near cell, 2 per site for
+    # the check's) maps back to itself, and a range 1e-9 wider needs d + 1
+    for d in range(0, 4097):
+        half = spectral.chebyshev_half(d)
+        assert spectral.chebyshev_degree(half, math.inf) == d, d
+        if d:
+            assert spectral.chebyshev_degree(half * (1.0 + 1e-9), math.inf) == d + 1, d
+    assert spectral.chebyshev_half(0) == 0.0
+
+
 def test_chebyshev_monomial_map_matches_cheb2poly():
     # the recurrence's integer entries are numpy.polynomial's conversion bit
     # for bit, up to degrees beyond those the tables reach
