@@ -35,7 +35,7 @@ _DEFAULTS = {
     "grid": {"n": 256, "length": 40.0},
     "time": {"dt": 0.0125, "t_end": 0.1, "t_start": 0.0, "output_every": 2},
     "physics": {"c": 1.0, "delta": None, "kappa": 1e-3},
-    "quadrature": {"trunc_radius": 10.0},
+    "quadrature": {"trunc_radius": evolution.DEFAULT_TRUNC_RADIUS},
     "initial": {
         "family": "gaussian_bump",
         "amplitude": 0.1,
@@ -132,27 +132,27 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    merged = _merge(_DEFAULTS, doc)
+    # the leaf keys of _DEFAULTS are unique, and they are RunConfig's fields
+    cfg = {}
+    for key, val in _merge(_DEFAULTS, doc).items():
+        cfg.update(val if isinstance(val, dict) else {key: val})
 
-    n = merged["grid"]["n"]
+    n, length = cfg["n"], cfg["length"]
     if not isinstance(n, int) or n < 64 or (n & (n - 1)) != 0:
         raise ConfigError("grid.n must be a power of two >= 64")
-    length = float(merged["grid"]["length"])
     if length <= 0:
         raise ConfigError("grid.length must be positive")
-    c = float(merged["physics"]["c"])
+    c, kappa = cfg["c"], cfg["kappa"]
     if not 0.0 < c < 2.0:
         raise ConfigError(f"physics.c = {c} violates the open bound (0, 2)")
-    kappa = float(merged["physics"]["kappa"])
     if kappa < 0:
         raise ConfigError("physics.kappa must be nonnegative")
     h = length / n
-    delta = merged["physics"]["delta"]
-    delta = 4.0 * h if delta is None else float(delta)
-    if delta < 2.0 * h:
+    if cfg["delta"] is None:
+        cfg["delta"] = 4.0 * h
+    if cfg["delta"] < 2.0 * h:
         raise ConfigError("physics.delta must be at least 2 grid spacings")
-    tcfg = merged["time"]
-    dt, t_end, t_start = float(tcfg["dt"]), float(tcfg["t_end"]), float(tcfg["t_start"])
+    dt, t_end, t_start = cfg["dt"], cfg["t_end"], cfg["t_start"]
     if dt <= 0 or t_end <= t_start or t_start < 0:
         raise ConfigError("time must satisfy dt > 0 and t_end > t_start >= 0")
     try:
@@ -163,12 +163,11 @@ def parse_config(text: str) -> RunConfig:
     if not c * t_start + kappa >= sys.float_info.min:
         raise ConfigError("physics.c * time.t_start + physics.kappa, the initial kernel width, "
                           f"must be at least {sys.float_info.min!r}")
-    output_every = tcfg["output_every"]
+    output_every = cfg["output_every"]
     if not isinstance(output_every, int) or output_every < 1:
         raise ConfigError("time.output_every must be a positive integer")
-    trunc = float(merged["quadrature"]["trunc_radius"])
-    eps_max = c * t_end + kappa
-    if trunc < 10.0 * eps_max:
+    trunc = cfg["trunc_radius"]
+    if trunc < 10.0 * (c * t_end + kappa):
         raise ConfigError("quadrature.trunc_radius must be at least 10*(c*t_end + kappa)")
     if trunc > length / 2:
         raise ConfigError("quadrature.trunc_radius must not exceed half the period")
@@ -176,28 +175,21 @@ def parse_config(text: str) -> RunConfig:
         evolution.trapezoid_reach(n, h, trunc)
     except ValueError as exc:
         raise ConfigError(f"quadrature.trunc_radius is too small for this grid: {exc}") from exc
-    icfg = merged["initial"]
-    family = icfg["family"]
+    family, modes = cfg["family"], cfg["modes"]
     if family not in _FAMILIES:
         raise ConfigError(f"initial.family must be one of {_FAMILIES}")
-    if family == "file" and not icfg["path"]:
+    if family == "file" and not cfg["path"]:
         raise ConfigError("initial.path is required for the file family")
-    if icfg["modes"] < 0:
+    if modes < 0:
         raise ConfigError("initial.modes must be nonnegative")
-    if family == "cosine_packet" and icfg["modes"] > n // 2:
+    if family == "cosine_packet" and modes > n // 2:
         # waves above the Nyquist frequency alias on the grid
         raise ConfigError(f"initial.modes must be at most grid.n // 2 = {n // 2} for a packet")
-    if merged["seed"] < 0:
+    if cfg["seed"] < 0:
         raise ConfigError("seed must be nonnegative")
-    if family in ("gaussian_bump", "cosine_packet") and icfg["width"] == 0:
+    if family in ("gaussian_bump", "cosine_packet") and cfg["width"] == 0:
         raise ConfigError("initial.width must be nonzero")
-    return RunConfig(
-        n=n, length=length, dt=dt, t_end=t_end, t_start=t_start,
-        output_every=output_every, c=c, delta=delta, kappa=kappa,
-        trunc_radius=trunc, family=family, amplitude=float(icfg["amplitude"]),
-        width=float(icfg["width"]), center=float(icfg["center"]),
-        modes=int(icfg["modes"]), path=icfg["path"], seed=int(merged["seed"]),
-    )
+    return RunConfig(**cfg)
 
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -342,7 +334,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
     # every snapshot's kernel width is at least the parsed floor: one row each
-    report = subsolution.subsolution_report(traj, trunc_radius=cfg.trunc_radius)
+    report = subsolution.subsolution_report(traj)
 
     failure_time = None
     lines = ["t,l2_norm,h4_norm,energy,max_gamma,min_slack,m_bound"]

@@ -13,8 +13,10 @@ Spatial quadrature is the PV trapezoid over grid-aligned offsets, with
 Gregory ends and a Gauss-Legendre near cell integrated on fixed geometric
 panels against the odd Taylor expansion of the slope difference
 (frozen-slope kernel); ``quadrature_plan`` builds that layout once per
-grid and window, and the subsolution check reads it too.  Without the
-near cell the quadrature is first order once the kernel width drops below
+grid and window, and the subsolution check reads it too.  The window
+``trunc_radius`` is a field of :class:`InterfaceState`, next to ``delta``
+and ``kappa``, so a state fixes its right-hand side.  Without the near
+cell the quadrature is first order once the kernel width drops below
 the mesh; with it the scheme is second order in h and the right-hand side
 stays smooth in t, preserving the RK4 order.  The frozen-slope moments
 are analytic and even in the slope, so they are tabulated at the
@@ -123,13 +125,14 @@ _MIN_BAND = 96
 
 @dataclass(frozen=True)
 class InterfaceState:
-    """Full state of the regularized interface evolution; its kernel width is a normal float."""
+    """Full state of the regularized flow, PV window included; its kernel width is a normal float."""
 
     f: GridFunction1D
     t: float
     c: float = 1.0
     delta: float = 0.0
     kappa: float = 0.0
+    trunc_radius: float = DEFAULT_TRUNC_RADIUS
 
     def __post_init__(self):
         if self.t < 0:
@@ -766,10 +769,8 @@ def kernel_quadrature(
     return out
 
 
-def rhs_regularized(
-    state: InterfaceState, trunc_radius: float = DEFAULT_TRUNC_RADIUS
-) -> GridFunction1D:
-    """Mollified velocity term plus mollified kappa-diffusion.
+def rhs_regularized(state: InterfaceState) -> GridFunction1D:
+    """Mollified velocity term plus mollified kappa-diffusion, in the state's PV window.
 
     At ``delta = kappa = 0`` (the :class:`InterfaceState` defaults) this is
     the unmollified averaged velocity ``-int (Delta df/dx) K_w dy``, which
@@ -786,7 +787,7 @@ def rhs_regularized(
         fhat = np.fft.rfft(f.values)
         g = np.fft.irfft(fhat * slope, n=f.n)
         diff = state.kappa * np.fft.irfft(fhat * diffusion, n=f.n)
-    vel = kernel_quadrature(f.values, g, f.length, state.width, trunc_radius)
+    vel = kernel_quadrature(f.values, g, f.length, state.width, state.trunc_radius)
     if state.delta > 0:
         vel = np.fft.irfft(np.fft.rfft(vel) * sym, n=f.n)
     return f.with_values(diff - vel)
@@ -821,25 +822,20 @@ def step_count(t_start: float, t_end: float, dt: float) -> int:
     return n_steps
 
 
-def stability_limit(
-    f0: GridFunction1D, c: float, delta: float, kappa: float, t_start: float,
-    trunc_radius: float = DEFAULT_TRUNC_RADIUS, out: np.ndarray | None = None,
-) -> float:
-    """Measured step probe ``min(h^2/(2 kappa), h / V_max)``; not a stability bound.
+def stability_limit(state: InterfaceState, out: np.ndarray | None = None) -> float:
+    """Measured step probe ``min(h^2/(2 kappa), h / V_max)`` of a state; not a stability bound.
 
-    The mollifier symbol is at most 1; ``V_max`` is the largest velocity at
-    ``t_start``, which ``out`` receives (ValueError when the kernel width
-    there is subnormal).  A smaller step can blow up: at ``delta = 0``
-    (Python only), a 0.1 bump plus ``0.05 cos(6 pi x / 40)``, N =
-    1024, c = 1, kappa = 0, ``t_start = 1e-4`` gets 0.286, yet ``dt =
+    The mollifier symbol is at most 1; ``V_max`` is the largest velocity of
+    ``state``, which ``out`` receives.  A smaller step can blow up: at
+    ``delta = 0`` (Python only), a 0.1 bump plus ``0.05 cos(6 pi x /
+    40)``, N = 1024, c = 1, kappa = 0, ``t = 1e-4`` gets 0.286, yet ``dt =
     0.0125`` takes H4 from 0.287 to 5.6e5 in 3 steps, unflagged.
     """
-    h = f0.h
+    h = state.f.h
     limit = np.inf
-    if kappa > 0:
-        limit = h * h / (2.0 * kappa)
-    v = rhs_regularized(InterfaceState(f=f0, t=t_start, c=c, delta=delta, kappa=kappa),
-                        trunc_radius)
+    if state.kappa > 0:
+        limit = h * h / (2.0 * state.kappa)
+    v = rhs_regularized(state)
     if out is not None:
         out[...] = v.values
     v_max = float(np.max(np.abs(v.values)))
@@ -880,20 +876,9 @@ def integrate(
     if output_every < 1:
         raise ValueError("output_every must be at least 1")
     n_steps = step_count(t_start, t_end, dt)
-    # the probe's velocity, at t_start, is the first stage of step 1
-    probe = np.empty(f0.n)
-    try:
-        limit = stability_limit(f0, c, delta, kappa, t_start, trunc_radius, out=probe)
-    except NonFiniteError as exc:
-        # the initial state's velocity leaves the finite range: no step is taken
-        traj = Trajectory()
-        traj.fail(t_start, f"non-finite state: {exc}", 0)
-        return traj
-    if dt > limit:
-        raise StabilityError(dt, limit)
 
     def state_at(values: np.ndarray, t: float) -> InterfaceState:
-        return InterfaceState(GridFunction1D(values, f0.length), t, c, delta, kappa)
+        return InterfaceState(GridFunction1D(values, f0.length), t, c, delta, kappa, trunc_radius)
 
     def diagnose(state: InterfaceState, step: int) -> dict:
         return {
@@ -905,23 +890,31 @@ def integrate(
         }
 
     traj = Trajectory()
-    vals = f0.values.copy()
-    t = t_start
-    state = state_at(vals, t)
+    state = state_at(f0.values.copy(), t_start)
+    # the probe's velocity, at t_start, is the first stage of step 1
+    probe = np.empty(f0.n)
+    try:
+        limit = stability_limit(state, out=probe)
+    except NonFiniteError as exc:
+        # the initial state's velocity leaves the finite range: no step is taken
+        traj.fail(t_start, f"non-finite state: {exc}", 0)
+        return traj
+    if dt > limit:
+        raise StabilityError(dt, limit)
     traj.append(state, diagnose(state, 0))
+    vals = state.f.values
     for step in range(1, n_steps + 1):
         k = [probe] if step == 1 else []
         try:
             for stage, node in enumerate(_RK4_NODES[len(k):], start=len(k) + 1):
                 stage_state = state_at(vals + node * dt * k[-1] if k else vals,
                                        t_start + (step - 1 + node) * dt)
-                k.append(rhs_regularized(stage_state, trunc_radius).values)
+                k.append(rhs_regularized(stage_state).values)
             stage = None
-            t = t_start + step * dt
             # an overflowing update is named by the new state's finiteness check
             with np.errstate(over="ignore", invalid="ignore"):
                 vals = vals + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
-            state = state_at(vals, t)
+            state = state_at(vals, t_start + step * dt)
         except NonFiniteError as exc:
             # a stage or the update left the finite range; truncate rather than crash
             traj.fail(t_start + step * dt, f"non-finite state: {exc}", step, stage)

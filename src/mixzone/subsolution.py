@@ -53,7 +53,8 @@ otherwise each site sums its own columns, in blocks of about
 
 For a run of the regularized flow the strip half-width handed to these
 routines is the kernel half-width ``eps(t) + kappa`` of the evolution
-actually computed, so all consistency identities refer to one kernel.
+actually computed, and the PV window is the state's, so all consistency
+identities refer to one kernel.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import numpy as np
 
 from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, kernel_quadrature, quadrature_plan
 from .grid import (GridFunction1D, NonFiniteError, block_rows, derivative_symbols,
-                   max_cell_slope, spectral_derivative, unit_exponent)
+                   max_cell_slope, unit_exponent)
 from .kernel import lambda_integral
 from .spectral import chebyshev_degree, chebyshev_maps, slope_interpolated, table_slopes
 
@@ -104,12 +105,13 @@ class _Snapshot:
     def __init__(self, f: GridFunction1D, width: float, trunc_radius: float):
         if not width > 0:
             raise ValueError("strip half-width must be positive")
+        # derivatives past the float range are named by the check of _default_dtz
         with np.errstate(over="ignore", invalid="ignore"):
             spectra = np.fft.rfft(f.values) * derivative_symbols(f.n, f.length, (1, 2, 3, 4, 5, 6))
+            spectra[:, -1] = 0.0  # g = f' drops the Nyquist mode
+            self.g_derivs = np.fft.irfft(spectra, n=f.n)
         # bounds every mean slope (f_j - f_{j-k}) / (k h) of the far rows
         self.a_max = max_cell_slope(f.values, f.h)
-        spectra[:, -1] = 0.0  # g = f' drops the Nyquist mode
-        self.g_derivs = np.fft.irfft(spectra, n=f.n)
         self.g = self.g_derivs[0]
         plan = quadrature_plan(f.n, f.h, trunc_radius)
         self.offsets = plan.offsets
@@ -290,8 +292,9 @@ def _assemble(far: np.ndarray, jk: np.ndarray, g_derivs: np.ndarray) -> tuple[np
     return u1, u2, uc2
 
 
-def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float) -> np.ndarray:
-    """Unmollified averaged velocity ``-int (Delta g) K_w dy`` at strip half-width ``width``.
+def _default_dtz(f: GridFunction1D, g: np.ndarray, width: float,
+                 trunc_radius: float) -> np.ndarray:
+    """Unmollified averaged velocity ``-int (Delta g) K_w dy``, ``g = f'``, at half-width ``width``.
 
     The check reads it at the run's width ``c t + kappa``, with no mollifier
     and no diffusion.  :func:`~mixzone.evolution.rhs_regularized` at ``delta
@@ -300,7 +303,6 @@ def _default_dtz(f: GridFunction1D, width: float, trunc_radius: float) -> np.nda
     width and to the diffusion term, so for ``kappa > 0`` no state of the
     run, at its own t and kappa, gives this velocity.
     """
-    g = spectral_derivative(f.values, f.length)
     return -kernel_quadrature(f.values, g, f.length, width, trunc_radius)
 
 
@@ -330,8 +332,8 @@ def site_samples(
     w, trunc_radius, lams = (np.ldexp(v, -e) for v in (width, trunc_radius, np.atleast_1d(lams)))
     if not np.all(np.abs(lams) <= w):
         raise ValueError("|lam| must not exceed the strip half-width")
-    dtz = _default_dtz(f, w, trunc_radius)
     snap = _Snapshot(f, w, trunc_radius)
+    dtz = _default_dtz(f, snap.g, w, trunc_radius)
     lam_g = np.clip(lams, -(1.0 - EDGE_CLAMP) * w, (1.0 - EDGE_CLAMP) * w)
     lower = lam_g <= 0.0
     # half-strip intervals, then the full strip
@@ -399,11 +401,11 @@ def subsolution_report(
     trajectory: Trajectory,
     s_indices=None,
     n_lambda: int = 9,
-    trunc_radius: float = DEFAULT_TRUNC_RADIUS,
 ) -> list[dict]:
     """Per-snapshot record of max|gamma|, hull slacks, M and the identity.
 
-    Sites default to every ``n // 32``-th grid node.  One row per
+    Each snapshot is checked at its own kernel width and PV window.  Sites
+    default to every ``n // 32``-th grid node.  One row per
     snapshot; its ``ok`` flags whether the subsolution conditions hold
     (``|gamma| < 1/2`` and no slack below the violation band).  The
     caller finds the first failing time from the rows.  A snapshot whose
@@ -419,7 +421,7 @@ def subsolution_report(
         x = f.x
         lams = _lambda_fractions(n_lambda) * width
         try:
-            samples = site_samples(f, width, state.c, idxs, lams, trunc_radius)
+            samples = site_samples(f, width, state.c, idxs, lams, state.trunc_radius)
         except NonFiniteError:
             m_bound = min_slack = max_gamma = residual = math.nan
         else:

@@ -76,9 +76,9 @@ def run_suite(name: str) -> list[dict]:
 
 
 # the evolution benchmark: f0 = 0.1 exp(-x^2) on a period of 40 with
-# c = 1, kappa = 1e-3 and delta = 4h, PV window 10
+# c = 1, kappa = 1e-3 and delta = 4h, the default PV window
 LENGTH = 40.0
-TRUNC = 10.0
+TRUNC = evolution.DEFAULT_TRUNC_RADIUS
 
 
 def _bump(n: int, amp: float = 0.1) -> GridFunction1D:
@@ -358,7 +358,7 @@ def _small_time_subsolution():
     traj = _benchmark_trajectory()
     n = traj.snapshots[0].f.n
     rows = subsolution.subsolution_report(
-        traj, s_indices=list(range(n // 2 - 16, n // 2 + 17, 4)), n_lambda=9, trunc_radius=TRUNC
+        traj, s_indices=list(range(n // 2 - 16, n // 2 + 17, 4)), n_lambda=9
     )
     return {"max_gamma": max(r["max_gamma"] for r in rows),
             "zero_mean_residual": max(r["zero_mean_residual"] for r in rows)}

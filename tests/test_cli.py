@@ -318,11 +318,11 @@ def test_simulate_records_integration_failure_step_and_stage(tmp_path, monkeypat
     real = evolution.rhs_regularized
     calls = []
 
-    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+    def rhs(state):
         calls.append(state.t)
         if len(calls) == 1 + 3 + 2:  # the probe (step 1 stage 1), step 1, then step 2 stage 2
             raise NonFiniteError("non-finite kernel value at site 3")
-        return real(state, trunc_radius)
+        return real(state)
 
     monkeypatch.setattr(evolution, "rhs_regularized", rhs)
     cfgpath = _zero_config(tmp_path, initial={"family": "gaussian_bump", "amplitude": 0.05})

@@ -726,7 +726,7 @@ def test_rhs_regularized_self_convergence():
     vals = {}
     for n in (512, 1024, 2048):
         state = InterfaceState(f=bump(n), t=0.06, c=1.0)
-        vals[n] = evolution.rhs_regularized(state, trunc_radius=10.0).values
+        vals[n] = evolution.rhs_regularized(state).values
     e1 = np.max(np.abs(vals[512] - vals[1024][::2]))
     e2 = np.max(np.abs(vals[1024] - vals[2048][::2]))
     assert np.log2(e1 / e2) >= 2.0
@@ -897,11 +897,11 @@ def _failing_rhs(monkeypatch, call, exc):
     real = evolution.rhs_regularized
     calls = []
 
-    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+    def rhs(state):
         calls.append(state.t)
         if len(calls) == call:
             raise exc
-        return real(state, trunc_radius)
+        return real(state)
 
     monkeypatch.setattr(evolution, "rhs_regularized", rhs)
 
@@ -912,11 +912,11 @@ def _overflowing_step_2(monkeypatch):
     real = evolution.rhs_regularized
     calls = []
 
-    def rhs(state, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+    def rhs(state):
         calls.append(state.t)
         if 5 <= len(calls) <= 8:
             return state.f.with_values(np.full(state.f.n, np.finfo(float).max))
-        return real(state, trunc_radius)
+        return real(state)
 
     monkeypatch.setattr(evolution, "rhs_regularized", rhs)
 

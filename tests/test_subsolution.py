@@ -36,6 +36,15 @@ def test_snapshot_derivatives_match_spectral_derivative(bump):
     assert np.array_equal(snap.g, snap.g_derivs[0])
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024, 2048])
+def test_snapshot_slope_is_bitwise_spectral_derivative(n):
+    # site_samples reads the quadrature's g = f' from the snapshot, so the
+    # batched transform's first row must be spectral_derivative bit for bit
+    f = GridFunction1D(np.random.default_rng(n).standard_normal(n), LENGTH)
+    snap = subsolution._Snapshot(f, 0.1, evolution.DEFAULT_TRUNC_RADIUS)
+    assert snap.g.tobytes() == spectral_derivative(f.values, f.length).tobytes()
+
+
 def test_flat_velocity_vanishes(flat):
     # the site at x = 0
     (u,) = subsolution.site_samples(flat, EPS, 1.0, [64], [0.2 * EPS], whole_period(flat)).u
@@ -147,7 +156,7 @@ def _per_site_samples(f, w, c, sites, lams):
     offsets directly (no blocks, no slope tables, no mirrors)."""
     snap = subsolution._Snapshot(f, w, 10.0)
     y_near, near_wts = _full_cell(f)
-    dtz = subsolution._default_dtz(f, w, 10.0)
+    dtz = subsolution._default_dtz(f, spectral_derivative(f.values, f.length), w, 10.0)
     lam_g = np.clip(lams, -(1 - subsolution.EDGE_CLAMP) * w, (1 - subsolution.EDGE_CLAMP) * w)
     lower = lam_g <= 0
     a = np.append(np.where(lower, -w, lam_g), -w)
@@ -355,7 +364,7 @@ def test_gamma_matches_gauss_legendre(bump, w):
     # gamma and the zero-mean residual from the closed form vs composite GL
     # over the sampled modified velocity (16 panels per strip width)
     sites = (116, 128, 132)
-    dtz = subsolution._default_dtz(bump, w, 10.0)
+    dtz = subsolution._default_dtz(bump, spectral_derivative(bump.values, bump.length), w, 10.0)
     lams = subsolution._lambda_fractions(9) * w
     samples = subsolution.site_samples(bump, w, 1.0, sites, lams, 10.0)
     # the full strip, then each gamma's half strip
@@ -495,6 +504,24 @@ def test_report_reproducible(bump):
     r1 = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
     r2 = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
     assert r1 == r2
+
+
+def test_report_checks_each_snapshot_at_the_window_of_the_run(bump):
+    # the window is part of each state: a run at trunc_radius = 5 is checked at 5
+    traj = evolution.integrate(bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.0125,
+                               t_end=0.025, output_every=1, trunc_radius=5.0)
+    rows = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
+    assert len(rows) == len(traj.snapshots) == 3
+    for row, state in zip(rows, traj.snapshots):
+        assert state.trunc_radius == 5.0
+        lams = subsolution._lambda_fractions(5) * state.width
+        s = subsolution.site_samples(state.f, state.width, state.c, [120, 128], lams,
+                                     trunc_radius=5.0)
+        m_bound = subsolution.choose_M(s.u)
+        assert row["m_bound"] == m_bound
+        assert row["max_gamma"] == np.max(np.abs(s.gamma))
+        assert row["min_slack"] == subsolution.hull_slacks(s.rho, s.u, s.m, m_bound).min()
+        assert row["zero_mean_residual"] == np.max(np.abs(s.residual))
 
 
 def test_report_matches_scalar_api(bump):
