@@ -138,7 +138,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.update(val if isinstance(val, dict) else {key: val})
 
     n, length = cfg["n"], cfg["length"]
-    if not isinstance(n, int) or n < 64 or (n & (n - 1)) != 0:
+    if n < 64 or (n & (n - 1)) != 0:
         raise ConfigError("grid.n must be a power of two >= 64")
     if length <= 0:
         raise ConfigError("grid.length must be positive")
@@ -163,8 +163,7 @@ def parse_config(text: str) -> RunConfig:
     if not c * t_start + kappa >= sys.float_info.min:
         raise ConfigError("physics.c * time.t_start + physics.kappa, the initial kernel width, "
                           f"must be at least {sys.float_info.min!r}")
-    output_every = cfg["output_every"]
-    if not isinstance(output_every, int) or output_every < 1:
+    if cfg["output_every"] < 1:
         raise ConfigError("time.output_every must be a positive integer")
     trunc = cfg["trunc_radius"]
     if trunc < 10.0 * (c * t_end + kappa):
@@ -294,8 +293,16 @@ def initial_data(cfg: RunConfig) -> GridFunction1D:
     raise ConfigError(f"unhandled family {cfg.family}")
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
+# trace.csv's columns: a name and its figure of a snapshot's state s and report row r
+_TRACE_COLUMNS = (
+    ("t", lambda s, r: s.t),
+    ("l2_norm", lambda s, r: s.f.l2_norm()),
+    ("h4_norm", lambda s, r: evolution.sobolev_norm(s.f, 4)),
+    ("energy", lambda s, r: spectral.energy(s.f, s.f.derivative(), s.t)),
+    ("max_gamma", lambda s, r: r["max_gamma"]),
+    ("min_slack", lambda s, r: r["min_slack"]),
+    ("m_bound", lambda s, r: r["m_bound"]),
+)
 
 
 def _snapshot_text(xs: np.ndarray, values: np.ndarray) -> str:
@@ -315,17 +322,9 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     """
     f0 = initial_data(cfg)
     try:
-        traj = evolution.integrate(
-            f0,
-            c=cfg.c,
-            delta=cfg.delta,
-            kappa=cfg.kappa,
-            dt=cfg.dt,
-            t_end=cfg.t_end,
-            output_every=cfg.output_every,
-            t_start=cfg.t_start,
-            trunc_radius=cfg.trunc_radius,
-        )
+        traj = evolution.integrate(f0, c=cfg.c, delta=cfg.delta, kappa=cfg.kappa, dt=cfg.dt,
+                                   t_end=cfg.t_end, output_every=cfg.output_every,
+                                   t_start=cfg.t_start, trunc_radius=cfg.trunc_radius)
     except evolution.StabilityError as exc:
         raise ConfigError(
             f"time.dt = {exc.dt} exceeds the stability probe {exc.limit:.6g} of the initial data"
@@ -334,19 +333,16 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
     # every snapshot's kernel width is at least the parsed floor: one row each
-    report = subsolution.subsolution_report(traj)
-
-    failure_time = None
-    lines = ["t,l2_norm,h4_norm,energy,max_gamma,min_slack,m_bound"]
-    for state, diag, row in zip(traj.snapshots, traj.diagnostics, report, strict=True):
-        slope = state.f.derivative()
-        en = spectral.energy(state.f, slope, state.t)
-        if not row["ok"] and failure_time is None:
-            failure_time = state.t
-        lines.append(_format_row([state.t, diag["l2"], diag["h4"], en, row["max_gamma"],
-                                  row["min_slack"], row["m_bound"]]))
-        (snapdir / f"f_{diag['step']:06d}.csv").write_text(_snapshot_text(state.f.x, state.f.values))
+    report = subsolution.subsolution_report(traj.snapshots)
+    failure_time = next((row["t"] for row in report if not row["ok"]), None)
+    trace = []
+    for state, row, step in zip(traj.snapshots, report, traj.steps, strict=True):
+        trace.append({name: value(state, row) for name, value in _TRACE_COLUMNS})
+        (snapdir / f"f_{step:06d}.csv").write_text(_snapshot_text(state.f.x, state.f.values))
+    lines = [",".join(name for name, _ in _TRACE_COLUMNS)]
+    lines += [",".join(f"{v:.17g}" for v in row.values()) for row in trace]
     (outdir / "trace.csv").write_text("\n".join(lines) + "\n")
+    last = traj.snapshots[-1] if traj.snapshots else None
 
     def figure(value):  # JSON has no infinity: a figure past the float range is null
         return value if value is None or math.isfinite(value) else None
@@ -362,12 +358,11 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         "integration_failure_stage": traj.failure_stage,
         "subsolution_failure_time": failure_time,
         "measured": {
-            "final_h4": figure(traj.diagnostics[-1]["h4"] if traj.diagnostics else None),
-            "final_dinv_d5": figure(traj.diagnostics[-1]["dinv_d5"] if traj.diagnostics else None),
-            "m_bound": figure(None if not report else report[-1]["m_bound"]),
-            "max_zero_mean_residual": figure(
-                None if not report else max(r["zero_mean_residual"] for r in report)
-            ),
+            "final_h4": figure(trace[-1]["h4_norm"] if trace else None),
+            "final_dinv_d5": figure(evolution.dinv_d5_norm(last.f, last.t) if last else None),
+            "m_bound": figure(trace[-1]["m_bound"] if trace else None),
+            "max_zero_mean_residual": figure(max((r["zero_mean_residual"] for r in report),
+                                                 default=None)),
         },
     }
     text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False)

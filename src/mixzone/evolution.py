@@ -52,6 +52,8 @@ raises :class:`~mixzone.grid.NonFiniteError`; the stepper records the step
 and stage and truncates the trajectory, and lets every other error through;
 no norm is held to a threshold, which would carry a unit of length.
 A step that exceeds the stability probe raises :class:`StabilityError`.
+A trajectory holds no figures; :func:`sobolev_norm` and
+:func:`dinv_d5_norm` are for its callers.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ __all__ = [
     "stability_limit",
     "integrate",
     "sobolev_norm",
+    "dinv_d5_norm",
     "quadrature_plan",
     "DEFAULT_TRUNC_RADIUS",
 ]
@@ -158,10 +161,10 @@ class InterfaceState:
 
 @dataclass
 class Trajectory:
-    """Snapshots at output times plus per-snapshot diagnostics."""
+    """Snapshots at output times, the step of each, and where the run failed."""
 
     snapshots: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     failed: bool = False
     failure_time: float | None = None
     failure_reason: str | None = None
@@ -171,11 +174,11 @@ class Trajectory:
     failure_step: int | None = None
     failure_stage: int | None = None
 
-    def append(self, state: InterfaceState, diag: dict):
+    def append(self, state: InterfaceState, step: int):
         if self.snapshots and state.t <= self.snapshots[-1].t:
             raise ValueError("snapshot times must be strictly increasing")
         self.snapshots.append(state)
-        self.diagnostics.append(diag)
+        self.steps.append(step)
 
     def fail(self, t: float, reason: str, step: int, stage: int | None = None):
         """Flag the trajectory as truncated at time t, step and stage."""
@@ -859,7 +862,7 @@ def integrate(
 
     ``eps = c*t`` is advanced exactly at the stage times.  Snapshots are
     recorded every ``output_every`` steps (plus the initial and final
-    states) with L2 / H4 norms and the damped fifth-derivative norm.
+    states) with their step; no figure of them is computed here.
     The trajectory is truncated and flagged, with the step and the RK4
     stage, when a stage or the update leaves the finite range: a finiteness
     check of the right-hand side or of the new state raises
@@ -880,15 +883,6 @@ def integrate(
     def state_at(values: np.ndarray, t: float) -> InterfaceState:
         return InterfaceState(GridFunction1D(values, f0.length), t, c, delta, kappa, trunc_radius)
 
-    def diagnose(state: InterfaceState, step: int) -> dict:
-        return {
-            "t": state.t,
-            "step": step,
-            "l2": state.f.l2_norm(),
-            "h4": sobolev_norm(state.f, 4),
-            "dinv_d5": _dinv_d5_norm(state.f, state.t),
-        }
-
     traj = Trajectory()
     state = state_at(f0.values.copy(), t_start)
     # the probe's velocity, at t_start, is the first stage of step 1
@@ -901,7 +895,7 @@ def integrate(
         return traj
     if dt > limit:
         raise StabilityError(dt, limit)
-    traj.append(state, diagnose(state, 0))
+    traj.append(state, 0)
     vals = state.f.values
     for step in range(1, n_steps + 1):
         k = [probe] if step == 1 else []
@@ -920,11 +914,11 @@ def integrate(
             traj.fail(t_start + step * dt, f"non-finite state: {exc}", step, stage)
             break
         if step % output_every == 0 or step == n_steps:
-            traj.append(state, diagnose(state, step))
+            traj.append(state, step)
     return traj
 
 
-def _dinv_d5_norm(f: GridFunction1D, t: float) -> float:
+def dinv_d5_norm(f: GridFunction1D, t: float) -> float:
     """``|| Dinv f^(5) ||_L2`` at time t, taken in units of ``2^e``; inf past the float range."""
     e = unit_exponent(f.length, float(np.abs(f.values).max()))
     scaled = GridFunction1D(np.ldexp(f.values, -e), math.ldexp(f.length, -e))

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evolution import DEFAULT_TRUNC_RADIUS, Trajectory, kernel_quadrature, quadrature_plan
+from .evolution import DEFAULT_TRUNC_RADIUS, kernel_quadrature, quadrature_plan
 from .grid import (GridFunction1D, NonFiniteError, block_rows, derivative_symbols,
                    max_cell_slope, unit_exponent)
 from .kernel import lambda_integral
@@ -397,14 +397,11 @@ def _lambda_fractions(n_lambda: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, n_lambda) * (1.0 - EDGE_CLAMP)
 
 
-def subsolution_report(
-    trajectory: Trajectory,
-    s_indices=None,
-    n_lambda: int = 9,
-) -> list[dict]:
+def subsolution_report(snapshots, s_indices=None, n_lambda: int = 9) -> list[dict]:
     """Per-snapshot record of max|gamma|, hull slacks, M and the identity.
 
-    Each snapshot is checked at its own kernel width and PV window.  Sites
+    Each snapshot, an :class:`~mixzone.evolution.InterfaceState`, is
+    checked at its own kernel width and PV window.  Sites
     default to every ``n // 32``-th grid node.  One row per
     snapshot; its ``ok`` flags whether the subsolution conditions hold
     (``|gamma| < 1/2`` and no slack below the violation band).  The
@@ -414,7 +411,7 @@ def subsolution_report(
     are NaN, and it fails.
     """
     rows = []
-    for state in trajectory.snapshots:
+    for state in snapshots:
         f = state.f
         width = state.width
         idxs = list(range(0, f.n, max(1, f.n // 32)) if s_indices is None else s_indices)

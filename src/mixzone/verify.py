@@ -358,7 +358,7 @@ def _small_time_subsolution():
     traj = _benchmark_trajectory()
     n = traj.snapshots[0].f.n
     rows = subsolution.subsolution_report(
-        traj, s_indices=list(range(n // 2 - 16, n // 2 + 17, 4)), n_lambda=9
+        traj.snapshots, s_indices=list(range(n // 2 - 16, n // 2 + 17, 4)), n_lambda=9
     )
     return {"max_gamma": max(r["max_gamma"] for r in rows),
             "zero_mean_residual": max(r["zero_mean_residual"] for r in rows)}

@@ -71,6 +71,7 @@ def test_parse_rejects_bad_family_and_missing_path():
         ('{"time": {"output_every": true}}', "time.output_every"),
         ('{"time": {"output_every": 2.0}}', "time.output_every"),
         ('{"grid": {"n": false}}', "grid.n"),
+        ('{"grid": {"n": 64.0}}', "grid.n"),
         ('{"initial": {"modes": -1}}', "initial.modes"),
         ('{"initial": {"path": 5}}', "initial.path"),
         ('{"seed": null}', "seed"),
@@ -287,7 +288,7 @@ def test_simulate_flags_subsolution_failure(tmp_path, monkeypatch):
     # breaks mid-run; the trajectory is still written in full
     from mixzone import cli as cli_mod
 
-    def failing_report(traj, **kwargs):
+    def failing_report(snapshots, **kwargs):
         return [
             {
                 "t": s.t,
@@ -298,7 +299,7 @@ def test_simulate_flags_subsolution_failure(tmp_path, monkeypatch):
                 "ok": False,
                 "s_sites": [],
             }
-            for s in traj.snapshots
+            for s in snapshots
         ]
 
     monkeypatch.setattr(cli_mod.subsolution, "subsolution_report", failing_report)
@@ -718,19 +719,68 @@ def _kernel_work(monkeypatch):
     return calls
 
 
+def _column_entries(monkeypatch):
+    """``[entries, nodes, columns]`` of each ``site_samples`` call from here on.
+
+    ``entries`` counts what its ``_column_values`` calls evaluate, ``columns``
+    is the width of its column set, and ``nodes`` is ``sites * (offsets +
+    near-cell nodes)``: the nodes of the far rows summed per site and of
+    the near cell at the sites' own slopes.
+    """
+    calls, real_samples, real_columns = [], subsolution.site_samples, subsolution._column_values
+
+    def columns(x, d, w, cols):
+        out = real_columns(x, d, w, cols)
+        calls[-1][0] += out.size
+        calls[-1][2] = out.shape[-1]
+        return out
+
+    def samples(f, width, c, s_indices, lams, trunc_radius=evolution.DEFAULT_TRUNC_RADIUS):
+        plan = evolution.quadrature_plan(f.n, f.h, trunc_radius)
+        calls.append([0, np.size(s_indices) * (plan.offsets.size + plan.near_y.size), 0])
+        return real_samples(f, width, c, s_indices, lams, trunc_radius)
+
+    monkeypatch.setattr(subsolution, "_column_values", columns)
+    monkeypatch.setattr(subsolution, "site_samples", samples)
+    return calls
+
+
 def test_simulate_over_accepted_configurations_exits_0_1_or_2(monkeypatch):
     # every run either writes its run directory (exit 0 or 1) or stops at a
     # ConfigError (exit 2); no warning is printed and no other exception
     # escapes, and a run's 2^-16 twin ends with the same exit code; no
-    # weighted energy takes more fields than the grid has sites, and no
-    # quadrature evaluates more kernel entries than its per-entry path
+    # weighted energy takes more fields than the grid has sites, no
+    # quadrature evaluates more kernel entries than its per-entry path, and
+    # no subsolution check evaluates more column entries than its per-site
+    # path, sites * (offsets + near-cell nodes) * columns: the far table's
+    # degree is at most 2 sites - 1 (chebyshev_degree(a_max, 2 * sites - 1)),
+    # so it has at most `sites` nodes t >= 0 per positive offset, and the
+    # near cell's table, capped at 2 * slopes.size = 2 sites nodes, has at
+    # most `sites` slopes >= 0
     hypothesis = pytest.importorskip("hypothesis")
     settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=200,
                                    database=None)
     calls, work = _energy_fields(monkeypatch), _kernel_work(monkeypatch)
+    checks = _column_entries(monkeypatch)
     settings(hypothesis.given(_simulate_documents(hypothesis.strategies))(_simulate_once))()
     assert calls and all(fields <= sites for fields, sites in calls), max(calls)
     assert work and all(entries <= bound for entries, bound in work), max(work)
+    assert checks and all(entries <= nodes * cols for entries, nodes, cols in checks), max(checks)
+
+
+def test_trace_figure_is_one_table_entry(tmp_path, monkeypatch):
+    # a figure added to the table is a trace.csv column, one finite value a
+    # snapshot; final_dinv_d5 is taken once, of the last snapshot
+    extra = ("max_height", lambda s, r: float(np.max(s.f.values)))
+    monkeypatch.setattr(cli, "_TRACE_COLUMNS", cli._TRACE_COLUMNS + (extra,))
+    times, real = [], evolution.dinv_d5_norm
+    monkeypatch.setattr(evolution, "dinv_d5_norm", lambda f, t: times.append(t) or real(f, t))
+    (tmp_path / "empty.json").write_text("{}")
+    assert cli.main(["simulate", str(tmp_path / "empty.json"), "--out", str(tmp_path / "run")]) == 0
+    columns = _trace_columns(tmp_path / "run")
+    assert list(columns)[-2:] == ["m_bound", "max_height"]
+    assert columns["max_height"].shape == (5,) and np.all(np.isfinite(columns["max_height"]))
+    assert times == [columns["t"][-1]]
 
 
 def test_simulate_writes_the_same_bytes_from_cold_tables(tmp_path, monkeypatch):

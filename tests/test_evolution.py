@@ -305,7 +305,7 @@ def test_integrate_builds_tables_once_per_kernel_width(monkeypatch):
     traj = evolution.integrate(cli.initial_data(cfg), c=cfg.c, delta=cfg.delta, kappa=cfg.kappa,
                                dt=cfg.dt, t_end=cfg.t_end, t_start=cfg.t_start,
                                trunc_radius=cfg.trunc_radius)
-    assert cfg.n == 256 and not traj.failed and traj.diagnostics[-1]["step"] == 8
+    assert cfg.n == 256 and not traj.failed and traj.steps[-1] == 8
     assert len(calls) == 2 * (1 + 2 * 8)
 
 
@@ -827,9 +827,24 @@ def test_integrate_snapshot_cadence_and_diagnostics():
     times = np.array([snap.t for snap in traj.snapshots])
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.05)
     assert np.all(np.diff(times) > 0)
-    for diag in traj.diagnostics:
-        assert np.isfinite(diag["h4"]) and np.isfinite(diag["dinv_d5"])
-    assert [diag["step"] for diag in traj.diagnostics] == [0, 2, 4]
+    for snap in traj.snapshots:
+        assert (np.isfinite(evolution.sobolev_norm(snap.f, 4))
+                and np.isfinite(evolution.dinv_d5_norm(snap.f, snap.t)))
+    assert traj.steps == [0, 2, 4]
+
+
+def test_integrate_computes_no_figures(monkeypatch):
+    # the figures of a snapshot are its callers': integrate runs without them
+    def unavailable(*args):
+        raise AssertionError("integrate took a figure of a snapshot")
+
+    for name in ("sobolev_norm", "dinv_d5_norm"):
+        monkeypatch.setattr(evolution, name, unavailable)
+    cfg = cli.parse_config("{}")
+    traj = evolution.integrate(cli.initial_data(cfg), c=cfg.c, delta=cfg.delta, kappa=cfg.kappa,
+                               dt=cfg.dt, t_end=cfg.t_end, output_every=cfg.output_every,
+                               t_start=cfg.t_start, trunc_radius=cfg.trunc_radius)
+    assert len(traj.snapshots) == 5 and traj.steps == [0, 2, 4, 6, 8]
 
 
 @pytest.mark.parametrize("t_start, kappa, probes", [(1e-4, 0.0, 0), (0.0, 1e-3, 0)])
@@ -975,9 +990,9 @@ def test_trajectory_rejects_nonincreasing_times():
     f = bump(128)
     traj = Trajectory()
     s = InterfaceState(f=f, t=0.1, c=1.0)
-    traj.append(s, {})
+    traj.append(s, 0)
     with pytest.raises(ValueError):
-        traj.append(InterfaceState(f=f, t=0.1, c=1.0), {})
+        traj.append(InterfaceState(f=f, t=0.1, c=1.0), 1)
 
 
 def test_damped_fifth_derivative_growth_stable_across_resolutions():
@@ -992,7 +1007,7 @@ def test_damped_fifth_derivative_growth_stable_across_resolutions():
             f0, c=1.0, delta=delta, kappa=1e-3, dt=0.0125, t_end=0.1,
             output_every=8,
         )
-        series = [d["dinv_d5"] for d in traj.diagnostics]
+        series = [evolution.dinv_d5_norm(s.f, s.t) for s in traj.snapshots]
         assert all(np.isfinite(series))
         factors.append(series[-1] / series[0])
     assert abs(factors[0] - factors[1]) / factors[1] <= 0.05

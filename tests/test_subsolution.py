@@ -318,8 +318,6 @@ def test_report_entry_counts(monkeypatch, bump):
     # bump: the far rows evaluate their table at the nodes t >= 0 only, the
     # near cell its half cell at the nonnegative nodes of [-M, M]
     state = evolution.InterfaceState(f=bump, t=EPS)
-    traj = evolution.Trajectory()
-    traj.append(state, {})
     snap = subsolution._Snapshot(bump, EPS, 10.0)
     n_pos = snap.offsets.size // 2
     a_max = np.max(np.abs(np.diff(bump.values, prepend=bump.values[-1]))) / bump.h
@@ -329,7 +327,7 @@ def test_report_entry_counts(monkeypatch, bump):
     nodes = spectral.slope_nodes(top).size
     assert (degree, nodes) == (13, 12)
     seen = _count_entries(monkeypatch, bump)
-    subsolution.subsolution_report(traj)
+    subsolution.subsolution_report([state])
     assert seen == {"far": (degree + 2) // 2 * n_pos * 20, "near": (nodes + 1) // 2 * 144 * 20}
 
 
@@ -478,7 +476,7 @@ def test_report_flat_trajectory():
     f = GridFunction1D.zeros(128, LENGTH)
     c = 0.5
     traj = evolution.integrate(f, c=c, delta=4 * f.h, kappa=1e-3, dt=0.025, t_end=0.05)
-    rows = subsolution.subsolution_report(traj, s_indices=[32, 64], n_lambda=5)
+    rows = subsolution.subsolution_report(traj.snapshots, s_indices=[32, 64], n_lambda=5)
     assert rows
     for row in rows:
         assert row["max_gamma"] == pytest.approx(abs(1 - c) / 2, abs=1e-10)
@@ -490,19 +488,19 @@ def test_empty_site_list_is_rejected_by_name(bump):
         subsolution.site_samples(bump, EPS, 1.0, [], [0.0])
     traj = evolution.integrate(bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025)
     with pytest.raises(ValueError, match="s_indices"):
-        subsolution.subsolution_report(traj, s_indices=[])
+        subsolution.subsolution_report(traj.snapshots, s_indices=[])
 
 
 def test_report_empty_trajectory():
-    assert subsolution.subsolution_report(evolution.Trajectory()) == []
+    assert subsolution.subsolution_report([]) == []
 
 
 def test_report_reproducible(bump):
     traj = evolution.integrate(
         bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025, output_every=1
     )
-    r1 = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
-    r2 = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
+    r1 = subsolution.subsolution_report(traj.snapshots, s_indices=[120, 128], n_lambda=5)
+    r2 = subsolution.subsolution_report(traj.snapshots, s_indices=[120, 128], n_lambda=5)
     assert r1 == r2
 
 
@@ -510,7 +508,7 @@ def test_report_checks_each_snapshot_at_the_window_of_the_run(bump):
     # the window is part of each state: a run at trunc_radius = 5 is checked at 5
     traj = evolution.integrate(bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.0125,
                                t_end=0.025, output_every=1, trunc_radius=5.0)
-    rows = subsolution.subsolution_report(traj, s_indices=[120, 128], n_lambda=5)
+    rows = subsolution.subsolution_report(traj.snapshots, s_indices=[120, 128], n_lambda=5)
     assert len(rows) == len(traj.snapshots) == 3
     for row, state in zip(rows, traj.snapshots):
         assert state.trunc_radius == 5.0
@@ -531,7 +529,7 @@ def test_report_matches_scalar_api(bump):
         bump, c=1.0, delta=4 * bump.h, kappa=1e-3, dt=0.025, t_end=0.025, output_every=1
     )
     sites = (118, 128, 138)
-    rows = subsolution.subsolution_report(traj, s_indices=sites, n_lambda=5)
+    rows = subsolution.subsolution_report(traj.snapshots, s_indices=sites, n_lambda=5)
     assert len(rows) == len(traj.snapshots) == 2
     for row, state in zip(rows, traj.snapshots):
         f, w = state.f, state.width
